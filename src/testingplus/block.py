@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .codec import Reader, ZERO_HASH, enc_bytes, enc_u64, hash256, DecodeError
 from .tx import Transaction, decode_transaction
@@ -29,6 +30,11 @@ class BlockHeader:
         )
 
     def hash(self) -> bytes:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> bytes:
+        # frozen, so the hash is computed once per object
         return hash256(self.encode())
 
 

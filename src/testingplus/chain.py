@@ -202,6 +202,10 @@ class Chain:
         self.blocks: list[Block] = [genesis.genesis_block()]
         self.receipts: dict[bytes, tuple[Receipt, int]] = {}  # tx_hash -> (receipt, height)
         self.committed_txs: set[bytes] = set()
+        # header hash -> (post-state, receipts) of a block executed on top of
+        # the head, so that stage, validate_block and append run it once;
+        # emptied whenever the head moves
+        self._executed: dict[bytes, tuple[WorldState, tuple[Receipt, ...]]] = {}
 
     @property
     def head(self) -> Block:
@@ -218,14 +222,22 @@ class Chain:
         """Run txs against a copy of the current (or given) state."""
         state = (base if base is not None else self.state).copy()
         h = height if height is not None else self.height + 1
-        receipts = [apply_transaction(state, tx, height=h, tick=tick) for tx in txs]
+        receipts = []
+        root = None  # each transaction's pre-state root is its predecessor's post-state root
+        for tx in txs:
+            receipts.append(apply_transaction(state, tx, height=h, tick=tick, pre_root=root))
+            root = receipts[-1].post_state_root
         state.height = h
         return state, receipts
 
-    def stage(self, txs: list[Transaction], proposer: bytes, tick: int) -> tuple[Block, WorldState, list[Receipt]]:
+    def stage(self, txs: list[Transaction], proposer: bytes, tick: int) -> tuple[Block, bytes, list[Receipt]]:
+        """Execute txs on top of the head and build the block that commits
+        them. Returns the block, its post-state root and the receipts; the
+        post-state stays inside the chain until `append` adopts it."""
         state, receipts = self.execute(txs, tick=tick)
-        block = build_block(self.head.header, txs, state.root(), proposer, tick)
-        return block, state, receipts
+        block = build_block(self.head.header, txs, _post_root(state, receipts), proposer, tick)
+        self._executed[block.header.hash()] = (state, tuple(receipts))
+        return block, block.header.state_root, receipts
 
     def seal(self, block: Block, keyed_validators: list[tuple[bytes, bytes]]) -> Block:
         """Attach votes from (address, secret) pairs; used by the local CLI chain."""
@@ -247,12 +259,23 @@ class Chain:
                     return ChainCheck(False, h, "tx-signature")
             except UnknownSenderError:
                 return ChainCheck(False, h, "unknown-sender")
-        state, _ = self.execute(
-            list(block.transactions), height=block.header.height, tick=block.header.timestamp
-        )
-        if state.root() != block.header.state_root:
+        if self._execute_block(block) is None:
             return ChainCheck(False, h, "state-root-mismatch")
         return CHAIN_OK
+
+    def _execute_block(self, block: Block) -> tuple[WorldState, tuple[Receipt, ...]] | None:
+        """Post-state and receipts of a block whose parent is the head,
+        executed at most once; None if its state root does not match."""
+        key = block.header.hash()
+        hit = self._executed.get(key)
+        if hit is None:
+            state, receipts = self.execute(
+                list(block.transactions), height=block.header.height, tick=block.header.timestamp
+            )
+            if _post_root(state, receipts) != block.header.state_root:
+                return None
+            hit = self._executed[key] = (state, tuple(receipts))
+        return hit
 
     def check_votes(self, block: Block) -> ChainCheck:
         h = block.header.height
@@ -275,15 +298,14 @@ class Chain:
             vcheck = self.check_votes(block)
             if not vcheck:
                 raise CorruptChainError(vcheck)
-        state, receipts = self.execute(
-            list(block.transactions), height=block.header.height, tick=block.header.timestamp
-        )
+        state, receipts = self._execute_block(block)
+        self._executed.clear()
         self.state = state
         self.blocks.append(block)
         for tx, rc in zip(block.transactions, receipts):
             self.receipts[tx.hash()] = (rc, block.header.height)
             self.committed_txs.add(tx.hash())
-        return receipts
+        return list(receipts)
 
     @classmethod
     def from_blocks(cls, genesis: GenesisConfig, blocks: list[Block]) -> "Chain":
@@ -297,6 +319,10 @@ class Chain:
         for block in blocks[1:]:
             chain.append(block)
         return chain
+
+
+def _post_root(state: WorldState, receipts: list[Receipt]) -> bytes:
+    return receipts[-1].post_state_root if receipts else state.root()
 
 
 class ChainStore:

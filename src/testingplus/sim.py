@@ -32,7 +32,7 @@ from .tx import (
     Transaction,
     sign_transaction,
 )
-from .vm import case_id_for, contract_id_for
+from .vm import case_id_for, contract_id_for, exec_id_for
 
 
 class ScenarioError(ValueError):
@@ -127,6 +127,19 @@ class SimScenario:
             seen = [n for side in p.sides for n in side]
             if sorted(seen) != list(range(self.n_validators)):
                 raise ScenarioError("partition sides must cover each node exactly once")
+        # a submission goes to a live validator, so none may arrive once all have crashed
+        if all(i in self.crash_faults for i in range(self.n_validators)):
+            all_down = max(self.crash_faults[i] for i in range(self.n_validators))
+            for k, entry in enumerate(self.workload):
+                try:
+                    tick = int(entry["tick"])
+                except (KeyError, TypeError, ValueError):
+                    continue  # build_workload reports a malformed entry
+                if tick >= all_down:
+                    raise ScenarioError(
+                        f"workload entry {k}: tick {tick} is after every validator "
+                        f"has crashed (tick {all_down})"
+                    )
 
     def digest(self) -> bytes:
         return hash256(json.dumps(self.raw or self.to_dict(), sort_keys=True).encode())
@@ -247,7 +260,7 @@ class SimScenario:
                 elif op == "record_execution":
                     actual = digest_of(entry, "actual_output", "actual_output_digest")
                     payload = RecordExecution(resolve(entry["case"]), actual)
-                    created[k] = hash256(sender + enc_u64(nonce) + actual + b"\x11")
+                    created[k] = exec_id_for(sender, nonce, actual)
                 elif op == "post_feedback":
                     payload = PostFeedback(
                         resolve(entry["subject"]), str(entry.get("body", "")).encode()

@@ -8,6 +8,7 @@ signature covers exactly those bytes; the signed encoding appends it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .codec import Reader, enc_bytes, enc_u64, hash256, DecodeError
 from .keys import KeyRegistry, UnknownSenderError, address_from_pubkey, sign, verify
@@ -192,6 +193,11 @@ class Transaction:
         return self.encode_unsigned() + enc_bytes(self.signature)
 
     def hash(self) -> bytes:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> bytes:
+        # frozen, so the hash is computed once per object
         return hash256(self.encode())
 
 

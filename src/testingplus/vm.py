@@ -67,7 +67,8 @@ class Receipt:
     tx_hash: bytes
     status: str
     reason: bytes  # empty on success
-    state_delta_digest: bytes
+    state_delta_digest: bytes  # hash of the pre-state root and the post-state root
+    post_state_root: bytes
 
     @property
     def ok(self) -> bool:
@@ -87,7 +88,7 @@ def case_id_for(sender: bytes, nonce: int, expected_output_digest: bytes) -> byt
     return hash256(sender + enc_u64(nonce) + expected_output_digest)
 
 
-def _exec_id_for(sender: bytes, nonce: int, actual: bytes) -> bytes:
+def exec_id_for(sender: bytes, nonce: int, actual: bytes) -> bytes:
     return hash256(sender + enc_u64(nonce) + actual + b"\x11")
 
 
@@ -160,9 +161,8 @@ def _complete_test(state: WorldState, tx: Transaction, height: int, tick: int) -
         raise _Revert(REASON_ONLY_DEVELOPER_COMPLETE)
     if t.escrow != t.testing_fee or (t.testing_fee == 0 and t.is_test_completed):
         raise _Revert(REASON_NOT_FUNDED)
-    linked = [c for c in state.test_cases.values() if c.acceptance_contract == t.contract_id]
-    passed = {e.case_id for e in state.executions if e.verdict == VERDICT_PASS}
-    if any(c.case_id not in passed for c in linked):
+    history = state.history()
+    if any(c not in history.passed for c in history.cases_by_contract.get(t.contract_id, ())):
         raise _Revert(REASON_NOT_VERIFIED)
     state.credit(t.developer, t.escrow)
     state.acceptance_tests[t.contract_id] = replace(
@@ -182,17 +182,19 @@ def _register_test_case(state: WorldState, tx: Transaction, height: int, tick: i
     if len(p.description) > MAX_TEXT_BYTES:
         raise _Revert(REASON_PAYLOAD_TOO_LARGE)
     cid = case_id_for(tx.sender, tx.nonce, p.expected_output_digest)
-    state.test_cases[cid] = TestCase(
-        case_id=cid,
-        acceptance_contract=p.acceptance_contract,
-        author=tx.sender,
-        description=p.description,
-        input_digest=p.input_digest,
-        expected_output_digest=p.expected_output_digest,
-        tick=tick,
-        block_height=height,
-        tx_hash=tx.hash(),
-        seq=state.next_seq,
+    state.add_test_case(
+        TestCase(
+            case_id=cid,
+            acceptance_contract=p.acceptance_contract,
+            author=tx.sender,
+            description=p.description,
+            input_digest=p.input_digest,
+            expected_output_digest=p.expected_output_digest,
+            tick=tick,
+            block_height=height,
+            tx_hash=tx.hash(),
+            seq=state.next_seq,
+        )
     )
     state.next_seq += 1
 
@@ -204,9 +206,9 @@ def _record_execution(state: WorldState, tx: Transaction, height: int, tick: int
         raise _Revert(REASON_UNKNOWN_CASE)
     # the verdict is recomputed here, never taken from the submitter
     verdict = VERDICT_PASS if p.actual_output_digest == case.expected_output_digest else VERDICT_FAIL
-    state.executions.append(
+    state.add_execution(
         ExecutionRecord(
-            exec_id=_exec_id_for(tx.sender, tx.nonce, p.actual_output_digest),
+            exec_id=exec_id_for(tx.sender, tx.nonce, p.actual_output_digest),
             case_id=case.case_id,
             tester=tx.sender,
             actual_output_digest=p.actual_output_digest,
@@ -224,9 +226,7 @@ def _post_feedback(state: WorldState, tx: Transaction, height: int, tick: int) -
     p = tx.payload
     if len(p.body_text) > MAX_TEXT_BYTES:
         raise _Revert(REASON_PAYLOAD_TOO_LARGE)
-    known = p.subject in state.test_cases or any(
-        e.exec_id == p.subject for e in state.executions
-    )
+    known = p.subject in state.test_cases or p.subject in state.history().exec_ids
     if not known:
         raise _Revert(REASON_UNKNOWN_SUBJECT)
     state.feedbacks.append(
@@ -245,21 +245,28 @@ def _post_feedback(state: WorldState, tx: Transaction, height: int, tick: int) -
 
 
 def apply_transaction(
-    state: WorldState, tx: Transaction, height: int = 0, tick: int = 0
+    state: WorldState,
+    tx: Transaction,
+    height: int = 0,
+    tick: int = 0,
+    pre_root: bytes | None = None,
 ) -> Receipt:
     """Apply one signature-checked transaction in place and return its receipt.
 
     Nonce mismatch reverts without any state change at all; every other
     revert still advances the sender's nonce (the attempt is on record).
+    `pre_root` is `state.root()` if the caller already has it, for example
+    the previous receipt's `post_state_root` within one block.
     """
     tx_hash = tx.hash()
-    pre_root = state.root()
+    if pre_root is None:
+        pre_root = state.root()
 
     def receipt(reason: bytes) -> Receipt:
         post_root = state.root()
         digest = hash256(pre_root + post_root)
         status = STATUS_SUCCESS if reason == b"" else STATUS_REVERTED
-        return Receipt(tx_hash, status, reason, digest)
+        return Receipt(tx_hash, status, reason, digest, post_root)
 
     acct = state.accounts.get(tx.sender)
     if acct is None:

@@ -351,3 +351,42 @@ def test_no_conflicting_commits_across_faults():
         if e["type"] == "commit":
             assert by_height.setdefault(e["h"], e["hash"]) == e["hash"]
     assert trace.summary["truncated"] is False
+
+
+def all_crashed_scenario():
+    return scenario_dict(
+        n_validators=2,
+        crash_faults=[{"node": 0, "tick": 5}, {"node": 1, "tick": 5}],
+        max_ticks=50,
+        workload=[{"tick": 10, "sender": 0, "op": "deploy_customer_agreement"}],
+    )
+
+
+def test_workload_after_every_validator_crashed_is_rejected():
+    from testingplus.sim import ScenarioError
+
+    with pytest.raises(ScenarioError, match="workload entry 0"):
+        SimScenario.from_dict(all_crashed_scenario())
+    # an entry before the last crash is still accepted
+    ok = all_crashed_scenario()
+    ok["crash_faults"][1]["tick"] = 20
+    SimScenario.from_dict(ok)
+
+
+def test_scenario_command_errors_when_every_validator_crashed(tmp_path):
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    sfile = tmp_path / "scenario.json"
+    sfile.write_text(json.dumps(all_crashed_scenario()))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "testingplus.cli", "scenario", str(sfile), "--out", str(tmp_path / "t")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert "workload entry 0" in proc.stderr

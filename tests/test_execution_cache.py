@@ -1,0 +1,128 @@
+"""Each block is executed once on its way through stage, seal and append,
+and the per-block state work does not grow with chain height."""
+
+import pytest
+
+from testingplus import chain as chain_mod
+from testingplus.block import build_block
+from testingplus.chain import Chain, CorruptChainError
+from testingplus.state import WorldState
+from testingplus.tx import (
+    DeployAcceptanceTest,
+    PostFeedback,
+    RecordExecution,
+    RegisterTestCase,
+    Transaction,
+)
+from testingplus.vm import case_id_for, contract_id_for
+
+from conftest import Actor, make_genesis
+
+VALIDATOR = Actor(b"\x11" * 32)
+CUSTOMER = Actor(b"\x22" * 32)
+TESTER = Actor(b"\x44" * 32)
+
+
+class Engagement:
+    """One acceptance test, then blocks that each register a case, run it
+    and leave feedback on the run, so the test history grows every block."""
+
+    def __init__(self):
+        self.chain = Chain(make_genesis(VALIDATOR, [(CUSTOMER, 1000), (TESTER, 1000)]))
+        self.nonces = {CUSTOMER.address: 0, TESTER.address: 0}
+        self.contract = contract_id_for(CUSTOMER.address, 0, DeployAcceptanceTest.TAG)
+        self.append([self.tx(CUSTOMER, DeployAcceptanceTest(CUSTOMER.address, TESTER.address, 0))])
+
+    def tx(self, actor, payload):
+        nonce = self.nonces[actor.address]
+        self.nonces[actor.address] += 1
+        return actor.sign(Transaction(actor.address, nonce, payload, 0))
+
+    def next_txs(self):
+        h = self.chain.height + 1
+        expected = h.to_bytes(32, "big")
+        case = case_id_for(TESTER.address, self.nonces[TESTER.address], expected)
+        register = self.tx(TESTER, RegisterTestCase(self.contract, b"case", b"\x01" * 32, expected))
+        run = self.tx(TESTER, RecordExecution(case, expected))
+        feedback = self.tx(CUSTOMER, PostFeedback(case, b"seen"))
+        return [register, run, feedback]
+
+    def append(self, txs):
+        tick = self.chain.height + 1
+        block, _, staged = self.chain.stage(txs, VALIDATOR.address, tick)
+        block = self.chain.seal(block, [(VALIDATOR.address, VALIDATOR.secret)])
+        appended = self.chain.append(block)
+        assert staged == appended and all(rc.ok for rc in appended)
+        return block
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_block_executes_once_through_stage_seal_append(monkeypatch):
+    eng = Engagement()
+    applied = count_calls(monkeypatch, chain_mod, "apply_transaction")
+    copies = count_calls(monkeypatch, WorldState, "copy")
+    for _ in range(3):
+        txs = eng.next_txs()
+        before = len(applied)
+        eng.append(txs)
+        assert len(applied) - before == len(txs)
+    assert len(copies) == 3
+
+
+def test_changed_state_root_is_rejected_after_staging():
+    eng = Engagement()
+    txs = eng.next_txs()
+    staged, _, _ = eng.chain.stage(txs, VALIDATOR.address, 5)
+    forged = build_block(eng.chain.head.header, txs, b"\x42" * 32, VALIDATOR.address, 5)
+    check = eng.chain.validate_block(forged)
+    assert not check and check.reason == "state-root-mismatch"
+    with pytest.raises(CorruptChainError, match="state-root-mismatch"):
+        eng.chain.append(forged, require_votes=False)
+    # the genuine staged block still goes through
+    eng.chain.append(eng.chain.seal(staged, [(VALIDATOR.address, VALIDATOR.secret)]))
+    assert eng.chain.height == 2
+
+
+def test_post_state_cache_is_empty_after_append():
+    eng = Engagement()
+    txs = eng.next_txs()
+    a, _, _ = eng.chain.stage(txs, VALIDATOR.address, 5)
+    b, _, _ = eng.chain.stage(txs[:1], VALIDATOR.address, 6)  # a competing proposal
+    assert len(eng.chain._executed) == 2
+    eng.chain.append(a, require_votes=False)
+    assert eng.chain._executed == {}
+    # the competitor's parent is no longer the head
+    assert eng.chain.validate_block(b).reason == "height-mismatch"
+
+
+def test_stage_hands_out_no_cached_state():
+    eng = Engagement()
+    block, root, receipts = eng.chain.stage(eng.next_txs(), VALIDATOR.address, 5)
+    assert root == block.header.state_root
+    assert not any(isinstance(x, WorldState) for x in (block, root, *receipts))
+    receipts.clear()  # the caller's list is its own
+    assert len(eng.chain.append(block, require_votes=False)) == 3
+
+
+def test_state_serializations_per_block_flat_in_height(monkeypatch):
+    eng = Engagement()
+    serialized = count_calls(monkeypatch, WorldState, "serialize")
+    per_block = {}
+    while eng.chain.height < 60:
+        txs = eng.next_txs()
+        before = len(serialized)
+        block = eng.append(txs)
+        per_block[block.header.height] = len(serialized) - before
+    assert per_block[10] == per_block[60]
+    assert set(per_block.values()) == {len(txs) + 1}
