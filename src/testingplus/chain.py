@@ -1,14 +1,14 @@
 """Chain assembly and verification: genesis, block execution, quorum checks,
-and the on-disk store (binary stream plus a JSON mirror for debugging)."""
+and the on-disk store."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .block import Block, BlockHeader, Reader, build_block, decode_chain, encode_chain, merkle_root
-from .codec import DecodeError, ZERO_ADDRESS, ZERO_HASH, hash256
+from .block import Block, BlockHeader, build_block, decode_chain, encode_chain, merkle_root
+from .codec import DecodeError, ZERO_ADDRESS, ZERO_HASH
 from .keys import KeyRegistry, UnknownSenderError, address_from_pubkey, sign, verify
 from .state import AccountState, WorldState
 from .tx import Transaction, verify_transaction
@@ -139,11 +139,52 @@ class ChainCheck:
 CHAIN_OK = ChainCheck(True)
 
 
+def check_block(
+    parent: BlockHeader, block: Block, registry: KeyRegistry, validators: ValidatorSet | None = None
+) -> ChainCheck:
+    """Everything about a block that does not need its execution: height
+    and link to `parent`, Merkle root, transaction signatures and, when
+    `validators` is given, a quorum of distinct validator votes."""
+    h = parent.height + 1
+    header = block.header
+    if header.height != h:
+        return ChainCheck(False, h, "height-mismatch")
+    if header.prev_hash != parent.hash():
+        return ChainCheck(False, h, "link-mismatch")
+    if header.merkle_root != merkle_root([tx.hash() for tx in block.transactions]):
+        return ChainCheck(False, h, "merkle-mismatch")
+    for tx in block.transactions:
+        try:
+            if not verify_transaction(tx, registry):
+                return ChainCheck(False, h, "tx-signature")
+        except UnknownSenderError:
+            return ChainCheck(False, h, "unknown-sender")
+    return CHAIN_OK if validators is None else _check_votes(block, validators)
+
+
+def _check_votes(block: Block, validators: ValidatorSet) -> ChainCheck:
+    h = block.header.height
+    header_hash = block.header.hash()
+    signers = set()
+    for addr, sig in block.votes:
+        pk = validators.pubkey_of(addr)
+        if pk is None:
+            return ChainCheck(False, h, "vote-not-validator")
+        if addr in signers:
+            return ChainCheck(False, h, "vote-duplicate")
+        if not verify(pk, sig, header_hash):
+            return ChainCheck(False, h, "vote-signature")
+        signers.add(addr)
+    if len(signers) < validators.quorum:
+        return ChainCheck(False, h, "quorum")
+    return CHAIN_OK
+
+
 def verify_chain(
     blocks: list[Block], validators: ValidatorSet, registry: KeyRegistry
 ) -> ChainCheck:
-    """Structural audit of a chain: hash links, Merkle roots, transaction
-    signatures, and quorum vote sets. Returns the lowest failing height.
+    """Structural audit of a chain: `check_block` at every height after
+    genesis. Returns the lowest failing height.
 
     Vote signatures cover the header hash, so a mutation of any header field
     (including the state root) surfaces at its own height.
@@ -155,33 +196,10 @@ def verify_chain(
         return ChainCheck(False, 0, "bad genesis header")
     if g.header.merkle_root != merkle_root([tx.hash() for tx in g.transactions]):
         return ChainCheck(False, 0, "merkle-mismatch")
-    for h in range(1, len(blocks)):
-        b = blocks[h]
-        if b.header.height != h:
-            return ChainCheck(False, h, "height-mismatch")
-        if b.header.prev_hash != blocks[h - 1].header.hash():
-            return ChainCheck(False, h, "link-mismatch")
-        if b.header.merkle_root != merkle_root([tx.hash() for tx in b.transactions]):
-            return ChainCheck(False, h, "merkle-mismatch")
-        for tx in b.transactions:
-            try:
-                if not verify_transaction(tx, registry):
-                    return ChainCheck(False, h, "tx-signature")
-            except UnknownSenderError:
-                return ChainCheck(False, h, "unknown-sender")
-        header_hash = b.header.hash()
-        signers = set()
-        for addr, sig in b.votes:
-            pk = validators.pubkey_of(addr)
-            if pk is None:
-                return ChainCheck(False, h, "vote-not-validator")
-            if addr in signers:
-                return ChainCheck(False, h, "vote-duplicate")
-            if not verify(pk, sig, header_hash):
-                return ChainCheck(False, h, "vote-signature")
-            signers.add(addr)
-        if len(signers) < validators.quorum:
-            return ChainCheck(False, h, "quorum")
+    for parent, block in zip(blocks, blocks[1:]):
+        check = check_block(parent.header, block, registry, validators)
+        if not check:
+            return check
     return CHAIN_OK
 
 
@@ -215,13 +233,10 @@ class Chain:
     def height(self) -> int:
         return self.head.header.height
 
-    def execute(
-        self, txs: list[Transaction], base: WorldState | None = None, height: int | None = None,
-        tick: int = 0,
-    ) -> tuple[WorldState, list[Receipt]]:
-        """Run txs against a copy of the current (or given) state."""
-        state = (base if base is not None else self.state).copy()
-        h = height if height is not None else self.height + 1
+    def execute(self, txs: list[Transaction], tick: int = 0) -> tuple[WorldState, list[Receipt]]:
+        """Run txs at the next height against a copy of the current state."""
+        state = self.state.copy()
+        h = self.height + 1
         receipts = []
         root = None  # each transaction's pre-state root is its predecessor's post-state root
         for tx in txs:
@@ -246,22 +261,12 @@ class Chain:
         return block.with_votes(votes)
 
     def validate_block(self, block: Block) -> ChainCheck:
-        h = self.height + 1
-        if block.header.height != h:
-            return ChainCheck(False, h, "height-mismatch")
-        if block.header.prev_hash != self.head.header.hash():
-            return ChainCheck(False, h, "link-mismatch")
-        if block.header.merkle_root != merkle_root([tx.hash() for tx in block.transactions]):
-            return ChainCheck(False, h, "merkle-mismatch")
-        for tx in block.transactions:
-            try:
-                if not verify_transaction(tx, self.registry):
-                    return ChainCheck(False, h, "tx-signature")
-            except UnknownSenderError:
-                return ChainCheck(False, h, "unknown-sender")
-        if self._execute_block(block) is None:
-            return ChainCheck(False, h, "state-root-mismatch")
-        return CHAIN_OK
+        """`check_block` against the head, without votes, then execution
+        (reused if the block was staged or validated before)."""
+        check = check_block(self.head.header, block, self.registry)
+        if check and self._execute_block(block) is None:
+            return ChainCheck(False, block.header.height, "state-root-mismatch")
+        return check
 
     def _execute_block(self, block: Block) -> tuple[WorldState, tuple[Receipt, ...]] | None:
         """Post-state and receipts of a block whose parent is the head,
@@ -269,36 +274,29 @@ class Chain:
         key = block.header.hash()
         hit = self._executed.get(key)
         if hit is None:
-            state, receipts = self.execute(
-                list(block.transactions), height=block.header.height, tick=block.header.timestamp
-            )
+            state, receipts = self.execute(list(block.transactions), tick=block.header.timestamp)
             if _post_root(state, receipts) != block.header.state_root:
                 return None
             hit = self._executed[key] = (state, tuple(receipts))
         return hit
 
     def check_votes(self, block: Block) -> ChainCheck:
-        h = block.header.height
-        header_hash = block.header.hash()
-        signers = set()
-        for addr, sig in block.votes:
-            pk = self.validators.pubkey_of(addr)
-            if pk is None or addr in signers or not verify(pk, sig, header_hash):
-                return ChainCheck(False, h, "vote-invalid")
-            signers.add(addr)
-        if len(signers) < self.validators.quorum:
-            return ChainCheck(False, h, "quorum")
-        return CHAIN_OK
+        return _check_votes(block, self.validators)
 
     def append(self, block: Block, require_votes: bool = True) -> list[Receipt]:
-        check = self.validate_block(block)
+        """Check the block against the head (votes too, unless
+        `require_votes` is false), execute it and make it the head."""
+        validators = self.validators if require_votes else None
+        check = check_block(self.head.header, block, self.registry, validators)
         if not check:
             raise CorruptChainError(check)
-        if require_votes:
-            vcheck = self.check_votes(block)
-            if not vcheck:
-                raise CorruptChainError(vcheck)
-        state, receipts = self._execute_block(block)
+        return self._adopt(block)
+
+    def _adopt(self, block: Block) -> list[Receipt]:
+        executed = self._execute_block(block)
+        if executed is None:
+            raise CorruptChainError(ChainCheck(False, block.header.height, "state-root-mismatch"))
+        state, receipts = executed
         self._executed.clear()
         self.state = state
         self.blocks.append(block)
@@ -309,7 +307,9 @@ class Chain:
 
     @classmethod
     def from_blocks(cls, genesis: GenesisConfig, blocks: list[Block]) -> "Chain":
-        """Rebuild state by replaying a stored chain (genesis block included)."""
+        """Rebuild state by replaying a stored chain (genesis block included):
+        `verify_chain` once, then each block is executed and its state root
+        compared."""
         chain = cls(genesis)
         if not blocks or blocks[0] != chain.blocks[0]:
             raise CorruptChainError(ChainCheck(False, 0, "genesis-mismatch"))
@@ -317,7 +317,7 @@ class Chain:
         if not check:
             raise CorruptChainError(check)
         for block in blocks[1:]:
-            chain.append(block)
+            chain._adopt(block)
         return chain
 
 
@@ -326,8 +326,8 @@ def _post_root(state: WorldState, receipts: list[Receipt]) -> bytes:
 
 
 class ChainStore:
-    """Directory layout: genesis.json, chain.bin, chain.json (mirror, never
-    hashed), validator_key.json (local sealer), artifacts/ (content-addressed)."""
+    """Directory layout: genesis.json, chain.bin, validator_key.json (local
+    sealer), artifacts/ (content-addressed)."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -342,6 +342,7 @@ class ChainStore:
 
     @property
     def mirror_path(self) -> Path:
+        # the store no longer writes or reads chain.json; bench/tracing.py still sizes one if present
         return self.root / "chain.json"
 
     @property
@@ -369,31 +370,3 @@ class ChainStore:
 
     def save(self, chain: Chain) -> None:
         self.chain_path.write_bytes(encode_chain(chain.blocks))
-        self.mirror_path.write_text(json.dumps(
-            [_block_json(b) for b in chain.blocks], indent=2, sort_keys=True
-        ))
-
-
-def _block_json(block: Block) -> dict:
-    return {
-        "header": {
-            "height": block.header.height,
-            "prev_hash": block.header.prev_hash.hex(),
-            "merkle_root": block.header.merkle_root.hex(),
-            "state_root": block.header.state_root.hex(),
-            "timestamp": block.header.timestamp,
-            "proposer": block.header.proposer.hex(),
-        },
-        "hash": block.header.hash().hex(),
-        "transactions": [
-            {
-                "hash": tx.hash().hex(),
-                "sender": tx.sender.hex(),
-                "nonce": tx.nonce,
-                "value": tx.value,
-                "payload": type(tx.payload).__name__,
-            }
-            for tx in block.transactions
-        ],
-        "votes": [{"validator": a.hex(), "signature": s.hex()} for a, s in block.votes],
-    }

@@ -13,28 +13,14 @@ import json
 import sys
 from pathlib import Path
 
-from .block import merkle_proof
+from .block import Block, merkle_proof
 from .chain import Chain, ChainStore, CorruptChainError, GenesisConfig
-from .codec import hash256
 from .keys import address_from_pubkey, generate_keypair
 from .metrics import SweepSpec, run_sweep
 from .sim import ScenarioError, SimScenario, run_simulation
 from .state import VERDICT_PASS
-from .tx import (
-    CompleteTest,
-    DeployAcceptanceTest,
-    DeployCustomerAgreement,
-    DeployDeveloperAgreement,
-    InitiateTest,
-    PostFeedback,
-    RecordExecution,
-    RegisterTestCase,
-    SetReward,
-    SetTestingFee,
-    Transaction,
-    sign_transaction,
-)
-from .vm import case_id_for, contract_id_for
+from .tx import Transaction, hex_bytes, parse_u64, payload_from_json, sign_transaction
+from .vm import created_id
 from .workflow import (
     ArtifactStore,
     UnknownCaseError,
@@ -108,69 +94,6 @@ def cmd_init(args) -> int:
     return EXIT_OK
 
 
-def _parse_payload(raw: dict, sender: bytes, nonce: int, artifacts: ArtifactStore | None):
-    """Build a payload from a JSON description; returns (payload, created_id)."""
-
-    def digest_of(raw_key: str, digest_key: str) -> bytes:
-        if digest_key in raw:
-            return bytes.fromhex(raw[digest_key])
-        data = str(raw.get(raw_key, "")).encode()
-        if artifacts is not None:
-            return artifacts.put(data)
-        return hash256(data)
-
-    try:
-        op = raw["op"]
-        if op == "deploy_customer_agreement":
-            return DeployCustomerAgreement(), contract_id_for(sender, nonce, 0x01)
-        if op == "set_testing_fee":
-            return SetTestingFee(bytes.fromhex(raw["contract"]), int(raw["fee"])), None
-        if op == "deploy_developer_agreement":
-            return DeployDeveloperAgreement(), contract_id_for(sender, nonce, 0x03)
-        if op == "set_reward":
-            return SetReward(bytes.fromhex(raw["contract"]), int(raw["amount"])), None
-        if op == "deploy_acceptance_test":
-            return (
-                DeployAcceptanceTest(
-                    bytes.fromhex(raw["customer"]),
-                    bytes.fromhex(raw["developer"]),
-                    int(raw["fee"]),
-                ),
-                contract_id_for(sender, nonce, 0x05),
-            )
-        if op == "initiate_test":
-            return InitiateTest(bytes.fromhex(raw["contract"])), None
-        if op == "complete_test":
-            return CompleteTest(bytes.fromhex(raw["contract"])), None
-        if op == "register_test_case":
-            expected = digest_of("expected_output", "expected_output_digest")
-            return (
-                RegisterTestCase(
-                    bytes.fromhex(raw["contract"]),
-                    str(raw.get("description", "")).encode(),
-                    digest_of("input", "input_digest"),
-                    expected,
-                ),
-                case_id_for(sender, nonce, expected),
-            )
-        if op == "record_execution":
-            return (
-                RecordExecution(
-                    bytes.fromhex(raw["case"]),
-                    digest_of("actual_output", "actual_output_digest"),
-                ),
-                None,
-            )
-        if op == "post_feedback":
-            return (
-                PostFeedback(bytes.fromhex(raw["subject"]), str(raw.get("body", "")).encode()),
-                None,
-            )
-        raise UsageError(f"unknown op {op!r}")
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"bad payload: {exc}") from exc
-
-
 def _load_store(args) -> tuple[ChainStore, Chain]:
     store = ChainStore(Path(args.store))
     if not store.exists():
@@ -203,11 +126,15 @@ def cmd_submit(args) -> int:
     acct = chain.state.account(sender)
     if acct is None:
         raise UsageError("sender has no account on this chain")
-    payload, created = _parse_payload(
-        raw, sender, acct.nonce, ArtifactStore(store.artifacts_dir)
-    )
-    tx = Transaction(sender, acct.nonce, payload, int(raw.get("value", 0)))
+    artifacts = ArtifactStore(store.artifacts_dir)
+    try:
+        payload = payload_from_json(raw, hex_bytes, hex_bytes, artifacts.put)
+        value = parse_u64(raw.get("value", 0))
+    except ValueError as exc:
+        raise UsageError(f"bad payload: {exc}") from exc
+    tx = Transaction(sender, acct.nonce, payload, value)
     tx = sign_transaction(tx, key["secret_key"], key["public_key"])
+    created = created_id(payload, sender, acct.nonce)
 
     sealer = _load_key(store.root / "validator_key.json")
     tick = chain.head.header.timestamp + 1
@@ -229,6 +156,31 @@ def cmd_submit(args) -> int:
     return EXIT_OK
 
 
+def _block_json(block: Block) -> dict:
+    return {
+        "header": {
+            "height": block.header.height,
+            "prev_hash": block.header.prev_hash.hex(),
+            "merkle_root": block.header.merkle_root.hex(),
+            "state_root": block.header.state_root.hex(),
+            "timestamp": block.header.timestamp,
+            "proposer": block.header.proposer.hex(),
+        },
+        "hash": block.header.hash().hex(),
+        "transactions": [
+            {
+                "hash": tx.hash().hex(),
+                "sender": tx.sender.hex(),
+                "nonce": tx.nonce,
+                "value": tx.value,
+                "payload": type(tx.payload).__name__,
+            }
+            for tx in block.transactions
+        ],
+        "votes": [{"validator": a.hex(), "signature": s.hex()} for a, s in block.votes],
+    }
+
+
 def cmd_query(args) -> int:
     _, chain = _load_store(args)
     sel = args.selector
@@ -238,8 +190,6 @@ def cmd_query(args) -> int:
             h = int(rest[0])
             if not 0 <= h < len(chain.blocks):
                 raise UsageError(f"no block at height {h}")
-            from .chain import _block_json
-
             print(json.dumps(_block_json(chain.blocks[h]), sort_keys=True))
         elif sel == "state":
             state = chain.state
@@ -356,9 +306,9 @@ def cmd_query(args) -> int:
 def cmd_scenario(args) -> int:
     try:
         scenario = SimScenario.from_file(args.scenario)
+        trace = run_simulation(scenario)  # resolving the workload can fail too
     except (OSError, json.JSONDecodeError, ScenarioError) as exc:
         raise UsageError(f"bad scenario: {exc}") from exc
-    trace = run_simulation(scenario)
     trace.write(args.out)
     summary = trace.summary
     _log(f"simulated {scenario.max_ticks} ticks, trace -> {args.out}")

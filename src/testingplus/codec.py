@@ -63,9 +63,6 @@ class Reader:
         (n,) = struct.unpack(">I", self.take(4))
         return self.take(n)
 
-    def at_end(self) -> bool:
-        return self.pos == len(self.data)
-
     def expect_end(self) -> None:
-        if not self.at_end():
+        if self.pos != len(self.data):
             raise DecodeError(f"{len(self.data) - self.pos} trailing bytes")

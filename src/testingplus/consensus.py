@@ -10,10 +10,10 @@ the proposal and vote a node is holding, plus Status-based chain sync.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .block import Block
-from .chain import Chain, GenesisConfig, proposer_for
+from .chain import Chain, CorruptChainError, GenesisConfig, proposer_for
 from .keys import sign, verify
 from .tx import Transaction
 
@@ -123,21 +123,24 @@ class Node:
                 sealed = block.with_votes(tuple(votes))
                 self.chain.append(sealed)
                 self._after_append(tick)
-                out: list[Outbound] = [(None, Commit(sealed))]
-                out.extend(self._drain_future(tick))
-                return out
+                self._drain_future(tick)
+                return [(None, Commit(sealed))]
         return []
 
-    def _drain_future(self, tick: int) -> list[Outbound]:
-        out: list[Outbound] = []
+    def _drain_future(self, tick: int) -> None:
         while self.next_height in self.future_commits:
-            block = self.future_commits.pop(self.next_height)
-            if not self.chain.check_votes(block) or not self.chain.validate_block(block):
-                self.invalid_dropped += 1
+            if not self._append_commit(self.future_commits.pop(self.next_height), tick):
                 break
+
+    def _append_commit(self, block: Block, tick: int) -> bool:
+        """Append a committed block from a peer; an invalid one is dropped."""
+        try:
             self.chain.append(block)
-            self._after_append(tick)
-        return out
+        except CorruptChainError:
+            self.invalid_dropped += 1
+            return False
+        self._after_append(tick)
+        return True
 
     # -- tick ----------------------------------------------------------------
 
@@ -241,12 +244,9 @@ class Node:
         if h > self.next_height:
             self.future_commits[h] = block
             return []
-        if not self.chain.check_votes(block) or not self.chain.validate_block(block):
-            self.invalid_dropped += 1
-            return []
-        self.chain.append(block)
-        self._after_append(tick)
-        return self._drain_future(tick)
+        if self._append_commit(block, tick):
+            self._drain_future(tick)
+        return []
 
     def _accept_status(self, status: Status, src: int) -> list[Outbound]:
         have = len(self.chain.blocks)

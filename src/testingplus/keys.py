@@ -75,9 +75,3 @@ class KeyRegistry:
             return self._keys[address]
         except KeyError:
             raise UnknownSenderError(address.hex()) from None
-
-    def knows(self, address: bytes) -> bool:
-        return address in self._keys
-
-    def addresses(self) -> list[bytes]:
-        return sorted(self._keys)

@@ -14,25 +14,12 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .chain import GenesisConfig, ValidatorSet
+from .chain import GenesisConfig
 from .codec import enc_u64, hash256
 from .consensus import ConsensusMessage, Node, NodeConfig
-from .keys import generate_keypair
-from .tx import (
-    CompleteTest,
-    DeployAcceptanceTest,
-    DeployCustomerAgreement,
-    DeployDeveloperAgreement,
-    InitiateTest,
-    PostFeedback,
-    RecordExecution,
-    RegisterTestCase,
-    SetReward,
-    SetTestingFee,
-    Transaction,
-    sign_transaction,
-)
-from .vm import case_id_for, contract_id_for, exec_id_for
+from .keys import address_from_pubkey, generate_keypair
+from .tx import Transaction, hex_bytes, parse_u64, payload_from_json, sign_transaction
+from .vm import created_id
 
 
 class ScenarioError(ValueError):
@@ -195,84 +182,45 @@ class SimScenario:
     def build_workload(self) -> list[tuple[int, Transaction]]:
         """Resolve symbolic entries into signed transactions.
 
-        Nonces follow list order per sender; {"ref": k} fields resolve to the
-        id created by workload entry k (contract, case, or execution id).
+        Nonces follow list order per sender; accounts are given by index,
+        and {"ref": k} fields resolve to the id created by workload entry k
+        (contract, case, or execution id).
         """
         keys = self.account_keys()
-        from .keys import address_from_pubkey
-
         addrs = [address_from_pubkey(pk) for _, pk in keys]
         nonces = [0] * len(keys)
         created: dict[int, bytes] = {}
         out: list[tuple[int, Transaction]] = []
 
-        def digest_of(entry: dict, raw_key: str, digest_key: str) -> bytes:
-            if digest_key in entry:
-                return bytes.fromhex(entry[digest_key])
-            return hash256(str(entry.get(raw_key, "")).encode())
+        def index_of(value) -> int:
+            index = int(value)
+            if not 0 <= index < len(addrs):
+                raise ScenarioError(f"account index {index} out of range")
+            return index
 
-        def resolve(value) -> bytes:
+        def ident(value) -> bytes:
             if isinstance(value, dict) and "ref" in value:
                 ref = int(value["ref"])
                 if ref not in created:
                     raise ScenarioError(f"workload ref {ref} does not name a created id")
                 return created[ref]
-            return bytes.fromhex(value)
+            return hex_bytes(value)
 
         for k, entry in enumerate(self.workload):
             try:
                 tick = int(entry["tick"])
-                sender_idx = int(entry["sender"])
-                op = entry["op"]
-                value = int(entry.get("value", 0))
-                sender = addrs[sender_idx]
-                nonce = nonces[sender_idx]
-                if op == "deploy_customer_agreement":
-                    payload = DeployCustomerAgreement()
-                    created[k] = contract_id_for(sender, nonce, payload.TAG)
-                elif op == "set_testing_fee":
-                    payload = SetTestingFee(resolve(entry["contract"]), int(entry["fee"]))
-                elif op == "deploy_developer_agreement":
-                    payload = DeployDeveloperAgreement()
-                    created[k] = contract_id_for(sender, nonce, payload.TAG)
-                elif op == "set_reward":
-                    payload = SetReward(resolve(entry["contract"]), int(entry["amount"]))
-                elif op == "deploy_acceptance_test":
-                    payload = DeployAcceptanceTest(
-                        addrs[int(entry["customer"])],
-                        addrs[int(entry["developer"])],
-                        int(entry["fee"]),
-                    )
-                    created[k] = contract_id_for(sender, nonce, payload.TAG)
-                elif op == "initiate_test":
-                    payload = InitiateTest(resolve(entry["contract"]))
-                elif op == "complete_test":
-                    payload = CompleteTest(resolve(entry["contract"]))
-                elif op == "register_test_case":
-                    expected = digest_of(entry, "expected_output", "expected_output_digest")
-                    payload = RegisterTestCase(
-                        resolve(entry["contract"]),
-                        str(entry.get("description", "")).encode(),
-                        digest_of(entry, "input", "input_digest"),
-                        expected,
-                    )
-                    created[k] = case_id_for(sender, nonce, expected)
-                elif op == "record_execution":
-                    actual = digest_of(entry, "actual_output", "actual_output_digest")
-                    payload = RecordExecution(resolve(entry["case"]), actual)
-                    created[k] = exec_id_for(sender, nonce, actual)
-                elif op == "post_feedback":
-                    payload = PostFeedback(
-                        resolve(entry["subject"]), str(entry.get("body", "")).encode()
-                    )
-                else:
-                    raise ScenarioError(f"unknown workload op {op!r}")
-                tx = Transaction(sender, nonce, payload, value)
-                tx = sign_transaction(tx, keys[sender_idx][0], keys[sender_idx][1])
-                nonces[sender_idx] += 1
-                out.append((tick, tx))
-            except (KeyError, IndexError, ValueError) as exc:
+                sender_idx = index_of(entry["sender"])
+                payload = payload_from_json(entry, ident, lambda i: addrs[index_of(i)], hash256)
+                sender, nonce = addrs[sender_idx], nonces[sender_idx]
+                tx = Transaction(sender, nonce, payload, parse_u64(entry.get("value", 0)))
+                tx = sign_transaction(tx, *keys[sender_idx])
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ScenarioError(f"workload entry {k}: {exc}") from exc
+            cid = created_id(payload, sender, nonce)
+            if cid is not None:
+                created[k] = cid
+            nonces[sender_idx] += 1
+            out.append((tick, tx))
         return out
 
 
@@ -330,6 +278,7 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
     by_tick: dict[int, list[tuple[int, Transaction]]] = {}
     for idx, (tick, tx) in enumerate(workload):
         by_tick.setdefault(tick, []).append((idx, tx))
+    recorded = [0] * n  # per node, the height up to which commits are in the trace
 
     events: list[dict] = [
         {
@@ -384,7 +333,7 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
                 continue
             for dest2, out_msg in nodes[d].on_message(msg, src, tick):
                 send(d, dest2, out_msg, tick)
-            _record_commits(nodes[d], events, tick)
+            _record_commits(nodes[d], recorded, events, tick)
         # workload injection
         for idx, tx in by_tick.pop(tick, []):
             target = idx % n
@@ -399,7 +348,7 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
                 continue
             for dest2, out_msg in node.on_tick(tick):
                 send(i, dest2, out_msg, tick)
-            _record_commits(node, events, tick)
+            _record_commits(node, recorded, events, tick)
 
     submitted = {tx.hash() for _, tx in workload}
     all_live_committed = all(
@@ -431,10 +380,9 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
     return SimTrace(events)
 
 
-def _record_commits(node: Node, events: list[dict], tick: int) -> None:
+def _record_commits(node: Node, recorded: list[int], events: list[dict], tick: int) -> None:
     # emit commit lines for blocks appended since the node's last record
-    recorded = getattr(node, "_recorded_height", 0)
-    for block in node.chain.blocks[recorded + 1 :]:
+    for block in node.chain.blocks[recorded[node.index] + 1 :]:
         events.append(
             {
                 "type": "commit",
@@ -446,4 +394,4 @@ def _record_commits(node: Node, events: list[dict], tick: int) -> None:
                 "txs": [tx.hash().hex() for tx in block.transactions],
             }
         )
-    node._recorded_height = node.chain.height
+    recorded[node.index] = node.chain.height

@@ -7,170 +7,183 @@ signature covers exactly those bytes; the signed encoding appends it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import Union
 
-from .codec import Reader, enc_bytes, enc_u64, hash256, DecodeError
+from .codec import Reader, U64_MAX, enc_bytes, enc_u64, hash256, DecodeError
 from .keys import KeyRegistry, UnknownSenderError, address_from_pubkey, sign, verify
 
 MAX_PAYLOAD_BYTES = 64 * 1024
 MAX_TEXT_BYTES = 4 * 1024
 
+# Field kinds of the payload table. Every kind but U64 is a length-prefixed
+# byte string on chain; the kind says how a JSON op entry spells the field.
+ID = "id"  # a contract, case or execution id, resolved by the caller
+ACCOUNT = "account"  # an account address, resolved by the caller
+DIGEST = "digest"  # hex at "<key>_digest", else the caller's digest of the text at <key>
+TEXT = "text"  # text at <key>, empty if absent
+U64 = "u64"  # a JSON integer or decimal string within u64
+
+# Each payload class carries its tag, its op name in JSON and FIELDS: the
+# JSON key and kind of each dataclass field, in encoding order.
+
 
 @dataclass(frozen=True)
 class DeployCustomerAgreement:
-    TAG = 0x01
-
-    def body(self) -> bytes:
-        return b""
+    TAG, OP, FIELDS = 0x01, "deploy_customer_agreement", ()
 
 
 @dataclass(frozen=True)
 class SetTestingFee:
-    TAG = 0x02
+    TAG, OP, FIELDS = 0x02, "set_testing_fee", (("contract", ID), ("fee", U64))
     contract_id: bytes
     fee: int
-
-    def body(self) -> bytes:
-        return enc_bytes(self.contract_id) + enc_u64(self.fee)
 
 
 @dataclass(frozen=True)
 class DeployDeveloperAgreement:
-    TAG = 0x03
-
-    def body(self) -> bytes:
-        return b""
+    TAG, OP, FIELDS = 0x03, "deploy_developer_agreement", ()
 
 
 @dataclass(frozen=True)
 class SetReward:
-    TAG = 0x04
+    TAG, OP, FIELDS = 0x04, "set_reward", (("contract", ID), ("amount", U64))
     contract_id: bytes
     amount: int
-
-    def body(self) -> bytes:
-        return enc_bytes(self.contract_id) + enc_u64(self.amount)
 
 
 @dataclass(frozen=True)
 class DeployAcceptanceTest:
-    TAG = 0x05
+    TAG, OP = 0x05, "deploy_acceptance_test"
+    FIELDS = (("customer", ACCOUNT), ("developer", ACCOUNT), ("fee", U64))
     customer: bytes
     developer: bytes
     fee: int
 
-    def body(self) -> bytes:
-        return enc_bytes(self.customer) + enc_bytes(self.developer) + enc_u64(self.fee)
-
 
 @dataclass(frozen=True)
 class InitiateTest:
-    TAG = 0x06
+    TAG, OP, FIELDS = 0x06, "initiate_test", (("contract", ID),)
     contract_id: bytes
-
-    def body(self) -> bytes:
-        return enc_bytes(self.contract_id)
 
 
 @dataclass(frozen=True)
 class CompleteTest:
-    TAG = 0x07
+    TAG, OP, FIELDS = 0x07, "complete_test", (("contract", ID),)
     contract_id: bytes
-
-    def body(self) -> bytes:
-        return enc_bytes(self.contract_id)
 
 
 @dataclass(frozen=True)
 class RegisterTestCase:
-    TAG = 0x10
+    TAG, OP = 0x10, "register_test_case"
+    FIELDS = (("contract", ID), ("description", TEXT), ("input", DIGEST),
+              ("expected_output", DIGEST))
     acceptance_contract: bytes
     description: bytes
     input_digest: bytes
     expected_output_digest: bytes
 
-    def body(self) -> bytes:
-        return (
-            enc_bytes(self.acceptance_contract)
-            + enc_bytes(self.description)
-            + enc_bytes(self.input_digest)
-            + enc_bytes(self.expected_output_digest)
-        )
-
 
 @dataclass(frozen=True)
 class RecordExecution:
-    TAG = 0x11
+    TAG, OP, FIELDS = 0x11, "record_execution", (("case", ID), ("actual_output", DIGEST))
     case_id: bytes
     actual_output_digest: bytes
-
-    def body(self) -> bytes:
-        return enc_bytes(self.case_id) + enc_bytes(self.actual_output_digest)
 
 
 @dataclass(frozen=True)
 class PostFeedback:
-    TAG = 0x12
+    TAG, OP, FIELDS = 0x12, "post_feedback", (("subject", ID), ("body", TEXT))
     subject: bytes
     body_text: bytes
 
-    def body(self) -> bytes:
-        return enc_bytes(self.subject) + enc_bytes(self.body_text)
 
-
-Payload = (
-    DeployCustomerAgreement
-    | SetTestingFee
-    | DeployDeveloperAgreement
-    | SetReward
-    | DeployAcceptanceTest
-    | InitiateTest
-    | CompleteTest
-    | RegisterTestCase
-    | RecordExecution
-    | PostFeedback
+PAYLOAD_TYPES = (
+    DeployCustomerAgreement,
+    SetTestingFee,
+    DeployDeveloperAgreement,
+    SetReward,
+    DeployAcceptanceTest,
+    InitiateTest,
+    CompleteTest,
+    RegisterTestCase,
+    RecordExecution,
+    PostFeedback,
 )
-
-_PAYLOAD_TYPES = {
-    cls.TAG: cls
-    for cls in (
-        DeployCustomerAgreement,
-        SetTestingFee,
-        DeployDeveloperAgreement,
-        SetReward,
-        DeployAcceptanceTest,
-        InitiateTest,
-        CompleteTest,
-        RegisterTestCase,
-        RecordExecution,
-        PostFeedback,
+Payload = Union[PAYLOAD_TYPES]
+_BY_TAG = {cls.TAG: cls for cls in PAYLOAD_TYPES}
+_BY_OP = {cls.OP: cls for cls in PAYLOAD_TYPES}
+# class -> (tag byte, ((attribute, encoder), ...)) and class -> readers, built
+# once: verify_transaction re-encodes the payload on every check
+_ENCODERS = {
+    cls: (
+        bytes([cls.TAG]),
+        tuple(
+            (f.name, enc_u64 if kind == U64 else enc_bytes)
+            for f, (_, kind) in zip(fields(cls), cls.FIELDS, strict=True)
+        ),
     )
+    for cls in PAYLOAD_TYPES
+}
+_READERS = {
+    cls: tuple(Reader.read_u64 if kind == U64 else Reader.read_bytes for _, kind in cls.FIELDS)
+    for cls in PAYLOAD_TYPES
 }
 
 
 def encode_payload(payload: Payload) -> bytes:
-    return bytes([payload.TAG]) + payload.body()
+    tag, encoders = _ENCODERS[type(payload)]
+    return tag + b"".join([enc(getattr(payload, name)) for name, enc in encoders])
 
 
 def decode_payload(r: Reader) -> Payload:
     tag = r.read_u8()
-    cls = _PAYLOAD_TYPES.get(tag)
+    cls = _BY_TAG.get(tag)
     if cls is None:
         raise DecodeError(f"unknown payload tag 0x{tag:02x}")
-    if cls is DeployCustomerAgreement or cls is DeployDeveloperAgreement:
-        return cls()
-    if cls is SetTestingFee or cls is SetReward:
-        return cls(r.read_bytes(), r.read_u64())
-    if cls is DeployAcceptanceTest:
-        return cls(r.read_bytes(), r.read_bytes(), r.read_u64())
-    if cls is InitiateTest or cls is CompleteTest:
-        return cls(r.read_bytes())
-    if cls is RegisterTestCase:
-        return cls(r.read_bytes(), r.read_bytes(), r.read_bytes(), r.read_bytes())
-    if cls is RecordExecution:
-        return cls(r.read_bytes(), r.read_bytes())
-    return PostFeedback(r.read_bytes(), r.read_bytes())
+    return cls(*[read(r) for read in _READERS[cls]])
+
+
+def parse_u64(value) -> int:
+    """A JSON integer or decimal string within u64; ValueError otherwise."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        value = int(value)
+    if type(value) is not int or not 0 <= value <= U64_MAX:
+        raise ValueError(f"not a u64: {value!r}")
+    return value
+
+
+def hex_bytes(value) -> bytes:
+    if not isinstance(value, str):
+        raise ValueError(f"not a hex string: {value!r}")
+    return bytes.fromhex(value)
+
+
+def payload_from_json(entry: dict, ident, account, digest) -> Payload:
+    """The payload an op entry such as {"op": "set_testing_fee", "contract":
+    "<hex>", "fee": 25} describes. `ident` and `account` resolve an id or
+    account field's JSON value to bytes, `digest` maps text to its digest.
+    Raises ValueError for an unknown op or a missing or malformed field."""
+    op = entry.get("op")
+    cls = _BY_OP.get(op)
+    if cls is None:
+        raise ValueError(f"unknown op {op!r}")
+    values = []
+    for key, kind in cls.FIELDS:
+        if kind == TEXT:
+            values.append(str(entry.get(key, "")).encode())
+        elif kind == DIGEST:
+            hex_key = key + "_digest"
+            values.append(hex_bytes(entry[hex_key]) if hex_key in entry
+                          else digest(str(entry.get(key, "")).encode()))
+        elif key not in entry:
+            raise ValueError(f"{op} needs a {key!r} field")
+        elif kind == U64:
+            values.append(parse_u64(entry[key]))
+        else:
+            values.append((ident if kind == ID else account)(entry[key]))
+    return cls(*values)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .codec import enc_u64, hash256, U64_MAX
+from .codec import enc_u64, hash256
 from .state import (
     AcceptanceTestState,
     CustomerAgreementState,
@@ -30,6 +30,7 @@ from .tx import (
     InitiateTest,
     MAX_PAYLOAD_BYTES,
     MAX_TEXT_BYTES,
+    Payload,
     PostFeedback,
     RecordExecution,
     RegisterTestCase,
@@ -88,20 +89,30 @@ def case_id_for(sender: bytes, nonce: int, expected_output_digest: bytes) -> byt
     return hash256(sender + enc_u64(nonce) + expected_output_digest)
 
 
-def exec_id_for(sender: bytes, nonce: int, actual: bytes) -> bytes:
-    return hash256(sender + enc_u64(nonce) + actual + b"\x11")
+def created_id(payload: Payload, sender: bytes, nonce: int) -> bytes | None:
+    """Id of the contract, test case or execution that `payload` creates
+    when `sender` submits it at `nonce`; None for the other payloads."""
+    if isinstance(
+        payload, (DeployCustomerAgreement, DeployDeveloperAgreement, DeployAcceptanceTest)
+    ):
+        return contract_id_for(sender, nonce, payload.TAG)
+    if isinstance(payload, RegisterTestCase):
+        return case_id_for(sender, nonce, payload.expected_output_digest)
+    if isinstance(payload, RecordExecution):
+        return hash256(sender + enc_u64(nonce) + payload.actual_output_digest + b"\x11")
+    return None
 
 
 def _feedback_id_for(sender: bytes, nonce: int, subject: bytes) -> bytes:
     return hash256(sender + enc_u64(nonce) + subject + b"\x12")
 
 
-def _deploy_customer_agreement(state: WorldState, tx: Transaction) -> None:
-    cid = contract_id_for(tx.sender, tx.nonce, DeployCustomerAgreement.TAG)
+def _deploy_customer_agreement(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
+    cid = created_id(tx.payload, tx.sender, tx.nonce)
     state.customer_agreements[cid] = CustomerAgreementState(cid, tx.sender, 0)
 
 
-def _set_testing_fee(state: WorldState, tx: Transaction) -> None:
+def _set_testing_fee(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
     c = state.customer_agreements.get(tx.payload.contract_id)
     if c is None:
         raise _Revert(REASON_UNKNOWN_CONTRACT)
@@ -110,12 +121,12 @@ def _set_testing_fee(state: WorldState, tx: Transaction) -> None:
     state.customer_agreements[c.contract_id] = replace(c, testing_fee=tx.payload.fee)
 
 
-def _deploy_developer_agreement(state: WorldState, tx: Transaction) -> None:
-    cid = contract_id_for(tx.sender, tx.nonce, DeployDeveloperAgreement.TAG)
+def _deploy_developer_agreement(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
+    cid = created_id(tx.payload, tx.sender, tx.nonce)
     state.developer_agreements[cid] = DeveloperAgreementState(cid, tx.sender, 0)
 
 
-def _set_reward(state: WorldState, tx: Transaction) -> None:
+def _set_reward(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
     d = state.developer_agreements.get(tx.payload.contract_id)
     if d is None:
         raise _Revert(REASON_UNKNOWN_CONTRACT)
@@ -124,15 +135,15 @@ def _set_reward(state: WorldState, tx: Transaction) -> None:
     state.developer_agreements[d.contract_id] = replace(d, reward=tx.payload.amount)
 
 
-def _deploy_acceptance_test(state: WorldState, tx: Transaction) -> None:
+def _deploy_acceptance_test(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
     p = tx.payload
     if p.customer not in state.accounts or p.developer not in state.accounts:
         raise _Revert(REASON_UNKNOWN_ACCOUNT)
-    cid = contract_id_for(tx.sender, tx.nonce, DeployAcceptanceTest.TAG)
+    cid = created_id(p, tx.sender, tx.nonce)
     state.acceptance_tests[cid] = AcceptanceTestState(cid, p.customer, p.developer, p.fee)
 
 
-def _initiate_test(state: WorldState, tx: Transaction) -> None:
+def _initiate_test(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
     t = state.acceptance_tests.get(tx.payload.contract_id)
     if t is None:
         raise _Revert(REASON_UNKNOWN_CONTRACT)
@@ -181,7 +192,7 @@ def _register_test_case(state: WorldState, tx: Transaction, height: int, tick: i
         raise _Revert(REASON_UNKNOWN_CONTRACT)
     if len(p.description) > MAX_TEXT_BYTES:
         raise _Revert(REASON_PAYLOAD_TOO_LARGE)
-    cid = case_id_for(tx.sender, tx.nonce, p.expected_output_digest)
+    cid = created_id(p, tx.sender, tx.nonce)
     state.add_test_case(
         TestCase(
             case_id=cid,
@@ -208,7 +219,7 @@ def _record_execution(state: WorldState, tx: Transaction, height: int, tick: int
     verdict = VERDICT_PASS if p.actual_output_digest == case.expected_output_digest else VERDICT_FAIL
     state.add_execution(
         ExecutionRecord(
-            exec_id=exec_id_for(tx.sender, tx.nonce, p.actual_output_digest),
+            exec_id=created_id(p, tx.sender, tx.nonce),
             case_id=case.case_id,
             tester=tx.sender,
             actual_output_digest=p.actual_output_digest,
@@ -244,6 +255,20 @@ def _post_feedback(state: WorldState, tx: Transaction, height: int, tick: int) -
     state.next_seq += 1
 
 
+_HANDLERS = {
+    DeployCustomerAgreement: _deploy_customer_agreement,
+    SetTestingFee: _set_testing_fee,
+    DeployDeveloperAgreement: _deploy_developer_agreement,
+    SetReward: _set_reward,
+    DeployAcceptanceTest: _deploy_acceptance_test,
+    InitiateTest: _initiate_test,
+    CompleteTest: _complete_test,
+    RegisterTestCase: _register_test_case,
+    RecordExecution: _record_execution,
+    PostFeedback: _post_feedback,
+}
+
+
 def apply_transaction(
     state: WorldState,
     tx: Transaction,
@@ -275,35 +300,15 @@ def apply_transaction(
         return receipt(REASON_BAD_NONCE)
     state.bump_nonce(tx.sender)
 
+    handler = _HANDLERS.get(type(tx.payload))
+    if handler is None:
+        return receipt(REASON_UNKNOWN_PAYLOAD)
     if len(encode_payload(tx.payload)) > MAX_PAYLOAD_BYTES:
         return receipt(REASON_PAYLOAD_TOO_LARGE)
     if tx.value != 0 and not isinstance(tx.payload, InitiateTest):
         return receipt(REASON_VALUE_NOT_ACCEPTED)
-
     try:
-        p = tx.payload
-        if isinstance(p, DeployCustomerAgreement):
-            _deploy_customer_agreement(state, tx)
-        elif isinstance(p, SetTestingFee):
-            _set_testing_fee(state, tx)
-        elif isinstance(p, DeployDeveloperAgreement):
-            _deploy_developer_agreement(state, tx)
-        elif isinstance(p, SetReward):
-            _set_reward(state, tx)
-        elif isinstance(p, DeployAcceptanceTest):
-            _deploy_acceptance_test(state, tx)
-        elif isinstance(p, InitiateTest):
-            _initiate_test(state, tx)
-        elif isinstance(p, CompleteTest):
-            _complete_test(state, tx, height, tick)
-        elif isinstance(p, RegisterTestCase):
-            _register_test_case(state, tx, height, tick)
-        elif isinstance(p, RecordExecution):
-            _record_execution(state, tx, height, tick)
-        elif isinstance(p, PostFeedback):
-            _post_feedback(state, tx, height, tick)
-        else:
-            return receipt(REASON_UNKNOWN_PAYLOAD)
+        handler(state, tx, height, tick)
     except _Revert as rv:
         return receipt(rv.reason)
     return receipt(b"")

@@ -112,6 +112,41 @@ class TestSubmit:
         rc, _ = submit(env, "customer", {"op": "mint_money"}, capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("payload", [
+        {"op": "deploy_customer_agreement", "value": "abc"},
+        {"op": "deploy_customer_agreement", "value": None},
+        {"op": "initiate_test", "contract": "00", "value": -1},
+        {"op": "set_testing_fee", "contract": "00", "fee": -5},
+        {"op": "set_testing_fee", "contract": "00", "fee": None},
+        {"op": "set_testing_fee", "contract": "00", "fee": "12x"},
+        {"op": "set_reward", "contract": "00", "amount": 2**64},
+        {"op": "set_testing_fee", "contract": "00"},
+        {"op": "set_testing_fee", "contract": 5, "fee": 1},
+    ])
+    def test_bad_field_is_usage_error_and_commits_nothing(self, env, capsys, payload):
+        rc, _ = submit(env, "customer", payload, capsys)
+        assert rc == 2
+        assert main(["query", "--store", env["store"], "state"]) == 0
+        assert json.loads(capsys.readouterr().out)["height"] == 0
+
+    def test_decimal_string_numbers_accepted(self, env, capsys):
+        rc, out = submit(env, "customer", {"op": "set_testing_fee", "contract": "00", "fee": "25"},
+                         capsys)
+        assert (rc, out["block_height"], out["reason"]) == (0, 1, "unknown contract")
+
+    def test_record_execution_prints_execution_id(self, populated, capsys):
+        case = populated["ids"]["case"]
+        rc, out = submit(populated, "tester", {
+            "op": "record_execution", "case": case, "actual_output": "oops"}, capsys)
+        assert (rc, out["status"]) == (0, "Success")
+        assert main(["query", "--store", populated["store"], "case", case]) == 0
+        runs = json.loads(capsys.readouterr().out)["executions"]
+        assert out["created_id"] == runs[-1]["exec_id"]
+        # feedback on that run names it by the printed id
+        rc, fb = submit(populated, "developer", {
+            "op": "post_feedback", "subject": out["created_id"], "body": "flaky"}, capsys)
+        assert (fb["status"], "created_id" in fb) == ("Success", False)
+
     def test_missing_store_flag(self, env, capsys):
         p = env["tmp"] / "p.json"
         p.write_text(json.dumps({"op": "deploy_customer_agreement"}))

@@ -373,6 +373,35 @@ def test_workload_after_every_validator_crashed_is_rejected():
     SimScenario.from_dict(ok)
 
 
+@pytest.mark.parametrize("entry", [
+    {"tick": 9, "sender": -1, "op": "deploy_customer_agreement"},
+    {"tick": 9, "sender": 2, "op": "deploy_customer_agreement"},
+    {"tick": 9, "sender": 0, "op": "deploy_acceptance_test", "customer": -1, "developer": 1, "fee": 5},
+    {"tick": 9, "sender": 0, "op": "deploy_acceptance_test", "customer": 0, "developer": -2, "fee": 5},
+    {"tick": 9, "sender": 0, "op": "set_testing_fee", "contract": {"ref": 0}, "fee": None},
+    {"tick": 9, "sender": 0, "op": "set_testing_fee", "contract": {"ref": None}, "fee": 1},
+    {"tick": None, "sender": 0, "op": "deploy_customer_agreement"},
+])
+def test_malformed_workload_entry_is_rejected(entry):
+    from testingplus.sim import ScenarioError
+
+    d = scenario_dict(workload=[{"tick": 5, "sender": 0, "op": "deploy_customer_agreement"}, entry])
+    with pytest.raises(ScenarioError, match="workload entry 1"):
+        SimScenario.from_dict(d).build_workload()
+
+
+def test_scenario_command_rejects_malformed_workload_entry(tmp_path, capsys):
+    import json
+
+    from testingplus.cli import main
+
+    workload = [{"tick": 5, "sender": 0, "op": "set_testing_fee", "contract": "00", "fee": None}]
+    sfile = tmp_path / "scenario.json"
+    sfile.write_text(json.dumps(scenario_dict(workload=workload)))
+    assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
+    assert "workload entry 0" in capsys.readouterr().err
+
+
 def test_scenario_command_errors_when_every_validator_crashed(tmp_path):
     import json
     import os

@@ -1,11 +1,13 @@
 """Each block is executed once on its way through stage, seal and append,
-and the per-block state work does not grow with chain height."""
+each signature is verified once when a store is loaded, and the per-block
+state work does not grow with chain height."""
 
 import pytest
 
 from testingplus import chain as chain_mod
+from testingplus import tx as tx_mod
 from testingplus.block import build_block
-from testingplus.chain import Chain, CorruptChainError
+from testingplus.chain import Chain, ChainStore, CorruptChainError
 from testingplus.state import WorldState
 from testingplus.tx import (
     DeployAcceptanceTest,
@@ -126,3 +128,28 @@ def test_state_serializations_per_block_flat_in_height(monkeypatch):
         per_block[block.header.height] = len(serialized) - before
     assert per_block[10] == per_block[60]
     assert set(per_block.values()) == {len(txs) + 1}
+
+
+def test_store_load_verifies_each_signature_once(tmp_path, monkeypatch):
+    eng = Engagement()
+    for _ in range(4):
+        eng.append(eng.next_txs())
+    store = ChainStore(tmp_path / "store")
+    store.init(eng.chain.genesis)
+    store.save(eng.chain)
+    checked = []
+    for module in (tx_mod, chain_mod):  # transaction and vote signatures
+        original = module.verify
+
+        def counted(pubkey, signature, message, original=original):
+            checked.append(signature)
+            return original(pubkey, signature, message)
+
+        monkeypatch.setattr(module, "verify", counted)
+    loaded = store.load()
+    blocks = eng.chain.blocks
+    signatures = [tx.signature for b in blocks for tx in b.transactions]
+    signatures += [sig for b in blocks for _, sig in b.votes]
+    assert len(signatures) == 13 + 5
+    assert sorted(checked) == sorted(signatures)
+    assert loaded.state.root() == eng.chain.state.root()
