@@ -2,7 +2,9 @@
 
 Addresses are the first 20 bytes of hash256(raw public key). Signature
 verification is memoized because chain verification re-checks the same
-(signature, message, key) triples many times.
+(signature, message, key) triples many times, and each secret's private key
+object is built once, because loading one from raw bytes costs about as much
+as a signature.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ def generate_keypair(seed: bytes | None = None) -> tuple[bytes, bytes]:
         seed = os.urandom(32)
     if len(seed) != 32:
         raise ValueError("seed must be exactly 32 bytes")
-    sk = Ed25519PrivateKey.from_private_bytes(seed)
-    pk = sk.public_key().public_bytes_raw()
+    pk = _private_key(seed).public_key().public_bytes_raw()
     return seed, pk
 
 
@@ -42,8 +43,13 @@ def address_from_pubkey(pubkey: bytes) -> bytes:
     return hash256(pubkey)[:ADDRESS_LEN]
 
 
+@lru_cache(maxsize=4096)
+def _private_key(secret: bytes) -> Ed25519PrivateKey:
+    return Ed25519PrivateKey.from_private_bytes(secret)
+
+
 def sign(secret: bytes, message: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(secret).sign(message)
+    return _private_key(secret).sign(message)
 
 
 @lru_cache(maxsize=200_000)

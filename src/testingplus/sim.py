@@ -3,7 +3,9 @@
 The trace is a pure function of the scenario: one RNG seeded from the
 scenario drives latency and drop draws, deliveries at a tick are processed
 in (node id, sequence) order, and every message send is recorded with its
-outcome. Identical scenarios therefore produce byte-identical traces.
+outcome. A destination cut off by a partition draws nothing; any other draws
+its latency and then one `random()` for the drop. Identical scenarios
+therefore produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 from .chain import GenesisConfig
@@ -34,22 +38,26 @@ def account_seed(scenario_seed: int, index: int) -> bytes:
     return hash256(b"testingplus/account/" + enc_u64(scenario_seed) + enc_u64(index))
 
 
+@lru_cache(maxsize=64)
+def _keypairs(derive, scenario_seed: int, count: int) -> tuple[tuple[bytes, bytes], ...]:
+    # derived once per (seed, count): genesis, the nodes and the workload share them
+    return tuple(generate_keypair(derive(scenario_seed, i)) for i in range(count))
+
+
 @dataclass(frozen=True)
 class Partition:
     from_tick: int
     to_tick: int
     sides: tuple[tuple[int, ...], ...]
 
-    def blocks(self, tick: int, a: int, b: int) -> bool:
-        if not self.from_tick <= tick <= self.to_tick:
-            return False
-        side_a = side_b = None
+    def side_table(self, n: int) -> list[int | None]:
+        """Per node 0..n-1, the index of the side it is on (None if on none)."""
+        table: list[int | None] = [None] * n
         for i, side in enumerate(self.sides):
-            if a in side:
-                side_a = i
-            if b in side:
-                side_b = i
-        return side_a != side_b
+            for node in side:
+                if 0 <= node < n:
+                    table[node] = i
+        return table
 
 
 @dataclass
@@ -114,19 +122,25 @@ class SimScenario:
             seen = [n for side in p.sides for n in side]
             if sorted(seen) != list(range(self.n_validators)):
                 raise ScenarioError("partition sides must cover each node exactly once")
-        # a submission goes to a live validator, so none may arrive once all have crashed
+        # only ticks 0..max_ticks are simulated, and a submission goes to a live
+        # validator, so none may arrive once all have crashed
+        all_down = None
         if all(i in self.crash_faults for i in range(self.n_validators)):
             all_down = max(self.crash_faults[i] for i in range(self.n_validators))
-            for k, entry in enumerate(self.workload):
-                try:
-                    tick = int(entry["tick"])
-                except (KeyError, TypeError, ValueError):
-                    continue  # build_workload reports a malformed entry
-                if tick >= all_down:
-                    raise ScenarioError(
-                        f"workload entry {k}: tick {tick} is after every validator "
-                        f"has crashed (tick {all_down})"
-                    )
+        for k, entry in enumerate(self.workload):
+            try:
+                tick = int(entry["tick"])
+            except (KeyError, TypeError, ValueError):
+                continue  # build_workload reports a malformed entry
+            if not 0 <= tick <= self.max_ticks:
+                raise ScenarioError(
+                    f"workload entry {k}: tick {tick} outside 0..max_ticks ({self.max_ticks})"
+                )
+            if all_down is not None and tick >= all_down:
+                raise ScenarioError(
+                    f"workload entry {k}: tick {tick} is after every validator "
+                    f"has crashed (tick {all_down})"
+                )
 
     def digest(self) -> bytes:
         return hash256(json.dumps(self.raw or self.to_dict(), sort_keys=True).encode())
@@ -154,10 +168,10 @@ class SimScenario:
     # -- key material and genesis -------------------------------------------
 
     def validator_keys(self) -> list[tuple[bytes, bytes]]:
-        return [generate_keypair(validator_seed(self.seed, i)) for i in range(self.n_validators)]
+        return list(_keypairs(validator_seed, self.seed, self.n_validators))
 
     def account_keys(self) -> list[tuple[bytes, bytes]]:
-        return [generate_keypair(account_seed(self.seed, i)) for i in range(len(self.account_balances))]
+        return list(_keypairs(account_seed, self.seed, len(self.account_balances)))
 
     def genesis(self) -> GenesisConfig:
         return GenesisConfig(
@@ -263,8 +277,38 @@ def chain_digest(node: Node) -> bytes:
     return acc.digest()
 
 
+# crash tick of a node that never crashes: later than any delivery
+NEVER = 1 << 62
+
+
+def latency_sampler(rng: random.Random, lo: int, hi: int):
+    """Return a function that draws like ``rng.randint(lo, hi)``.
+
+    It makes the same ``getrandbits`` calls as CPython's ``randint``
+    (rejection sampling over ``span.bit_length()`` bits, so a span of one
+    still consumes a draw), so it returns the same values and leaves ``rng``
+    in the same state, without randint's argument checks and call layers.
+    """
+    span = hi - lo + 1
+    if span < 1:
+        raise ValueError(f"empty latency range {lo}..{hi}")  # it would draw forever
+    bits = span.bit_length()
+    getrandbits = rng.getrandbits
+
+    def draw() -> int:
+        r = getrandbits(bits)
+        while r >= span:
+            r = getrandbits(bits)
+        return lo + r
+
+    return draw
+
+
 def run_simulation(scenario: SimScenario) -> SimTrace:
     rng = random.Random(scenario.seed)
+    draw_latency = latency_sampler(rng, *scenario.latency)
+    random_draw = rng.random
+    drop = scenario.drop_probability
     genesis = scenario.genesis()
     node_cfg = NodeConfig(
         empty_block_interval=scenario.empty_block_interval,
@@ -278,83 +322,105 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
     by_tick: dict[int, list[tuple[int, Transaction]]] = {}
     for idx, (tick, tx) in enumerate(workload):
         by_tick.setdefault(tick, []).append((idx, tx))
-    recorded = [0] * n  # per node, the height up to which commits are in the trace
+    recorded = [1] * n  # per node, how many of its blocks have commit lines (genesis counts)
+
+    # fault tables: a node is down from its crash tick on; a partition is
+    # consulted only on the ticks its window covers
+    crash_at = [scenario.crash_faults.get(i, NEVER) for i in range(n)]
+    windows = [(p.from_tick, p.to_tick, p.side_table(n)) for p in scenario.partitions]
+    others = [[d for d in range(n) if d != s] for s in range(n)]
+    cut_tables: dict[tuple[int, ...], list[list[bool]]] = {}
+
+    def cut_for(active: tuple[int, ...]) -> list[list[bool]]:
+        # per source, per destination: whether an active partition separates them
+        if active not in cut_tables:
+            sides = [windows[i][2] for i in active]
+            cut_tables[active] = [
+                [any(side[s] != side[d] for side in sides) for d in range(n)] for s in range(n)
+            ]
+        return cut_tables[active]
 
     events: list[dict] = [
         {
             "type": "scenario",
-            "digest": scenario.digest().hex(),
+            "digest": genesis.chain_id.hex(),
             "seed": scenario.seed,
             "n_validators": n,
             "max_ticks": scenario.max_ticks,
             "drop_probability": scenario.drop_probability,
         }
     ]
+    emit = events.append
     # pending deliveries: {tick: [(dest, seq, src, msg)]}
-    mailbox: dict[int, list[tuple[int, int, int, ConsensusMessage]]] = {}
+    mailbox: dict[int, list[tuple[int, int, int, ConsensusMessage]]] = defaultdict(list)
     seq = 0
-
-    def crashed(node_idx: int, tick: int) -> bool:
-        t = scenario.crash_faults.get(node_idx)
-        return t is not None and tick >= t
-
-    def partition_blocked(tick: int, a: int, b: int) -> bool:
-        return any(p.blocks(tick, a, b) for p in scenario.partitions)
+    cut: list[list[bool]] | None = None  # cut_for() of the current tick, None if no partition
 
     def send(src: int, dest: int | None, msg: ConsensusMessage, tick: int) -> None:
+        # per destination: a blocked one draws nothing, any other draws its
+        # latency and then one random() for the drop
         nonlocal seq
-        dests = range(n) if dest is None else [dest]
-        for d in dests:
+        kind = msg.kind
+        row = None if cut is None else cut[src]
+        for d in others[src] if dest is None else (dest,):
             if d == src:
                 continue
-            if partition_blocked(tick, src, d):
-                events.append({"type": "msg", "t": tick, "src": src, "dst": d,
-                               "kind": msg.kind, "out": "blocked"})
+            if row is not None and row[d]:
+                emit({"type": "msg", "t": tick, "src": src, "dst": d,
+                      "kind": kind, "out": "blocked"})
                 continue
-            latency = rng.randint(*scenario.latency)
-            dropped = rng.random() < scenario.drop_probability
-            deliver = tick + latency
-            if crashed(d, deliver):
+            deliver = tick + draw_latency()
+            dropped = random_draw() < drop
+            if deliver >= crash_at[d]:
                 out = "crashed"
             elif dropped:
                 out = "drop"
             else:
                 out = "ok"
-            events.append({"type": "msg", "t": tick, "src": src, "dst": d,
-                           "kind": msg.kind, "out": out, "at": deliver})
-            if out == "ok":
                 seq += 1
-                mailbox.setdefault(deliver, []).append((d, seq, src, msg))
+                mailbox[deliver].append((d, seq, src, msg))
+            emit({"type": "msg", "t": tick, "src": src, "dst": d,
+                  "kind": kind, "out": out, "at": deliver})
 
     for tick in range(scenario.max_ticks + 1):
+        if windows:
+            active = tuple(i for i, (lo, hi, _) in enumerate(windows) if lo <= tick <= hi)
+            cut = cut_for(active) if active else None
         # deliveries first, ordered by (destination node id, send sequence)
-        for d, _, src, msg in sorted(mailbox.pop(tick, []), key=lambda e: (e[0], e[1])):
-            if crashed(d, tick):
-                continue
-            for dest2, out_msg in nodes[d].on_message(msg, src, tick):
-                send(d, dest2, out_msg, tick)
-            _record_commits(nodes[d], recorded, events, tick)
+        box = mailbox.pop(tick, None)
+        if box:
+            box.sort()  # (dest, seq) pairs are unique, so messages are never compared
+            for d, _, src, msg in box:
+                if tick >= crash_at[d]:
+                    continue
+                node = nodes[d]
+                for dest2, out_msg in node.on_message(msg, src, tick):
+                    send(d, dest2, out_msg, tick)
+                if len(node.chain.blocks) != recorded[d]:
+                    _record_commits(node, recorded, events, tick)
         # workload injection
-        for idx, tx in by_tick.pop(tick, []):
+        for idx, tx in by_tick.pop(tick, ()):
             target = idx % n
-            while crashed(target, tick):
+            while tick >= crash_at[target]:
                 target = (target + 1) % n
-            events.append({"type": "submit", "t": tick, "node": target, "tx": tx.hash().hex()})
+            emit({"type": "submit", "t": tick, "node": target, "tx": tx.hash().hex()})
             for dest2, out_msg in nodes[target].submit(tx):
                 send(target, dest2, out_msg, tick)
         # node timers in id order
         for i, node in enumerate(nodes):
-            if crashed(i, tick):
+            if tick >= crash_at[i]:
                 continue
             for dest2, out_msg in node.on_tick(tick):
                 send(i, dest2, out_msg, tick)
-            _record_commits(node, recorded, events, tick)
+            if len(node.chain.blocks) != recorded[i]:
+                _record_commits(node, recorded, events, tick)
 
+    last = scenario.max_ticks
     submitted = {tx.hash() for _, tx in workload}
     all_live_committed = all(
         submitted <= node.chain.committed_txs
         for i, node in enumerate(nodes)
-        if not crashed(i, scenario.max_ticks)
+        if last < crash_at[i]
     )
     events.append(
         {
@@ -371,7 +437,7 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
                     "state_root": node.chain.state.root().hex(),
                     "mempool": len(node.mempool),
                     "invalid_dropped": node.invalid_dropped,
-                    "crashed": crashed(i, scenario.max_ticks),
+                    "crashed": last >= crash_at[i],
                 }
                 for i, node in enumerate(nodes)
             ],
@@ -382,7 +448,7 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
 
 def _record_commits(node: Node, recorded: list[int], events: list[dict], tick: int) -> None:
     # emit commit lines for blocks appended since the node's last record
-    for block in node.chain.blocks[recorded[node.index] + 1 :]:
+    for block in node.chain.blocks[recorded[node.index] :]:
         events.append(
             {
                 "type": "commit",
@@ -394,4 +460,4 @@ def _record_commits(node: Node, recorded: list[int], events: list[dict], tick: i
                 "txs": [tx.hash().hex() for tx in block.transactions],
             }
         )
-    recorded[node.index] = node.chain.height
+    recorded[node.index] = len(node.chain.blocks)

@@ -419,3 +419,46 @@ def test_scenario_command_errors_when_every_validator_crashed(tmp_path):
     )
     assert proc.returncode == 2
     assert "workload entry 0" in proc.stderr
+
+
+@pytest.mark.parametrize("tick", [-3, -1, 401, 10**6])
+def test_workload_tick_outside_run_is_rejected(tick):
+    from testingplus.sim import ScenarioError
+
+    entries = [{"tick": 5, "sender": 0, "op": "deploy_customer_agreement"},
+               {"tick": tick, "sender": 1, "op": "deploy_developer_agreement"}]
+    with pytest.raises(ScenarioError, match=f"workload entry 1: tick {tick} outside 0..max_ticks"):
+        SimScenario.from_dict(scenario_dict(workload=entries))
+
+
+def test_workload_ticks_at_both_ends_of_run_are_submitted():
+    entries = [{"tick": 0, "sender": 0, "op": "deploy_customer_agreement"},
+               {"tick": 400, "sender": 1, "op": "deploy_developer_agreement"}]
+    trace = run_simulation(SimScenario.from_dict(scenario_dict(workload=entries)))
+    assert [e["t"] for e in trace.events if e["type"] == "submit"] == [0, 400]
+
+
+def test_scenario_command_rejects_workload_tick_past_max_ticks(tmp_path, capsys):
+    import json
+
+    from testingplus.cli import main
+
+    workload = [{"tick": 500, "sender": 0, "op": "deploy_customer_agreement"}]
+    sfile = tmp_path / "scenario.json"
+    sfile.write_text(json.dumps(scenario_dict(workload=workload, max_ticks=200)))
+    assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
+    assert "workload entry 0: tick 500 outside 0..max_ticks" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+def test_sweep_cell_respaced_past_max_ticks_is_an_error_row():
+    import csv
+    import io
+
+    from testingplus.metrics import SweepSpec, run_sweep
+
+    spec = SweepSpec.from_dict({"base": scenario_dict(max_ticks=120), "axis": "workload_interval",
+                                "values": [10, 100]})
+    rows = list(csv.DictReader(io.StringIO(run_sweep(spec))))
+    assert [r["status"] for r in rows][0] == "ok"
+    assert rows[1]["status"] == "error: workload entry 2: tick 201 outside 0..max_ticks (120)"

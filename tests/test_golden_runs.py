@@ -1,14 +1,16 @@
 """Byte-identity guards for whole runs.
 
 A fixed ledger run (receipts with revert reasons and state-delta digests,
-plus every header's state root) and a fixed simulator trace are reduced to
+plus every header's state root) and fixed simulator traces are reduced to
 one SHA-256 each and compared with digests pinned in `tests/fixtures/`. A
 change to execution, state encoding, hashing or message scheduling that
-alters any byte of either run fails here.
+alters any byte of any run fails here.
 """
 
 import hashlib
 import random
+
+import pytest
 
 from testingplus.chain import Chain
 from testingplus.codec import enc_bytes, enc_u64
@@ -135,3 +137,52 @@ def test_fixed_simulation_trace_is_byte_identical():
     trace = run_simulation(SimScenario.from_dict(SIM_SCENARIO))
     digest = hashlib.sha256(trace.to_text().encode()).digest()
     assert digest == fixture_hex("sim_trace_digest.hex")
+
+
+def _pinned(**overrides):
+    scenario = dict(SIM_SCENARIO, partitions=[], crash_faults=[])
+    scenario.update(overrides)
+    return scenario
+
+
+# More traces pinned on the simulator's fault, latency and drop handling; each
+# digest was computed before the delivery loop was last rewritten.
+PINNED_SCENARIOS = {
+    # n=7, node 4 cut off over ticks 40-120, then node 2 crashes
+    "n7_isolate_then_crash": _pinned(
+        seed=3, n_validators=7, latency=[1, 3], drop_probability=0.05, max_ticks=400,
+        partitions=[{"from_tick": 40, "to_tick": 120, "sides": [[4], [0, 1, 2, 3, 5, 6]]}],
+        crash_faults=[{"node": 2, "tick": 160}],
+    ),
+    # the 2|2 split that leaves neither side a quorum and stalls the network
+    "n4_split_stall": _pinned(
+        seed=0, latency=[1, 3], drop_probability=0.05, max_ticks=400,
+        partitions=[{"from_tick": 60, "to_tick": 160, "sides": [[0, 1], [2, 3]]}],
+    ),
+    # a latency span of one value, where every draw still consumes random bits
+    "latency_span_one": _pinned(
+        seed=5, latency=[2, 2], drop_probability=0.1, max_ticks=300,
+        partitions=[{"from_tick": 60, "to_tick": 120, "sides": [[0], [1, 2, 3]]}],
+    ),
+    "drop_none": _pinned(seed=8, latency=[1, 4], drop_probability=0.0, max_ticks=300),
+    "drop_all": _pinned(seed=9, latency=[1, 4], drop_probability=1.0, max_ticks=150),
+    # two partitions overlapping over ticks 100-150, node 5 crashing inside both
+    "overlapping_partitions": _pinned(
+        seed=13, n_validators=7, latency=[1, 3], drop_probability=0.05, max_ticks=400,
+        partitions=[
+            {"from_tick": 50, "to_tick": 150, "sides": [[0], [1, 2, 3, 4, 5, 6]]},
+            {"from_tick": 100, "to_tick": 200, "sides": [[0, 1, 2], [3, 4, 5, 6]]},
+        ],
+        crash_faults=[{"node": 5, "tick": 130}],
+    ),
+    "empty_blocks": _pinned(
+        seed=21, latency=[1, 3], drop_probability=0.05, max_ticks=300, empty_block_interval=10,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCENARIOS))
+def test_pinned_simulation_trace_is_byte_identical(name):
+    trace = run_simulation(SimScenario.from_dict(PINNED_SCENARIOS[name]))
+    digest = hashlib.sha256(trace.to_text().encode()).digest()
+    assert digest == fixture_hex(f"sim_trace_{name}.hex")
