@@ -16,8 +16,6 @@ from pathlib import Path
 from .block import Block, merkle_proof
 from .chain import Chain, ChainStore, CorruptChainError, GenesisConfig
 from .keys import address_from_pubkey, generate_keypair
-from .metrics import SweepSpec, run_sweep
-from .sim import ScenarioError, SimScenario, run_simulation
 from .state import VERDICT_PASS
 from .tx import Transaction, hex_bytes, parse_u64, payload_from_json, sign_transaction
 from .vm import created_id
@@ -304,6 +302,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_scenario(args) -> int:
+    from .sim import ScenarioError, SimScenario, run_simulation
+
     try:
         scenario = SimScenario.from_file(args.scenario)
         trace = run_simulation(scenario)  # resolving the workload can fail too
@@ -323,6 +323,9 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .metrics import SweepSpec, run_sweep
+    from .sim import ScenarioError
+
     try:
         spec = SweepSpec.from_file(args.sweep)
     except (OSError, json.JSONDecodeError, ScenarioError) as exc:

@@ -87,13 +87,20 @@ class SimScenario:
                 )
                 for p in raw.get("partitions", [])
             ]
+            # checked as a list: a dict would keep only a node's last crash
+            crash_faults: dict[int, int] = {}
+            for c in raw.get("crash_faults", []):
+                node = int(c["node"])
+                if node in crash_faults:
+                    raise ScenarioError(f"crash fault for node {node} listed twice")
+                crash_faults[node] = int(c["tick"])
             scenario = cls(
                 seed=int(raw["seed"]),
                 n_validators=int(raw["n_validators"]),
                 latency=(int(raw["latency"][0]), int(raw["latency"][1])),
                 drop_probability=float(raw.get("drop_probability", 0.0)),
                 partitions=partitions,
-                crash_faults={int(c["node"]): int(c["tick"]) for c in raw.get("crash_faults", [])},
+                crash_faults=crash_faults,
                 account_balances=[int(b) for b in raw.get("accounts", [])],
                 workload=list(raw.get("workload", [])),
                 max_ticks=int(raw["max_ticks"]),
@@ -122,6 +129,11 @@ class SimScenario:
             seen = [n for side in p.sides for n in side]
             if sorted(seen) != list(range(self.n_validators)):
                 raise ScenarioError("partition sides must cover each node exactly once")
+        for node in self.crash_faults:
+            if not 0 <= node < self.n_validators:
+                raise ScenarioError(
+                    f"crash fault for node {node} outside 0..{self.n_validators - 1}"
+                )
         # only ticks 0..max_ticks are simulated, and a submission goes to a live
         # validator, so none may arrive once all have crashed
         all_down = None

@@ -5,16 +5,16 @@ sorted by (section, key), so two states with the same content always agree
 regardless of insertion order.
 
 Records are frozen: a change replaces the record, so each record computes its
-canonical encoding once and keeps it. Serializing a state joins the kept
-encodings, and a direct write into one of the state's dicts stays correct
-because the new record brings its own.
+canonical encoding once and keeps it. Each section of the state keeps the
+joined encoding of its records in turn and drops it when the section is
+written, so serializing a state re-encodes only the sections written since
+the last time and joins seven kept byte strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import attrgetter
 
 from .codec import ZERO_HASH, enc_bytes, enc_u64, hash256
 
@@ -170,6 +170,72 @@ class Feedback:
         )
 
 
+class KeyedSection(dict):
+    """A keyed section of the world state that keeps its canonical encoding,
+    the encodings of its records in key order joined. Every mutator drops
+    it, so the next read re-encodes this section alone."""
+
+    _encoded: bytes | None = None
+
+    @property
+    def encoded(self) -> bytes:
+        enc = self._encoded
+        if enc is None:
+            enc = self._encoded = b"".join([self[k].encoded for k in sorted(self)])
+        return enc
+
+    def copy(self) -> "KeyedSection":
+        clone = KeyedSection(self)
+        clone._encoded = self._encoded  # bytes are immutable, so both may hold them
+        return clone
+
+
+class LogSection(list):
+    """An append-only section of the world state (executions, feedbacks) that
+    keeps the joined encoding of its first `_count` records. An append leaves
+    those records in place, so the next read only encodes what was appended;
+    every other mutator drops the encoding."""
+
+    _encoded: bytes | None = None
+    _count = 0
+
+    @property
+    def encoded(self) -> bytes:
+        enc, count = self._encoded, self._count
+        if enc is None:
+            enc, count = b"", 0
+        if count != len(self):
+            enc += b"".join([r.encoded for r in self[count:]])
+            self._encoded, self._count = enc, len(self)
+        return enc
+
+    def copy(self) -> "LogSection":
+        clone = LogSection(self)
+        clone._encoded, clone._count = self._encoded, self._count
+        return clone
+
+
+def _dropping(method):
+    def mutator(self, *args, **kwargs):
+        self._encoded = None
+        return method(self, *args, **kwargs)
+
+    mutator.__name__ = mutator.__qualname__ = method.__name__
+    return mutator
+
+
+for _cls, _names in (
+    (KeyedSection, ("__setitem__", "__delitem__", "pop", "popitem", "setdefault", "update",
+                    "clear", "__ior__")),
+    # append, extend and += only add records at the end
+    (LogSection, ("__setitem__", "__delitem__", "insert", "pop", "remove", "sort", "reverse",
+                  "clear", "__imul__")),
+):
+    for _name in _names:
+        setattr(_cls, _name, _dropping(getattr(_cls.__base__, _name)))
+del _cls, _names, _name
+
+
 @dataclass
 class HistoryIndex:
     """Lookups the VM makes into the test history: the cases of each
@@ -204,27 +270,35 @@ class HistoryIndex:
 
 @dataclass
 class WorldState:
-    accounts: dict[bytes, AccountState] = field(default_factory=dict)
-    customer_agreements: dict[bytes, CustomerAgreementState] = field(default_factory=dict)
-    developer_agreements: dict[bytes, DeveloperAgreementState] = field(default_factory=dict)
-    acceptance_tests: dict[bytes, AcceptanceTestState] = field(default_factory=dict)
-    test_cases: dict[bytes, TestCase] = field(default_factory=dict)
-    executions: list[ExecutionRecord] = field(default_factory=list)
-    feedbacks: list[Feedback] = field(default_factory=list)
+    # any dict or list given for a section becomes its tracked type (__setattr__)
+    accounts: dict[bytes, AccountState] = field(default_factory=KeyedSection)
+    customer_agreements: dict[bytes, CustomerAgreementState] = field(default_factory=KeyedSection)
+    developer_agreements: dict[bytes, DeveloperAgreementState] = field(default_factory=KeyedSection)
+    acceptance_tests: dict[bytes, AcceptanceTestState] = field(default_factory=KeyedSection)
+    test_cases: dict[bytes, TestCase] = field(default_factory=KeyedSection)
+    executions: list[ExecutionRecord] = field(default_factory=LogSection)
+    feedbacks: list[Feedback] = field(default_factory=LogSection)
     next_seq: int = 0
     height: int = 0  # last applied block height; not part of the root
     _history: HistoryIndex | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __setattr__(self, name, value):
+        kind = _SECTION_TYPES.get(name)
+        if kind is not None and not isinstance(value, kind):
+            value = kind(value)
+        object.__setattr__(self, name, value)
+
     def copy(self) -> "WorldState":
-        # records are frozen, so shallow container copies are enough
+        # records are frozen, so shallow container copies are enough, and
+        # each copy starts from its section's kept encoding
         clone = WorldState(
-            accounts=dict(self.accounts),
-            customer_agreements=dict(self.customer_agreements),
-            developer_agreements=dict(self.developer_agreements),
-            acceptance_tests=dict(self.acceptance_tests),
-            test_cases=dict(self.test_cases),
-            executions=list(self.executions),
-            feedbacks=list(self.feedbacks),
+            accounts=self.accounts.copy(),
+            customer_agreements=self.customer_agreements.copy(),
+            developer_agreements=self.developer_agreements.copy(),
+            acceptance_tests=self.acceptance_tests.copy(),
+            test_cases=self.test_cases.copy(),
+            executions=self.executions.copy(),
+            feedbacks=self.feedbacks.copy(),
             next_seq=self.next_seq,
             height=self.height,
         )
@@ -279,19 +353,27 @@ class WorldState:
         )
 
     def serialize(self) -> bytes:
-        encoded = attrgetter("encoded")
-        out: list[bytes] = []
-        for section in (
-            self.accounts,
-            self.customer_agreements,
-            self.developer_agreements,
-            self.acceptance_tests,
-            self.test_cases,
-        ):
-            out += map(encoded, map(section.__getitem__, sorted(section)))
-        out += map(encoded, self.executions)
-        out += map(encoded, self.feedbacks)
-        return b"".join(out)
+        return b"".join([
+            self.accounts.encoded,
+            self.customer_agreements.encoded,
+            self.developer_agreements.encoded,
+            self.acceptance_tests.encoded,
+            self.test_cases.encoded,
+            self.executions.encoded,
+            self.feedbacks.encoded,
+        ])
 
     def root(self) -> bytes:
         return hash256(self.serialize())
+
+
+# section name -> the tracked type WorldState.__setattr__ turns a container into
+_SECTION_TYPES = {
+    "accounts": KeyedSection,
+    "customer_agreements": KeyedSection,
+    "developer_agreements": KeyedSection,
+    "acceptance_tests": KeyedSection,
+    "test_cases": KeyedSection,
+    "executions": LogSection,
+    "feedbacks": LogSection,
+}

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Union
 
-from .codec import Reader, U64_MAX, enc_bytes, enc_u64, hash256, DecodeError
+from .codec import ADDRESS_LEN, HASH_LEN, Reader, U64_MAX, enc_bytes, enc_u64, hash256, DecodeError
 from .keys import KeyRegistry, UnknownSenderError, address_from_pubkey, sign, verify
 
 MAX_PAYLOAD_BYTES = 64 * 1024
@@ -24,6 +24,8 @@ ACCOUNT = "account"  # an account address, resolved by the caller
 DIGEST = "digest"  # hex at "<key>_digest", else the caller's digest of the text at <key>
 TEXT = "text"  # text at <key>, empty if absent
 U64 = "u64"  # a JSON integer or decimal string within u64
+# byte length an id, account or digest field must have in an op entry
+_SIZES = {ID: HASH_LEN, ACCOUNT: ADDRESS_LEN, DIGEST: HASH_LEN}
 
 # Each payload class carries its tag, its op name in JSON and FIELDS: the
 # JSON key and kind of each dataclass field, in encoding order.
@@ -164,7 +166,8 @@ def payload_from_json(entry: dict, ident, account, digest) -> Payload:
     """The payload an op entry such as {"op": "set_testing_fee", "contract":
     "<hex>", "fee": 25} describes. `ident` and `account` resolve an id or
     account field's JSON value to bytes, `digest` maps text to its digest.
-    Raises ValueError for an unknown op or a missing or malformed field."""
+    Raises ValueError for an unknown op or a missing or malformed field, an
+    id or digest that is not 32 bytes among them, or an account not 20."""
     op = entry.get("op")
     cls = _BY_OP.get(op)
     if cls is None:
@@ -172,17 +175,21 @@ def payload_from_json(entry: dict, ident, account, digest) -> Payload:
     values = []
     for key, kind in cls.FIELDS:
         if kind == TEXT:
-            values.append(str(entry.get(key, "")).encode())
+            value = str(entry.get(key, "")).encode()
         elif kind == DIGEST:
             hex_key = key + "_digest"
-            values.append(hex_bytes(entry[hex_key]) if hex_key in entry
-                          else digest(str(entry.get(key, "")).encode()))
+            value = (hex_bytes(entry[hex_key]) if hex_key in entry
+                     else digest(str(entry.get(key, "")).encode()))
         elif key not in entry:
             raise ValueError(f"{op} needs a {key!r} field")
         elif kind == U64:
-            values.append(parse_u64(entry[key]))
+            value = parse_u64(entry[key])
         else:
-            values.append((ident if kind == ID else account)(entry[key]))
+            value = (ident if kind == ID else account)(entry[key])
+        size = _SIZES.get(kind)
+        if size is not None and len(value) != size:
+            raise ValueError(f"{op} field {key!r} must be {size} bytes, not {len(value)}")
+        values.append(value)
     return cls(*values)
 
 

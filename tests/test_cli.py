@@ -115,13 +115,18 @@ class TestSubmit:
     @pytest.mark.parametrize("payload", [
         {"op": "deploy_customer_agreement", "value": "abc"},
         {"op": "deploy_customer_agreement", "value": None},
-        {"op": "initiate_test", "contract": "00", "value": -1},
-        {"op": "set_testing_fee", "contract": "00", "fee": -5},
-        {"op": "set_testing_fee", "contract": "00", "fee": None},
-        {"op": "set_testing_fee", "contract": "00", "fee": "12x"},
-        {"op": "set_reward", "contract": "00", "amount": 2**64},
-        {"op": "set_testing_fee", "contract": "00"},
+        {"op": "initiate_test", "contract": "00" * 32, "value": -1},
+        {"op": "set_testing_fee", "contract": "00" * 32, "fee": -5},
+        {"op": "set_testing_fee", "contract": "00" * 32, "fee": None},
+        {"op": "set_testing_fee", "contract": "00" * 32, "fee": "12x"},
+        {"op": "set_reward", "contract": "00" * 32, "amount": 2**64},
+        {"op": "set_testing_fee", "contract": "00" * 32},
         {"op": "set_testing_fee", "contract": 5, "fee": 1},
+        # ids and digests are 32 bytes, accounts 20
+        {"op": "set_testing_fee", "contract": "00", "fee": 25},
+        {"op": "complete_test", "contract": "00" * 33},
+        {"op": "deploy_acceptance_test", "customer": "03" * 19, "developer": "04" * 20, "fee": 7},
+        {"op": "record_execution", "case": "0a" * 32, "actual_output_digest": "0b" * 31},
     ])
     def test_bad_field_is_usage_error_and_commits_nothing(self, env, capsys, payload):
         rc, _ = submit(env, "customer", payload, capsys)
@@ -130,7 +135,8 @@ class TestSubmit:
         assert json.loads(capsys.readouterr().out)["height"] == 0
 
     def test_decimal_string_numbers_accepted(self, env, capsys):
-        rc, out = submit(env, "customer", {"op": "set_testing_fee", "contract": "00", "fee": "25"},
+        rc, out = submit(env, "customer", {"op": "set_testing_fee", "contract": "00" * 32,
+                                           "fee": "25"},
                          capsys)
         assert (rc, out["block_height"], out["reason"]) == (0, 1, "unknown contract")
 
@@ -327,3 +333,29 @@ class TestArtifact:
 
     def test_get_missing_is_usage_error(self, env, capsys):
         assert main(["artifact", "--store", env["store"], "get", "ab" * 32]) == 2
+
+
+def test_cli_import_leaves_the_simulator_unloaded():
+    """Commands that never simulate do not pay for importing the simulator,
+    the metrics harness or consensus; the package still exports them."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, testingplus.cli\n"
+        "lazy = ('testingplus.sim', 'testingplus.metrics', 'testingplus.consensus')\n"
+        "print(sorted(m for m in lazy if m in sys.modules))\n"
+        "import testingplus\n"
+        "from testingplus import SweepSpec\n"
+        "print(testingplus.run_simulation.__module__, SweepSpec.__module__,\n"
+        "      testingplus.consensus.__name__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "testingplus.sim testingplus.metrics testingplus.consensus"]

@@ -381,6 +381,9 @@ def test_workload_after_every_validator_crashed_is_rejected():
     {"tick": 9, "sender": 0, "op": "set_testing_fee", "contract": {"ref": 0}, "fee": None},
     {"tick": 9, "sender": 0, "op": "set_testing_fee", "contract": {"ref": None}, "fee": 1},
     {"tick": None, "sender": 0, "op": "deploy_customer_agreement"},
+    {"tick": 9, "sender": 0, "op": "set_testing_fee", "contract": "00", "fee": 1},
+    {"tick": 9, "sender": 0, "op": "register_test_case", "contract": {"ref": 0},
+     "input_digest": "08" * 16},
 ])
 def test_malformed_workload_entry_is_rejected(entry):
     from testingplus.sim import ScenarioError
@@ -395,7 +398,8 @@ def test_scenario_command_rejects_malformed_workload_entry(tmp_path, capsys):
 
     from testingplus.cli import main
 
-    workload = [{"tick": 5, "sender": 0, "op": "set_testing_fee", "contract": "00", "fee": None}]
+    workload = [{"tick": 5, "sender": 0, "op": "set_testing_fee", "contract": "00" * 32,
+                 "fee": None}]
     sfile = tmp_path / "scenario.json"
     sfile.write_text(json.dumps(scenario_dict(workload=workload)))
     assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
@@ -462,3 +466,39 @@ def test_sweep_cell_respaced_past_max_ticks_is_an_error_row():
     rows = list(csv.DictReader(io.StringIO(run_sweep(spec))))
     assert [r["status"] for r in rows][0] == "ok"
     assert rows[1]["status"] == "error: workload entry 2: tick 201 outside 0..max_ticks (120)"
+
+
+@pytest.mark.parametrize("faults,message", [
+    ([{"node": 4, "tick": 20}], "crash fault for node 4 outside 0..3"),
+    ([{"node": -1, "tick": 20}], "crash fault for node -1 outside 0..3"),
+    ([{"node": 1, "tick": 20}, {"node": 1, "tick": 30}], "crash fault for node 1 listed twice"),
+])
+def test_crash_fault_that_cannot_happen_is_rejected(faults, message):
+    from testingplus.sim import ScenarioError
+
+    with pytest.raises(ScenarioError, match=message):
+        SimScenario.from_dict(scenario_dict(crash_faults=faults))
+
+
+def test_scenario_command_rejects_crash_fault_outside_validators(tmp_path, capsys):
+    import json
+
+    from testingplus.cli import main
+
+    sfile = tmp_path / "scenario.json"
+    sfile.write_text(json.dumps(scenario_dict(crash_faults=[{"node": 9, "tick": 20}])))
+    assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
+    assert "crash fault for node 9 outside 0..3" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+def test_validator_sweep_drops_crash_faults_beyond_each_size():
+    import csv
+    import io
+
+    from testingplus.metrics import SweepSpec, run_sweep
+
+    base = scenario_dict(max_ticks=150, crash_faults=[{"node": 5, "tick": 100}])
+    spec = SweepSpec.from_dict({"base": base, "axis": "n_validators", "values": [4, 7]})
+    rows = list(csv.DictReader(io.StringIO(run_sweep(spec))))
+    assert [r["status"] for r in rows] == ["ok", "ok"]

@@ -121,7 +121,7 @@ def test_text_fields_go_through_the_digest_resolver():
         seen.append(data)
         return hash256(data)
 
-    p = payload_from_json({"op": "register_test_case", "contract": "00", "input": "in",
+    p = payload_from_json({"op": "register_test_case", "contract": "07" * 32, "input": "in",
                            "expected_output": "out"}, hex_bytes, hex_bytes, digest)
     assert seen == [b"in", b"out"]
     assert (p.description, p.expected_output_digest) == (b"", hash256(b"out"))
@@ -144,8 +144,23 @@ def test_u64_rejects_everything_else(value):
     {"op": "set_testing_fee", "fee": 1},
     {"op": "set_testing_fee", "contract": 5, "fee": 1},
     {"op": "set_testing_fee", "contract": "0", "fee": 1},
-    {"op": "set_testing_fee", "contract": "00", "fee": None},
+    {"op": "set_testing_fee", "contract": "01" * 32, "fee": None},
 ])
 def test_malformed_entries_raise_value_error(entry):
     with pytest.raises(ValueError):
+        payload_from_json(entry, hex_bytes, hex_bytes, hash256)
+
+
+@pytest.mark.parametrize("entry,size", [
+    ({"op": "set_testing_fee", "contract": "00", "fee": 1}, 32),
+    ({"op": "set_reward", "contract": "", "amount": 1}, 32),
+    ({"op": "complete_test", "contract": "06" * 33}, 32),
+    ({"op": "post_feedback", "subject": "0c" * 20, "body": "x"}, 32),
+    ({"op": "deploy_acceptance_test", "customer": "03" * 32, "developer": "04" * 20, "fee": 7}, 20),
+    ({"op": "deploy_acceptance_test", "customer": "03" * 20, "developer": "04", "fee": 7}, 20),
+    ({"op": "record_execution", "case": "0a" * 32, "actual_output_digest": "0b"}, 32),
+    ({"op": "register_test_case", "contract": "07" * 32, "input_digest": "08" * 31}, 32),
+])
+def test_ids_accounts_and_digests_must_have_their_length(entry, size):
+    with pytest.raises(ValueError, match=f"must be {size} bytes"):
         payload_from_json(entry, hex_bytes, hex_bytes, hash256)
