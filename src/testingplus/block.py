@@ -6,10 +6,11 @@ import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .codec import Reader, ZERO_HASH, enc_bytes, enc_u64, hash256, DecodeError
+from .codec import BYTES, U64, Reader, ZERO_HASH, enc_bytes, enc_u64, hash256, DecodeError, schema
 from .tx import Transaction, decode_transaction
 
 
+@schema(None, U64, BYTES, BYTES, BYTES, U64, BYTES)
 @dataclass(frozen=True)
 class BlockHeader:
     height: int
@@ -19,16 +20,6 @@ class BlockHeader:
     timestamp: int
     proposer: bytes
 
-    def encode(self) -> bytes:
-        return (
-            enc_u64(self.height)
-            + enc_bytes(self.prev_hash)
-            + enc_bytes(self.merkle_root)
-            + enc_bytes(self.state_root)
-            + enc_u64(self.timestamp)
-            + enc_bytes(self.proposer)
-        )
-
     def hash(self) -> bytes:
         return self._hash
 
@@ -36,17 +27,6 @@ class BlockHeader:
     def _hash(self) -> bytes:
         # frozen, so the hash is computed once per object
         return hash256(self.encode())
-
-
-def decode_header(r: Reader) -> BlockHeader:
-    return BlockHeader(
-        height=r.read_u64(),
-        prev_hash=r.read_bytes(),
-        merkle_root=r.read_bytes(),
-        state_root=r.read_bytes(),
-        timestamp=r.read_u64(),
-        proposer=r.read_bytes(),
-    )
 
 
 @dataclass(frozen=True)
@@ -70,7 +50,7 @@ class Block:
 
 
 def decode_block(r: Reader) -> Block:
-    header = decode_header(r)
+    header = BlockHeader.decode(r)
     ntx = r.read_u64()
     txs = []
     for _ in range(ntx):

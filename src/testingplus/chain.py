@@ -11,7 +11,7 @@ from .block import Block, BlockHeader, build_block, decode_chain, encode_chain, 
 from .codec import DecodeError, ZERO_ADDRESS, ZERO_HASH
 from .keys import KeyRegistry, UnknownSenderError, address_from_pubkey, sign, verify
 from .state import AccountState, WorldState
-from .tx import Transaction, verify_transaction
+from .tx import Transaction, parse_u64, verify_transaction
 from .vm import Receipt, apply_transaction
 
 
@@ -20,6 +20,11 @@ class ValidatorSet:
     """Fixed ordered validator list; quorum is floor(2n/3)+1 votes."""
 
     members: tuple[tuple[bytes, bytes], ...]  # (address, pubkey)
+
+    def __post_init__(self):
+        # address -> pubkey and address -> index, built once
+        object.__setattr__(self, "_pubkeys", dict(self.members))
+        object.__setattr__(self, "_indexes", {a: i for i, (a, _) in enumerate(self.members)})
 
     @classmethod
     def from_pubkeys(cls, pubkeys) -> "ValidatorSet":
@@ -38,16 +43,13 @@ class ValidatorSet:
         return (2 * self.n) // 3 + 1
 
     def pubkey_of(self, address: bytes) -> bytes | None:
-        for a, pk in self.members:
-            if a == address:
-                return pk
-        return None
+        return self._pubkeys.get(address)
 
     def index_of(self, address: bytes) -> int:
-        for i, (a, _) in enumerate(self.members):
-            if a == address:
-                return i
-        raise KeyError(address.hex())
+        index = self._indexes.get(address)
+        if index is None:
+            raise KeyError(address.hex())
+        return index
 
 
 def proposer_for(height: int, round_: int, vs: ValidatorSet) -> bytes:
@@ -83,12 +85,11 @@ class GenesisConfig:
         cfg = cls(
             chain_id=bytes.fromhex(raw["chain_id"]),
             validator_pubkeys=[bytes.fromhex(v) for v in raw["validators"]],
-            accounts=[(bytes.fromhex(a["pubkey"]), int(a["balance"])) for a in raw["accounts"]],
-            empty_block_interval=int(raw.get("empty_block_interval", 50)),
-            timeout_ticks=int(raw.get("timeout_ticks", 50)),
+            accounts=[(bytes.fromhex(a["pubkey"]), parse_u64(a["balance"])) for a in raw["accounts"]],
+            empty_block_interval=parse_u64(raw.get("empty_block_interval", 50)),
+            timeout_ticks=parse_u64(raw.get("timeout_ticks", 50)),
         )
-        if not cfg.validator_pubkeys:
-            raise ValueError("genesis needs at least one validator")
+        ValidatorSet.from_pubkeys(cfg.validator_pubkeys)  # raises unless distinct and non-empty
         total = sum(b for _, b in cfg.accounts)
         if total > 2**64 - 1:
             raise ValueError("total issuance exceeds u64")

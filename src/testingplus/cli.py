@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .block import Block, merkle_proof
 from .chain import Chain, ChainStore, CorruptChainError, GenesisConfig
+from .codec import record_json
 from .keys import address_from_pubkey, generate_keypair
 from .state import VERDICT_PASS
 from .tx import Transaction, hex_bytes, parse_u64, payload_from_json, sign_transaction
@@ -25,6 +26,7 @@ from .workflow import (
     WindowBeyondHeadError,
     audit_trail,
     audit_trail_csv,
+    audit_trail_json,
     compute_compensation,
 )
 
@@ -77,7 +79,7 @@ def cmd_keygen(args) -> int:
 def cmd_init(args) -> int:
     try:
         genesis = GenesisConfig.from_json(Path(args.genesis).read_text())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad genesis file: {exc}") from exc
     sealer = _load_key(args.validator_key)
     if address_from_pubkey(sealer["public_key"]) not in [
@@ -156,14 +158,7 @@ def cmd_submit(args) -> int:
 
 def _block_json(block: Block) -> dict:
     return {
-        "header": {
-            "height": block.header.height,
-            "prev_hash": block.header.prev_hash.hex(),
-            "merkle_root": block.header.merkle_root.hex(),
-            "state_root": block.header.state_root.hex(),
-            "timestamp": block.header.timestamp,
-            "proposer": block.header.proposer.hex(),
-        },
+        "header": record_json(block.header),
         "hash": block.header.hash().hex(),
         "transactions": [
             {
@@ -196,10 +191,7 @@ def cmd_query(args) -> int:
                     {
                         "height": chain.height,
                         "state_root": state.root().hex(),
-                        "accounts": [
-                            {"address": a.address.hex(), "balance": a.balance, "nonce": a.nonce}
-                            for a in [state.accounts[k] for k in sorted(state.accounts)]
-                        ],
+                        "accounts": [record_json(state.accounts[k]) for k in sorted(state.accounts)],
                         "customer_agreements": [
                             {"id": c.contract_id.hex(), "customer": c.customer.hex(),
                              "testing_fee": c.testing_fee}
@@ -260,7 +252,7 @@ def cmd_query(args) -> int:
             if args.csv:
                 sys.stdout.write(audit_trail_csv(events))
             else:
-                print(json.dumps([e.to_dict() for e in events], sort_keys=True))
+                print(audit_trail_json(events))
         elif sel == "compensation":
             tester, lo, hi, base, bonus = rest[:5]
             try:

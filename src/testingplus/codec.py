@@ -1,14 +1,16 @@
-"""Byte-level primitives shared by every on-chain structure.
+"""Byte-level primitives shared by every on-chain structure, and the one
+record schema that payloads, state records and block headers are built from.
 
 All multi-byte integers are unsigned 64-bit big-endian; byte strings carry a
-4-byte big-endian length prefix. Encodings are injective on their field
-tuples, which is what makes hashing them meaningful.
+4-byte big-endian length prefix; a flag is one byte, 0 or 1. Encodings are
+injective on their field tuples, which is what makes hashing them meaningful.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from dataclasses import fields
 
 HASH_LEN = 32
 ADDRESS_LEN = 20
@@ -56,6 +58,11 @@ class Reader:
     def read_u8(self) -> int:
         return self.take(1)[0]
 
+    def peek_u8(self) -> int:
+        if self.pos >= len(self.data):
+            raise DecodeError("unexpected end of input")
+        return self.data[self.pos]
+
     def read_u64(self) -> int:
         return struct.unpack(">Q", self.take(8))[0]
 
@@ -66,3 +73,65 @@ class Reader:
     def expect_end(self) -> None:
         if self.pos != len(self.data):
             raise DecodeError(f"{len(self.data) - self.pos} trailing bytes")
+
+
+# Wire kinds of a record field: (encoder, reader) pairs.
+U64 = (enc_u64, Reader.read_u64)
+BYTES = (enc_bytes, Reader.read_bytes)
+
+
+def flag(false=False, true=True):
+    """The kind of a two-valued field, written as 1 for `true` and 0 for
+    anything else, and read back as `true` or `false`."""
+
+    def encode(value) -> bytes:
+        return b"\x01" if value == true else b"\x00"
+
+    def read(r: Reader):
+        byte = r.read_u8()
+        if byte > 1:
+            raise DecodeError(f"flag byte 0x{byte:02x} is neither 0 nor 1")
+        return true if byte else false
+
+    return encode, read
+
+
+FLAG = flag()
+
+
+def schema(tag: int | None, *kinds):
+    """Class decorator for a frozen dataclass: its canonical encoding is the
+    tag byte, if any, then each field in declaration order as its kind.
+    Gives the class `encode()` and a static `decode(reader)` that checks the
+    tag. Both are built here, once; a kind list that does not match the
+    fields one for one fails at import."""
+
+    def build(cls):
+        names = [f.name for f in fields(cls)]
+        encoders = tuple((name, enc) for name, (enc, _) in zip(names, kinds, strict=True))
+        readers = tuple(read for _, read in kinds)
+        prefix = b"" if tag is None else bytes([tag])
+
+        def encode(record) -> bytes:
+            return prefix + b"".join([enc(getattr(record, name)) for name, enc in encoders])
+
+        def decode(r: Reader):
+            if tag is not None and (got := r.read_u8()) != tag:
+                raise DecodeError(f"tag 0x{got:02x} is not {cls.__name__}'s 0x{tag:02x}")
+            return cls(*[read(r) for read in readers])
+
+        cls.encode = encode
+        cls.decode = staticmethod(decode)
+        return cls
+
+    return build
+
+
+def record_json(record) -> dict:
+    """The JSON view of a dataclass record: its fields by name, in order,
+    with byte strings in hex."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        out[f.name] = value.hex() if isinstance(value, bytes) else value
+    return out

@@ -169,7 +169,8 @@ class Node:
                 self.proposed_key = (height, self.round)
                 prop = Propose(block, self.round)
                 out.append((None, prop))
-                out.extend(m for m in self._accept_proposal(prop, tick) if m[1] is not prop)
+                accepted = self._accept_proposal(prop, self.index, tick)
+                out.extend(m for m in accepted if m[1] is not prop)
 
         if tick - self.last_gossip >= cfg.gossip_interval:
             self.last_gossip = tick
@@ -184,23 +185,19 @@ class Node:
     # -- messages ------------------------------------------------------------
 
     def on_message(self, msg: ConsensusMessage, src: int, tick: int) -> list[Outbound]:
-        if isinstance(msg, TxGossip):
-            h = msg.tx.hash()
-            if h not in self.chain.committed_txs and h not in self.mempool:
-                self.mempool[h] = msg.tx
+        handler = _HANDLERS.get(type(msg))
+        if handler is None:
+            self.invalid_dropped += 1
             return []
-        if isinstance(msg, Propose):
-            return self._accept_proposal(msg, tick)
-        if isinstance(msg, Vote):
-            return self._accept_vote(msg, tick)
-        if isinstance(msg, Commit):
-            return self._accept_commit(msg, tick)
-        if isinstance(msg, Status):
-            return self._accept_status(msg, src)
-        self.invalid_dropped += 1
+        return handler(self, msg, src, tick)
+
+    def _accept_tx(self, gossip: TxGossip, src: int, tick: int) -> list[Outbound]:
+        h = gossip.tx.hash()
+        if h not in self.chain.committed_txs and h not in self.mempool:
+            self.mempool[h] = gossip.tx
         return []
 
-    def _accept_proposal(self, prop: Propose, tick: int) -> list[Outbound]:
+    def _accept_proposal(self, prop: Propose, src: int, tick: int) -> list[Outbound]:
         block = prop.block
         h = block.header.height
         if h != self.next_height:
@@ -226,7 +223,7 @@ class Node:
         out.extend(self._try_commit(tick))
         return out
 
-    def _accept_vote(self, vote: Vote, tick: int) -> list[Outbound]:
+    def _accept_vote(self, vote: Vote, src: int, tick: int) -> list[Outbound]:
         if vote.height != self.next_height:
             return []
         pk = self.chain.validators.pubkey_of(vote.signer)
@@ -236,7 +233,7 @@ class Node:
         self.tallies.setdefault(vote.header_hash, {})[vote.signer] = vote.signature
         return self._try_commit(tick)
 
-    def _accept_commit(self, commit: Commit, tick: int) -> list[Outbound]:
+    def _accept_commit(self, commit: Commit, src: int, tick: int) -> list[Outbound]:
         block = commit.block
         h = block.header.height
         if h <= self.chain.height:
@@ -248,7 +245,7 @@ class Node:
             self._drain_future(tick)
         return []
 
-    def _accept_status(self, status: Status, src: int) -> list[Outbound]:
+    def _accept_status(self, status: Status, src: int, tick: int) -> list[Outbound]:
         have = len(self.chain.blocks)
         if status.chain_len >= have:
             return []
@@ -257,3 +254,13 @@ class Node:
         for block in self.chain.blocks[status.chain_len : hi]:
             out.append((src, Commit(block)))
         return out
+
+
+# message type -> handler; a message of any other type is dropped as invalid
+_HANDLERS = {
+    TxGossip: Node._accept_tx,
+    Propose: Node._accept_proposal,
+    Vote: Node._accept_vote,
+    Commit: Node._accept_commit,
+    Status: Node._accept_status,
+}

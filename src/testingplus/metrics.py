@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .codec import enc_u64, hash256
+from .codec import enc_u64, hash256, record_json
 from .sim import ScenarioError, SimScenario, SimTrace, run_simulation
 
 
@@ -53,23 +53,10 @@ class MetricsReport:
     per_node: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_digest": self.scenario_digest,
-            "total_ticks": self.total_ticks,
-            "submitted": self.submitted,
-            "committed": self.committed,
-            "uncommitted": self.uncommitted,
-            "throughput_per_1000_ticks": self.throughput_per_1000_ticks,
-            "latency_min": self.latency.min,
-            "latency_median": self.latency.median,
-            "latency_p95": self.latency.p95,
-            "latency_max": self.latency.max,
-            "block_interval_mean": self.block_interval_mean,
-            "messages_sent": self.messages_sent,
-            "state_bytes": self.state_bytes,
-            "truncated": self.truncated,
-            "per_node": self.per_node,
-        }
+        out = record_json(self)
+        latency = out.pop("latency")
+        out.update((f"latency_{k}", getattr(latency, k)) for k in ("min", "median", "p95", "max"))
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -222,16 +209,8 @@ def run_sweep(spec: SweepSpec) -> str:
             seed = spec.derived_seed(value, rep)
             try:
                 scenario = spec.scenario_for(value, rep)
-                report = analyze(run_simulation(scenario))
-                w.writerow([
-                    spec.axis, value, rep, seed, "ok",
-                    report.submitted, report.committed, report.uncommitted,
-                    report.throughput_per_1000_ticks,
-                    report.latency.min, report.latency.median,
-                    report.latency.p95, report.latency.max,
-                    report.block_interval_mean, report.messages_sent,
-                    report.state_bytes, report.total_ticks, report.truncated,
-                ])
+                report = analyze(run_simulation(scenario)).to_dict()
+                w.writerow([spec.axis, value, rep, seed, "ok"] + [report[k] for k in CSV_HEADER[5:]])
             except Exception as exc:  # a broken cell must not kill the sweep
                 w.writerow([spec.axis, value, rep, seed, f"error: {exc}"]
                            + [""] * (len(CSV_HEADER) - 5))

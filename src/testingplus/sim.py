@@ -44,6 +44,13 @@ def _keypairs(derive, scenario_seed: int, count: int) -> tuple[tuple[bytes, byte
     return tuple(generate_keypair(derive(scenario_seed, i)) for i in range(count))
 
 
+def _ticks_or_none(raw: dict, key: str) -> int | None:
+    value = raw.get(key)
+    if value is not None and (type(value) is not int or value < 0):
+        raise ScenarioError(f"{key} must be null or a non-negative integer, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Partition:
     from_tick: int
@@ -105,8 +112,8 @@ class SimScenario:
                 workload=list(raw.get("workload", [])),
                 max_ticks=int(raw["max_ticks"]),
                 empty_block_interval=int(raw.get("empty_block_interval", 50)),
-                timeout_ticks=raw.get("timeout_ticks"),
-                gossip_interval=raw.get("gossip_interval"),
+                timeout_ticks=_ticks_or_none(raw, "timeout_ticks"),
+                gossip_interval=_ticks_or_none(raw, "gossip_interval"),
                 raw=raw,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -197,11 +204,12 @@ class SimScenario:
             timeout_ticks=self.effective_timeout(),
         )
 
+    # 0 or None: derived from the latency bound
     def effective_timeout(self) -> int:
-        return int(self.timeout_ticks) if self.timeout_ticks else 10 * self.latency[1]
+        return self.timeout_ticks or 10 * self.latency[1]
 
     def effective_gossip(self) -> int:
-        return int(self.gossip_interval) if self.gossip_interval else 2 * self.latency[1]
+        return self.gossip_interval or 2 * self.latency[1]
 
     # -- workload resolution -------------------------------------------------
 

@@ -4,7 +4,8 @@ The state root is the hash of a canonical serialization of every entry,
 sorted by (section, key), so two states with the same content always agree
 regardless of insertion order.
 
-Records are frozen: a change replaces the record, so each record computes its
+Each record type declares its tag and field kinds with codec.schema. Records
+are frozen: a change replaces the record, so each record computes its
 canonical encoding once and keeps it. Each section of the state keeps the
 joined encoding of its records in turn and drops it when the section is
 written, so serializing a state re-encodes only the sections written since
@@ -16,49 +17,48 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .codec import ZERO_HASH, enc_bytes, enc_u64, hash256
+from .codec import BYTES, FLAG, U64, ZERO_HASH, flag, hash256, schema
 
 VERDICT_PASS = "Pass"
 VERDICT_FAIL = "Fail"
 
 
+class _Record:
+    """A state record: `encoded` is its canonical encoding from its schema,
+    computed on first read and kept, as the record is frozen."""
+
+    @cached_property
+    def encoded(self) -> bytes:
+        return self.encode()
+
+
+@schema(0xA1, BYTES, U64, U64)
 @dataclass(frozen=True)
-class AccountState:
+class AccountState(_Record):
     address: bytes
     balance: int
     nonce: int
 
-    @cached_property
-    def encoded(self) -> bytes:
-        return b"\xa1" + enc_bytes(self.address) + enc_u64(self.balance) + enc_u64(self.nonce)
 
-
+@schema(0xA2, BYTES, BYTES, U64)
 @dataclass(frozen=True)
-class CustomerAgreementState:
+class CustomerAgreementState(_Record):
     contract_id: bytes
     customer: bytes
     testing_fee: int
 
-    @cached_property
-    def encoded(self) -> bytes:
-        return (
-            b"\xa2" + enc_bytes(self.contract_id) + enc_bytes(self.customer) + enc_u64(self.testing_fee)
-        )
 
-
+@schema(0xA3, BYTES, BYTES, U64)
 @dataclass(frozen=True)
-class DeveloperAgreementState:
+class DeveloperAgreementState(_Record):
     contract_id: bytes
     developer: bytes
     reward: int
 
-    @cached_property
-    def encoded(self) -> bytes:
-        return b"\xa3" + enc_bytes(self.contract_id) + enc_bytes(self.developer) + enc_u64(self.reward)
 
-
+@schema(0xA4, BYTES, BYTES, BYTES, U64, FLAG, U64, U64, U64, BYTES)
 @dataclass(frozen=True)
-class AcceptanceTestState:
+class AcceptanceTestState(_Record):
     contract_id: bytes
     customer: bytes
     developer: bytes
@@ -70,24 +70,10 @@ class AcceptanceTestState:
     completed_height: int = 0
     completed_tx_hash: bytes = ZERO_HASH
 
-    @cached_property
-    def encoded(self) -> bytes:
-        return (
-            b"\xa4"
-            + enc_bytes(self.contract_id)
-            + enc_bytes(self.customer)
-            + enc_bytes(self.developer)
-            + enc_u64(self.testing_fee)
-            + (b"\x01" if self.is_test_completed else b"\x00")
-            + enc_u64(self.escrow)
-            + enc_u64(self.completed_tick)
-            + enc_u64(self.completed_height)
-            + enc_bytes(self.completed_tx_hash)
-        )
 
-
+@schema(0xA5, BYTES, BYTES, BYTES, BYTES, BYTES, BYTES, U64, U64, BYTES, U64)
 @dataclass(frozen=True)
-class TestCase:
+class TestCase(_Record):
     case_id: bytes
     acceptance_contract: bytes
     author: bytes
@@ -99,25 +85,10 @@ class TestCase:
     tx_hash: bytes
     seq: int
 
-    @cached_property
-    def encoded(self) -> bytes:
-        return (
-            b"\xa5"
-            + enc_bytes(self.case_id)
-            + enc_bytes(self.acceptance_contract)
-            + enc_bytes(self.author)
-            + enc_bytes(self.description)
-            + enc_bytes(self.input_digest)
-            + enc_bytes(self.expected_output_digest)
-            + enc_u64(self.tick)
-            + enc_u64(self.block_height)
-            + enc_bytes(self.tx_hash)
-            + enc_u64(self.seq)
-        )
 
-
+@schema(0xA6, BYTES, BYTES, BYTES, BYTES, flag(VERDICT_FAIL, VERDICT_PASS), U64, U64, BYTES, U64)
 @dataclass(frozen=True)
-class ExecutionRecord:
+class ExecutionRecord(_Record):
     exec_id: bytes
     case_id: bytes
     tester: bytes
@@ -128,24 +99,10 @@ class ExecutionRecord:
     tx_hash: bytes
     seq: int
 
-    @cached_property
-    def encoded(self) -> bytes:
-        return (
-            b"\xa6"
-            + enc_bytes(self.exec_id)
-            + enc_bytes(self.case_id)
-            + enc_bytes(self.tester)
-            + enc_bytes(self.actual_output_digest)
-            + (b"\x01" if self.verdict == VERDICT_PASS else b"\x00")
-            + enc_u64(self.tick)
-            + enc_u64(self.block_height)
-            + enc_bytes(self.tx_hash)
-            + enc_u64(self.seq)
-        )
 
-
+@schema(0xA7, BYTES, BYTES, BYTES, BYTES, U64, U64, BYTES, U64)
 @dataclass(frozen=True)
-class Feedback:
+class Feedback(_Record):
     feedback_id: bytes
     subject: bytes  # case_id or exec_id
     author: bytes
@@ -154,20 +111,6 @@ class Feedback:
     block_height: int
     tx_hash: bytes
     seq: int
-
-    @cached_property
-    def encoded(self) -> bytes:
-        return (
-            b"\xa7"
-            + enc_bytes(self.feedback_id)
-            + enc_bytes(self.subject)
-            + enc_bytes(self.author)
-            + enc_bytes(self.body)
-            + enc_u64(self.tick)
-            + enc_u64(self.block_height)
-            + enc_bytes(self.tx_hash)
-            + enc_u64(self.seq)
-        )
 
 
 class KeyedSection(dict):

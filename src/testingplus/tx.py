@@ -7,11 +7,13 @@ signature covers exactly those bytes; the signed encoding appends it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .codec import ADDRESS_LEN, HASH_LEN, Reader, U64_MAX, enc_bytes, enc_u64, hash256, DecodeError
+from . import codec
+from .codec import (ADDRESS_LEN, HASH_LEN, Reader, U64_MAX, enc_bytes, enc_u64, hash256,
+                    DecodeError, schema)
 from .keys import KeyRegistry, UnknownSenderError, address_from_pubkey, sign, verify
 
 MAX_PAYLOAD_BYTES = 64 * 1024
@@ -28,7 +30,8 @@ U64 = "u64"  # a JSON integer or decimal string within u64
 _SIZES = {ID: HASH_LEN, ACCOUNT: ADDRESS_LEN, DIGEST: HASH_LEN}
 
 # Each payload class carries its tag, its op name in JSON and FIELDS: the
-# JSON key and kind of each dataclass field, in encoding order.
+# JSON key and kind of each dataclass field, in encoding order. Its codec is
+# built from the same table with codec.schema.
 
 
 @dataclass(frozen=True)
@@ -116,35 +119,22 @@ PAYLOAD_TYPES = (
 Payload = Union[PAYLOAD_TYPES]
 _BY_TAG = {cls.TAG: cls for cls in PAYLOAD_TYPES}
 _BY_OP = {cls.OP: cls for cls in PAYLOAD_TYPES}
-# class -> (tag byte, ((attribute, encoder), ...)) and class -> readers, built
-# once: verify_transaction re-encodes the payload on every check
-_ENCODERS = {
-    cls: (
-        bytes([cls.TAG]),
-        tuple(
-            (f.name, enc_u64 if kind == U64 else enc_bytes)
-            for f, (_, kind) in zip(fields(cls), cls.FIELDS, strict=True)
-        ),
-    )
-    for cls in PAYLOAD_TYPES
-}
-_READERS = {
-    cls: tuple(Reader.read_u64 if kind == U64 else Reader.read_bytes for _, kind in cls.FIELDS)
-    for cls in PAYLOAD_TYPES
-}
+for _cls in PAYLOAD_TYPES:
+    # on chain, a U64 field is a u64 and every other kind a byte string
+    schema(_cls.TAG, *[codec.U64 if kind == U64 else codec.BYTES for _, kind in _cls.FIELDS])(_cls)
+del _cls
 
 
 def encode_payload(payload: Payload) -> bytes:
-    tag, encoders = _ENCODERS[type(payload)]
-    return tag + b"".join([enc(getattr(payload, name)) for name, enc in encoders])
+    return payload.encode()
 
 
 def decode_payload(r: Reader) -> Payload:
-    tag = r.read_u8()
+    tag = r.peek_u8()
     cls = _BY_TAG.get(tag)
     if cls is None:
         raise DecodeError(f"unknown payload tag 0x{tag:02x}")
-    return cls(*[read(r) for read in _READERS[cls]])
+    return cls.decode(r)
 
 
 def parse_u64(value) -> int:

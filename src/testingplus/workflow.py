@@ -6,10 +6,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .codec import hash256, U64_MAX
+from .codec import U64_MAX, hash256, record_json
 from .state import VERDICT_PASS, WorldState
 
 
@@ -36,27 +36,15 @@ class CompensationStatement:
     contribution_ppm: int
 
     def to_dict(self) -> dict:
-        return {
-            "tester": self.tester.hex(),
-            "from_height": self.from_height,
-            "to_height": self.to_height,
-            "executed": self.executed,
-            "matched": self.matched,
-            "amount": self.amount,
-            "contribution_ppm": self.contribution_ppm,
-        }
+        return record_json(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_csv(self) -> str:
+        row = self.to_dict()
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["tester", "from_height", "to_height", "executed", "matched", "amount", "contribution_ppm"])
-        w.writerow([
-            self.tester.hex(), self.from_height, self.to_height,
-            self.executed, self.matched, self.amount, self.contribution_ppm,
-        ])
+        csv.writer(buf, lineterminator="\n").writerows([row.keys(), row.values()])
         return buf.getvalue()
 
 
@@ -98,13 +86,7 @@ class AuditEvent:
     tx_hash: bytes
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "tick": self.tick,
-            "block_height": self.block_height,
-            "actor": self.actor.hex(),
-            "tx_hash": self.tx_hash.hex(),
-        }
+        return record_json(self)
 
 
 def audit_trail(state: WorldState, case_id: bytes) -> list[AuditEvent]:
@@ -155,9 +137,8 @@ def audit_trail_json(events: list[AuditEvent]) -> str:
 def audit_trail_csv(events: list[AuditEvent]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["kind", "tick", "block_height", "actor", "tx_hash"])
-    for e in events:
-        w.writerow([e.kind, e.tick, e.block_height, e.actor.hex(), e.tx_hash.hex()])
+    w.writerow([f.name for f in fields(AuditEvent)])
+    w.writerows(e.to_dict().values() for e in events)
     return buf.getvalue()
 
 

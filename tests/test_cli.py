@@ -359,3 +359,35 @@ def test_cli_import_leaves_the_simulator_unloaded():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "[]", "testingplus.sim testingplus.metrics testingplus.consensus"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda g: g["validators"].append(g["validators"][0]),
+    lambda g: g["accounts"][0].update(balance=-5),
+    lambda g: g["accounts"][0].update(balance=2.9),
+    lambda g: g.update(timeout_ticks=-1),
+    lambda g: g.update(empty_block_interval="soon"),
+    lambda g: g.update(accounts=[5]),
+], ids=["duplicate-validator", "negative-balance", "fractional-balance", "negative-timeout",
+        "text-interval", "account-not-an-object"])
+def test_bad_genesis_is_usage_error_and_writes_no_store(tmp_path, env, capsys, edit):
+    raw = json.loads((tmp_path / "genesis.json").read_text())
+    edit(raw)
+    bad = tmp_path / "bad_genesis.json"
+    bad.write_text(json.dumps(raw))
+    store = tmp_path / "s2"
+    rc = main(["init", "--store", str(store), "--genesis", str(bad),
+               "--validator-key", env["keys"]["validator"]])
+    assert rc == 2
+    assert "bad genesis file" in capsys.readouterr().err
+    assert not store.exists()
+
+
+def test_genesis_balances_and_intervals_accept_decimal_strings(tmp_path, env):
+    raw = json.loads((tmp_path / "genesis.json").read_text())
+    raw["accounts"][0]["balance"] = "1000"
+    raw["timeout_ticks"] = "40"
+    good = tmp_path / "good_genesis.json"
+    good.write_text(json.dumps(raw))
+    assert main(["init", "--store", str(tmp_path / "s3"), "--genesis", str(good),
+                 "--validator-key", env["keys"]["validator"]]) == 0

@@ -502,3 +502,54 @@ def test_validator_sweep_drops_crash_faults_beyond_each_size():
     spec = SweepSpec.from_dict({"base": base, "axis": "n_validators", "values": [4, 7]})
     rows = list(csv.DictReader(io.StringIO(run_sweep(spec))))
     assert [r["status"] for r in rows] == ["ok", "ok"]
+
+
+@pytest.mark.parametrize("key", ["timeout_ticks", "gossip_interval"])
+@pytest.mark.parametrize("value", ["abc", [1], -5, 0.5, "10", True])
+def test_bad_timeout_or_gossip_interval_is_rejected(key, value):
+    from testingplus.sim import ScenarioError
+
+    with pytest.raises(ScenarioError, match=f"{key} must be null or a non-negative integer"):
+        SimScenario.from_dict(scenario_dict(**{key: value}))
+
+
+def test_zero_or_null_timeout_and_gossip_keep_the_derived_default():
+    derived = SimScenario.from_dict(scenario_dict())
+    for value in (0, None):
+        s = SimScenario.from_dict(scenario_dict(timeout_ticks=value, gossip_interval=value))
+        assert (s.effective_timeout(), s.effective_gossip()) == (20, 4)
+        assert (derived.effective_timeout(), derived.effective_gossip()) == (20, 4)
+    s = SimScenario.from_dict(scenario_dict(timeout_ticks=30, gossip_interval=7))
+    assert (s.effective_timeout(), s.effective_gossip()) == (30, 7)
+
+
+@pytest.mark.parametrize("key,value", [("timeout_ticks", "abc"), ("gossip_interval", [1]),
+                                       ("timeout_ticks", -5), ("gossip_interval", 0.5)])
+def test_scenario_command_rejects_bad_timeout_or_gossip_interval(tmp_path, capsys, key, value):
+    import json
+
+    from testingplus.cli import main
+
+    sfile = tmp_path / "scenario.json"
+    sfile.write_text(json.dumps(scenario_dict(**{key: value})))
+    assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
+    assert f"{key} must be null or a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+def test_message_of_unknown_type_is_dropped_as_invalid():
+    node = make_cluster()[0]
+    assert node.on_message(object(), 1, 1) == []
+    assert node.invalid_dropped == 1
+
+
+def test_validator_lookups_by_address():
+    vs = ValidatorSet.from_pubkeys([a.pubkey for a in ACTORS])
+    for i, a in enumerate(ACTORS):
+        assert vs.index_of(a.address) == i
+        assert vs.pubkey_of(a.address) == a.pubkey
+    assert vs.pubkey_of(CUSTOMER.address) is None
+    with pytest.raises(KeyError):
+        vs.index_of(CUSTOMER.address)
+    assert vs == ValidatorSet.from_pubkeys([a.pubkey for a in ACTORS])
+    assert hash(vs) == hash(ValidatorSet.from_pubkeys([a.pubkey for a in ACTORS]))

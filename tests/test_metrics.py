@@ -174,3 +174,17 @@ class TestSweep:
         rows = list(csv.reader(io.StringIO(run_sweep(spec))))[1:]
         assert rows[0][4] == "ok"
         assert rows[1][4].startswith("error:")
+
+
+def test_report_json_is_pinned():
+    from testingplus.metrics import LatencyStats, MetricsReport
+
+    report = MetricsReport("d1", 300, 5, 4, 1, 13.5, LatencyStats(2, 3.5, 7, 9, 4), 6.25, 120,
+                           900, True, [{"node": 0}])
+    assert report.to_json() == (
+        '{"block_interval_mean": 6.25, "committed": 4, "latency_max": 9, "latency_median": 3.5, '
+        '"latency_min": 2, "latency_p95": 7, "messages_sent": 120, "per_node": [{"node": 0}], '
+        '"scenario_digest": "d1", "state_bytes": 900, "submitted": 5, '
+        '"throughput_per_1000_ticks": 13.5, "total_ticks": 300, "truncated": true, '
+        '"uncommitted": 1}'
+    )

@@ -1,0 +1,112 @@
+"""The record schema in codec: every state record and the block header
+decode back from the encoding their schema builds, and the builder refuses
+a kind list that does not match the fields."""
+
+from dataclasses import dataclass
+
+import pytest
+from hypothesis import given, strategies as st
+
+from testingplus.block import BlockHeader
+from testingplus.codec import BYTES, FLAG, U64, DecodeError, Reader, flag, record_json, schema
+from testingplus.state import (
+    AcceptanceTestState,
+    AccountState,
+    CustomerAgreementState,
+    DeveloperAgreementState,
+    ExecutionRecord,
+    Feedback,
+    TestCase as CaseRecord,  # aliased so that pytest does not collect it
+    VERDICT_FAIL,
+    VERDICT_PASS,
+)
+
+B = st.binary(max_size=40)
+U = st.integers(0, 2**64 - 1)
+RECORDS = st.one_of(
+    st.builds(AccountState, B, U, U),
+    st.builds(CustomerAgreementState, B, B, U),
+    st.builds(DeveloperAgreementState, B, B, U),
+    st.builds(AcceptanceTestState, B, B, B, U, st.booleans(), U, U, U, B),
+    st.builds(CaseRecord, B, B, B, B, B, B, U, U, B, U),
+    st.builds(ExecutionRecord, B, B, B, B, st.sampled_from([VERDICT_PASS, VERDICT_FAIL]),
+              U, U, B, U),
+    st.builds(Feedback, B, B, B, B, U, U, B, U),
+    st.builds(BlockHeader, U, B, B, B, U, B),
+)
+
+
+@given(RECORDS)
+def test_every_record_decodes_back_from_its_encoding(record):
+    encoded = record.encode()
+    if not isinstance(record, BlockHeader):
+        assert encoded == record.encoded
+    r = Reader(encoded)
+    assert type(record).decode(r) == record
+    r.expect_end()
+
+
+@pytest.mark.parametrize("cls,tag", [
+    (AccountState, 0xA1), (CustomerAgreementState, 0xA2), (DeveloperAgreementState, 0xA3),
+    (AcceptanceTestState, 0xA4), (CaseRecord, 0xA5), (ExecutionRecord, 0xA6), (Feedback, 0xA7),
+])
+def test_a_record_refuses_another_records_tag(cls, tag):
+    encoded = AccountState(b"\x01" * 20, 5, 0).encoded
+    wrong = bytes([tag ^ 0x0F]) + encoded[1:]
+    with pytest.raises(DecodeError, match=f"is not {cls.__name__}'s 0x{tag:02x}"):
+        cls.decode(Reader(wrong))
+
+
+def test_verdict_is_written_as_a_flag_and_read_back_as_its_string():
+    passed = ExecutionRecord(b"e", b"c", b"t", b"d", VERDICT_PASS, 1, 2, b"h", 3)
+    failed = ExecutionRecord(b"e", b"c", b"t", b"d", VERDICT_FAIL, 1, 2, b"h", 3)
+    at = 1 + 4 * (4 + 1)  # the tag, then four one-byte strings
+    assert passed.encoded[at] == 1 and failed.encoded[at] == 0
+    assert ExecutionRecord.decode(Reader(failed.encoded)).verdict == VERDICT_FAIL
+
+
+@pytest.mark.parametrize("kind", [FLAG, flag(VERDICT_FAIL, VERDICT_PASS)])
+@pytest.mark.parametrize("byte", [0x02, 0xFF])
+def test_flag_byte_other_than_zero_or_one_is_a_decode_error(kind, byte):
+    _, read = kind
+    with pytest.raises(DecodeError, match="neither 0 nor 1"):
+        read(Reader(bytes([byte])))
+
+
+def test_flag_byte_in_a_record_is_checked():
+    encoded = bytearray(AcceptanceTestState(b"c", b"u", b"d", 7).encoded)
+    at = 1 + 3 * (4 + 1) + 8  # the tag, three one-byte strings, the fee
+    assert encoded[at] == 0
+    encoded[at] = 2
+    with pytest.raises(DecodeError):
+        AcceptanceTestState.decode(Reader(bytes(encoded)))
+
+
+def test_truncated_record_is_a_decode_error():
+    encoded = CaseRecord(b"c", b"a", b"u", b"d", b"i", b"o", 1, 2, b"h", 3).encoded
+    with pytest.raises(DecodeError):
+        CaseRecord.decode(Reader(encoded[:-1]))
+
+
+@pytest.mark.parametrize("kinds", [(U64,), (U64, BYTES, U64)])
+def test_kind_list_must_match_the_fields(kinds):
+    @dataclass(frozen=True)
+    class Pair:
+        a: int
+        b: bytes
+
+    with pytest.raises(ValueError):
+        schema(0x01, *kinds)(Pair)
+
+
+def test_header_has_no_tag():
+    header = BlockHeader(1, b"p", b"m", b"s", 2, b"v")
+    assert header.encode()[:8] == (1).to_bytes(8, "big")
+
+
+def test_record_json_is_the_fields_in_order_with_bytes_in_hex():
+    header = BlockHeader(1, b"\x0a", b"\x0b", b"\x0c", 2, b"\x0d")
+    assert list(record_json(header).items()) == [
+        ("height", 1), ("prev_hash", "0a"), ("merkle_root", "0b"), ("state_root", "0c"),
+        ("timestamp", 2), ("proposer", "0d"),
+    ]

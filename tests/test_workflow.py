@@ -257,3 +257,24 @@ class TestArtifactStore:
         (store.root / digest.hex()).write_bytes(b"tampered")
         with pytest.raises(ValueError, match="fails its digest"):
             store.get(digest)
+
+
+def test_statement_and_audit_exports_are_pinned():
+    from testingplus.workflow import AuditEvent, CompensationStatement, audit_trail_csv
+
+    s = CompensationStatement(b"\xab" * 2, 1, 9, 4, 3, 55, 250000)
+    assert json.loads(s.to_json()) == {
+        "tester": "abab", "from_height": 1, "to_height": 9, "executed": 4, "matched": 3,
+        "amount": 55, "contribution_ppm": 250000,
+    }
+    assert s.to_csv() == ("tester,from_height,to_height,executed,matched,amount,contribution_ppm\n"
+                          "abab,1,9,4,3,55,250000\n")
+    events = [AuditEvent("register", 3, 1, b"\x01", b"\x02"),
+              AuditEvent("settle", 8, 2, b"\x03", b"\x04")]
+    assert audit_trail_json(events) == (
+        '[{"actor": "01", "block_height": 1, "kind": "register", "tick": 3, "tx_hash": "02"}, '
+        '{"actor": "03", "block_height": 2, "kind": "settle", "tick": 8, "tx_hash": "04"}]'
+    )
+    assert audit_trail_csv(events) == ("kind,tick,block_height,actor,tx_hash\n"
+                                       "register,3,1,01,02\nsettle,8,2,03,04\n")
+    assert audit_trail_csv([]) == "kind,tick,block_height,actor,tx_hash\n"
