@@ -99,10 +99,16 @@ def merkle_root(tx_hashes: list[bytes]) -> bytes:
         return ZERO_HASH
     level = list(tx_hashes)
     while len(level) > 1:
-        if len(level) % 2 == 1:
-            level.append(level[-1])
-        level = [hash256(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
+        level = _parent_level(level)
     return level[0]
+
+
+def _parent_level(level: list[bytes]) -> list[bytes]:
+    """The level above `level`. An odd last node is paired with itself: it
+    is appended to `level`, where a proof then finds it as a sibling."""
+    if len(level) % 2 == 1:
+        level.append(level[-1])
+    return [hash256(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
 
 
 @dataclass(frozen=True)
@@ -119,13 +125,9 @@ def merkle_proof(block: Block, tx_index: int) -> MerkleProof:
     idx = tx_index
     siblings = []
     while len(level) > 1:
-        if len(level) % 2 == 1:
-            level.append(level[-1])
-        if idx % 2 == 0:
-            siblings.append((level[idx + 1], True))
-        else:
-            siblings.append((level[idx - 1], False))
-        level = [hash256(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
+        parent = _parent_level(level)
+        siblings.append((level[idx ^ 1], idx % 2 == 0))  # (sibling, sibling_on_right)
+        level = parent
         idx //= 2
     return MerkleProof(tx_index, tuple(siblings))
 

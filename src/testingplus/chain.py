@@ -61,6 +61,7 @@ class GenesisConfig:
     chain_id: bytes
     validator_pubkeys: list[bytes]
     accounts: list[tuple[bytes, int]]  # (pubkey, balance)
+    # consensus timing in ticks, read by every consensus.Node
     empty_block_interval: int = 50
     timeout_ticks: int = 50
 
@@ -211,7 +212,7 @@ class CorruptChainError(Exception):
 
 
 class Chain:
-    """A committed chain plus its executed world state and receipts."""
+    """A committed chain plus its executed world state."""
 
     def __init__(self, genesis: GenesisConfig):
         self.genesis = genesis
@@ -219,7 +220,6 @@ class Chain:
         self.registry = genesis.registry()
         self.state = genesis.genesis_state()
         self.blocks: list[Block] = [genesis.genesis_block()]
-        self.receipts: dict[bytes, tuple[Receipt, int]] = {}  # tx_hash -> (receipt, height)
         self.committed_txs: set[bytes] = set()
         # header hash -> (post-state, receipts) of a block executed on top of
         # the head, so that stage, validate_block and append run it once;
@@ -284,41 +284,32 @@ class Chain:
     def check_votes(self, block: Block) -> ChainCheck:
         return _check_votes(block, self.validators)
 
-    def append(self, block: Block, require_votes: bool = True) -> list[Receipt]:
-        """Check the block against the head (votes too, unless
-        `require_votes` is false), execute it and make it the head."""
-        validators = self.validators if require_votes else None
-        check = check_block(self.head.header, block, self.registry, validators)
+    def append(self, block: Block) -> list[Receipt]:
+        """The one way onto the chain: `check_block` against the head, votes
+        included, then execution (reused if the block was staged or
+        validated before); the block becomes the head."""
+        check = check_block(self.head.header, block, self.registry, self.validators)
         if not check:
             raise CorruptChainError(check)
-        return self._adopt(block)
-
-    def _adopt(self, block: Block) -> list[Receipt]:
         executed = self._execute_block(block)
         if executed is None:
             raise CorruptChainError(ChainCheck(False, block.header.height, "state-root-mismatch"))
-        state, receipts = executed
+        self.state, receipts = executed
         self._executed.clear()
-        self.state = state
         self.blocks.append(block)
-        for tx, rc in zip(block.transactions, receipts):
-            self.receipts[tx.hash()] = (rc, block.header.height)
-            self.committed_txs.add(tx.hash())
+        self.committed_txs.update(tx.hash() for tx in block.transactions)
         return list(receipts)
 
     @classmethod
     def from_blocks(cls, genesis: GenesisConfig, blocks: list[Block]) -> "Chain":
-        """Rebuild state by replaying a stored chain (genesis block included):
-        `verify_chain` once, then each block is executed and its state root
-        compared."""
+        """Rebuild a stored chain (genesis block included) by appending each
+        block after genesis in turn, so a corrupt store fails at its lowest
+        bad height, whether a check or the execution fails there."""
         chain = cls(genesis)
         if not blocks or blocks[0] != chain.blocks[0]:
             raise CorruptChainError(ChainCheck(False, 0, "genesis-mismatch"))
-        check = verify_chain(blocks, chain.validators, chain.registry)
-        if not check:
-            raise CorruptChainError(check)
         for block in blocks[1:]:
-            chain._adopt(block)
+            chain.append(block)
         return chain
 
 

@@ -58,34 +58,27 @@ ConsensusMessage = Propose | Vote | Commit | TxGossip | Status
 Outbound = tuple[int | None, ConsensusMessage]
 
 
-@dataclass
-class NodeConfig:
-    empty_block_interval: int = 50
-    timeout_ticks: int = 50
-    gossip_interval: int = 10
-    sync_batch: int = 20
-    max_block_txs: int = 100
+# most transactions a proposal takes from the mempool, and most blocks (or
+# mempool transactions) sent in one sync reply (or one re-gossip)
+MAX_BLOCK_TXS = 100
+SYNC_BATCH = 20
 
 
 class Node:
-    def __init__(self, index: int, secret: bytes, genesis: GenesisConfig, config: NodeConfig):
+    """A validator. Its timing (`empty_block_interval`, `timeout_ticks`) comes
+    from the genesis; only the gossip interval is the node's own."""
+
+    def __init__(self, index: int, secret: bytes, genesis: GenesisConfig, gossip_interval: int):
         self.index = index
         self.secret = secret
-        self.config = config
+        self.gossip_interval = gossip_interval
         self.chain = Chain(genesis)
         self.address = self.chain.validators.members[index][0]
         self.mempool: dict[bytes, Transaction] = {}
-        self.round = 0
-        self.round_entry = 0
-        self.last_commit_tick = 0
         self.last_gossip = -(10**9)
-        self.proposed_key: tuple[int, int] | None = None  # (height, round) already proposed
-        self.my_vote: Vote | None = None
-        self.voted_proposal: Propose | None = None
-        self.proposals: dict[bytes, Block] = {}
-        self.tallies: dict[bytes, dict[bytes, bytes]] = {}
         self.future_commits: dict[int, Block] = {}
         self.invalid_dropped = 0
+        self._after_append(0)  # the per-height fields, for height 1
 
     # -- helpers -------------------------------------------------------------
 
@@ -95,21 +88,25 @@ class Node:
 
     def submit(self, tx: Transaction) -> list[Outbound]:
         """Inject a client transaction at this node and gossip it."""
+        return [(None, TxGossip(tx))] if self._admit(tx) else []
+
+    def _admit(self, tx: Transaction) -> bool:
+        """Add a transaction to the mempool unless it is committed or held."""
         h = tx.hash()
         if h in self.chain.committed_txs or h in self.mempool:
-            return []
+            return False
         self.mempool[h] = tx
-        return [(None, TxGossip(tx))]
+        return True
 
     def _after_append(self, tick: int) -> None:
         self.round = 0
         self.round_entry = tick
         self.last_commit_tick = tick
-        self.proposed_key = None
-        self.my_vote = None
-        self.voted_proposal = None
-        self.proposals = {}
-        self.tallies = {}
+        self.proposed_key: tuple[int, int] | None = None  # (height, round) already proposed
+        self.my_vote: Vote | None = None
+        self.voted_proposal: Propose | None = None
+        self.proposals: dict[bytes, Block] = {}
+        self.tallies: dict[bytes, dict[bytes, bytes]] = {}
         for tx in self.chain.head.transactions:
             self.mempool.pop(tx.hash(), None)
 
@@ -121,35 +118,33 @@ class Node:
                     tally.items(), key=lambda kv: self.chain.validators.index_of(kv[0])
                 )
                 sealed = block.with_votes(tuple(votes))
-                self.chain.append(sealed)
-                self._after_append(tick)
-                self._drain_future(tick)
-                return [(None, Commit(sealed))]
+                return [(None, Commit(sealed))] if self._commit(sealed, tick) else []
         return []
 
-    def _drain_future(self, tick: int) -> None:
-        while self.next_height in self.future_commits:
-            if not self._append_commit(self.future_commits.pop(self.next_height), tick):
+    def _commit(self, block: Block, tick: int) -> bool:
+        """Append a committed block, then each held commit that follows the
+        new head. A block the chain refuses is counted as invalid and stops
+        the drain. Returns whether `block` itself was appended."""
+        appended = False
+        while block is not None:
+            try:
+                self.chain.append(block)
+            except CorruptChainError:
+                self.invalid_dropped += 1
                 break
-
-    def _append_commit(self, block: Block, tick: int) -> bool:
-        """Append a committed block from a peer; an invalid one is dropped."""
-        try:
-            self.chain.append(block)
-        except CorruptChainError:
-            self.invalid_dropped += 1
-            return False
-        self._after_append(tick)
-        return True
+            appended = True
+            self._after_append(tick)
+            block = self.future_commits.pop(self.next_height, None)
+        return appended
 
     # -- tick ----------------------------------------------------------------
 
     def on_tick(self, tick: int) -> list[Outbound]:
         out: list[Outbound] = []
-        cfg = self.config
+        genesis = self.chain.genesis
         vs = self.chain.validators
 
-        if tick - self.round_entry >= cfg.timeout_ticks:
+        if tick - self.round_entry >= genesis.timeout_ticks:
             self.round += 1
             self.round_entry = tick
 
@@ -163,8 +158,8 @@ class Node:
                 self.proposed_key = (height, self.round)
                 out.append((None, self.voted_proposal))
                 out.append((None, self.my_vote))
-            elif self.mempool or tick - self.last_commit_tick >= cfg.empty_block_interval:
-                txs = list(self.mempool.values())[: cfg.max_block_txs]
+            elif self.mempool or tick - self.last_commit_tick >= genesis.empty_block_interval:
+                txs = list(self.mempool.values())[:MAX_BLOCK_TXS]
                 block, _, _ = self.chain.stage(txs, self.address, tick)
                 self.proposed_key = (height, self.round)
                 prop = Propose(block, self.round)
@@ -172,13 +167,13 @@ class Node:
                 accepted = self._accept_proposal(prop, self.index, tick)
                 out.extend(m for m in accepted if m[1] is not prop)
 
-        if tick - self.last_gossip >= cfg.gossip_interval:
+        if tick - self.last_gossip >= self.gossip_interval:
             self.last_gossip = tick
             out.append((None, Status(len(self.chain.blocks))))
             if self.my_vote is not None and self.voted_proposal is not None:
                 out.append((None, self.voted_proposal))
                 out.append((None, self.my_vote))
-            for tx in list(self.mempool.values())[: cfg.sync_batch]:
+            for tx in list(self.mempool.values())[:SYNC_BATCH]:
                 out.append((None, TxGossip(tx)))
         return out
 
@@ -192,9 +187,7 @@ class Node:
         return handler(self, msg, src, tick)
 
     def _accept_tx(self, gossip: TxGossip, src: int, tick: int) -> list[Outbound]:
-        h = gossip.tx.hash()
-        if h not in self.chain.committed_txs and h not in self.mempool:
-            self.mempool[h] = gossip.tx
+        self._admit(gossip.tx)
         return []
 
     def _accept_proposal(self, prop: Propose, src: int, tick: int) -> list[Outbound]:
@@ -240,9 +233,8 @@ class Node:
             return []
         if h > self.next_height:
             self.future_commits[h] = block
-            return []
-        if self._append_commit(block, tick):
-            self._drain_future(tick)
+        else:
+            self._commit(block, tick)
         return []
 
     def _accept_status(self, status: Status, src: int, tick: int) -> list[Outbound]:
@@ -250,7 +242,7 @@ class Node:
         if status.chain_len >= have:
             return []
         out: list[Outbound] = []
-        hi = min(have, status.chain_len + self.config.sync_batch)
+        hi = min(have, status.chain_len + SYNC_BATCH)
         for block in self.chain.blocks[status.chain_len : hi]:
             out.append((src, Commit(block)))
         return out

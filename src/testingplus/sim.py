@@ -14,13 +14,13 @@ import hashlib
 import json
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 from .chain import GenesisConfig
-from .codec import enc_u64, hash256
-from .consensus import ConsensusMessage, Node, NodeConfig
+from .codec import U64_MAX, enc_u64, hash256
+from .consensus import ConsensusMessage, Node
 from .keys import address_from_pubkey, generate_keypair
 from .tx import Transaction, hex_bytes, parse_u64, payload_from_json, sign_transaction
 from .vm import created_id
@@ -44,9 +44,21 @@ def _keypairs(derive, scenario_seed: int, count: int) -> tuple[tuple[bytes, byte
     return tuple(generate_keypair(derive(scenario_seed, i)) for i in range(count))
 
 
+def _is_uint(value) -> bool:
+    # a JSON integer within u64; type() also refuses a bool
+    return type(value) is int and 0 <= value <= U64_MAX
+
+
+def _uint(value, what: str) -> int:
+    """A count, tick, index or balance of a scenario."""
+    if not _is_uint(value):
+        raise ScenarioError(f"{what} must be a non-negative integer, not {value!r}")
+    return value
+
+
 def _ticks_or_none(raw: dict, key: str) -> int | None:
     value = raw.get(key)
-    if value is not None and (type(value) is not int or value < 0):
+    if value is not None and not _is_uint(value):
         raise ScenarioError(f"{key} must be null or a non-negative integer, not {value!r}")
     return value
 
@@ -78,40 +90,49 @@ class SimScenario:
     account_balances: list[int]
     workload: list[dict]  # raw entries, resolved at build time
     max_ticks: int
-    empty_block_interval: int = 50
-    timeout_ticks: int | None = None
-    gossip_interval: int | None = None
-    raw: dict = field(default_factory=dict)
+    empty_block_interval: int
+    timeout_ticks: int | None
+    gossip_interval: int | None
+    raw: dict  # the scenario as given; its digest is the chain id
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimScenario":
+        """Every count, tick, index and balance is a non-negative JSON
+        integer within u64; only a crash fault's node may be any integer,
+        so that validate() names it as out of range."""
         try:
             partitions = [
                 Partition(
-                    int(p["from_tick"]),
-                    int(p["to_tick"]),
-                    tuple(tuple(int(x) for x in side) for side in p["sides"]),
+                    _uint(p["from_tick"], "partition from_tick"),
+                    _uint(p["to_tick"], "partition to_tick"),
+                    tuple(tuple(_uint(x, "partition node") for x in side) for side in p["sides"]),
                 )
                 for p in raw.get("partitions", [])
             ]
             # checked as a list: a dict would keep only a node's last crash
             crash_faults: dict[int, int] = {}
             for c in raw.get("crash_faults", []):
-                node = int(c["node"])
+                node = c["node"]
+                if type(node) is not int:
+                    raise ScenarioError(f"crash fault node must be an integer, not {node!r}")
                 if node in crash_faults:
                     raise ScenarioError(f"crash fault for node {node} listed twice")
-                crash_faults[node] = int(c["tick"])
+                crash_faults[node] = _uint(c["tick"], "crash fault tick")
+            lo, hi = raw["latency"]
             scenario = cls(
-                seed=int(raw["seed"]),
-                n_validators=int(raw["n_validators"]),
-                latency=(int(raw["latency"][0]), int(raw["latency"][1])),
+                seed=_uint(raw["seed"], "seed"),
+                n_validators=_uint(raw["n_validators"], "n_validators"),
+                latency=(_uint(lo, "latency"), _uint(hi, "latency")),
                 drop_probability=float(raw.get("drop_probability", 0.0)),
                 partitions=partitions,
                 crash_faults=crash_faults,
-                account_balances=[int(b) for b in raw.get("accounts", [])],
+                account_balances=[_uint(b, "account balance") for b in raw.get("accounts", [])],
                 workload=list(raw.get("workload", [])),
-                max_ticks=int(raw["max_ticks"]),
-                empty_block_interval=int(raw.get("empty_block_interval", 50)),
+                max_ticks=_uint(raw["max_ticks"], "max_ticks"),
+                empty_block_interval=_uint(
+                    raw.get("empty_block_interval", GenesisConfig.empty_block_interval),
+                    "empty_block_interval",
+                ),
                 timeout_ticks=_ticks_or_none(raw, "timeout_ticks"),
                 gossip_interval=_ticks_or_none(raw, "gossip_interval"),
                 raw=raw,
@@ -147,9 +168,8 @@ class SimScenario:
         if all(i in self.crash_faults for i in range(self.n_validators)):
             all_down = max(self.crash_faults[i] for i in range(self.n_validators))
         for k, entry in enumerate(self.workload):
-            try:
-                tick = int(entry["tick"])
-            except (KeyError, TypeError, ValueError):
+            tick = entry.get("tick") if isinstance(entry, dict) else None
+            if type(tick) is not int:
                 continue  # build_workload reports a malformed entry
             if not 0 <= tick <= self.max_ticks:
                 raise ScenarioError(
@@ -162,27 +182,7 @@ class SimScenario:
                 )
 
     def digest(self) -> bytes:
-        return hash256(json.dumps(self.raw or self.to_dict(), sort_keys=True).encode())
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_validators": self.n_validators,
-            "latency": list(self.latency),
-            "drop_probability": self.drop_probability,
-            "partitions": [
-                {"from_tick": p.from_tick, "to_tick": p.to_tick,
-                 "sides": [list(s) for s in p.sides]}
-                for p in self.partitions
-            ],
-            "crash_faults": [{"node": n, "tick": t} for n, t in sorted(self.crash_faults.items())],
-            "accounts": list(self.account_balances),
-            "workload": self.workload,
-            "max_ticks": self.max_ticks,
-            "empty_block_interval": self.empty_block_interval,
-            "timeout_ticks": self.timeout_ticks,
-            "gossip_interval": self.gossip_interval,
-        }
+        return hash256(json.dumps(self.raw, sort_keys=True).encode())
 
     # -- key material and genesis -------------------------------------------
 
@@ -227,14 +227,14 @@ class SimScenario:
         out: list[tuple[int, Transaction]] = []
 
         def index_of(value) -> int:
-            index = int(value)
-            if not 0 <= index < len(addrs):
+            index = _uint(value, "account index")
+            if index >= len(addrs):
                 raise ScenarioError(f"account index {index} out of range")
             return index
 
         def ident(value) -> bytes:
             if isinstance(value, dict) and "ref" in value:
-                ref = int(value["ref"])
+                ref = _uint(value["ref"], "workload ref")
                 if ref not in created:
                     raise ScenarioError(f"workload ref {ref} does not name a created id")
                 return created[ref]
@@ -242,7 +242,7 @@ class SimScenario:
 
         for k, entry in enumerate(self.workload):
             try:
-                tick = int(entry["tick"])
+                tick = _uint(entry["tick"], "tick")
                 sender_idx = index_of(entry["sender"])
                 payload = payload_from_json(entry, ident, lambda i: addrs[index_of(i)], hash256)
                 sender, nonce = addrs[sender_idx], nonces[sender_idx]
@@ -329,14 +329,9 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
     draw_latency = latency_sampler(rng, *scenario.latency)
     random_draw = rng.random
     drop = scenario.drop_probability
-    genesis = scenario.genesis()
-    node_cfg = NodeConfig(
-        empty_block_interval=scenario.empty_block_interval,
-        timeout_ticks=scenario.effective_timeout(),
-        gossip_interval=scenario.effective_gossip(),
-    )
-    vkeys = scenario.validator_keys()
-    nodes = [Node(i, sk, genesis, node_cfg) for i, (sk, _) in enumerate(vkeys)]
+    genesis = scenario.genesis()  # carries the consensus timing
+    gossip = scenario.effective_gossip()
+    nodes = [Node(i, sk, genesis, gossip) for i, (sk, _) in enumerate(scenario.validator_keys())]
     n = len(nodes)
     workload = scenario.build_workload()
     by_tick: dict[int, list[tuple[int, Transaction]]] = {}

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import attrgetter
 
 from .codec import BYTES, FLAG, U64, ZERO_HASH, flag, hash256, schema
 
@@ -235,13 +236,7 @@ class WorldState:
         # records are frozen, so shallow container copies are enough, and
         # each copy starts from its section's kept encoding
         clone = WorldState(
-            accounts=self.accounts.copy(),
-            customer_agreements=self.customer_agreements.copy(),
-            developer_agreements=self.developer_agreements.copy(),
-            acceptance_tests=self.acceptance_tests.copy(),
-            test_cases=self.test_cases.copy(),
-            executions=self.executions.copy(),
-            feedbacks=self.feedbacks.copy(),
+            **{name: section.copy() for name, section in zip(_SECTION_TYPES, _sections(self))},
             next_seq=self.next_seq,
             height=self.height,
         )
@@ -296,21 +291,14 @@ class WorldState:
         )
 
     def serialize(self) -> bytes:
-        return b"".join([
-            self.accounts.encoded,
-            self.customer_agreements.encoded,
-            self.developer_agreements.encoded,
-            self.acceptance_tests.encoded,
-            self.test_cases.encoded,
-            self.executions.encoded,
-            self.feedbacks.encoded,
-        ])
+        return b"".join([section.encoded for section in _sections(self)])
 
     def root(self) -> bytes:
         return hash256(self.serialize())
 
 
-# section name -> the tracked type WorldState.__setattr__ turns a container into
+# section name -> the tracked type WorldState.__setattr__ turns a container
+# into, in serialization order
 _SECTION_TYPES = {
     "accounts": KeyedSection,
     "customer_agreements": KeyedSection,
@@ -320,3 +308,4 @@ _SECTION_TYPES = {
     "executions": LogSection,
     "feedbacks": LogSection,
 }
+_sections = attrgetter(*_SECTION_TYPES)  # a state's sections, in that order

@@ -3,7 +3,7 @@
 import pytest
 
 from testingplus.chain import GenesisConfig, ValidatorSet, proposer_for
-from testingplus.consensus import Commit, Node, NodeConfig, Propose, Status, TxGossip, Vote
+from testingplus.consensus import Commit, Node, Propose, Status, TxGossip, Vote
 from testingplus.sim import SimScenario, run_simulation
 from testingplus.tx import DeployCustomerAgreement, Transaction
 
@@ -13,15 +13,15 @@ ACTORS = [Actor(bytes([0x50 + i]) * 32) for i in range(4)]
 CUSTOMER = Actor(b"\x22" * 32)
 
 
-def make_cluster(n=4, **cfg_kwargs):
+def make_cluster(n=4, gossip_interval=10, **timing):
     actors = ACTORS[:n]
     genesis = GenesisConfig(
         chain_id=b"\x01" * 32,
         validator_pubkeys=[a.pubkey for a in actors],
         accounts=[(CUSTOMER.pubkey, 1000)],
+        **timing,  # empty_block_interval, timeout_ticks
     )
-    cfg = NodeConfig(**cfg_kwargs)
-    return [Node(i, actors[i].secret, genesis, cfg) for i in range(n)]
+    return [Node(i, actors[i].secret, genesis, gossip_interval) for i in range(n)]
 
 
 def client_tx(nonce=0):
@@ -535,6 +535,68 @@ def test_scenario_command_rejects_bad_timeout_or_gossip_interval(tmp_path, capsy
     assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
     assert f"{key} must be null or a non-negative integer" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
+
+
+# scenario numbers that int() used to truncate or take negative
+BAD_SCENARIO_NUMBERS = [
+    ({"accounts": [-5]}, "account balance must be a non-negative integer"),
+    ({"accounts": [1000, 2.9]}, "account balance must be a non-negative integer"),
+    ({"accounts": [1000, "1000"]}, "account balance must be a non-negative integer"),
+    ({"accounts": [2**64]}, "account balance must be a non-negative integer"),
+    ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"seed": "7"}, "seed must be a non-negative integer"),
+    ({"n_validators": 4.9}, "n_validators must be a non-negative integer"),
+    ({"n_validators": True}, "n_validators must be a non-negative integer"),
+    ({"latency": [1, 2.5]}, "latency must be a non-negative integer"),
+    ({"latency": [1, 2, 3]}, "too many values"),
+    ({"max_ticks": 400.5}, "max_ticks must be a non-negative integer"),
+    ({"empty_block_interval": -5}, "empty_block_interval must be a non-negative integer"),
+    ({"empty_block_interval": 0.5}, "empty_block_interval must be a non-negative integer"),
+    ({"empty_block_interval": False}, "empty_block_interval must be a non-negative integer"),
+    ({"partitions": [{"from_tick": 1.5, "to_tick": 9, "sides": [[0, 1], [2, 3]]}]},
+     "partition from_tick must be a non-negative integer"),
+    ({"partitions": [{"from_tick": 1, "to_tick": 9, "sides": [[0, 1.0], [2, 3]]}]},
+     "partition node must be a non-negative integer"),
+    ({"crash_faults": [{"node": 1.0, "tick": 20}]}, "crash fault node must be an integer"),
+    ({"crash_faults": [{"node": True, "tick": 20}]}, "crash fault node must be an integer"),
+    ({"crash_faults": [{"node": 1, "tick": -20}]}, "crash fault tick must be a non-negative integer"),
+]
+
+
+@pytest.mark.parametrize("overrides,message", BAD_SCENARIO_NUMBERS)
+def test_scenario_numbers_must_be_non_negative_json_integers(overrides, message):
+    from testingplus.sim import ScenarioError
+
+    with pytest.raises(ScenarioError, match=message):
+        SimScenario.from_dict(scenario_dict(**overrides))
+
+
+@pytest.mark.parametrize("overrides,message", BAD_SCENARIO_NUMBERS)
+def test_scenario_command_rejects_non_integer_or_negative_numbers(tmp_path, capsys, overrides, message):
+    import json
+
+    from testingplus.cli import main
+
+    sfile = tmp_path / "scenario.json"
+    sfile.write_text(json.dumps(scenario_dict(**overrides)))
+    assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("entry", [
+    {"tick": 5.5, "sender": 0, "op": "deploy_customer_agreement"},
+    {"tick": True, "sender": 0, "op": "deploy_customer_agreement"},
+    {"tick": 5, "sender": 1.0, "op": "deploy_customer_agreement"},
+    {"tick": 5, "sender": "1", "op": "deploy_customer_agreement"},
+    {"tick": 9, "sender": 0, "op": "set_testing_fee", "contract": {"ref": 0.0}, "fee": 1},
+])
+def test_workload_ticks_and_indices_must_be_json_integers(entry):
+    from testingplus.sim import ScenarioError
+
+    d = scenario_dict(workload=[{"tick": 5, "sender": 0, "op": "deploy_customer_agreement"}, entry])
+    with pytest.raises(ScenarioError, match="workload entry 1: .* must be a non-negative integer"):
+        SimScenario.from_dict(d).build_workload()
 
 
 def test_message_of_unknown_type_is_dropped_as_invalid():

@@ -49,10 +49,13 @@ class Engagement:
         feedback = self.tx(CUSTOMER, PostFeedback(case, b"seen"))
         return [register, run, feedback]
 
+    def seal(self, block):
+        return self.chain.seal(block, [(VALIDATOR.address, VALIDATOR.secret)])
+
     def append(self, txs):
         tick = self.chain.height + 1
         block, _, staged = self.chain.stage(txs, VALIDATOR.address, tick)
-        block = self.chain.seal(block, [(VALIDATOR.address, VALIDATOR.secret)])
+        block = self.seal(block)
         appended = self.chain.append(block)
         assert staged == appended and all(rc.ok for rc in appended)
         return block
@@ -90,9 +93,9 @@ def test_changed_state_root_is_rejected_after_staging():
     check = eng.chain.validate_block(forged)
     assert not check and check.reason == "state-root-mismatch"
     with pytest.raises(CorruptChainError, match="state-root-mismatch"):
-        eng.chain.append(forged, require_votes=False)
+        eng.chain.append(eng.seal(forged))
     # the genuine staged block still goes through
-    eng.chain.append(eng.chain.seal(staged, [(VALIDATOR.address, VALIDATOR.secret)]))
+    eng.chain.append(eng.seal(staged))
     assert eng.chain.height == 2
 
 
@@ -102,7 +105,7 @@ def test_post_state_cache_is_empty_after_append():
     a, _, _ = eng.chain.stage(txs, VALIDATOR.address, 5)
     b, _, _ = eng.chain.stage(txs[:1], VALIDATOR.address, 6)  # a competing proposal
     assert len(eng.chain._executed) == 2
-    eng.chain.append(a, require_votes=False)
+    eng.chain.append(eng.seal(a))
     assert eng.chain._executed == {}
     # the competitor's parent is no longer the head
     assert eng.chain.validate_block(b).reason == "height-mismatch"
@@ -114,7 +117,7 @@ def test_stage_hands_out_no_cached_state():
     assert root == block.header.state_root
     assert not any(isinstance(x, WorldState) for x in (block, root, *receipts))
     receipts.clear()  # the caller's list is its own
-    assert len(eng.chain.append(block, require_votes=False)) == 3
+    assert len(eng.chain.append(eng.seal(block))) == 3
 
 
 def test_state_serializations_per_block_flat_in_height(monkeypatch):

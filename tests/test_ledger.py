@@ -1,6 +1,7 @@
 """Block construction and whole-chain verification."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,7 @@ from testingplus.block import (
     encode_chain,
     merkle_root,
 )
-from testingplus.chain import Chain, verify_chain
+from testingplus.chain import Chain, ChainCheck, ChainStore, CorruptChainError, verify_chain
 from testingplus.codec import ZERO_HASH, hash256
 from testingplus.keys import sign
 from testingplus.tx import DeployCustomerAgreement, SetTestingFee, Transaction
@@ -167,3 +168,28 @@ def test_tamper_evidence_random_mutations(trials):
         check = verify_chain(blocks, chain.validators, chain.registry)
         assert not check, f"mutation at height {h} byte {pos} undetected"
         assert check.height <= h
+
+
+def test_store_load_fails_at_lowest_bad_height_of_either_kind(tmp_path):
+    """Block 3 carries a sealed header with a wrong state root, block 5 a
+    broken link: loading replays block by block and stops at 3, while the
+    structural audit alone only sees block 5."""
+    validator = Actor(b"\x11" * 32)
+    chain = _fixture_chain(6)
+    blocks = list(chain.blocks)
+
+    def resealed(block, **header_fields):
+        header = replace(block.header, **header_fields)
+        return chain.seal(Block(header, block.transactions, ()), [(validator.address, validator.secret)])
+
+    blocks[3] = resealed(blocks[3], state_root=hash256(b"not the state root"))
+    blocks[4] = resealed(blocks[4], prev_hash=blocks[3].header.hash())
+    blocks[5] = resealed(blocks[5], prev_hash=hash256(b"not the parent"))
+    assert verify_chain(blocks, chain.validators, chain.registry) == ChainCheck(False, 5, "link-mismatch")
+
+    store = ChainStore(tmp_path / "store")
+    store.init(chain.genesis)
+    store.chain_path.write_bytes(encode_chain(blocks))
+    with pytest.raises(CorruptChainError) as err:
+        store.load()
+    assert err.value.check == ChainCheck(False, 3, "state-root-mismatch")
