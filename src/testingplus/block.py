@@ -1,13 +1,13 @@
-"""Blocks, headers, Merkle commitments and inclusion proofs."""
+"""Blocks, headers, Merkle commitments and inclusion proofs, and the layout
+of a stored chain."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .codec import BYTES, U64, Reader, ZERO_HASH, enc_bytes, enc_u64, hash256, DecodeError, schema
-from .tx import Transaction, decode_transaction
+from .codec import BYTES, U64, Reader, ZERO_HASH, hash256, nested, record, row, schema, seq
+from .tx import Transaction
 
 
 @schema(None, U64, BYTES, BYTES, BYTES, U64, BYTES)
@@ -26,69 +26,36 @@ class BlockHeader:
     @cached_property
     def _hash(self) -> bytes:
         # frozen, so the hash is computed once per object
-        return hash256(self.encode())
+        return hash256(self.encoded)
 
 
+@schema(None, record(BlockHeader), seq(nested(Transaction)), seq(row(BYTES, BYTES)))
 @dataclass(frozen=True)
 class Block:
     header: BlockHeader
     transactions: tuple[Transaction, ...]
     votes: tuple[tuple[bytes, bytes], ...]  # (validator address, signature over header hash)
 
-    def encode(self) -> bytes:
-        out = [self.header.encode(), enc_u64(len(self.transactions))]
-        for tx in self.transactions:
-            out.append(enc_bytes(tx.encode()))
-        out.append(enc_u64(len(self.votes)))
-        for addr, sig in self.votes:
-            out.append(enc_bytes(addr))
-            out.append(enc_bytes(sig))
-        return b"".join(out)
-
     def with_votes(self, votes) -> "Block":
         return replace(self, votes=tuple(votes))
 
 
-def decode_block(r: Reader) -> Block:
-    header = BlockHeader.decode(r)
-    ntx = r.read_u64()
-    txs = []
-    for _ in range(ntx):
-        txs.append(decode_transaction(Reader(r.read_bytes())))
-    nvotes = r.read_u64()
-    votes = []
-    for _ in range(nvotes):
-        addr = r.read_bytes()
-        sig = r.read_bytes()
-        votes.append((addr, sig))
-    return Block(header, tuple(txs), tuple(votes))
+decode_block = Block.decode
+_write_frame, _read_frame = nested(Block)
 
 
 def encode_chain(blocks) -> bytes:
-    """Length-prefixed stream of canonical block encodings."""
-    out = []
-    for b in blocks:
-        enc = b.encode()
-        out.append(struct.pack(">I", len(enc)))
-        out.append(enc)
-    return b"".join(out)
+    """The stored chain: each block's canonical encoding as a byte string
+    (4-byte length prefix), one after another."""
+    return b"".join([_write_frame(b) for b in blocks])
 
 
 def decode_chain(data: bytes) -> list[Block]:
+    """The blocks of a stored chain; each frame must hold exactly one block."""
+    r = Reader(data)
     blocks = []
-    pos = 0
-    while pos < len(data):
-        if pos + 4 > len(data):
-            raise DecodeError("truncated block length prefix")
-        (n,) = struct.unpack(">I", data[pos : pos + 4])
-        pos += 4
-        if pos + n > len(data):
-            raise DecodeError("truncated block body")
-        r = Reader(data[pos : pos + n])
-        block = decode_block(r)
-        r.expect_end()
-        blocks.append(block)
-        pos += n
+    while r.pos < len(data):
+        blocks.append(_read_frame(r))
     return blocks
 
 

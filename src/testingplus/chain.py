@@ -234,24 +234,26 @@ class Chain:
     def height(self) -> int:
         return self.head.header.height
 
-    def execute(self, txs: list[Transaction], tick: int = 0) -> tuple[WorldState, list[Receipt]]:
-        """Run txs at the next height against a copy of the current state."""
+    def execute(self, txs: list[Transaction], tick: int = 0
+                ) -> tuple[WorldState, bytes, list[Receipt]]:
+        """Run txs at the next height against a copy of the current state.
+        Returns the post-state, its root and the receipts."""
         state = self.state.copy()
         h = self.height + 1
         receipts = []
-        root = None  # each transaction's pre-state root is its predecessor's post-state root
+        root = self.head.header.state_root  # then each transaction's post-state root
         for tx in txs:
             receipts.append(apply_transaction(state, tx, height=h, tick=tick, pre_root=root))
             root = receipts[-1].post_state_root
         state.height = h
-        return state, receipts
+        return state, root, receipts
 
     def stage(self, txs: list[Transaction], proposer: bytes, tick: int) -> tuple[Block, bytes, list[Receipt]]:
         """Execute txs on top of the head and build the block that commits
         them. Returns the block, its post-state root and the receipts; the
         post-state stays inside the chain until `append` adopts it."""
-        state, receipts = self.execute(txs, tick=tick)
-        block = build_block(self.head.header, txs, _post_root(state, receipts), proposer, tick)
+        state, root, receipts = self.execute(txs, tick=tick)
+        block = build_block(self.head.header, txs, root, proposer, tick)
         self._executed[block.header.hash()] = (state, tuple(receipts))
         return block, block.header.state_root, receipts
 
@@ -275,8 +277,8 @@ class Chain:
         key = block.header.hash()
         hit = self._executed.get(key)
         if hit is None:
-            state, receipts = self.execute(list(block.transactions), tick=block.header.timestamp)
-            if _post_root(state, receipts) != block.header.state_root:
+            state, root, receipts = self.execute(list(block.transactions), tick=block.header.timestamp)
+            if root != block.header.state_root:
                 return None
             hit = self._executed[key] = (state, tuple(receipts))
         return hit
@@ -311,10 +313,6 @@ class Chain:
         for block in blocks[1:]:
             chain.append(block)
         return chain
-
-
-def _post_root(state: WorldState, receipts: list[Receipt]) -> bytes:
-    return receipts[-1].post_state_root if receipts else state.root()
 
 
 class ChainStore:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .block import Block, merkle_proof
-from .chain import Chain, ChainStore, CorruptChainError, GenesisConfig
+from .chain import Chain, ChainStore, CorruptChainError, GenesisConfig, ValidatorSet
 from .codec import record_json
 from .keys import address_from_pubkey, generate_keypair
 from .state import VERDICT_PASS
@@ -41,6 +41,10 @@ class UsageError(Exception):
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _print_json(value) -> None:
+    print(json.dumps(value, sort_keys=True))
 
 
 def _load_key(path: str) -> dict:
@@ -82,10 +86,12 @@ def cmd_init(args) -> int:
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad genesis file: {exc}") from exc
     sealer = _load_key(args.validator_key)
-    if address_from_pubkey(sealer["public_key"]) not in [
-        address_from_pubkey(pk) for pk in genesis.validator_pubkeys
-    ]:
+    validators = ValidatorSet.from_pubkeys(genesis.validator_pubkeys)
+    if validators.pubkey_of(address_from_pubkey(sealer["public_key"])) is None:
         raise UsageError("validator key is not in the genesis validator set")
+    if validators.quorum > 1:  # the store seals every block with its one validator key
+        raise UsageError(f"the store's one validator key cannot reach the genesis quorum of "
+                         f"{validators.quorum} votes; a store needs a genesis with one validator")
     store = ChainStore(Path(args.store))
     store.init(genesis)
     (store.root / "validator_key.json").write_text(Path(args.validator_key).read_text())
@@ -152,7 +158,7 @@ def cmd_submit(args) -> int:
     }
     if created is not None and receipt.ok:
         out["created_id"] = created.hex()
-    print(json.dumps(out, sort_keys=True))
+    _print_json(out)
     return EXIT_OK
 
 
@@ -174,75 +180,60 @@ def _block_json(block: Block) -> dict:
     }
 
 
+def _contracts_json(section, *names) -> list[dict]:
+    """The contracts of a state section in id order: the id and the named
+    fields of each, as record_json writes them."""
+    views = [record_json(section[k]) for k in sorted(section)]
+    return [{"id": v["contract_id"], **{name: v[name] for name in names}} for v in views]
+
+
 def cmd_query(args) -> int:
     _, chain = _load_store(args)
     sel = args.selector
     rest = args.args
     try:
         if sel == "block":
-            h = int(rest[0])
-            if not 0 <= h < len(chain.blocks):
+            h = parse_u64(rest[0])
+            if h >= len(chain.blocks):
                 raise UsageError(f"no block at height {h}")
-            print(json.dumps(_block_json(chain.blocks[h]), sort_keys=True))
+            _print_json(_block_json(chain.blocks[h]))
         elif sel == "state":
             state = chain.state
-            print(
-                json.dumps(
-                    {
-                        "height": chain.height,
-                        "state_root": state.root().hex(),
-                        "accounts": [record_json(state.accounts[k]) for k in sorted(state.accounts)],
-                        "customer_agreements": [
-                            {"id": c.contract_id.hex(), "customer": c.customer.hex(),
-                             "testing_fee": c.testing_fee}
-                            for c in [state.customer_agreements[k]
-                                      for k in sorted(state.customer_agreements)]
-                        ],
-                        "developer_agreements": [
-                            {"id": d.contract_id.hex(), "developer": d.developer.hex(),
-                             "reward": d.reward}
-                            for d in [state.developer_agreements[k]
-                                      for k in sorted(state.developer_agreements)]
-                        ],
-                        "acceptance_tests": [
-                            {"id": t.contract_id.hex(), "customer": t.customer.hex(),
-                             "developer": t.developer.hex(), "testing_fee": t.testing_fee,
-                             "is_test_completed": t.is_test_completed, "escrow": t.escrow}
-                            for t in [state.acceptance_tests[k]
-                                      for k in sorted(state.acceptance_tests)]
-                        ],
-                        "test_cases": len(state.test_cases),
-                        "executions": len(state.executions),
-                        "feedbacks": len(state.feedbacks),
-                    },
-                    sort_keys=True,
-                )
-            )
+            _print_json({
+                "height": chain.height,
+                "state_root": state.root().hex(),
+                "accounts": [record_json(state.accounts[k]) for k in sorted(state.accounts)],
+                "customer_agreements": _contracts_json(
+                    state.customer_agreements, "customer", "testing_fee"),
+                "developer_agreements": _contracts_json(
+                    state.developer_agreements, "developer", "reward"),
+                "acceptance_tests": _contracts_json(
+                    state.acceptance_tests, "customer", "developer", "testing_fee",
+                    "is_test_completed", "escrow"),
+                "test_cases": len(state.test_cases),
+                "executions": len(state.executions),
+                "feedbacks": len(state.feedbacks),
+            })
         elif sel == "case":
             cid = bytes.fromhex(rest[0])
             case = chain.state.test_cases.get(cid)
             if case is None:
                 raise UsageError(f"unknown test case {rest[0]}")
             execs = [e for e in chain.state.executions if e.case_id == cid]
-            print(
-                json.dumps(
-                    {
-                        "case_id": case.case_id.hex(),
-                        "acceptance_contract": case.acceptance_contract.hex(),
-                        "author": case.author.hex(),
-                        "description": case.description.decode("utf-8", "replace"),
-                        "input_digest": case.input_digest.hex(),
-                        "expected_output_digest": case.expected_output_digest.hex(),
-                        "executions": [
-                            {"exec_id": e.exec_id.hex(), "tester": e.tester.hex(),
-                             "verdict": e.verdict, "block_height": e.block_height}
-                            for e in execs
-                        ],
-                        "passes": sum(1 for e in execs if e.verdict == VERDICT_PASS),
-                    },
-                    sort_keys=True,
-                )
-            )
+            _print_json({
+                "case_id": case.case_id.hex(),
+                "acceptance_contract": case.acceptance_contract.hex(),
+                "author": case.author.hex(),
+                "description": case.description.decode("utf-8", "replace"),
+                "input_digest": case.input_digest.hex(),
+                "expected_output_digest": case.expected_output_digest.hex(),
+                "executions": [
+                    {"exec_id": e.exec_id.hex(), "tester": e.tester.hex(),
+                     "verdict": e.verdict, "block_height": e.block_height}
+                    for e in execs
+                ],
+                "passes": sum(1 for e in execs if e.verdict == VERDICT_PASS),
+            })
         elif sel == "audit":
             cid = bytes.fromhex(rest[0])
             try:
@@ -254,38 +245,29 @@ def cmd_query(args) -> int:
             else:
                 print(audit_trail_json(events))
         elif sel == "compensation":
-            tester, lo, hi, base, bonus = rest[:5]
+            tester, *numbers = rest[:5]
+            lo, hi, base, bonus = map(parse_u64, numbers)
             try:
-                stmt = compute_compensation(
-                    chain.state, bytes.fromhex(tester), int(lo), int(hi), int(base), int(bonus)
-                )
+                stmt = compute_compensation(chain.state, bytes.fromhex(tester), lo, hi, base, bonus)
             except (WindowBeyondHeadError, OverflowError) as exc:
                 raise UsageError(str(exc)) from exc
             print(stmt.to_csv() if args.csv else stmt.to_json())
         elif sel == "proof":
-            h, idx = int(rest[0]), int(rest[1])
-            if not 0 <= h < len(chain.blocks):
+            h, idx = parse_u64(rest[0]), parse_u64(rest[1])
+            if h >= len(chain.blocks):
                 raise UsageError(f"no block at height {h}")
             block = chain.blocks[h]
             try:
                 proof = merkle_proof(block, idx)
             except IndexError as exc:
                 raise UsageError(str(exc)) from exc
-            print(
-                json.dumps(
-                    {
-                        "block_height": h,
-                        "leaf": block.transactions[idx].hash().hex(),
-                        "leaf_index": proof.leaf_index,
-                        "siblings": [
-                            {"hash": s.hex(), "sibling_on_right": r}
-                            for s, r in proof.siblings
-                        ],
-                        "merkle_root": block.header.merkle_root.hex(),
-                    },
-                    sort_keys=True,
-                )
-            )
+            _print_json({
+                "block_height": h,
+                "leaf": block.transactions[idx].hash().hex(),
+                "leaf_index": proof.leaf_index,
+                "siblings": [{"hash": s.hex(), "sibling_on_right": r} for s, r in proof.siblings],
+                "merkle_root": block.header.merkle_root.hex(),
+            })
         else:
             raise UsageError(f"unknown selector {sel!r}")
     except (IndexError, ValueError) as exc:
@@ -304,13 +286,8 @@ def cmd_scenario(args) -> int:
     trace.write(args.out)
     summary = trace.summary
     _log(f"simulated {scenario.max_ticks} ticks, trace -> {args.out}")
-    print(
-        json.dumps(
-            {"trace": str(args.out), "truncated": summary["truncated"],
-             "heights": [n["height"] for n in summary["nodes"]]},
-            sort_keys=True,
-        )
-    )
+    _print_json({"trace": str(args.out), "truncated": summary["truncated"],
+                 "heights": [n["height"] for n in summary["nodes"]]})
     return EXIT_OK
 
 

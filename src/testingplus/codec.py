@@ -1,9 +1,12 @@
 """Byte-level primitives shared by every on-chain structure, and the one
-record schema that payloads, state records and block headers are built from.
+record schema that every payload, state record, transaction, block header
+and block is built from.
 
 All multi-byte integers are unsigned 64-bit big-endian; byte strings carry a
-4-byte big-endian length prefix; a flag is one byte, 0 or 1. Encodings are
-injective on their field tuples, which is what makes hashing them meaningful.
+4-byte big-endian length prefix; a flag is one byte, 0 or 1; a sequence is a
+u64 count, then its values. Encodings are injective on their field tuples,
+which is what makes hashing them meaningful, and every decoder accepts
+exactly the bytes its encoder writes, so those bytes are canonical.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import fields
+from functools import cached_property
+from operator import attrgetter
 
 HASH_LEN = 32
 ADDRESS_LEN = 20
@@ -99,11 +104,47 @@ def flag(false=False, true=True):
 FLAG = flag()
 
 
+def seq(kind):
+    """The kind of a tuple of values of one kind: a u64 count, then each value."""
+    enc, read = kind
+    return (lambda values: enc_u64(len(values)) + b"".join([enc(v) for v in values]),
+            lambda r: tuple([read(r) for _ in range(r.read_u64())]))
+
+
+def row(*kinds):
+    """The kind of a fixed tuple, each value written as its own kind."""
+    encoders, readers = zip(*kinds)
+    return (lambda values: b"".join([enc(v) for enc, v in zip(encoders, values, strict=True)]),
+            lambda r: tuple([read(r) for read in readers]))
+
+
+def record(cls):
+    """The kind of a schema record written inline, as its kept encoding."""
+    return attrgetter("encoded"), cls.decode
+
+
+def nested(cls):
+    """The kind of a schema record written as a byte string that its decoder
+    must consume exactly. The bytes read are kept as the record's `encoded`:
+    every kind reads strictly, so they are its canonical encoding."""
+
+    def read(r: Reader):
+        data = r.read_bytes()
+        inner = Reader(data)
+        rec = cls.decode(inner)
+        inner.expect_end()
+        rec.__dict__["encoded"] = data  # where the cached_property keeps it
+        return rec
+
+    return (lambda rec: enc_bytes(rec.encoded)), read
+
+
 def schema(tag: int | None, *kinds):
     """Class decorator for a frozen dataclass: its canonical encoding is the
     tag byte, if any, then each field in declaration order as its kind.
-    Gives the class `encode()` and a static `decode(reader)` that checks the
-    tag. Both are built here, once; a kind list that does not match the
+    Gives the class `encode()`, the same bytes kept as `encoded` on first
+    read (the record is frozen), and a static `decode(reader)` that checks
+    the tag. All are built here, once; a kind list that does not match the
     fields one for one fails at import."""
 
     def build(cls):
@@ -121,6 +162,8 @@ def schema(tag: int | None, *kinds):
             return cls(*[read(r) for read in readers])
 
         cls.encode = encode
+        cls.encoded = cached_property(encode)
+        cls.encoded.__set_name__(cls, "encoded")
         cls.decode = staticmethod(decode)
         return cls
 

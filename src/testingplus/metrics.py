@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .codec import enc_u64, hash256, record_json
+from .codec import U64_MAX, enc_u64, hash256, record_json
 from .sim import ScenarioError, SimScenario, SimTrace, run_simulation
 
 
@@ -150,19 +150,24 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepSpec":
+        """Axis values are taken as given, for SimScenario.from_dict to judge."""
         try:
             spec = cls(
                 base=dict(raw["base"]),
                 axis=raw["axis"],
                 values=list(raw["values"]),
-                repetitions=int(raw.get("repetitions", 1)),
+                repetitions=_positive(raw.get("repetitions", 1), "repetitions"),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"bad sweep spec: {exc}") from exc
+            message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ScenarioError(message) from exc
         if spec.axis not in SWEEP_AXES:
             raise ScenarioError(f"unknown sweep axis {spec.axis!r}")
-        if spec.repetitions < 1 or not spec.values:
-            raise ScenarioError("sweep needs at least one value and one repetition")
+        if not spec.values:
+            raise ScenarioError("sweep needs at least one value")
+        seed = spec.base.get("seed")
+        if type(seed) is not int or not 0 <= seed <= U64_MAX:  # every cell's seed derives from it
+            raise ScenarioError(f"base seed must be a non-negative integer, not {seed!r}")
         return spec
 
     @classmethod
@@ -170,9 +175,8 @@ class SweepSpec:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def derived_seed(self, value, repetition: int) -> int:
-        base_seed = int(self.base["seed"])
         material = (
-            enc_u64(base_seed)
+            enc_u64(self.base["seed"])
             + json.dumps(value, sort_keys=True).encode()
             + enc_u64(repetition)
         )
@@ -182,19 +186,25 @@ class SweepSpec:
         raw = copy.deepcopy(self.base)
         raw["seed"] = self.derived_seed(value, repetition)
         if self.axis == "n_validators":
-            raw["n_validators"] = int(value)
-            # keep fault entries meaningful under the new node count
-            raw["crash_faults"] = [
-                c for c in raw.get("crash_faults", []) if int(c["node"]) < int(value)
-            ]
+            raw["n_validators"] = value
+            if type(value) is int:  # else from_dict refuses the value itself
+                # keep fault entries meaningful under the new node count
+                raw["crash_faults"] = [c for c in raw.get("crash_faults", []) if c["node"] < value]
             raw["partitions"] = []
         elif self.axis == "drop_probability":
-            raw["drop_probability"] = float(value)
+            raw["drop_probability"] = value
         else:  # workload_interval: resequence submissions at a fixed spacing
-            interval = int(value)
+            interval = _positive(value, "workload_interval")
             for i, entry in enumerate(raw.get("workload", [])):
                 entry["tick"] = 1 + i * interval
         return SimScenario.from_dict(raw)
+
+
+def _positive(value, what: str) -> int:
+    # a JSON integer; type() also refuses a bool
+    if type(value) is not int or value < 1:
+        raise ScenarioError(f"{what} must be a positive integer, not {value!r}")
+    return value
 
 
 def run_sweep(spec: SweepSpec) -> str:

@@ -100,6 +100,8 @@ class SimScenario:
         """Every count, tick, index and balance is a non-negative JSON
         integer within u64; only a crash fault's node may be any integer,
         so that validate() names it as out of range."""
+        if not isinstance(raw, dict):
+            raise ScenarioError(f"a scenario is a JSON object, not {type(raw).__name__}")
         try:
             partitions = [
                 Partition(
@@ -119,11 +121,14 @@ class SimScenario:
                     raise ScenarioError(f"crash fault for node {node} listed twice")
                 crash_faults[node] = _uint(c["tick"], "crash fault tick")
             lo, hi = raw["latency"]
+            drop = raw.get("drop_probability", 0.0)
+            if type(drop) not in (int, float):  # type() also refuses a bool
+                raise ScenarioError(f"drop_probability must be a number, not {drop!r}")
             scenario = cls(
                 seed=_uint(raw["seed"], "seed"),
                 n_validators=_uint(raw["n_validators"], "n_validators"),
                 latency=(_uint(lo, "latency"), _uint(hi, "latency")),
-                drop_probability=float(raw.get("drop_probability", 0.0)),
+                drop_probability=float(drop),
                 partitions=partitions,
                 crash_faults=crash_faults,
                 account_balances=[_uint(b, "account balance") for b in raw.get("accounts", [])],
@@ -138,7 +143,8 @@ class SimScenario:
                 raw=raw,
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"bad scenario: {exc}") from exc
+            message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ScenarioError(message) from exc
         scenario.validate()
         return scenario
 

@@ -15,7 +15,6 @@ the last time and joins seven kept byte strings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from operator import attrgetter
 
 from .codec import BYTES, FLAG, U64, ZERO_HASH, flag, hash256, schema
@@ -24,18 +23,9 @@ VERDICT_PASS = "Pass"
 VERDICT_FAIL = "Fail"
 
 
-class _Record:
-    """A state record: `encoded` is its canonical encoding from its schema,
-    computed on first read and kept, as the record is frozen."""
-
-    @cached_property
-    def encoded(self) -> bytes:
-        return self.encode()
-
-
 @schema(0xA1, BYTES, U64, U64)
 @dataclass(frozen=True)
-class AccountState(_Record):
+class AccountState:
     address: bytes
     balance: int
     nonce: int
@@ -43,7 +33,7 @@ class AccountState(_Record):
 
 @schema(0xA2, BYTES, BYTES, U64)
 @dataclass(frozen=True)
-class CustomerAgreementState(_Record):
+class CustomerAgreementState:
     contract_id: bytes
     customer: bytes
     testing_fee: int
@@ -51,7 +41,7 @@ class CustomerAgreementState(_Record):
 
 @schema(0xA3, BYTES, BYTES, U64)
 @dataclass(frozen=True)
-class DeveloperAgreementState(_Record):
+class DeveloperAgreementState:
     contract_id: bytes
     developer: bytes
     reward: int
@@ -59,7 +49,7 @@ class DeveloperAgreementState(_Record):
 
 @schema(0xA4, BYTES, BYTES, BYTES, U64, FLAG, U64, U64, U64, BYTES)
 @dataclass(frozen=True)
-class AcceptanceTestState(_Record):
+class AcceptanceTestState:
     contract_id: bytes
     customer: bytes
     developer: bytes
@@ -74,7 +64,7 @@ class AcceptanceTestState(_Record):
 
 @schema(0xA5, BYTES, BYTES, BYTES, BYTES, BYTES, BYTES, U64, U64, BYTES, U64)
 @dataclass(frozen=True)
-class TestCase(_Record):
+class TestCase:
     case_id: bytes
     acceptance_contract: bytes
     author: bytes
@@ -89,7 +79,7 @@ class TestCase(_Record):
 
 @schema(0xA6, BYTES, BYTES, BYTES, BYTES, flag(VERDICT_FAIL, VERDICT_PASS), U64, U64, BYTES, U64)
 @dataclass(frozen=True)
-class ExecutionRecord(_Record):
+class ExecutionRecord:
     exec_id: bytes
     case_id: bytes
     tester: bytes
@@ -103,7 +93,7 @@ class ExecutionRecord(_Record):
 
 @schema(0xA7, BYTES, BYTES, BYTES, BYTES, U64, U64, BYTES, U64)
 @dataclass(frozen=True)
-class Feedback(_Record):
+class Feedback:
     feedback_id: bytes
     subject: bytes  # case_id or exec_id
     author: bytes
@@ -117,9 +107,10 @@ class Feedback(_Record):
 class KeyedSection(dict):
     """A keyed section of the world state that keeps its canonical encoding,
     the encodings of its records in key order joined. Every mutator drops
-    it, so the next read re-encodes this section alone."""
+    it, so the next read re-encodes this section alone, and counts `_writes`."""
 
     _encoded: bytes | None = None
+    _writes = 0
 
     @property
     def encoded(self) -> bytes:
@@ -130,7 +121,7 @@ class KeyedSection(dict):
 
     def copy(self) -> "KeyedSection":
         clone = KeyedSection(self)
-        clone._encoded = self._encoded  # bytes are immutable, so both may hold them
+        clone.__dict__.update(self.__dict__)  # kept bytes are immutable, so both may hold them
         return clone
 
 
@@ -138,10 +129,11 @@ class LogSection(list):
     """An append-only section of the world state (executions, feedbacks) that
     keeps the joined encoding of its first `_count` records. An append leaves
     those records in place, so the next read only encodes what was appended;
-    every other mutator drops the encoding."""
+    every other mutator drops the encoding. Every mutator counts `_writes`."""
 
     _encoded: bytes | None = None
     _count = 0
+    _writes = 0
 
     @property
     def encoded(self) -> bytes:
@@ -155,29 +147,32 @@ class LogSection(list):
 
     def copy(self) -> "LogSection":
         clone = LogSection(self)
-        clone._encoded, clone._count = self._encoded, self._count
+        clone.__dict__.update(self.__dict__)
         return clone
 
 
-def _dropping(method):
+def _tracking(method, drops: bool):
     def mutator(self, *args, **kwargs):
-        self._encoded = None
+        if drops:
+            self._encoded = None
+        self._writes += 1
         return method(self, *args, **kwargs)
 
     mutator.__name__ = mutator.__qualname__ = method.__name__
     return mutator
 
 
-for _cls, _names in (
-    (KeyedSection, ("__setitem__", "__delitem__", "pop", "popitem", "setdefault", "update",
-                    "clear", "__ior__")),
+for _cls, _drops, _names in (
+    (KeyedSection, True, ("__setitem__", "__delitem__", "pop", "popitem", "setdefault", "update",
+                          "clear", "__ior__")),
+    (LogSection, True, ("__setitem__", "__delitem__", "insert", "pop", "remove", "sort",
+                        "reverse", "clear", "__imul__")),
     # append, extend and += only add records at the end
-    (LogSection, ("__setitem__", "__delitem__", "insert", "pop", "remove", "sort", "reverse",
-                  "clear", "__imul__")),
+    (LogSection, False, ("append", "extend", "__iadd__")),
 ):
     for _name in _names:
-        setattr(_cls, _name, _dropping(getattr(_cls.__base__, _name)))
-del _cls, _names, _name
+        setattr(_cls, _name, _tracking(getattr(_cls.__base__, _name), _drops))
+del _cls, _drops, _names, _name
 
 
 @dataclass
@@ -185,8 +180,7 @@ class HistoryIndex:
     """Lookups the VM makes into the test history: the cases of each
     acceptance contract, the cases with a passing run, and execution ids."""
 
-    n_cases: int = 0
-    n_executions: int = 0
+    writes: tuple[int, int] = (0, 0)  # the `_writes` of test_cases and executions it reflects
     cases_by_contract: dict[bytes, tuple[bytes, ...]] = field(default_factory=dict)
     passed: set[bytes] = field(default_factory=set)
     exec_ids: set[bytes] = field(default_factory=set)
@@ -194,22 +188,15 @@ class HistoryIndex:
     def add_case(self, case: TestCase) -> None:
         contract = case.acceptance_contract
         self.cases_by_contract[contract] = self.cases_by_contract.get(contract, ()) + (case.case_id,)
-        self.n_cases += 1
 
     def add_execution(self, ex: ExecutionRecord) -> None:
         self.exec_ids.add(ex.exec_id)
         if ex.verdict == VERDICT_PASS:
             self.passed.add(ex.case_id)
-        self.n_executions += 1
 
     def copy(self) -> "HistoryIndex":
-        return HistoryIndex(
-            self.n_cases,
-            self.n_executions,
-            dict(self.cases_by_contract),
-            set(self.passed),
-            set(self.exec_ids),
-        )
+        return HistoryIndex(self.writes, dict(self.cases_by_contract), set(self.passed),
+                            set(self.exec_ids))
 
 
 @dataclass
@@ -228,8 +215,11 @@ class WorldState:
 
     def __setattr__(self, name, value):
         kind = _SECTION_TYPES.get(name)
-        if kind is not None and not isinstance(value, kind):
-            value = kind(value)
+        if kind is not None:
+            if not isinstance(value, kind):
+                value = kind(value)
+            if name in _HISTORY_SOURCES:  # the index was built from the section replaced
+                object.__setattr__(self, "_history", None)
         object.__setattr__(self, name, value)
 
     def copy(self) -> "WorldState":
@@ -244,13 +234,17 @@ class WorldState:
             clone._history = self._history.copy()
         return clone
 
+    def _history_writes(self) -> tuple[int, int]:
+        return self.test_cases._writes, self.executions._writes
+
     def history(self) -> HistoryIndex:
         """The test-history lookups, rebuilt from test_cases and executions
-        when a write that bypassed add_test_case/add_execution changed the
-        size of either."""
+        after any write to either that add_test_case/add_execution did not
+        make."""
         h = self._history
-        if h is None or (h.n_cases, h.n_executions) != (len(self.test_cases), len(self.executions)):
-            h = self._history = HistoryIndex()
+        writes = self._history_writes()
+        if h is None or h.writes != writes:
+            h = self._history = HistoryIndex(writes)
             for case in self.test_cases.values():
                 h.add_case(case)
             for ex in self.executions:
@@ -259,13 +253,17 @@ class WorldState:
 
     def add_test_case(self, case: TestCase) -> None:
         history = self.history()
+        new = case.case_id not in self.test_cases
         self.test_cases[case.case_id] = case
-        history.add_case(case)
+        if new:  # a replaced case may have moved contract: history() then rescans
+            history.add_case(case)
+            history.writes = self._history_writes()
 
     def add_execution(self, ex: ExecutionRecord) -> None:
         history = self.history()
         self.executions.append(ex)
         history.add_execution(ex)
+        history.writes = self._history_writes()
 
     def account(self, address: bytes) -> AccountState | None:
         return self.accounts.get(address)
@@ -309,3 +307,4 @@ _SECTION_TYPES = {
     "feedbacks": LogSection,
 }
 _sections = attrgetter(*_SECTION_TYPES)  # a state's sections, in that order
+_HISTORY_SOURCES = ("test_cases", "executions")  # the sections HistoryIndex is built from

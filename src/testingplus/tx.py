@@ -1,8 +1,8 @@
 """Transactions and their payload variants.
 
-Canonical layout of an unsigned transaction: sender, nonce, payload
-(1-byte variant tag followed by the variant's fields), value. The detached
-signature covers exactly those bytes; the signed encoding appends it.
+Canonical layout of a transaction, from its codec.schema: sender, nonce,
+payload (1-byte variant tag followed by the variant's fields), value,
+signature. The detached signature covers exactly the bytes before it.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from functools import cached_property
 from typing import Union
 
 from . import codec
-from .codec import (ADDRESS_LEN, HASH_LEN, Reader, U64_MAX, enc_bytes, enc_u64, hash256,
-                    DecodeError, schema)
+from .codec import ADDRESS_LEN, HASH_LEN, Reader, U64_MAX, hash256, DecodeError, schema
 from .keys import KeyRegistry, UnknownSenderError, address_from_pubkey, sign, verify
 
 MAX_PAYLOAD_BYTES = 64 * 1024
@@ -126,7 +125,7 @@ del _cls
 
 
 def encode_payload(payload: Payload) -> bytes:
-    return payload.encode()
+    return payload.encoded
 
 
 def decode_payload(r: Reader) -> Payload:
@@ -183,6 +182,7 @@ def payload_from_json(entry: dict, ident, account, digest) -> Payload:
     return cls(*values)
 
 
+@schema(None, codec.BYTES, codec.U64, (encode_payload, decode_payload), codec.U64, codec.BYTES)
 @dataclass(frozen=True)
 class Transaction:
     sender: bytes
@@ -192,15 +192,8 @@ class Transaction:
     signature: bytes = b""
 
     def encode_unsigned(self) -> bytes:
-        return (
-            enc_bytes(self.sender)
-            + enc_u64(self.nonce)
-            + encode_payload(self.payload)
-            + enc_u64(self.value)
-        )
-
-    def encode(self) -> bytes:
-        return self.encode_unsigned() + enc_bytes(self.signature)
+        # the encoding without its last field, the length-prefixed signature
+        return self.encoded[: -4 - len(self.signature)]
 
     def hash(self) -> bytes:
         return self._hash
@@ -208,16 +201,10 @@ class Transaction:
     @cached_property
     def _hash(self) -> bytes:
         # frozen, so the hash is computed once per object
-        return hash256(self.encode())
+        return hash256(self.encoded)
 
 
-def decode_transaction(r: Reader) -> Transaction:
-    sender = r.read_bytes()
-    nonce = r.read_u64()
-    payload = decode_payload(r)
-    value = r.read_u64()
-    signature = r.read_bytes()
-    return Transaction(sender, nonce, payload, value, signature)
+decode_transaction = Transaction.decode
 
 
 def sign_transaction(tx: Transaction, secret: bytes, pubkey: bytes) -> Transaction:

@@ -83,6 +83,25 @@ class TestInit:
                    "--genesis", str(bad), "--validator-key", env["keys"]["validator"]])
         assert rc == 2
 
+    @pytest.mark.parametrize("others", [1, 2])
+    def test_genesis_the_local_sealer_cannot_reach_quorum_with_is_refused(
+            self, tmp_path, env, validator, capsys, others):
+        """The store seals each block with its one key, so every later
+        submit would fail the quorum check of a larger validator set."""
+        from conftest import Actor
+
+        raw = json.loads((tmp_path / "genesis.json").read_text())
+        raw["validators"] += [Actor(bytes([0x70 + i]) * 32).pubkey.hex() for i in range(others)]
+        multi = tmp_path / "multi_genesis.json"
+        multi.write_text(json.dumps(raw))
+        store = tmp_path / "s4"
+        capsys.readouterr()
+        rc = main(["init", "--store", str(store), "--genesis", str(multi),
+                   "--validator-key", env["keys"]["validator"]])
+        assert rc == 2
+        assert f"quorum of {2 * (1 + others) // 3 + 1} votes" in capsys.readouterr().err
+        assert not store.exists()
+
 
 class TestSubmit:
     def test_success_prints_receipt_and_created_id(self, env, capsys):
@@ -230,6 +249,20 @@ class TestQuery:
     def test_block_out_of_range(self, populated, capsys):
         assert self.q(populated, capsys, "block", "99")[0] == 2
 
+    @pytest.mark.parametrize("args", [
+        ("block", "-1"), ("block", "1.5"), ("block", "+1"), ("block", "1_0"), ("block", " 1"),
+        ("proof", "3", "-1"), ("proof", "+3", "0"), ("proof", "3", "0.0"),
+        ("compensation", "{tester}", "0", "4", "-10", "5"),
+        ("compensation", "{tester}", "0", "4", "10", "-5"),
+        ("compensation", "{tester}", "-0", "4", "10", "5"),
+        ("compensation", "{tester}", "0", "4.0", "10", "5"),
+        ("compensation", "{tester}", "0", "4", "10"),
+    ])
+    def test_bad_number_is_usage_error(self, populated, capsys, args):
+        tester_addr = json.loads(open(populated["keys"]["tester"]).read())["address"]
+        rc, out = self.q(populated, capsys, *[a.format(tester=tester_addr) for a in args])
+        assert (rc, out) == (2, "")
+
     def test_case(self, populated, capsys):
         rc, out = self.q(populated, capsys, "case", populated["ids"]["case"])
         assert rc == 0
@@ -280,6 +313,28 @@ class TestQuery:
         chain_bin.write_bytes(bytes(data))
         assert self.q(populated, capsys, "state")[0] == 3
 
+    def test_padded_transaction_frame_is_undecodable(self, populated, capsys):
+        """Junk after a transaction inside its length-prefixed frame used to
+        be skipped, so the padded store loaded as if intact."""
+        from pathlib import Path
+
+        from testingplus.block import decode_chain
+        from testingplus.codec import enc_bytes, enc_u64
+
+        chain_bin = Path(populated["store"]) / "chain.bin"
+        blocks = decode_chain(chain_bin.read_bytes())
+        block = blocks[1]
+        (tx,) = block.transactions
+        votes = b"".join(enc_bytes(a) + enc_bytes(s) for a, s in block.votes)
+        padded = (block.header.encode() + enc_u64(1) + enc_bytes(tx.encode() + b"junk")
+                  + enc_u64(len(block.votes)) + votes)
+        frames = [enc_bytes(b.encode()) for b in blocks]
+        frames[1] = enc_bytes(padded)
+        chain_bin.write_bytes(b"".join(frames))
+        rc = main(["query", "--store", populated["store"], "state"])
+        assert rc == 3
+        assert "undecodable: 4 trailing bytes" in capsys.readouterr().err
+
 
 class TestScenarioAndBench:
     def test_scenario_run_writes_trace(self, tmp_path, capsys):
@@ -302,6 +357,31 @@ class TestScenarioAndBench:
         sfile = tmp_path / "scenario.json"
         sfile.write_text(json.dumps({"seed": 1}))
         assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
+
+    @pytest.mark.parametrize("scenario,message", [
+        ({"seed": 1, "n_validators": 1, "latency": [1, 1], "accounts": [-5], "max_ticks": 40},
+         "account balance must be a non-negative integer, not -5"),
+        ({"seed": 1}, "missing field 'latency'"),
+        ([1], "a scenario is a JSON object, not list"),
+    ])
+    def test_bad_scenario_is_named_once(self, tmp_path, capsys, scenario, message):
+        sfile = tmp_path / "scenario.json"
+        sfile.write_text(json.dumps(scenario))
+        assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err == f"error: bad scenario: {message}\n"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda spec: spec.pop("axis"), "missing field 'axis'"),
+        (lambda spec: spec.update(repetitions=1.7),
+         "repetitions must be a positive integer, not 1.7"),
+    ])
+    def test_bad_sweep_spec_is_named_once(self, tmp_path, capsys, edit, message):
+        spec = {"base": {"seed": 1}, "axis": "n_validators", "values": [1]}
+        edit(spec)
+        sfile = tmp_path / "sweep.json"
+        sfile.write_text(json.dumps(spec))
+        assert main(["bench", str(sfile), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"error: bad sweep spec: {message}\n"
 
     def test_bench_writes_csv(self, tmp_path, capsys):
         spec = {

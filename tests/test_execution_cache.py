@@ -130,7 +130,17 @@ def test_state_serializations_per_block_flat_in_height(monkeypatch):
         block = eng.append(txs)
         per_block[block.header.height] = len(serialized) - before
     assert per_block[10] == per_block[60]
-    assert set(per_block.values()) == {len(txs) + 1}
+    # one post-state root per transaction; the first pre-state root is the head's
+    assert set(per_block.values()) == {len(txs)}
+
+
+def test_empty_block_hashes_no_state(monkeypatch):
+    eng = Engagement()
+    eng.append(eng.next_txs())
+    serialized = count_calls(monkeypatch, WorldState, "serialize")
+    block = eng.append([])
+    assert len(serialized) == 0
+    assert block.header.state_root == eng.chain.state.root()
 
 
 def test_store_load_verifies_each_signature_once(tmp_path, monkeypatch):

@@ -175,6 +175,33 @@ class TestSweep:
         assert rows[0][4] == "ok"
         assert rows[1][4].startswith("error:")
 
+    @pytest.mark.parametrize("axis,value,message", [
+        ("n_validators", 4.9, "n_validators must be a non-negative integer, not 4.9"),
+        ("n_validators", True, "n_validators must be a non-negative integer, not True"),
+        ("n_validators", "4", "n_validators must be a non-negative integer, not '4'"),
+        ("drop_probability", "0.1", "drop_probability must be a number, not '0.1'"),
+        ("drop_probability", True, "drop_probability must be a number, not True"),
+        ("workload_interval", 2.5, "workload_interval must be a positive integer, not 2.5"),
+        ("workload_interval", True, "workload_interval must be a positive integer, not True"),
+        ("workload_interval", 0, "workload_interval must be a positive integer, not 0"),
+    ])
+    def test_axis_value_is_judged_as_given(self, axis, value, message):
+        spec = SweepSpec.from_dict(self.spec_dict(axis=axis, values=[value], repetitions=1))
+        rows = list(csv.reader(io.StringIO(run_sweep(spec))))[1:]
+        assert rows[0][4] == f"error: {message}"
+
+    @pytest.mark.parametrize("seed", [4.9, True, "7", "x", -1, None])
+    def test_base_seed_must_be_a_u64(self, seed):
+        spec = self.spec_dict()
+        spec["base"]["seed"] = seed
+        with pytest.raises(ScenarioError, match="base seed must be a non-negative integer"):
+            SweepSpec.from_dict(spec)
+
+    @pytest.mark.parametrize("repetitions", [1.7, True, 0, -1, "2", None])
+    def test_repetitions_must_be_a_positive_integer(self, repetitions):
+        with pytest.raises(ScenarioError, match="repetitions must be a positive integer"):
+            SweepSpec.from_dict(self.spec_dict(repetitions=repetitions))
+
 
 def test_report_json_is_pinned():
     from testingplus.metrics import LatencyStats, MetricsReport

@@ -1,14 +1,18 @@
-"""The record schema in codec: every state record and the block header
-decode back from the encoding their schema builds, and the builder refuses
-a kind list that does not match the fields."""
+"""The record schema in codec: every state record, transaction, block
+header and block decodes back from the encoding its schema builds and keeps
+that encoding, every kind reads strictly, so that any bytes that decode are
+the canonical encoding of what they decode to, and the builder refuses a
+kind list that does not match the fields."""
 
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from testingplus.block import BlockHeader
-from testingplus.codec import BYTES, FLAG, U64, DecodeError, Reader, flag, record_json, schema
+from testingplus import tx as tx_mod
+from testingplus.block import Block, BlockHeader, decode_chain, encode_chain
+from testingplus.codec import (BYTES, FLAG, U64, DecodeError, Reader, enc_bytes, flag, nested,
+                               record_json, schema)
 from testingplus.state import (
     AcceptanceTestState,
     AccountState,
@@ -33,6 +37,17 @@ RECORDS = st.one_of(
               U, U, B, U),
     st.builds(Feedback, B, B, B, B, U, U, B, U),
     st.builds(BlockHeader, U, B, B, B, U, B),
+)
+PAYLOADS = st.one_of([
+    st.builds(cls, *[U if kind == tx_mod.U64 else B for _, kind in cls.FIELDS])
+    for cls in tx_mod.PAYLOAD_TYPES
+])
+TRANSACTIONS = st.builds(tx_mod.Transaction, B, U, PAYLOADS, U, B)
+BLOCKS = st.builds(
+    Block,
+    st.builds(BlockHeader, U, B, B, B, U, B),
+    st.lists(TRANSACTIONS, max_size=3).map(tuple),
+    st.lists(st.tuples(B, B), max_size=3).map(tuple),
 )
 
 
@@ -110,3 +125,73 @@ def test_record_json_is_the_fields_in_order_with_bytes_in_hex():
         ("height", 1), ("prev_hash", "0a"), ("merkle_root", "0b"), ("state_root", "0c"),
         ("timestamp", 2), ("proposer", "0d"),
     ]
+
+
+@given(st.one_of(TRANSACTIONS, BLOCKS))
+def test_transactions_and_blocks_decode_back_and_keep_their_encoding(value):
+    encoded = value.encode()
+    assert value.encoded == encoded
+    r = Reader(encoded)
+    assert type(value).decode(r) == value
+    r.expect_end()
+
+
+def _mutate(data: bytes, draw) -> bytes:
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["flip", "insert", "delete"]))
+        if how == "insert" or not out:
+            out.insert(draw(st.integers(0, len(out))), draw(st.integers(0, 255)))
+        elif how == "delete":
+            del out[draw(st.integers(0, len(out) - 1))]
+        else:
+            out[draw(st.integers(0, len(out) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(out)
+
+
+def _assert_canonical(frame: bytes) -> bool:
+    """Decode one stored block frame; if it decodes, its kept and rebuilt
+    encodings are exactly the bytes it was read from."""
+    try:
+        (block,) = decode_chain(enc_bytes(frame))
+    except DecodeError:
+        return False
+    assert block.encoded == frame
+    assert block.encode() == frame
+    assert all(t.encode() == t.encoded for t in block.transactions)
+    return True
+
+
+@settings(max_examples=300)
+@given(BLOCKS, st.data())
+def test_mutated_block_that_still_decodes_re_encodes_to_its_bytes(block, data):
+    _assert_canonical(_mutate(block.encode(), data.draw))
+
+
+def test_every_single_bit_flip_of_a_stored_block_that_decodes_is_canonical(local, customer):
+    local.submit(customer, tx_mod.DeployCustomerAgreement())
+    encoded = local.chain.head.encoded
+    decoded = 0
+    for i in range(len(encoded) * 8):
+        mutated = bytearray(encoded)
+        mutated[i // 8] ^= 1 << (i % 8)
+        decoded += _assert_canonical(bytes(mutated))
+    assert decoded > len(encoded)  # flips inside byte strings and integers still decode
+
+
+def test_nested_record_refuses_trailing_bytes(customer):
+    t = customer.sign(tx_mod.Transaction(customer.address, 0, tx_mod.DeployCustomerAgreement(), 0))
+    _, read = nested(tx_mod.Transaction)
+    assert read(Reader(enc_bytes(t.encoded))).encoded == t.encoded
+    with pytest.raises(DecodeError, match="4 trailing bytes"):
+        read(Reader(enc_bytes(t.encoded + b"junk")))
+
+
+def test_stored_chain_is_length_prefixed_block_frames(local, customer):
+    local.submit(customer, tx_mod.DeployCustomerAgreement())
+    blocks = local.chain.blocks
+    data = encode_chain(blocks)
+    assert data == b"".join(len(b.encode()).to_bytes(4, "big") + b.encode() for b in blocks)
+    assert decode_chain(data) == blocks
+    with pytest.raises(DecodeError):
+        decode_chain(data[:-1])

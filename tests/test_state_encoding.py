@@ -8,6 +8,7 @@ that the VM's history lookups follow such writes too.
 
 import hashlib
 import struct
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -129,11 +130,28 @@ def test_serialize_matches_reference_encoder(state, writes):
     assert snapshot.serialize() == reference_serialize(snapshot)
 
 
+def _replace_in_place(state, name, record):
+    """Overwrite an entry of a non-empty section with `record`, so that
+    the section keeps its size; False if the section is empty."""
+    section = getattr(state, name)
+    if not section:
+        return False
+    if name == "executions" or name == "feedbacks":
+        section[len(section) // 2] = record
+    else:
+        key = sorted(section)[0]
+        field = {"test_cases": "case_id", "accounts": "address"}.get(name, "contract_id")
+        section[key] = replace(record, **{field: key})
+    return True
+
+
 @settings(max_examples=100, deadline=None)
-@given(world_states(), st.lists(st.tuples(direct_writes(), st.booleans()), max_size=8))
+@given(world_states(),
+       st.lists(st.tuples(direct_writes(), st.sampled_from(["api", "direct", "replace"])), max_size=8))
 def test_history_lookups_follow_writes(state, writes):
     """The VM's lookups agree with a rescan after writes through
-    add_test_case/add_execution and after direct writes that add entries."""
+    add_test_case/add_execution, after direct writes that add entries and
+    after direct writes that replace one and keep the section's size."""
     def rescan(s):
         by_contract = {}
         for c in s.test_cases.values():
@@ -146,13 +164,40 @@ def test_history_lookups_follow_writes(state, writes):
         return {k: set(v) for k, v in h.cases_by_contract.items()}, h.passed, h.exec_ids
 
     assert lookups(state) == rescan(state)
-    for (name, record), direct in writes:
-        if name == "test_cases" and (not direct or record.case_id in state.test_cases):
+    for (name, record), how in writes:
+        if how == "replace" and _replace_in_place(state, name, record):
+            pass
+        elif name == "test_cases" and (how == "api" or record.case_id in state.test_cases):
             state.add_test_case(record)
-        elif name == "executions" and not direct:
+        elif name == "executions" and how == "api":
             state.add_execution(record)
         else:
             _write(state, name, record)
         clone = state.copy()
         assert lookups(state) == rescan(state)
         assert lookups(clone) == rescan(clone)
+
+
+def test_same_size_replacements_refresh_history():
+    case = CaseRecord(b"c1", b"contract-a", b"u", b"d", b"i", b"o", 1, 1, b"h", 0)
+    run = ExecutionRecord(b"e1", b"c1", b"t", b"o", VERDICT_FAIL, 2, 2, b"h", 1)
+    state = WorldState()
+    state.add_test_case(case)
+    state.add_execution(run)
+    assert state.history().passed == set()
+
+    state.executions[0] = replace(run, verdict=VERDICT_PASS)
+    assert state.history().passed == {b"c1"}
+    state.test_cases[b"c1"] = replace(case, acceptance_contract=b"contract-b")
+    assert state.history().cases_by_contract == {b"contract-b": (b"c1",)}
+    state.add_test_case(replace(case, acceptance_contract=b"contract-c"))
+    assert state.history().cases_by_contract == {b"contract-c": (b"c1",)}
+
+    # sections replaced whole, by ones of the same size and write count
+    state = WorldState(test_cases={b"c1": case}, executions=[run])
+    assert state.history().cases_by_contract == {b"contract-a": (b"c1",)}
+    state.test_cases = {b"c1": replace(case, acceptance_contract=b"contract-b")}
+    state.executions = [replace(run, verdict=VERDICT_PASS)]
+    assert state.history().cases_by_contract == {b"contract-b": (b"c1",)}
+    assert state.history().passed == {b"c1"}
+    assert state.copy().history() == state.history()
