@@ -108,12 +108,12 @@ class GenesisConfig:
         state = WorldState()
         for pk in self.validator_pubkeys:
             addr = address_from_pubkey(pk)
-            state.accounts.setdefault(addr, AccountState(addr, 0, 0))
+            if state.account(addr) is None:
+                state.put(AccountState(addr, 0, 0))
         for pk, balance in self.accounts:
             addr = address_from_pubkey(pk)
-            prev = state.accounts.get(addr)
-            bal = balance + (prev.balance if prev else 0)
-            state.accounts[addr] = AccountState(addr, bal, 0)
+            prev = state.account(addr)
+            state.put(AccountState(addr, balance + (prev.balance if prev else 0), 0))
         return state
 
     def genesis_block(self) -> Block:

@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .codec import U64_MAX, enc_u64, hash256, record_json
-from .sim import ScenarioError, SimScenario, SimTrace, run_simulation
+from .codec import enc_u64, hash256, record_json
+from .sim import ScenarioError, SimScenario, SimTrace, _uint, run_simulation
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,7 @@ class SweepSpec:
             raise ScenarioError(f"unknown sweep axis {spec.axis!r}")
         if not spec.values:
             raise ScenarioError("sweep needs at least one value")
-        seed = spec.base.get("seed")
-        if type(seed) is not int or not 0 <= seed <= U64_MAX:  # every cell's seed derives from it
-            raise ScenarioError(f"base seed must be a non-negative integer, not {seed!r}")
+        _uint(spec.base.get("seed"), "base seed")  # every cell's seed derives from it
         return spec
 
     @classmethod
@@ -188,8 +186,10 @@ class SweepSpec:
         if self.axis == "n_validators":
             raw["n_validators"] = value
             if type(value) is int:  # else from_dict refuses the value itself
-                # keep fault entries meaningful under the new node count
-                raw["crash_faults"] = [c for c in raw.get("crash_faults", []) if c["node"] < value]
+                # drop the crash faults of nodes beyond the new node count;
+                # from_dict judges every other entry as given
+                raw["crash_faults"] = [c for c in raw.get("crash_faults", [])
+                                       if not _node_at_or_beyond(c, value)]
             raw["partitions"] = []
         elif self.axis == "drop_probability":
             raw["drop_probability"] = value
@@ -198,6 +198,11 @@ class SweepSpec:
             for i, entry in enumerate(raw.get("workload", [])):
                 entry["tick"] = 1 + i * interval
         return SimScenario.from_dict(raw)
+
+
+def _node_at_or_beyond(fault, n: int) -> bool:
+    node = fault.get("node") if isinstance(fault, dict) else None
+    return type(node) is int and node >= n
 
 
 def _positive(value, what: str) -> int:

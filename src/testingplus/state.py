@@ -6,16 +6,23 @@ regardless of insertion order.
 
 Each record type declares its tag and field kinds with codec.schema. Records
 are frozen: a change replaces the record, so each record computes its
-canonical encoding once and keeps it. Each section of the state keeps the
-joined encoding of its records in turn and drops it when the section is
-written, so serializing a state re-encodes only the sections written since
-the last time and joins seven kept byte strings.
+canonical encoding once and keeps it.
+
+WorldState.put(record) is the only way to write the state. The record's type
+picks its section: a keyed record replaces the entry under its key and drops
+the section's kept encoding; an execution or feedback record is appended to
+its log, whose kept encoding stays valid, so the next read encodes only the
+new records. Serializing a state thus re-encodes only the keyed sections put
+to since the last time and joins seven kept byte strings. Sections are read
+through read-only views, so a write that bypasses put() fails instead of
+leaving a stale root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
+from types import MappingProxyType
 
 from .codec import BYTES, FLAG, U64, ZERO_HASH, flag, hash256, schema
 
@@ -104,83 +111,11 @@ class Feedback:
     seq: int
 
 
-class KeyedSection(dict):
-    """A keyed section of the world state that keeps its canonical encoding,
-    the encodings of its records in key order joined. Every mutator drops
-    it, so the next read re-encodes this section alone, and counts `_writes`."""
-
-    _encoded: bytes | None = None
-    _writes = 0
-
-    @property
-    def encoded(self) -> bytes:
-        enc = self._encoded
-        if enc is None:
-            enc = self._encoded = b"".join([self[k].encoded for k in sorted(self)])
-        return enc
-
-    def copy(self) -> "KeyedSection":
-        clone = KeyedSection(self)
-        clone.__dict__.update(self.__dict__)  # kept bytes are immutable, so both may hold them
-        return clone
-
-
-class LogSection(list):
-    """An append-only section of the world state (executions, feedbacks) that
-    keeps the joined encoding of its first `_count` records. An append leaves
-    those records in place, so the next read only encodes what was appended;
-    every other mutator drops the encoding. Every mutator counts `_writes`."""
-
-    _encoded: bytes | None = None
-    _count = 0
-    _writes = 0
-
-    @property
-    def encoded(self) -> bytes:
-        enc, count = self._encoded, self._count
-        if enc is None:
-            enc, count = b"", 0
-        if count != len(self):
-            enc += b"".join([r.encoded for r in self[count:]])
-            self._encoded, self._count = enc, len(self)
-        return enc
-
-    def copy(self) -> "LogSection":
-        clone = LogSection(self)
-        clone.__dict__.update(self.__dict__)
-        return clone
-
-
-def _tracking(method, drops: bool):
-    def mutator(self, *args, **kwargs):
-        if drops:
-            self._encoded = None
-        self._writes += 1
-        return method(self, *args, **kwargs)
-
-    mutator.__name__ = mutator.__qualname__ = method.__name__
-    return mutator
-
-
-for _cls, _drops, _names in (
-    (KeyedSection, True, ("__setitem__", "__delitem__", "pop", "popitem", "setdefault", "update",
-                          "clear", "__ior__")),
-    (LogSection, True, ("__setitem__", "__delitem__", "insert", "pop", "remove", "sort",
-                        "reverse", "clear", "__imul__")),
-    # append, extend and += only add records at the end
-    (LogSection, False, ("append", "extend", "__iadd__")),
-):
-    for _name in _names:
-        setattr(_cls, _name, _tracking(getattr(_cls.__base__, _name), _drops))
-del _cls, _drops, _names, _name
-
-
 @dataclass
 class HistoryIndex:
     """Lookups the VM makes into the test history: the cases of each
     acceptance contract, the cases with a passing run, and execution ids."""
 
-    writes: tuple[int, int] = (0, 0)  # the `_writes` of test_cases and executions it reflects
     cases_by_contract: dict[bytes, tuple[bytes, ...]] = field(default_factory=dict)
     passed: set[bytes] = field(default_factory=set)
     exec_ids: set[bytes] = field(default_factory=set)
@@ -195,116 +130,138 @@ class HistoryIndex:
             self.passed.add(ex.case_id)
 
     def copy(self) -> "HistoryIndex":
-        return HistoryIndex(self.writes, dict(self.cases_by_contract), set(self.passed),
-                            set(self.exec_ids))
+        return HistoryIndex(dict(self.cases_by_contract), set(self.passed), set(self.exec_ids))
 
 
-@dataclass
+# section name -> (record type, key field or None for an append-only log),
+# in serialization order
+_SECTIONS = {
+    "accounts": (AccountState, "address"),
+    "customer_agreements": (CustomerAgreementState, "contract_id"),
+    "developer_agreements": (DeveloperAgreementState, "contract_id"),
+    "acceptance_tests": (AcceptanceTestState, "contract_id"),
+    "test_cases": (TestCase, "case_id"),
+    "executions": (ExecutionRecord, None),
+    "feedbacks": (Feedback, None),
+}
+# record type -> (its section, the getter of its key or None)
+_SECTION_OF = {rtype: (name, key and attrgetter(key)) for name, (rtype, key) in _SECTIONS.items()}
+
+
 class WorldState:
-    # any dict or list given for a section becomes its tracked type (__setattr__)
-    accounts: dict[bytes, AccountState] = field(default_factory=KeyedSection)
-    customer_agreements: dict[bytes, CustomerAgreementState] = field(default_factory=KeyedSection)
-    developer_agreements: dict[bytes, DeveloperAgreementState] = field(default_factory=KeyedSection)
-    acceptance_tests: dict[bytes, AcceptanceTestState] = field(default_factory=KeyedSection)
-    test_cases: dict[bytes, TestCase] = field(default_factory=KeyedSection)
-    executions: list[ExecutionRecord] = field(default_factory=LogSection)
-    feedbacks: list[Feedback] = field(default_factory=LogSection)
-    next_seq: int = 0
-    height: int = 0  # last applied block height; not part of the root
-    _history: HistoryIndex | None = field(default=None, init=False, repr=False, compare=False)
+    """Every section is read through a read-only view named after it; put()
+    is the only write."""
 
-    def __setattr__(self, name, value):
-        kind = _SECTION_TYPES.get(name)
-        if kind is not None:
-            if not isinstance(value, kind):
-                value = kind(value)
-            if name in _HISTORY_SOURCES:  # the index was built from the section replaced
-                object.__setattr__(self, "_history", None)
-        object.__setattr__(self, name, value)
+    __slots__ = ("_records", "_encoded", "next_seq", "height", "_history")
+
+    def __init__(self) -> None:
+        # section name -> its records: a dict by key, or a list in append order
+        self._records = {name: {} if key else [] for name, (_, key) in _SECTIONS.items()}
+        # section name -> (kept joined encoding, the number of records it
+        # covers); None once a keyed section is written
+        self._encoded: dict[str, tuple[bytes, int] | None] = dict.fromkeys(_SECTIONS, (b"", 0))
+        self.next_seq = 0
+        self.height = 0  # last applied block height; not part of the root
+        self._history: HistoryIndex | None = None
+
+    def put(self, record) -> None:
+        """Write `record` into the section of its type: a keyed record
+        replaces the entry under its key, a log record is appended."""
+        try:
+            name, key_of = _SECTION_OF[type(record)]
+        except KeyError:
+            raise TypeError(f"no section of the state holds a {type(record).__name__}") from None
+        records = self._records[name]
+        history = self._history
+        if key_of is None:
+            records.append(record)  # the kept encoding stays a prefix of the log
+            if history is not None and name == "executions":
+                history.add_execution(record)
+            return
+        key = key_of(record)
+        if history is not None and name == "test_cases":
+            if key in records:  # a replaced case may have moved contract: history() rescans
+                self._history = None
+            else:
+                history.add_case(record)
+        records[key] = record
+        self._encoded[name] = None
 
     def copy(self) -> "WorldState":
         # records are frozen, so shallow container copies are enough, and
-        # each copy starts from its section's kept encoding
-        clone = WorldState(
-            **{name: section.copy() for name, section in zip(_SECTION_TYPES, _sections(self))},
-            next_seq=self.next_seq,
-            height=self.height,
-        )
-        if self._history is not None:
-            clone._history = self._history.copy()
+        # kept bytes are immutable, so both states may hold them
+        clone = object.__new__(WorldState)
+        clone._records = {name: records.copy() for name, records in self._records.items()}
+        clone._encoded = self._encoded.copy()
+        clone.next_seq = self.next_seq
+        clone.height = self.height
+        clone._history = None if self._history is None else self._history.copy()
         return clone
 
-    def _history_writes(self) -> tuple[int, int]:
-        return self.test_cases._writes, self.executions._writes
-
     def history(self) -> HistoryIndex:
-        """The test-history lookups, rebuilt from test_cases and executions
-        after any write to either that add_test_case/add_execution did not
-        make."""
+        """The test-history lookups, kept in step by put() and rebuilt from
+        test_cases and executions after put() replaced a case."""
         h = self._history
-        writes = self._history_writes()
-        if h is None or h.writes != writes:
-            h = self._history = HistoryIndex(writes)
-            for case in self.test_cases.values():
+        if h is None:
+            h = self._history = HistoryIndex()
+            for case in self._records["test_cases"].values():
                 h.add_case(case)
-            for ex in self.executions:
+            for ex in self._records["executions"]:
                 h.add_execution(ex)
         return h
 
-    def add_test_case(self, case: TestCase) -> None:
-        history = self.history()
-        new = case.case_id not in self.test_cases
-        self.test_cases[case.case_id] = case
-        if new:  # a replaced case may have moved contract: history() then rescans
-            history.add_case(case)
-            history.writes = self._history_writes()
-
-    def add_execution(self, ex: ExecutionRecord) -> None:
-        history = self.history()
-        self.executions.append(ex)
-        history.add_execution(ex)
-        history.writes = self._history_writes()
-
     def account(self, address: bytes) -> AccountState | None:
-        return self.accounts.get(address)
+        return self._records["accounts"].get(address)
 
     def credit(self, address: bytes, amount: int) -> None:
-        acct = self.accounts[address]
-        self.accounts[address] = replace(acct, balance=acct.balance + amount)
+        acct = self._records["accounts"][address]
+        self.put(replace(acct, balance=acct.balance + amount))
 
     def debit(self, address: bytes, amount: int) -> None:
-        acct = self.accounts[address]
+        acct = self._records["accounts"][address]
         if acct.balance < amount:
             raise ValueError("balance underflow")
-        self.accounts[address] = replace(acct, balance=acct.balance - amount)
+        self.put(replace(acct, balance=acct.balance - amount))
 
     def bump_nonce(self, address: bytes) -> None:
-        acct = self.accounts[address]
-        self.accounts[address] = replace(acct, nonce=acct.nonce + 1)
+        acct = self._records["accounts"][address]
+        self.put(replace(acct, nonce=acct.nonce + 1))
 
     def total_currency(self) -> int:
         """Circulating balances plus funds held in acceptance-test escrow."""
-        return sum(a.balance for a in self.accounts.values()) + sum(
-            t.escrow for t in self.acceptance_tests.values()
+        return sum(a.balance for a in self._records["accounts"].values()) + sum(
+            t.escrow for t in self._records["acceptance_tests"].values()
         )
 
+    def _encoding(self, name: str) -> bytes:
+        """A section's canonical encoding: its records joined, a keyed
+        section's in key order. A log encodes only what was appended since
+        the last read."""
+        records = self._records[name]
+        kept = self._encoded[name]
+        if kept is None:
+            enc = b"".join([records[k].encoded for k in sorted(records)])
+        else:
+            enc, count = kept
+            if count == len(records):
+                return enc
+            enc += b"".join([r.encoded for r in records[count:]])
+        self._encoded[name] = (enc, len(records))
+        return enc
+
     def serialize(self) -> bytes:
-        return b"".join([section.encoded for section in _sections(self)])
+        return b"".join([self._encoding(name) for name in _SECTIONS])
 
     def root(self) -> bytes:
         return hash256(self.serialize())
 
 
-# section name -> the tracked type WorldState.__setattr__ turns a container
-# into, in serialization order
-_SECTION_TYPES = {
-    "accounts": KeyedSection,
-    "customer_agreements": KeyedSection,
-    "developer_agreements": KeyedSection,
-    "acceptance_tests": KeyedSection,
-    "test_cases": KeyedSection,
-    "executions": LogSection,
-    "feedbacks": LogSection,
-}
-_sections = attrgetter(*_SECTION_TYPES)  # a state's sections, in that order
-_HISTORY_SOURCES = ("test_cases", "executions")  # the sections HistoryIndex is built from
+def _view(name: str, read_only) -> property:
+    # built on each read: a mappingproxy can be neither deep-copied nor pickled
+    return property(lambda self: read_only(self._records[name]),
+                    doc=f"The {name} section, read-only; write it through put().")
+
+
+for _name, (_, _key) in _SECTIONS.items():
+    setattr(WorldState, _name, _view(_name, MappingProxyType if _key else tuple))
+del _name, _key

@@ -109,7 +109,7 @@ def _feedback_id_for(sender: bytes, nonce: int, subject: bytes) -> bytes:
 
 def _deploy_customer_agreement(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
     cid = created_id(tx.payload, tx.sender, tx.nonce)
-    state.customer_agreements[cid] = CustomerAgreementState(cid, tx.sender, 0)
+    state.put(CustomerAgreementState(cid, tx.sender, 0))
 
 
 def _set_testing_fee(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
@@ -118,12 +118,12 @@ def _set_testing_fee(state: WorldState, tx: Transaction, height: int, tick: int)
         raise _Revert(REASON_UNKNOWN_CONTRACT)
     if tx.sender != c.customer:
         raise _Revert(REASON_ONLY_CUSTOMER_FEE)
-    state.customer_agreements[c.contract_id] = replace(c, testing_fee=tx.payload.fee)
+    state.put(replace(c, testing_fee=tx.payload.fee))
 
 
 def _deploy_developer_agreement(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
     cid = created_id(tx.payload, tx.sender, tx.nonce)
-    state.developer_agreements[cid] = DeveloperAgreementState(cid, tx.sender, 0)
+    state.put(DeveloperAgreementState(cid, tx.sender, 0))
 
 
 def _set_reward(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
@@ -132,7 +132,7 @@ def _set_reward(state: WorldState, tx: Transaction, height: int, tick: int) -> N
         raise _Revert(REASON_UNKNOWN_CONTRACT)
     if tx.sender != d.developer:
         raise _Revert(REASON_ONLY_DEVELOPER_REWARD)
-    state.developer_agreements[d.contract_id] = replace(d, reward=tx.payload.amount)
+    state.put(replace(d, reward=tx.payload.amount))
 
 
 def _deploy_acceptance_test(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
@@ -140,7 +140,7 @@ def _deploy_acceptance_test(state: WorldState, tx: Transaction, height: int, tic
     if p.customer not in state.accounts or p.developer not in state.accounts:
         raise _Revert(REASON_UNKNOWN_ACCOUNT)
     cid = created_id(p, tx.sender, tx.nonce)
-    state.acceptance_tests[cid] = AcceptanceTestState(cid, p.customer, p.developer, p.fee)
+    state.put(AcceptanceTestState(cid, p.customer, p.developer, p.fee))
 
 
 def _initiate_test(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
@@ -156,12 +156,10 @@ def _initiate_test(state: WorldState, tx: Transaction, height: int, tick: int) -
         raise _Revert(REASON_ALREADY_COMPLETED)
     if t.escrow != 0:
         raise _Revert(REASON_ALREADY_FUNDED)
-    if state.accounts[tx.sender].balance < tx.value:
+    if state.account(tx.sender).balance < tx.value:
         raise _Revert(REASON_INSUFFICIENT_BALANCE)
     state.debit(tx.sender, tx.value)
-    state.acceptance_tests[t.contract_id] = replace(
-        t, escrow=tx.value, is_test_completed=False
-    )
+    state.put(replace(t, escrow=tx.value, is_test_completed=False))
 
 
 def _complete_test(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
@@ -176,14 +174,14 @@ def _complete_test(state: WorldState, tx: Transaction, height: int, tick: int) -
     if any(c not in history.passed for c in history.cases_by_contract.get(t.contract_id, ())):
         raise _Revert(REASON_NOT_VERIFIED)
     state.credit(t.developer, t.escrow)
-    state.acceptance_tests[t.contract_id] = replace(
+    state.put(replace(
         t,
         is_test_completed=True,
         escrow=0,
         completed_tick=tick,
         completed_height=height,
         completed_tx_hash=tx.hash(),
-    )
+    ))
 
 
 def _register_test_case(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
@@ -193,7 +191,7 @@ def _register_test_case(state: WorldState, tx: Transaction, height: int, tick: i
     if len(p.description) > MAX_TEXT_BYTES:
         raise _Revert(REASON_PAYLOAD_TOO_LARGE)
     cid = created_id(p, tx.sender, tx.nonce)
-    state.add_test_case(
+    state.put(
         TestCase(
             case_id=cid,
             acceptance_contract=p.acceptance_contract,
@@ -217,7 +215,7 @@ def _record_execution(state: WorldState, tx: Transaction, height: int, tick: int
         raise _Revert(REASON_UNKNOWN_CASE)
     # the verdict is recomputed here, never taken from the submitter
     verdict = VERDICT_PASS if p.actual_output_digest == case.expected_output_digest else VERDICT_FAIL
-    state.add_execution(
+    state.put(
         ExecutionRecord(
             exec_id=created_id(p, tx.sender, tx.nonce),
             case_id=case.case_id,
@@ -240,7 +238,7 @@ def _post_feedback(state: WorldState, tx: Transaction, height: int, tick: int) -
     known = p.subject in state.test_cases or p.subject in state.history().exec_ids
     if not known:
         raise _Revert(REASON_UNKNOWN_SUBJECT)
-    state.feedbacks.append(
+    state.put(
         Feedback(
             feedback_id=_feedback_id_for(tx.sender, tx.nonce, p.subject),
             subject=p.subject,
@@ -293,7 +291,7 @@ def apply_transaction(
         status = STATUS_SUCCESS if reason == b"" else STATUS_REVERTED
         return Receipt(tx_hash, status, reason, digest, post_root)
 
-    acct = state.accounts.get(tx.sender)
+    acct = state.account(tx.sender)
     if acct is None:
         return receipt(REASON_UNKNOWN_ACCOUNT)
     if tx.nonce != acct.nonce:

@@ -61,6 +61,8 @@ def compute_compensation(
     contribution_ppm is the tester's share of all execution records in the
     window, in parts per million (0 when the window is empty).
     """
+    if from_height > to_height:
+        raise WindowBeyondHeadError(f"window start {from_height} is after its end {to_height}")
     if not 0 <= from_height <= to_height <= state.height:
         raise WindowBeyondHeadError("window beyond head")
     in_window = [e for e in state.executions if from_height <= e.block_height <= to_height]

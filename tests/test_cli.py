@@ -289,6 +289,11 @@ class TestQuery:
         tester_addr = json.loads(open(populated["keys"]["tester"]).read())["address"]
         assert self.q(populated, capsys, "compensation", tester_addr, "0", "99", "1", "1")[0] == 2
 
+    def test_compensation_inverted_window(self, populated, capsys):
+        tester_addr = json.loads(open(populated["keys"]["tester"]).read())["address"]
+        rc = main(["query", "--store", populated["store"], "compensation", tester_addr, "3", "2", "1", "1"])
+        assert (rc, capsys.readouterr()) == (2, ("", "error: window start 3 is after its end 2\n"))
+
     def test_proof_verifies_against_block_root(self, populated, capsys):
         rc, out = self.q(populated, capsys, "proof", "3", "0")
         assert rc == 0

@@ -190,6 +190,13 @@ class TestSweep:
         rows = list(csv.reader(io.StringIO(run_sweep(spec))))[1:]
         assert rows[0][4] == f"error: {message}"
 
+    @pytest.mark.parametrize("axis,value", [("n_validators", 4), ("drop_probability", 0.0)])
+    def test_bad_base_crash_fault_is_judged_on_every_axis(self, axis, value):
+        spec = self.spec_dict(axis=axis, values=[value], repetitions=1)
+        spec["base"]["crash_faults"] = [{"node": "1", "tick": 5}]
+        rows = list(csv.reader(io.StringIO(run_sweep(SweepSpec.from_dict(spec)))))[1:]
+        assert rows[0][4] == "error: crash fault node must be an integer, not '1'"
+
     @pytest.mark.parametrize("seed", [4.9, True, "7", "x", -1, None])
     def test_base_seed_must_be_a_u64(self, seed):
         spec = self.spec_dict()

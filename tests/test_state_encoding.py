@@ -1,9 +1,9 @@
 """State serialization against an independent field-by-field encoder.
 
 Each record keeps its own canonical encoding; these tests check that the
-joined result is byte-for-byte the layout below, on random states built
-through the constructor and edited through direct writes to the dicts, and
-that the VM's history lookups follow such writes too.
+joined result is byte-for-byte the layout below, on random states built and
+edited through WorldState.put, and that the VM's history lookups follow
+those writes too.
 """
 
 import hashlib
@@ -90,68 +90,57 @@ SECTIONS = {
 }
 
 
+LOGS = {"executions": executions, "feedbacks": feedbacks}
+RECORDS = {**{name: strat for name, (strat, _) in SECTIONS.items()}, **LOGS}  # serialization order
+
+
 @st.composite
 def world_states(draw):
-    state = WorldState(
-        **{name: {key(r): r for r in draw(st.lists(strat, max_size=6))}
-           for name, (strat, key) in SECTIONS.items()},
-        executions=draw(st.lists(executions, max_size=6)),
-        feedbacks=draw(st.lists(feedbacks, max_size=6)),
-    )
+    state = WorldState()
+    for strat in RECORDS.values():
+        for record in draw(st.lists(strat, max_size=6)):
+            state.put(record)
     return state
 
 
 @st.composite
-def direct_writes(draw):
-    """(section, record) pairs written straight into the state's dict, or
-    appended to its list."""
-    name = draw(st.sampled_from(list(SECTIONS) + ["executions", "feedbacks"]))
-    strat = {"executions": executions, "feedbacks": feedbacks}.get(name)
-    return name, draw(strat if strat is not None else SECTIONS[name][0])
-
-
-def _write(state, name, record):
-    if name in SECTIONS:
-        getattr(state, name)[SECTIONS[name][1](record)] = record
-    else:
-        getattr(state, name).append(record)
+def puts(draw):
+    """A record of any section: a new key, a replaced key or a log append."""
+    return draw(RECORDS[draw(st.sampled_from(list(RECORDS)))])
 
 
 @settings(max_examples=200, deadline=None)
-@given(world_states(), st.lists(direct_writes(), max_size=8))
-def test_serialize_matches_reference_encoder(state, writes):
+@given(world_states(), st.lists(puts(), max_size=8))
+def test_serialize_matches_reference_encoder(state, records):
     assert state.serialize() == reference_serialize(state)
     snapshot = state.copy()
-    for name, record in writes:
-        _write(state, name, record)
+    for record in records:
+        state.put(record)
         assert state.serialize() == reference_serialize(state)
         assert state.root() == hashlib.sha256(reference_serialize(state)).digest()
     # a copy taken before the writes is untouched by them
     assert snapshot.serialize() == reference_serialize(snapshot)
 
 
-def _replace_in_place(state, name, record):
-    """Overwrite an entry of a non-empty section with `record`, so that
-    the section keeps its size; False if the section is empty."""
-    section = getattr(state, name)
-    if not section:
-        return False
-    if name == "executions" or name == "feedbacks":
-        section[len(section) // 2] = record
-    else:
-        key = sorted(section)[0]
-        field = {"test_cases": "case_id", "accounts": "address"}.get(name, "contract_id")
-        section[key] = replace(record, **{field: key})
-    return True
+def rekeyed(state, record, index=0):
+    """`record` moved under an existing key of its section (the index-th in
+    key order, wrapping), so that putting it replaces that entry; `record`
+    itself for a log record or an empty section."""
+    name = {AccountState: "accounts", CustomerAgreementState: "customer_agreements",
+            DeveloperAgreementState: "developer_agreements",
+            AcceptanceTestState: "acceptance_tests", CaseRecord: "test_cases"}.get(type(record))
+    keys = sorted(getattr(state, name)) if name else []
+    if not keys:
+        return record
+    field = {"test_cases": "case_id", "accounts": "address"}.get(name, "contract_id")
+    return replace(record, **{field: keys[index % len(keys)]})
 
 
 @settings(max_examples=100, deadline=None)
-@given(world_states(),
-       st.lists(st.tuples(direct_writes(), st.sampled_from(["api", "direct", "replace"])), max_size=8))
+@given(world_states(), st.lists(st.tuples(puts(), st.booleans()), max_size=8))
 def test_history_lookups_follow_writes(state, writes):
-    """The VM's lookups agree with a rescan after writes through
-    add_test_case/add_execution, after direct writes that add entries and
-    after direct writes that replace one and keep the section's size."""
+    """The VM's lookups agree with a rescan after puts that add entries and
+    after puts that replace one and keep the section's size."""
     def rescan(s):
         by_contract = {}
         for c in s.test_cases.values():
@@ -164,15 +153,8 @@ def test_history_lookups_follow_writes(state, writes):
         return {k: set(v) for k, v in h.cases_by_contract.items()}, h.passed, h.exec_ids
 
     assert lookups(state) == rescan(state)
-    for (name, record), how in writes:
-        if how == "replace" and _replace_in_place(state, name, record):
-            pass
-        elif name == "test_cases" and (how == "api" or record.case_id in state.test_cases):
-            state.add_test_case(record)
-        elif name == "executions" and how == "api":
-            state.add_execution(record)
-        else:
-            _write(state, name, record)
+    for record, replacing in writes:
+        state.put(rekeyed(state, record) if replacing else record)
         clone = state.copy()
         assert lookups(state) == rescan(state)
         assert lookups(clone) == rescan(clone)
@@ -182,22 +164,12 @@ def test_same_size_replacements_refresh_history():
     case = CaseRecord(b"c1", b"contract-a", b"u", b"d", b"i", b"o", 1, 1, b"h", 0)
     run = ExecutionRecord(b"e1", b"c1", b"t", b"o", VERDICT_FAIL, 2, 2, b"h", 1)
     state = WorldState()
-    state.add_test_case(case)
-    state.add_execution(run)
+    state.put(case)
+    state.put(run)
     assert state.history().passed == set()
 
-    state.executions[0] = replace(run, verdict=VERDICT_PASS)
-    assert state.history().passed == {b"c1"}
-    state.test_cases[b"c1"] = replace(case, acceptance_contract=b"contract-b")
+    state.put(replace(case, acceptance_contract=b"contract-b"))
     assert state.history().cases_by_contract == {b"contract-b": (b"c1",)}
-    state.add_test_case(replace(case, acceptance_contract=b"contract-c"))
+    state.put(replace(case, acceptance_contract=b"contract-c"))
     assert state.history().cases_by_contract == {b"contract-c": (b"c1",)}
-
-    # sections replaced whole, by ones of the same size and write count
-    state = WorldState(test_cases={b"c1": case}, executions=[run])
-    assert state.history().cases_by_contract == {b"contract-a": (b"c1",)}
-    state.test_cases = {b"c1": replace(case, acceptance_contract=b"contract-b")}
-    state.executions = [replace(run, verdict=VERDICT_PASS)]
-    assert state.history().cases_by_contract == {b"contract-b": (b"c1",)}
-    assert state.history().passed == {b"c1"}
     assert state.copy().history() == state.history()

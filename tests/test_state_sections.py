@@ -1,97 +1,72 @@
-"""Each world-state section keeps its joined encoding and drops it when it
-is written.
+"""WorldState.put is the only write into the world state.
 
-Every mutator of the keyed sections (dicts) and of the append-only sections
-(executions, feedbacks) is run on random states, and after each step
-`serialize()` must equal the field-by-field reference encoder. Copies,
-deep copies, pickles and plain containers written into a state must keep
-that true, and a transaction that touches neither the test registry nor the
-history must leave those sections' kept bytes as they were.
+Random sequences of puts (new keys, replaced keys, log appends) with reads
+in between must keep `serialize()` equal to the field-by-field reference
+encoder, on the state, its copies, deep copies and pickles. Every container
+mutator on a section view is refused and leaves the root as it was, and a
+transaction that touches neither the test registry nor the history leaves
+those sections' kept bytes as they were.
 """
 
 import copy
-import dataclasses
 import hashlib
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from testingplus.state import KeyedSection, LogSection, WorldState
+from testingplus.state import WorldState
 from testingplus.tx import DeployCustomerAgreement, SetTestingFee
 from testingplus.vm import apply_transaction, contract_id_for
 
 from test_execution_cache import CUSTOMER, Engagement
-from test_state_encoding import SECTIONS, executions, feedbacks, reference_serialize, world_states
+from test_state_encoding import (LOGS, RECORDS, SECTIONS, reference_serialize, rekeyed,
+                                 world_states)
 
-LOGS = {"executions": executions, "feedbacks": feedbacks}
-KEYED_OPS = ["setitem", "delitem", "pop", "popitem", "setdefault", "update", "clear", "ior"]
-LOG_OPS = ["append", "extend", "iadd", "setitem", "setslice", "delitem", "delslice", "insert",
-           "pop", "remove", "sort", "reverse", "imul", "clear"]
+# every way to write a dict or a list, as a caller would write it into a
+# section; `k` is a key or index and `r` a record of the section
+KEYED_WRITES = [
+    "state.{name}[k] = r", "del state.{name}[k]", "state.{name}.pop(k)",
+    "state.{name}.popitem()", "state.{name}.setdefault(k, r)", "state.{name}.update({{k: r}})",
+    "state.{name}.clear()", "state.{name} |= {{k: r}}", "state.{name} = {{k: r}}",
+]
+LOG_WRITES = [
+    "state.{name}.append(r)", "state.{name}.extend([r])", "state.{name} += [r]",
+    "state.{name} += (r,)", "state.{name}[k] = r", "state.{name}[k:k + 2] = [r]",
+    "del state.{name}[k]", "del state.{name}[k:]", "state.{name}.insert(k, r)",
+    "state.{name}.pop(k)", "state.{name}.remove(r)", "state.{name}.sort(key=lambda x: x.seq)",
+    "state.{name}.reverse()", "state.{name} *= 2", "state.{name}.clear()",
+    "state.{name} = [r]",
+]
+
+
+def writes(name):
+    return LOG_WRITES if name in LOGS else KEYED_WRITES
 
 
 @st.composite
-def edits(draw):
-    """(section, op, records, index, read afterwards): one mutator call on
-    one section; `index` picks an existing key or position."""
-    name = draw(st.sampled_from(list(SECTIONS) + list(LOGS)))
-    records = draw(st.lists(LOGS[name] if name in LOGS else SECTIONS[name][0],
-                            min_size=1, max_size=3))
-    op = draw(st.sampled_from(LOG_OPS if name in LOGS else KEYED_OPS))
-    return name, op, records, draw(st.integers(0, 50)), draw(st.booleans())
+def puts(draw):
+    """(section, record, replacing, index): with `replacing`, the record is
+    moved under an existing key of its section, if it has one, so that
+    putting it replaces that entry."""
+    name = draw(st.sampled_from(list(RECORDS)))
+    return name, draw(RECORDS[name]), draw(st.booleans()), draw(st.integers(0, 50))
 
 
-def apply_edit(state, name, op, records, index):
-    section = getattr(state, name)
-    if name in LOGS:
-        at = index % len(section) if section else 0
-        if op == "append":
-            section.append(records[0])
-        elif op == "extend":
-            section.extend(records)
-        elif op == "iadd":
-            section += records
-        elif op == "setitem" and section:
-            section[at] = records[0]
-        elif op == "setslice":
-            section[at:at + 2] = records
-        elif op == "delitem" and section:
-            del section[at]
-        elif op == "delslice":
-            del section[at:]
-        elif op == "insert":
-            section.insert(at, records[0])
-        elif op == "pop" and section:
-            section.pop(at)
-        elif op == "remove" and section:
-            section.remove(section[at])
-        elif op == "sort":
-            section.sort(key=lambda r: r.encoded)
-        elif op == "reverse":
-            section.reverse()
-        elif op == "imul":  # repeated doubling would outgrow the reference encoder
-            section *= index % 3 if len(section) < 10 else 1
-        elif op == "clear":
-            section.clear()
-        return
-    key_of = SECTIONS[name][1]
-    keys = sorted(section)
-    key = keys[index % len(keys)] if keys and index % 2 else key_of(records[0])
-    if op == "setitem":
-        section[key] = records[0]
-    elif op == "delitem" and key in section:
-        del section[key]
-    elif op == "pop":
-        section.pop(key, None)
-    elif op == "popitem" and section:
-        section.popitem()
-    elif op == "setdefault":
-        section.setdefault(key, records[0])
-    elif op == "update":
-        section.update({key_of(r): r for r in records})
-    elif op == "clear":
-        section.clear()
-    elif op == "ior":
-        section |= {key_of(r): r for r in records}
+def put(state, name, record, replacing, index):
+    state.put(rekeyed(state, record, index) if replacing else record)
+
+
+def refused(state, name, write, record):
+    """Run one write that bypasses put(); the view must refuse it: item
+    writes raise TypeError, and the view lacks the other mutators and has no
+    setter (AttributeError). The state must stay exactly as it was."""
+    before = state.serialize()
+    key = min(getattr(state, name), default=0) if name in SECTIONS else 0
+    with pytest.raises((TypeError, AttributeError)):
+        exec(write.format(name=name), {"state": state, "k": key, "r": record})
+    assert_matches_reference(state)
+    assert state.serialize() == before
 
 
 def assert_matches_reference(state):
@@ -100,67 +75,74 @@ def assert_matches_reference(state):
     assert state.root() == hashlib.sha256(expected).digest()
 
 
+@st.composite
+def steps(draw):
+    """A put, or (with a write) that record written past put() instead."""
+    name, record, replacing, index = draw(puts())
+    write = draw(st.none() | st.sampled_from(writes(name)))
+    return name, record, replacing, index, write, draw(st.booleans())
+
+
 @settings(max_examples=200, deadline=None)
-@given(world_states(), st.lists(edits(), max_size=12))
-def test_every_mutator_keeps_serialize_exact(state, steps):
+@given(world_states(), st.lists(steps(), max_size=12))
+def test_every_mutator_keeps_serialize_exact(state, edits):
     assert_matches_reference(state)
-    for name, op, records, index, read in steps:
-        apply_edit(state, name, op, records, index)
-        if read:  # unread steps pile several writes onto one kept encoding
+    for name, record, replacing, index, write, read in edits:
+        if write is None:
+            put(state, name, record, replacing, index)
+        else:
+            refused(state, name, write, record)
+        if read:  # unread steps pile several puts onto one kept encoding
             assert_matches_reference(state)
     assert_matches_reference(state)
 
 
 @settings(max_examples=100, deadline=None)
-@given(world_states(), st.lists(edits(), min_size=1, max_size=6),
-       st.lists(edits(), min_size=1, max_size=6))
-def test_clone_and_original_do_not_share_writes(state, clone_steps, original_steps):
+@given(world_states(), st.lists(puts(), min_size=1, max_size=6),
+       st.lists(puts(), min_size=1, max_size=6))
+def test_clone_and_original_do_not_share_writes(state, clone_puts, original_puts):
     before = state.serialize()
     clone = state.copy()
-    for name, op, records, index, _ in clone_steps:
-        apply_edit(clone, name, op, records, index)
+    for args in clone_puts:
+        put(clone, *args)
         assert_matches_reference(clone)
         assert state.serialize() == before
     clone_bytes = clone.serialize()
-    for name, op, records, index, _ in original_steps:
-        apply_edit(state, name, op, records, index)
+    for args in original_puts:
+        put(state, *args)
         assert_matches_reference(state)
         assert clone.serialize() == clone_bytes
 
 
 @settings(max_examples=60, deadline=None)
-@given(world_states(), st.lists(edits(), max_size=6), executions, feedbacks)
-def test_deepcopy_and_pickle_round_trips_keep_the_root(state, steps, ex, fb):
-    for name, op, records, index, _ in steps:
-        apply_edit(state, name, op, records, index)
+@given(world_states(), st.lists(puts(), max_size=6), st.lists(puts(), min_size=1, max_size=6))
+def test_deepcopy_and_pickle_round_trips_keep_the_root(state, before, after):
+    for args in before:
+        put(state, *args)
     root = state.root()  # every kept encoding is filled
     for twin in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
         assert twin.root() == root
         assert_matches_reference(twin)
-        assert all(type(getattr(twin, n)) is KeyedSection for n in SECTIONS)
-        assert all(type(getattr(twin, n)) is LogSection for n in LOGS)
-    for twin in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
-        twin.executions.append(ex)
-        twin.feedbacks.append(fb)
-        assert_matches_reference(twin)
+        assert twin.history() == state.history()
+        for args in after:
+            put(twin, *args)
+            assert_matches_reference(twin)
     assert state.root() == root
 
 
-@settings(max_examples=60, deadline=None)
-@given(world_states(), world_states())
-def test_plain_containers_written_to_a_state_serialize_exactly(state, other):
-    state.serialize()
-    plain = {name: dict(getattr(other, name)) for name in SECTIONS}
-    plain.update({name: list(getattr(other, name)) for name in LOGS})
-    for name, value in plain.items():
-        setattr(state, name, value)
-        assert_matches_reference(state)
-    assert state.serialize() == other.serialize()
-    for name, value in plain.items():
-        assert type(getattr(state, name)) is (LogSection if name in LOGS else KeyedSection)
-        assert getattr(state, name) == value
-    assert dataclasses.replace(other, **plain).serialize() == other.serialize()
-    assert WorldState(**plain).serialize() == other.serialize()
+@settings(max_examples=20, deadline=None)
+@given(world_states(), st.fixed_dictionaries(RECORDS))
+def test_every_write_past_put_is_refused(state, records):
+    for name, record in records.items():
+        for write in writes(name):
+            refused(state, name, write, record)
+        state.put(record)  # so that the next pass sees the section non-empty
+        for write in writes(name):
+            refused(state, name, write, record)
+    with pytest.raises(TypeError):
+        WorldState(accounts={})
+    with pytest.raises(TypeError, match="no section"):
+        state.put(object())
 
 
 def test_transaction_outside_the_history_keeps_its_encodings():
@@ -177,13 +159,13 @@ def test_transaction_outside_the_history_keeps_its_encodings():
     state = eng.chain.state.copy()
     history = ("test_cases", "executions", "feedbacks")
     written = ("accounts", "customer_agreements")
-    kept = {name: getattr(state, name).encoded for name in history + written}
+    kept = {name: state._encoding(name) for name in history + written}
     assert all(len(getattr(state, name)) == 5 for name in history)
 
     receipt = apply_transaction(state, eng.tx(CUSTOMER, SetTestingFee(contract, 25)))
     assert receipt.ok
     for name in history:
-        assert getattr(state, name).encoded is kept[name]
+        assert state._encoding(name) is kept[name]
     for name in written:
-        assert getattr(state, name).encoded != kept[name]
+        assert state._encoding(name) != kept[name]
     assert_matches_reference(state)

@@ -275,7 +275,7 @@ def _fresh_state(actors, balances):
     from testingplus.state import AccountState
 
     for actor, bal in zip(actors, balances):
-        state.accounts[actor.address] = AccountState(actor.address, bal, 0)
+        state.put(AccountState(actor.address, bal, 0))
     return state
 
 
@@ -387,10 +387,10 @@ def test_state_root_insertion_order_independent(customer, developer):
     s2 = WorldState()
     a = AccountState(customer.address, 10, 0)
     b = AccountState(developer.address, 20, 0)
-    s1.accounts[a.address] = a
-    s1.accounts[b.address] = b
-    s2.accounts[b.address] = b
-    s2.accounts[a.address] = a
+    s1.put(a)
+    s1.put(b)
+    s2.put(b)
+    s2.put(a)
     assert s1.root() == s2.root()
 
 

@@ -113,7 +113,7 @@ class TestCompensation:
         local.chain.registry.register(other.pubkey)
         from testingplus.state import AccountState
 
-        local.chain.state.accounts[other.address] = AccountState(other.address, 0, 0)
+        local.chain.state.put(AccountState(other.address, 0, 0))
         case_id = self._run(local, customer, developer, tester, [True, True, True])
         local.submit(other, RecordExecution(case_id, b"\x02" * 32))
         head = local.chain.state.height
@@ -137,7 +137,7 @@ class TestCompensation:
             compute_compensation(
                 local.chain.state, tester.address, 0, local.chain.state.height + 1, 1, 1
             )
-        with pytest.raises(WindowBeyondHeadError):
+        with pytest.raises(WindowBeyondHeadError, match="window start 3 is after its end 2"):
             compute_compensation(local.chain.state, tester.address, 3, 2, 1, 1)
 
     def test_overflow_raises(self, local, customer, developer, tester):
