@@ -237,15 +237,14 @@ class Chain:
     def execute(self, txs: list[Transaction], tick: int = 0
                 ) -> tuple[WorldState, bytes, list[Receipt]]:
         """Run txs at the next height against a copy of the current state.
-        Returns the post-state, its root and the receipts."""
+        Returns the post-state, its root and the receipts. The state is
+        hashed once, after the last transaction; an empty block keeps the
+        head's root and hashes nothing."""
         state = self.state.copy()
         h = self.height + 1
-        receipts = []
-        root = self.head.header.state_root  # then each transaction's post-state root
-        for tx in txs:
-            receipts.append(apply_transaction(state, tx, height=h, tick=tick, pre_root=root))
-            root = receipts[-1].post_state_root
+        receipts = [apply_transaction(state, tx, height=h, tick=tick) for tx in txs]
         state.height = h
+        root = state.root() if txs else self.head.header.state_root
         return state, root, receipts
 
     def stage(self, txs: list[Transaction], proposer: bytes, tick: int) -> tuple[Block, bytes, list[Receipt]]:

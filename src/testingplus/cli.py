@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .block import Block, merkle_proof
 from .chain import Chain, ChainStore, CorruptChainError, GenesisConfig, ValidatorSet
-from .codec import record_json
+from .codec import hash256, record_json
 from .keys import address_from_pubkey, generate_keypair
 from .state import VERDICT_PASS
 from .tx import Transaction, hex_bytes, parse_u64, payload_from_json, sign_transaction
@@ -144,7 +144,8 @@ def cmd_submit(args) -> int:
 
     sealer = _load_key(store.root / "validator_key.json")
     tick = chain.head.header.timestamp + 1
-    block, _, receipts = chain.stage([tx], sealer["address"], tick)
+    parent_root = chain.head.header.state_root
+    block, root, receipts = chain.stage([tx], sealer["address"], tick)
     block = chain.seal(block, [(sealer["address"], sealer["secret_key"])])
     chain.append(block)
     store.save(chain)
@@ -153,7 +154,9 @@ def cmd_submit(args) -> int:
         "tx_hash": receipt.tx_hash.hex(),
         "status": receipt.status,
         "reason": receipt.reason.decode("utf-8", "replace"),
-        "state_delta_digest": receipt.state_delta_digest.hex(),
+        # the block holds this transaction alone: its pre- and post-state
+        # roots are the parent's and the block's
+        "state_delta_digest": hash256(parent_root + root).hex(),
         "block_height": block.header.height,
     }
     if created is not None and receipt.ok:

@@ -68,8 +68,6 @@ class Receipt:
     tx_hash: bytes
     status: str
     reason: bytes  # empty on success
-    state_delta_digest: bytes  # hash of the pre-state root and the post-state root
-    post_state_root: bytes
 
     @property
     def ok(self) -> bool:
@@ -267,29 +265,18 @@ _HANDLERS = {
 }
 
 
-def apply_transaction(
-    state: WorldState,
-    tx: Transaction,
-    height: int = 0,
-    tick: int = 0,
-    pre_root: bytes | None = None,
-) -> Receipt:
+def apply_transaction(state: WorldState, tx: Transaction, height: int = 0, tick: int = 0) -> Receipt:
     """Apply one signature-checked transaction in place and return its receipt.
 
     Nonce mismatch reverts without any state change at all; every other
     revert still advances the sender's nonce (the attempt is on record).
-    `pre_root` is `state.root()` if the caller already has it, for example
-    the previous receipt's `post_state_root` within one block.
+    The receipt carries a status and no state root (as in EIP-658): the
+    block's state root is taken once, after its last transaction.
     """
     tx_hash = tx.hash()
-    if pre_root is None:
-        pre_root = state.root()
 
     def receipt(reason: bytes) -> Receipt:
-        post_root = state.root()
-        digest = hash256(pre_root + post_root)
-        status = STATUS_SUCCESS if reason == b"" else STATUS_REVERTED
-        return Receipt(tx_hash, status, reason, digest, post_root)
+        return Receipt(tx_hash, STATUS_SUCCESS if reason == b"" else STATUS_REVERTED, reason)
 
     acct = state.account(tx.sender)
     if acct is None:

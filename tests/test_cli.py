@@ -1,5 +1,6 @@
 """Command-line behaviors, including exit codes and output formats."""
 
+import hashlib
 import json
 
 import pytest
@@ -120,6 +121,21 @@ class TestSubmit:
         assert out["status"] == "Reverted"
         assert out["reason"] == "unknown contract"
         assert "created_id" not in out
+
+    def test_state_delta_digest_joins_the_block_roots(self, env, capsys):
+        """A CLI block holds one transaction, so its delta digest is the hash
+        of the parent's state root and the block's, as `query block` shows them."""
+        for who, payload in [
+            ("customer", {"op": "deploy_customer_agreement"}),
+            ("developer", {"op": "set_testing_fee", "contract": "0f" * 32, "fee": 5}),
+        ]:
+            _, out = submit(env, who, payload, capsys)
+            roots = []
+            for h in (out["block_height"] - 1, out["block_height"]):
+                assert main(["query", "--store", env["store"], "block", str(h)]) == 0
+                header = json.loads(capsys.readouterr().out)["header"]
+                roots.append(bytes.fromhex(header["state_root"]))
+            assert out["state_delta_digest"] == hashlib.sha256(b"".join(roots)).hexdigest()
 
     def test_malformed_payload_is_usage_error(self, env, capsys):
         p = env["tmp"] / "bad.json"

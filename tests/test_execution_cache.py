@@ -1,8 +1,12 @@
 """Each block is executed once on its way through stage, seal and append,
 each signature is verified once when a store is loaded, and the per-block
-state work does not grow with chain height."""
+state work does not grow with chain height: the state is hashed once per
+block, to the root a transaction-by-transaction replay would reach."""
+
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from testingplus import chain as chain_mod
 from testingplus import tx as tx_mod
@@ -16,9 +20,11 @@ from testingplus.tx import (
     RegisterTestCase,
     Transaction,
 )
-from testingplus.vm import case_id_for, contract_id_for
+from testingplus.vm import apply_transaction, case_id_for, contract_id_for
 
 from conftest import Actor, make_genesis
+from test_golden_runs import ACTORS, _ledger_ops
+from test_state_encoding import LOGS, SECTIONS
 
 VALIDATOR = Actor(b"\x11" * 32)
 CUSTOMER = Actor(b"\x22" * 32)
@@ -130,8 +136,8 @@ def test_state_serializations_per_block_flat_in_height(monkeypatch):
         block = eng.append(txs)
         per_block[block.header.height] = len(serialized) - before
     assert per_block[10] == per_block[60]
-    # one post-state root per transaction; the first pre-state root is the head's
-    assert set(per_block.values()) == {len(txs)}
+    # one state root per block, after its last transaction
+    assert set(per_block.values()) == {1}
 
 
 def test_empty_block_hashes_no_state(monkeypatch):
@@ -141,6 +147,49 @@ def test_empty_block_hashes_no_state(monkeypatch):
     block = eng.append([])
     assert len(serialized) == 0
     assert block.header.state_root == eng.chain.state.root()
+
+
+def rebuilt(state):
+    """A fresh state holding the same records, keyed ones put in reverse key order."""
+    fresh = WorldState()
+    for name in SECTIONS:
+        section = getattr(state, name)
+        for key in sorted(section, reverse=True):
+            fresh.put(section[key])
+    for name in LOGS:
+        for record in getattr(state, name):
+            fresh.put(record)
+    return fresh
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       data=st.data())
+def test_block_root_matches_a_root_after_every_transaction(seed, sizes, data):
+    """Blocks of the golden ledger stream (reverts and bad nonces among
+    them): the one root `Chain.execute` takes equals the root after the
+    last transaction of a replay that hashes after every transaction and
+    copies in between, and the root of the same records put afresh. How
+    often the kept encodings are read never changes the root's bytes."""
+    chain = Chain(make_genesis(VALIDATOR, [(a, 500) for a in ACTORS]))
+    ops = _ledger_ops(random.Random(seed), sum(sizes))
+    for n in sizes:
+        txs, ops = ops[:n], ops[n:]
+        h = chain.height + 1
+        tick = 3 * h
+        replay = chain.state.copy()
+        if data.draw(st.booleans(), label="read head root"):
+            chain.state.root()
+        for tx in txs:
+            apply_transaction(replay, tx, height=h, tick=tick)
+            post = replay.root()
+            if data.draw(st.booleans(), label="copy"):
+                replay = replay.copy()
+                assert replay.root() == post
+        block, root, _ = chain.stage(txs, VALIDATOR.address, tick)
+        assert root == post == rebuilt(replay).root()
+        chain.append(chain.seal(block, [(VALIDATOR.address, VALIDATOR.secret)]))
+        assert chain.state.root() == root
 
 
 def test_store_load_verifies_each_signature_once(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from testingplus.chain import Chain
-from testingplus.codec import enc_bytes, enc_u64
+from testingplus.codec import enc_bytes, enc_u64, hash256
 from testingplus.sim import SimScenario, run_simulation
 from testingplus.tx import (
     CompleteTest,
@@ -26,7 +26,7 @@ from testingplus.tx import (
     SetTestingFee,
     Transaction,
 )
-from testingplus.vm import case_id_for, contract_id_for
+from testingplus.vm import apply_transaction, case_id_for, contract_id_for
 
 from conftest import Actor, fixture_hex, make_genesis
 
@@ -78,7 +78,11 @@ def _ledger_ops(rng, n_ops):
 
 
 def ledger_run_digest(n_ops=150, seed=2024):
-    """Blocks of 1-6 transactions from one op stream, every seventh block empty."""
+    """Blocks of 1-6 transactions from one op stream, every seventh block empty.
+
+    Receipts carry no state root, so each block's transactions are replayed
+    one by one on a copy of its pre-state, and the digest of each one's pre-
+    and post-state roots is folded in as receipts once carried it."""
     rng = random.Random(seed)
     ops = _ledger_ops(rng, n_ops)
     chain = Chain(make_genesis(VALIDATOR, [(a, 500) for a in ACTORS]))
@@ -87,14 +91,19 @@ def ledger_run_digest(n_ops=150, seed=2024):
         h = chain.height + 1
         n = 0 if h % 7 == 0 else rng.randint(1, 6)
         txs, ops = ops[:n], ops[n:]
+        replay, pre = chain.state.copy(), chain.head.header.state_root
         block, _, staged = chain.stage(txs, VALIDATOR.address, 3 * h)
         block = chain.seal(block, [(VALIDATOR.address, VALIDATOR.secret)])
         appended = chain.append(block)
-        assert staged == appended
+        assert staged == appended and len(appended) == len(txs)
         acc.update(block.header.state_root)
-        for rc in appended:
+        for tx, rc in zip(txs, appended):
+            assert apply_transaction(replay, tx, height=h, tick=3 * h) == rc
+            post = replay.root()
             acc.update(rc.tx_hash + enc_bytes(rc.status.encode()) + enc_bytes(rc.reason)
-                       + rc.state_delta_digest)
+                       + hash256(pre + post))
+            pre = post
+        assert pre == block.header.state_root
     return acc.digest()
 
 
