@@ -16,7 +16,6 @@ from .block import (
 )
 from .chain import (
     Chain,
-    ChainCheck,
     ChainStore,
     CorruptChainError,
     GenesisConfig,
@@ -46,7 +45,6 @@ __all__ = [
     "merkle_root",
     "verify_merkle_proof",
     "Chain",
-    "ChainCheck",
     "ChainStore",
     "CorruptChainError",
     "GenesisConfig",

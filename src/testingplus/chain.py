@@ -128,87 +128,73 @@ class GenesisConfig:
         return Block(header, (), ())
 
 
-@dataclass(frozen=True)
-class ChainCheck:
-    ok: bool
-    height: int = 0
-    reason: str = ""
+class CorruptChainError(Exception):
+    """A failed block or store check: the height it failed at and why."""
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-CHAIN_OK = ChainCheck(True)
+    def __init__(self, height: int, reason: str):
+        super().__init__(f"chain invalid at height {height}: {reason}")
+        self.height = height
+        self.reason = reason
 
 
 def check_block(
     parent: BlockHeader, block: Block, registry: KeyRegistry, validators: ValidatorSet | None = None
-) -> ChainCheck:
+) -> None:
     """Everything about a block that does not need its execution: height
     and link to `parent`, Merkle root, transaction signatures and, when
-    `validators` is given, a quorum of distinct validator votes."""
+    `validators` is given, a quorum of distinct validator votes. Raises
+    `CorruptChainError` at the block's height on the first failure."""
     h = parent.height + 1
     header = block.header
     if header.height != h:
-        return ChainCheck(False, h, "height-mismatch")
+        raise CorruptChainError(h, "height-mismatch")
     if header.prev_hash != parent.hash():
-        return ChainCheck(False, h, "link-mismatch")
+        raise CorruptChainError(h, "link-mismatch")
     if header.merkle_root != merkle_root([tx.hash() for tx in block.transactions]):
-        return ChainCheck(False, h, "merkle-mismatch")
+        raise CorruptChainError(h, "merkle-mismatch")
     for tx in block.transactions:
         try:
             if not verify_transaction(tx, registry):
-                return ChainCheck(False, h, "tx-signature")
+                raise CorruptChainError(h, "tx-signature")
         except UnknownSenderError:
-            return ChainCheck(False, h, "unknown-sender")
-    return CHAIN_OK if validators is None else _check_votes(block, validators)
+            raise CorruptChainError(h, "unknown-sender") from None
+    if validators is not None:
+        _check_votes(block, validators)
 
 
-def _check_votes(block: Block, validators: ValidatorSet) -> ChainCheck:
+def _check_votes(block: Block, validators: ValidatorSet) -> None:
     h = block.header.height
     header_hash = block.header.hash()
     signers = set()
     for addr, sig in block.votes:
         pk = validators.pubkey_of(addr)
         if pk is None:
-            return ChainCheck(False, h, "vote-not-validator")
+            raise CorruptChainError(h, "vote-not-validator")
         if addr in signers:
-            return ChainCheck(False, h, "vote-duplicate")
+            raise CorruptChainError(h, "vote-duplicate")
         if not verify(pk, sig, header_hash):
-            return ChainCheck(False, h, "vote-signature")
+            raise CorruptChainError(h, "vote-signature")
         signers.add(addr)
     if len(signers) < validators.quorum:
-        return ChainCheck(False, h, "quorum")
-    return CHAIN_OK
+        raise CorruptChainError(h, "quorum")
 
 
-def verify_chain(
-    blocks: list[Block], validators: ValidatorSet, registry: KeyRegistry
-) -> ChainCheck:
+def verify_chain(blocks: list[Block], validators: ValidatorSet, registry: KeyRegistry) -> None:
     """Structural audit of a chain: `check_block` at every height after
-    genesis. Returns the lowest failing height.
+    genesis. Raises `CorruptChainError` at the lowest failing height.
 
     Vote signatures cover the header hash, so a mutation of any header field
     (including the state root) surfaces at its own height.
     """
     if not blocks:
-        return ChainCheck(False, 0, "empty chain")
+        raise CorruptChainError(0, "empty chain")
     g = blocks[0]
     if g.header.height != 0 or g.header.prev_hash != ZERO_HASH:
-        return ChainCheck(False, 0, "bad genesis header")
+        raise CorruptChainError(0, "bad genesis header")
     if g.header.merkle_root != merkle_root([tx.hash() for tx in g.transactions]):
-        return ChainCheck(False, 0, "merkle-mismatch")
+        raise CorruptChainError(0, "merkle-mismatch")
     for parent, block in zip(blocks, blocks[1:]):
-        check = check_block(parent.header, block, registry, validators)
-        if not check:
-            return check
-    return CHAIN_OK
-
-
-class CorruptChainError(Exception):
-    def __init__(self, check: ChainCheck):
-        super().__init__(f"chain invalid at height {check.height}: {check.reason}")
-        self.check = check
+        check_block(parent.header, block, registry, validators)
 
 
 class Chain:
@@ -262,40 +248,33 @@ class Chain:
         votes = tuple((addr, sign(secret, hh)) for addr, secret in keyed_validators)
         return block.with_votes(votes)
 
-    def validate_block(self, block: Block) -> ChainCheck:
+    def validate_block(self, block: Block) -> None:
         """`check_block` against the head, without votes, then execution
         (reused if the block was staged or validated before)."""
-        check = check_block(self.head.header, block, self.registry)
-        if check and self._execute_block(block) is None:
-            return ChainCheck(False, block.header.height, "state-root-mismatch")
-        return check
+        check_block(self.head.header, block, self.registry)
+        self._execute_block(block)
 
-    def _execute_block(self, block: Block) -> tuple[WorldState, tuple[Receipt, ...]] | None:
+    def _execute_block(self, block: Block) -> tuple[WorldState, tuple[Receipt, ...]]:
         """Post-state and receipts of a block whose parent is the head,
-        executed at most once; None if its state root does not match."""
+        executed at most once; raises if its state root does not match."""
         key = block.header.hash()
         hit = self._executed.get(key)
         if hit is None:
             state, root, receipts = self.execute(list(block.transactions), tick=block.header.timestamp)
             if root != block.header.state_root:
-                return None
+                raise CorruptChainError(block.header.height, "state-root-mismatch")
             hit = self._executed[key] = (state, tuple(receipts))
         return hit
 
-    def check_votes(self, block: Block) -> ChainCheck:
-        return _check_votes(block, self.validators)
+    def check_votes(self, block: Block) -> None:
+        _check_votes(block, self.validators)
 
     def append(self, block: Block) -> list[Receipt]:
         """The one way onto the chain: `check_block` against the head, votes
         included, then execution (reused if the block was staged or
         validated before); the block becomes the head."""
-        check = check_block(self.head.header, block, self.registry, self.validators)
-        if not check:
-            raise CorruptChainError(check)
-        executed = self._execute_block(block)
-        if executed is None:
-            raise CorruptChainError(ChainCheck(False, block.header.height, "state-root-mismatch"))
-        self.state, receipts = executed
+        check_block(self.head.header, block, self.registry, self.validators)
+        self.state, receipts = self._execute_block(block)
         self._executed.clear()
         self.blocks.append(block)
         self.committed_txs.update(tx.hash() for tx in block.transactions)
@@ -308,7 +287,7 @@ class Chain:
         bad height, whether a check or the execution fails there."""
         chain = cls(genesis)
         if not blocks or blocks[0] != chain.blocks[0]:
-            raise CorruptChainError(ChainCheck(False, 0, "genesis-mismatch"))
+            raise CorruptChainError(0, "genesis-mismatch")
         for block in blocks[1:]:
             chain.append(block)
         return chain
@@ -350,11 +329,14 @@ class ChainStore:
         return chain
 
     def load(self) -> Chain:
-        genesis = GenesisConfig.from_json(self.genesis_path.read_text())
+        try:
+            genesis = GenesisConfig.from_json(self.genesis_path.read_text())
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptChainError(0, f"bad genesis.json: {exc}") from exc
         try:
             blocks = decode_chain(self.chain_path.read_bytes())
         except DecodeError as exc:
-            raise CorruptChainError(ChainCheck(False, 0, f"undecodable: {exc}")) from exc
+            raise CorruptChainError(0, f"undecodable: {exc}") from exc
         return Chain.from_blocks(genesis, blocks)
 
     def save(self, chain: Chain) -> None:

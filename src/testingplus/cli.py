@@ -48,15 +48,18 @@ def _print_json(value) -> None:
 
 
 def _load_key(path: str) -> dict:
+    """A key file whose public key and address both derive from its secret."""
     try:
         key = json.loads(Path(path).read_text())
-        return {
-            "address": bytes.fromhex(key["address"]),
-            "public_key": bytes.fromhex(key["public_key"]),
-            "secret_key": bytes.fromhex(key["secret_key"]),
-        }
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        secret, public = generate_keypair(bytes.fromhex(key["secret_key"]))
+        if bytes.fromhex(key["public_key"]) != public:
+            raise ValueError("public key does not derive from the secret key")
+        address = address_from_pubkey(public)
+        if bytes.fromhex(key["address"]) != address:
+            raise ValueError("address does not derive from the public key")
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot read key file {path}: {exc}") from exc
+    return {"address": address, "public_key": public, "secret_key": secret}
 
 
 def cmd_keygen(args) -> int:
@@ -87,7 +90,7 @@ def cmd_init(args) -> int:
         raise UsageError(f"bad genesis file: {exc}") from exc
     sealer = _load_key(args.validator_key)
     validators = ValidatorSet.from_pubkeys(genesis.validator_pubkeys)
-    if validators.pubkey_of(address_from_pubkey(sealer["public_key"])) is None:
+    if validators.pubkey_of(sealer["address"]) is None:
         raise UsageError("validator key is not in the genesis validator set")
     if validators.quorum > 1:  # the store seals every block with its one validator key
         raise UsageError(f"the store's one validator key cannot reach the genesis quorum of "
@@ -117,7 +120,12 @@ def cmd_submit(args) -> int:
 
     if args.queue:
         queue_path = Path(args.queue)
-        entries = json.loads(queue_path.read_text()) if queue_path.exists() else []
+        try:
+            entries = json.loads(queue_path.read_text()) if queue_path.exists() else []
+            if not isinstance(entries, list):
+                raise ValueError("not a JSON list")
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read queue file {queue_path}: {exc}") from exc
         for field in ("tick", "sender"):
             if field not in raw:
                 raise UsageError(f"queue mode payloads need a {field!r} field")

@@ -201,7 +201,9 @@ class Node:
             return []
         header_hash = block.header.hash()
         if header_hash not in self.proposals:
-            if not self.chain.validate_block(block):
+            try:
+                self.chain.validate_block(block)
+            except CorruptChainError:
                 self.invalid_dropped += 1
                 return []
             self.proposals[header_hash] = block

@@ -34,7 +34,7 @@ def generate_keypair(seed: bytes | None = None) -> tuple[bytes, bytes]:
     if seed is None:
         seed = os.urandom(32)
     if len(seed) != 32:
-        raise ValueError("seed must be exactly 32 bytes")
+        raise ValueError("a secret key must be exactly 32 bytes")
     pk = _private_key(seed).public_key().public_bytes_raw()
     return seed, pk
 

@@ -8,8 +8,10 @@ import random
 import sys
 import time
 
+import pytest
+
 from testingplus.block import decode_block
-from testingplus.chain import Chain, verify_chain
+from testingplus.chain import Chain, CorruptChainError, verify_chain
 from testingplus.codec import DecodeError, Reader
 from testingplus.metrics import CSV_HEADER, SweepSpec, run_sweep
 from testingplus.sim import SimScenario, run_simulation
@@ -144,7 +146,7 @@ def test_criterion_2_tamper_evidence(capfd):
             local.submit(actors[rng.randrange(3)], DeployCustomerAgreement())
         chain = local.chain
         assert len(chain.blocks) == 20
-        assert verify_chain(chain.blocks, chain.validators, chain.registry)
+        assert verify_chain(chain.blocks, chain.validators, chain.registry) is None
 
         flagged = 0
         trials = 0
@@ -165,9 +167,12 @@ def test_criterion_2_tamper_evidence(capfd):
             if mutated == blocks[h]:
                 continue
             blocks[h] = mutated
-            check = verify_chain(blocks, chain.validators, chain.registry)
-            assert not check, f"mutation at height {h} byte {pos} undetected"
-            assert check.height <= h
+            try:
+                verify_chain(blocks, chain.validators, chain.registry)
+            except CorruptChainError as err:
+                assert err.height <= h
+            else:
+                pytest.fail(f"mutation at height {h} byte {pos} undetected")
             flagged += 1
 
     run_criterion("2 tamper evidence (1000 mutations)", 10.0, body, capfd)

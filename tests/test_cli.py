@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +215,17 @@ class TestSubmit:
         p = env["tmp"] / "p.json"
         p.write_text(json.dumps({"op": "deploy_customer_agreement"}))
         assert main(["submit", str(p), "--queue", str(q)]) == 2
+
+    @pytest.mark.parametrize("text", ["{", '{"tick": 5}', '"entries"'],
+                             ids=["not-json", "object", "string"])
+    def test_queue_mode_refuses_a_malformed_queue_file(self, env, capsys, text):
+        q = env["tmp"] / "workload.json"
+        q.write_text(text)
+        p = env["tmp"] / "p.json"
+        p.write_text(json.dumps({"op": "deploy_customer_agreement", "tick": 5, "sender": 0}))
+        assert main(["submit", str(p), "--queue", str(q)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read queue file {q}: ")
+        assert q.read_text() == text
 
 
 @pytest.fixture
@@ -492,3 +504,70 @@ def test_genesis_balances_and_intervals_accept_decimal_strings(tmp_path, env):
     good.write_text(json.dumps(raw))
     assert main(["init", "--store", str(tmp_path / "s3"), "--genesis", str(good),
                  "--validator-key", env["keys"]["validator"]]) == 0
+
+
+@pytest.mark.parametrize("edit", [
+    lambda raw: "{",
+    lambda raw: json.dumps({k: v for k, v in raw.items() if k != "chain_id"}),
+    lambda raw: json.dumps({**raw, "validators": ["zz"]}),
+    lambda raw: json.dumps({**raw, "validators": raw["validators"] * 2}),
+], ids=["truncated", "missing-key", "bad-hex", "duplicate-validator"])
+def test_unreadable_store_genesis_is_corruption(env, capsys, edit):
+    """The store's own genesis.json is part of the store: a copy that no
+    longer parses is corruption at height 0, not a traceback."""
+    genesis = Path(env["store"]) / "genesis.json"
+    genesis.write_text(edit(json.loads(genesis.read_text())))
+    capsys.readouterr()
+    assert main(["query", "--store", env["store"], "state"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "store corruption: chain invalid at height 0: bad genesis.json: ")
+
+
+# edits of a good key file, given a second actor's key file; each leaves a
+# file whose secret, public key and address do not belong together
+BAD_KEYS = {
+    "short-secret": lambda key, other: {**key, "secret_key": "ab" * 5},
+    "other-secret": lambda key, other: {**key, "secret_key": other["secret_key"]},
+    "other-public-key": lambda key, other: {**key, "public_key": other["public_key"]},
+    "other-address": lambda key, other: {**key, "address": other["address"]},
+    "not-an-object": lambda key, other: [key],
+}
+
+
+def _bad_key(env, path, who, edit):
+    key, other = (json.loads(Path(env["keys"][w]).read_text()) for w in (who, "tester"))
+    path.write_text(json.dumps(edit(key, other)))
+    return str(path)
+
+
+@pytest.mark.parametrize("edit", BAD_KEYS.values(), ids=BAD_KEYS)
+@pytest.mark.parametrize("role", ["sender", "store-sealer"])
+def test_submit_checks_key_files_on_read(env, capsys, edit, role):
+    """A sender key or the store's sealer key that does not derive from its
+    secret is an input error; the intact store is left as it was."""
+    store = Path(env["store"])
+    if role == "sender":
+        key = _bad_key(env, env["tmp"] / "bad.key", "customer", edit)
+    else:
+        key = env["keys"]["customer"]
+        _bad_key(env, store / "validator_key.json", "validator", edit)
+    chain_bin = store / "chain.bin"
+    before = chain_bin.read_bytes()
+    p = env["tmp"] / "p.json"
+    p.write_text(json.dumps({"op": "deploy_customer_agreement"}))
+    capsys.readouterr()
+    assert main(["submit", str(p), "--store", env["store"], "--key", key]) == 2
+    bad_path = key if role == "sender" else store / "validator_key.json"
+    assert capsys.readouterr().err.startswith(f"error: cannot read key file {bad_path}: ")
+    assert chain_bin.read_bytes() == before
+
+
+@pytest.mark.parametrize("edit", BAD_KEYS.values(), ids=BAD_KEYS)
+def test_init_checks_the_validator_key_on_read(env, capsys, edit):
+    key = _bad_key(env, env["tmp"] / "bad.key", "validator", edit)
+    store = env["tmp"] / "s2"
+    capsys.readouterr()
+    assert main(["init", "--store", str(store), "--genesis", env["genesis"],
+                 "--validator-key", key]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read key file {key}: ")
+    assert not store.exists()

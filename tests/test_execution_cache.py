@@ -96,8 +96,9 @@ def test_changed_state_root_is_rejected_after_staging():
     txs = eng.next_txs()
     staged, _, _ = eng.chain.stage(txs, VALIDATOR.address, 5)
     forged = build_block(eng.chain.head.header, txs, b"\x42" * 32, VALIDATOR.address, 5)
-    check = eng.chain.validate_block(forged)
-    assert not check and check.reason == "state-root-mismatch"
+    with pytest.raises(CorruptChainError) as err:
+        eng.chain.validate_block(forged)
+    assert (err.value.height, err.value.reason) == (2, "state-root-mismatch")
     with pytest.raises(CorruptChainError, match="state-root-mismatch"):
         eng.chain.append(eng.seal(forged))
     # the genuine staged block still goes through
@@ -114,7 +115,9 @@ def test_post_state_cache_is_empty_after_append():
     eng.chain.append(eng.seal(a))
     assert eng.chain._executed == {}
     # the competitor's parent is no longer the head
-    assert eng.chain.validate_block(b).reason == "height-mismatch"
+    with pytest.raises(CorruptChainError) as err:
+        eng.chain.validate_block(b)
+    assert (err.value.height, err.value.reason) == (3, "height-mismatch")
 
 
 def test_stage_hands_out_no_cached_state():

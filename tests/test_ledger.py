@@ -13,7 +13,7 @@ from testingplus.block import (
     encode_chain,
     merkle_root,
 )
-from testingplus.chain import Chain, ChainCheck, ChainStore, CorruptChainError, verify_chain
+from testingplus.chain import Chain, ChainStore, CorruptChainError, verify_chain
 from testingplus.codec import ZERO_HASH, hash256
 from testingplus.keys import sign
 from testingplus.tx import DeployCustomerAgreement, SetTestingFee, Transaction
@@ -64,9 +64,16 @@ def _fixture_chain(n_blocks=10):
     return chain
 
 
+def _failed_check(blocks, chain):
+    """(height, reason) of the `CorruptChainError` that `verify_chain` raises."""
+    with pytest.raises(CorruptChainError) as err:
+        verify_chain(blocks, chain.validators, chain.registry)
+    return err.value.height, err.value.reason
+
+
 def test_valid_fixture_chain_verifies():
     chain = _fixture_chain(11)
-    assert verify_chain(chain.blocks, chain.validators, chain.registry)
+    assert verify_chain(chain.blocks, chain.validators, chain.registry) is None
 
 
 def test_chain_roundtrips_through_binary_stream():
@@ -82,10 +89,7 @@ def test_tx_byte_flip_detected_at_its_height():
     bad_sig = bytes([tx.signature[0] ^ 1]) + tx.signature[1:]
     bad_tx = Transaction(tx.sender, tx.nonce, tx.payload, tx.value, bad_sig)
     blocks[4] = Block(victim.header, victim.transactions[:-1] + (bad_tx,), victim.votes)
-    check = verify_chain(blocks, chain.validators, chain.registry)
-    assert not check
-    assert check.height == 4
-    assert check.reason == "merkle-mismatch"
+    assert _failed_check(blocks, chain) == (4, "merkle-mismatch")
 
 
 def test_vote_removal_below_quorum_detected():
@@ -93,9 +97,7 @@ def test_vote_removal_below_quorum_detected():
     blocks = list(chain.blocks)
     victim = blocks[7]
     blocks[7] = Block(victim.header, victim.transactions, ())
-    check = verify_chain(blocks, chain.validators, chain.registry)
-    assert not check
-    assert (check.height, check.reason) == (7, "quorum")
+    assert _failed_check(blocks, chain) == (7, "quorum")
 
 
 def test_header_field_mutation_detected_at_its_height():
@@ -111,9 +113,8 @@ def test_header_field_mutation_detected_at_its_height():
         victim.header.proposer,
     )
     blocks[5] = Block(bad_header, victim.transactions, victim.votes)
-    check = verify_chain(blocks, chain.validators, chain.registry)
-    assert not check
-    assert check.height == 5  # vote signatures cover the header hash
+    height, _ = _failed_check(blocks, chain)
+    assert height == 5  # vote signatures cover the header hash
 
 
 def test_duplicate_vote_rejected():
@@ -121,8 +122,7 @@ def test_duplicate_vote_rejected():
     blocks = list(chain.blocks)
     victim = blocks[2]
     blocks[2] = Block(victim.header, victim.transactions, victim.votes + victim.votes)
-    check = verify_chain(blocks, chain.validators, chain.registry)
-    assert (check.ok, check.height, check.reason) == (False, 2, "vote-duplicate")
+    assert _failed_check(blocks, chain) == (2, "vote-duplicate")
 
 
 def test_forged_vote_rejected():
@@ -132,12 +132,11 @@ def test_forged_vote_rejected():
     victim = blocks[3]
     forged = (outsider.address, sign(outsider.secret, victim.header.hash()))
     blocks[3] = Block(victim.header, victim.transactions, (forged,))
-    check = verify_chain(blocks, chain.validators, chain.registry)
-    assert (check.ok, check.height, check.reason) == (False, 3, "vote-not-validator")
+    assert _failed_check(blocks, chain) == (3, "vote-not-validator")
 
 
 def test_empty_chain_invalid(chain):
-    assert not verify_chain([], chain.validators, chain.registry)
+    assert _failed_check([], chain) == (0, "empty chain")
 
 
 @pytest.mark.parametrize("trials", [250])
@@ -165,9 +164,12 @@ def test_tamper_evidence_random_mutations(trials):
         if mutated == blocks[h]:
             continue  # e.g. flip inside a length prefix reproducing same value
         blocks[h] = mutated
-        check = verify_chain(blocks, chain.validators, chain.registry)
-        assert not check, f"mutation at height {h} byte {pos} undetected"
-        assert check.height <= h
+        try:
+            verify_chain(blocks, chain.validators, chain.registry)
+        except CorruptChainError as err:
+            assert err.height <= h
+        else:
+            pytest.fail(f"mutation at height {h} byte {pos} undetected")
 
 
 def test_store_load_fails_at_lowest_bad_height_of_either_kind(tmp_path):
@@ -185,11 +187,11 @@ def test_store_load_fails_at_lowest_bad_height_of_either_kind(tmp_path):
     blocks[3] = resealed(blocks[3], state_root=hash256(b"not the state root"))
     blocks[4] = resealed(blocks[4], prev_hash=blocks[3].header.hash())
     blocks[5] = resealed(blocks[5], prev_hash=hash256(b"not the parent"))
-    assert verify_chain(blocks, chain.validators, chain.registry) == ChainCheck(False, 5, "link-mismatch")
+    assert _failed_check(blocks, chain) == (5, "link-mismatch")
 
     store = ChainStore(tmp_path / "store")
     store.init(chain.genesis)
     store.chain_path.write_bytes(encode_chain(blocks))
     with pytest.raises(CorruptChainError) as err:
         store.load()
-    assert err.value.check == ChainCheck(False, 3, "state-root-mismatch")
+    assert (err.value.height, err.value.reason) == (3, "state-root-mismatch")
