@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -62,12 +63,20 @@ def _load_key(path: str) -> dict:
     return {"address": address, "public_key": public, "secret_key": secret}
 
 
+def _write_secret(path: Path, text: str) -> None:
+    """Write a file that holds a secret key, readable by its owner only."""
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600), "w") as f:
+        os.fchmod(f.fileno(), 0o600)  # a file that already existed keeps its old mode otherwise
+        f.write(text)
+
+
 def cmd_keygen(args) -> int:
     out = Path(args.out)
     if out.exists() and not args.force:
         raise UsageError(f"{out} exists (use --force to overwrite)")
     secret, public = generate_keypair()
-    out.write_text(
+    _write_secret(
+        out,
         json.dumps(
             {
                 "address": address_from_pubkey(public).hex(),
@@ -84,6 +93,9 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_init(args) -> int:
+    store = ChainStore(Path(args.store))
+    if store.genesis_path.exists() or store.chain_path.exists():
+        raise UsageError(f"store {args.store} exists")
     try:
         genesis = GenesisConfig.from_json(Path(args.genesis).read_text())
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
@@ -95,9 +107,8 @@ def cmd_init(args) -> int:
     if validators.quorum > 1:  # the store seals every block with its one validator key
         raise UsageError(f"the store's one validator key cannot reach the genesis quorum of "
                          f"{validators.quorum} votes; a store needs a genesis with one validator")
-    store = ChainStore(Path(args.store))
     store.init(genesis)
-    (store.root / "validator_key.json").write_text(Path(args.validator_key).read_text())
+    _write_secret(store.root / "validator_key.json", Path(args.validator_key).read_text())
     _log(f"initialized store {store.root}")
     print(json.dumps({"store": str(store.root), "chain_id": genesis.chain_id.hex()}))
     return EXIT_OK

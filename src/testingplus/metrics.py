@@ -152,10 +152,15 @@ class SweepSpec:
     def from_dict(cls, raw: dict) -> "SweepSpec":
         """Axis values are taken as given, for SimScenario.from_dict to judge."""
         try:
+            base, values = raw["base"], raw["values"]
+            if not isinstance(base, dict):
+                raise ValueError(f"sweep base must be a JSON object, not {type(base).__name__}")
+            if not isinstance(values, list):
+                raise ValueError(f"sweep values must be a JSON list, not {type(values).__name__}")
             spec = cls(
-                base=dict(raw["base"]),
+                base=dict(base),
                 axis=raw["axis"],
-                values=list(raw["values"]),
+                values=list(values),
                 repetitions=_positive(raw.get("repetitions", 1), "repetitions"),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -224,7 +224,7 @@ class SimScenario:
 
         Nonces follow list order per sender; accounts are given by index,
         and {"ref": k} fields resolve to the id created by workload entry k
-        (contract, case, or execution id).
+        (contract, case, execution or feedback id).
         """
         keys = self.account_keys()
         addrs = [address_from_pubkey(pk) for _, pk in keys]

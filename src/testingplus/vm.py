@@ -79,30 +79,50 @@ class _Revert(Exception):
         self.reason = reason
 
 
-def contract_id_for(sender: bytes, nonce: int, tag: int) -> bytes:
-    return hash256(sender + enc_u64(nonce) + bytes([tag]))
+def _tag(payload: Payload) -> bytes:
+    return bytes([payload.TAG])
 
 
-def case_id_for(sender: bytes, nonce: int, expected_output_digest: bytes) -> bytes:
-    return hash256(sender + enc_u64(nonce) + expected_output_digest)
+# The bytes hashed after sender ‖ u64(nonce) to give the id of the record a
+# payload creates: one rule for every created record, as Ethereum derives
+# the address of what a transaction creates from (sender, nonce).
+_ID_SALT = {
+    DeployCustomerAgreement: _tag,
+    DeployDeveloperAgreement: _tag,
+    DeployAcceptanceTest: _tag,
+    RegisterTestCase: lambda p: p.expected_output_digest,
+    RecordExecution: lambda p: p.actual_output_digest + _tag(p),
+    PostFeedback: lambda p: p.subject + _tag(p),
+}
 
 
 def created_id(payload: Payload, sender: bytes, nonce: int) -> bytes | None:
-    """Id of the contract, test case or execution that `payload` creates
-    when `sender` submits it at `nonce`; None for the other payloads."""
-    if isinstance(
-        payload, (DeployCustomerAgreement, DeployDeveloperAgreement, DeployAcceptanceTest)
-    ):
-        return contract_id_for(sender, nonce, payload.TAG)
-    if isinstance(payload, RegisterTestCase):
-        return case_id_for(sender, nonce, payload.expected_output_digest)
-    if isinstance(payload, RecordExecution):
-        return hash256(sender + enc_u64(nonce) + payload.actual_output_digest + b"\x11")
-    return None
+    """Id of the contract, test case, execution or feedback that `payload`
+    creates when `sender` submits it at `nonce`; None for the other payloads."""
+    salt = _ID_SALT.get(type(payload))
+    return None if salt is None else _id_for(sender, nonce, salt(payload))
 
 
-def _feedback_id_for(sender: bytes, nonce: int, subject: bytes) -> bytes:
-    return hash256(sender + enc_u64(nonce) + subject + b"\x12")
+def _id_for(sender: bytes, nonce: int, salt: bytes) -> bytes:
+    """The one id rule: the hash of sender ‖ u64(nonce) ‖ salt."""
+    return hash256(sender + enc_u64(nonce) + salt)
+
+
+# kept for tests/test_golden_runs.py, which derives the ids of its pinned runs with them
+case_id_for = _id_for
+
+
+def contract_id_for(sender: bytes, nonce: int, tag: int) -> bytes:
+    return _id_for(sender, nonce, bytes([tag]))
+
+
+def _put_history(state: WorldState, tx: Transaction, height: int, tick: int, record_type,
+                 *fields) -> None:
+    """Put a history record: the id `tx` creates, `fields`, then the tick,
+    block and transaction that made it and its number in commit order."""
+    state.put(record_type(created_id(tx.payload, tx.sender, tx.nonce), *fields,
+                          tick, height, tx.hash(), state.next_seq))
+    state.next_seq += 1
 
 
 def _deploy_customer_agreement(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
@@ -188,22 +208,8 @@ def _register_test_case(state: WorldState, tx: Transaction, height: int, tick: i
         raise _Revert(REASON_UNKNOWN_CONTRACT)
     if len(p.description) > MAX_TEXT_BYTES:
         raise _Revert(REASON_PAYLOAD_TOO_LARGE)
-    cid = created_id(p, tx.sender, tx.nonce)
-    state.put(
-        TestCase(
-            case_id=cid,
-            acceptance_contract=p.acceptance_contract,
-            author=tx.sender,
-            description=p.description,
-            input_digest=p.input_digest,
-            expected_output_digest=p.expected_output_digest,
-            tick=tick,
-            block_height=height,
-            tx_hash=tx.hash(),
-            seq=state.next_seq,
-        )
-    )
-    state.next_seq += 1
+    _put_history(state, tx, height, tick, TestCase, p.acceptance_contract, tx.sender,
+                 p.description, p.input_digest, p.expected_output_digest)
 
 
 def _record_execution(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
@@ -213,20 +219,8 @@ def _record_execution(state: WorldState, tx: Transaction, height: int, tick: int
         raise _Revert(REASON_UNKNOWN_CASE)
     # the verdict is recomputed here, never taken from the submitter
     verdict = VERDICT_PASS if p.actual_output_digest == case.expected_output_digest else VERDICT_FAIL
-    state.put(
-        ExecutionRecord(
-            exec_id=created_id(p, tx.sender, tx.nonce),
-            case_id=case.case_id,
-            tester=tx.sender,
-            actual_output_digest=p.actual_output_digest,
-            verdict=verdict,
-            tick=tick,
-            block_height=height,
-            tx_hash=tx.hash(),
-            seq=state.next_seq,
-        )
-    )
-    state.next_seq += 1
+    _put_history(state, tx, height, tick, ExecutionRecord, case.case_id, tx.sender,
+                 p.actual_output_digest, verdict)
 
 
 def _post_feedback(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
@@ -236,19 +230,7 @@ def _post_feedback(state: WorldState, tx: Transaction, height: int, tick: int) -
     known = p.subject in state.test_cases or p.subject in state.history().exec_ids
     if not known:
         raise _Revert(REASON_UNKNOWN_SUBJECT)
-    state.put(
-        Feedback(
-            feedback_id=_feedback_id_for(tx.sender, tx.nonce, p.subject),
-            subject=p.subject,
-            author=tx.sender,
-            body=p.body_text,
-            tick=tick,
-            block_height=height,
-            tx_hash=tx.hash(),
-            seq=state.next_seq,
-        )
-    )
-    state.next_seq += 1
+    _put_history(state, tx, height, tick, Feedback, p.subject, tx.sender, p.body_text)
 
 
 _HANDLERS = {

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -152,10 +153,13 @@ class ArtifactStore:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def put(self, data: bytes) -> bytes:
+        """Store `data` under its digest: written under a temporary name and
+        renamed into place, so a torn earlier write is replaced whole."""
         digest = hash256(data)
         path = self.root / digest.hex()
-        if not path.exists():
-            path.write_bytes(data)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
         return digest
 
     def get(self, digest: bytes) -> bytes:

@@ -44,6 +44,23 @@ def manual_merkle(leaves):
     return level[0]
 
 
+def manual_created_id(payload, sender, nonce):
+    """Id of the record `payload` creates, or None: SHA-256 of sender, the
+    nonce as a big-endian u64 and a salt fixed by the payload's tag byte."""
+    tag = payload.TAG
+    if tag in (0x01, 0x03, 0x05):  # the three deploy ops
+        salt = bytes([tag])
+    elif tag == 0x10:  # register_test_case
+        salt = payload.expected_output_digest
+    elif tag == 0x11:  # record_execution
+        salt = payload.actual_output_digest + b"\x11"
+    elif tag == 0x12:  # post_feedback
+        salt = payload.subject + b"\x12"
+    else:
+        return None
+    return sha(sender + u64(nonce) + salt)
+
+
 def rescan_compensation(blocks_payloads, tester, from_h, to_h, base, bonus):
     """Brute-force Workflow-E oracle over decoded chain payload tuples.
 

@@ -28,10 +28,10 @@ from testingplus.tx import (
     SetTestingFee,
     Transaction,
 )
-from testingplus.vm import apply_transaction, case_id_for, contract_id_for
+from testingplus.vm import apply_transaction, created_id
 
 from conftest import Actor, LocalChain, make_genesis
-from oracles import rescan_compensation
+from oracles import manual_created_id, rescan_compensation
 from test_vm import _apply_ops, _fresh_state, _random_workload
 
 VALIDATOR = Actor(b"\x11" * 32)
@@ -72,17 +72,17 @@ def test_criterion_1_contract_conformance(capfd):
         # expected outcome; ids are resolved from earlier rows via indices
         def deploy_ca(local):
             _, tx = local.submit(CUSTOMER, DeployCustomerAgreement())
-            return contract_id_for(CUSTOMER.address, tx.nonce, 0x01)
+            return created_id(tx.payload, tx.sender, tx.nonce)
 
         def deploy_da(local):
             _, tx = local.submit(DEVELOPER, DeployDeveloperAgreement())
-            return contract_id_for(DEVELOPER.address, tx.nonce, 0x03)
+            return created_id(tx.payload, tx.sender, tx.nonce)
 
         def deploy_at(local, fee=100):
             _, tx = local.submit(
                 CUSTOMER, DeployAcceptanceTest(CUSTOMER.address, DEVELOPER.address, fee)
             )
-            return contract_id_for(CUSTOMER.address, tx.nonce, 0x05)
+            return created_id(tx.payload, tx.sender, tx.nonce)
 
         table = [
             # (setup, actor, payload_fn, value, status, reason)
@@ -196,8 +196,8 @@ def test_criterion_3_determinism_replay(capfd):
 
         # reordering two conflicting transactions changes the root
         who = Actor(b"\x05" * 32)
-        cid = contract_id_for(who.address, 0, 0x01)
         deploy = Transaction(who.address, 0, DeployCustomerAgreement(), 0, b"s")
+        cid = created_id(deploy.payload, deploy.sender, deploy.nonce)
         fee_a = Transaction(who.address, 1, SetTestingFee(cid, 100), 0, b"s")
         fee_b = Transaction(who.address, 2, SetTestingFee(cid, 200), 0, b"s")
         s1 = _fresh_state([who], [100])
@@ -306,7 +306,7 @@ def test_criterion_6_workflow_oracle_equivalence(capfd):
             _, tx = local.submit(
                 CUSTOMER, DeployAcceptanceTest(CUSTOMER.address, DEVELOPER.address, 0)
             )
-            cid = contract_id_for(CUSTOMER.address, tx.nonce, 0x05)
+            cid = created_id(tx.payload, tx.sender, tx.nonce)
             cases = []
             for _ in range(rng.randrange(2, 10)):
                 if not cases or rng.random() < 0.35:
@@ -314,7 +314,7 @@ def test_criterion_6_workflow_oracle_equivalence(capfd):
                     _, tx = local.submit(
                         CUSTOMER, RegisterTestCase(cid, b"c", b"\x01" * 32, expected)
                     )
-                    cases.append(case_id_for(CUSTOMER.address, tx.nonce, expected))
+                    cases.append(created_id(tx.payload, tx.sender, tx.nonce))
                 else:
                     case_id = rng.choice(cases)
                     actual = bytes([rng.randrange(256)]) * 32
@@ -329,7 +329,7 @@ def test_criterion_6_workflow_oracle_equivalence(capfd):
                 for btx in block.transactions:
                     p = btx.payload
                     if isinstance(p, RegisterTestCase):
-                        case_id = case_id_for(btx.sender, btx.nonce, p.expected_output_digest)
+                        case_id = manual_created_id(p, btx.sender, btx.nonce)
                         expected_by_case[case_id] = p.expected_output_digest
                         dump.append((block.header.height, btx.sender, "register",
                                      (case_id, p.expected_output_digest)))
@@ -372,18 +372,16 @@ def test_criterion_7_settlement_gating(capfd):
             for combo in itertools.product(alphabet, repeat=n_cases):
                 actors = [CUSTOMER, DEVELOPER, TESTER]
                 state = _fresh_state(actors, [500, 500, 500])
-                _apply_ops(state, [
-                    (CUSTOMER, DeployAcceptanceTest(CUSTOMER.address, DEVELOPER.address, 50), 0, "x"),
-                ])
-                cid = contract_id_for(CUSTOMER.address, 0, 0x05)
+                deploy = DeployAcceptanceTest(CUSTOMER.address, DEVELOPER.address, 50)
+                _apply_ops(state, [(CUSTOMER, deploy, 0, "x")])
+                cid = created_id(deploy, CUSTOMER.address, 0)
                 _apply_ops(state, [(CUSTOMER, InitiateTest(cid), 50, "x")])
                 expected = b"\x02" * 32
                 for runs in combo:
                     nonce = state.accounts[CUSTOMER.address].nonce
-                    _apply_ops(state, [
-                        (CUSTOMER, RegisterTestCase(cid, b"c", b"\x01" * 32, expected), 0, "x"),
-                    ])
-                    case_id = case_id_for(CUSTOMER.address, nonce, expected)
+                    register = RegisterTestCase(cid, b"c", b"\x01" * 32, expected)
+                    _apply_ops(state, [(CUSTOMER, register, 0, "x")])
+                    case_id = created_id(register, CUSTOMER.address, nonce)
                     for r in runs:
                         actual = expected if r == "P" else b"\xee" * 32
                         _apply_ops(state, [(TESTER, RecordExecution(case_id, actual), 0, "x")])

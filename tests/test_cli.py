@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from testingplus.block import MerkleProof, verify_merkle_proof
+from testingplus.chain import ChainStore
 from testingplus.cli import main
 from testingplus.keys import address_from_pubkey
 
@@ -68,8 +69,30 @@ class TestKeygen:
         assert main(["keygen", "--out", str(out)]) == 2
         assert main(["keygen", "--out", str(out), "--force"]) == 0
 
+    def test_key_file_is_readable_by_its_owner_only(self, tmp_path, capsys):
+        out = tmp_path / "k.json"
+        assert main(["keygen", "--out", str(out)]) == 0
+        assert out.stat().st_mode & 0o077 == 0
+        out.chmod(0o644)
+        assert main(["keygen", "--out", str(out), "--force"]) == 0
+        assert out.stat().st_mode & 0o077 == 0
+
 
 class TestInit:
+    def test_existing_store_is_refused_and_left_as_it_was(self, env, capsys):
+        submit(env, "customer", {"op": "deploy_customer_agreement"}, capsys)
+        store = Path(env["store"])
+        names = ("genesis.json", "chain.bin", "validator_key.json")
+        before = {name: (store / name).read_bytes() for name in names}
+        rc = main(["init", "--store", env["store"], "--genesis", env["genesis"],
+                   "--validator-key", env["keys"]["validator"]])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: store {env['store']} exists\n"
+        assert {name: (store / name).read_bytes() for name in names} == before
+
+    def test_store_validator_key_is_readable_by_its_owner_only(self, env):
+        assert (Path(env["store"]) / "validator_key.json").stat().st_mode & 0o077 == 0
+
     def test_outsider_key_rejected(self, tmp_path, env, capsys):
         from conftest import Actor
 
@@ -184,10 +207,13 @@ class TestSubmit:
         assert main(["query", "--store", populated["store"], "case", case]) == 0
         runs = json.loads(capsys.readouterr().out)["executions"]
         assert out["created_id"] == runs[-1]["exec_id"]
-        # feedback on that run names it by the printed id
+        # feedback on that run names it by the printed id, and prints its own
         rc, fb = submit(populated, "developer", {
             "op": "post_feedback", "subject": out["created_id"], "body": "flaky"}, capsys)
-        assert (fb["status"], "created_id" in fb) == ("Success", False)
+        assert fb["status"] == "Success"
+        feedback = ChainStore(Path(populated["store"])).load().state.feedbacks[-1]
+        assert feedback.subject.hex() == out["created_id"]
+        assert fb["created_id"] == feedback.feedback_id.hex()
 
     def test_missing_store_flag(self, env, capsys):
         p = env["tmp"] / "p.json"
@@ -407,6 +433,10 @@ class TestScenarioAndBench:
         (lambda spec: spec.pop("axis"), "missing field 'axis'"),
         (lambda spec: spec.update(repetitions=1.7),
          "repetitions must be a positive integer, not 1.7"),
+        (lambda spec: spec.update(values="14"), "sweep values must be a JSON list, not str"),
+        (lambda spec: spec.update(values={"1": 0, "4": 0}),
+         "sweep values must be a JSON list, not dict"),
+        (lambda spec: spec.update(base=[["seed", 1]]), "sweep base must be a JSON object, not list"),
     ])
     def test_bad_sweep_spec_is_named_once(self, tmp_path, capsys, edit, message):
         spec = {"base": {"seed": 1}, "axis": "n_validators", "values": [1]}

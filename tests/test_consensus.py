@@ -8,6 +8,7 @@ from testingplus.sim import SimScenario, run_simulation
 from testingplus.tx import DeployCustomerAgreement, Transaction
 
 from conftest import Actor
+from oracles import manual_created_id
 
 ACTORS = [Actor(bytes([0x50 + i]) * 32) for i in range(4)]
 CUSTOMER = Actor(b"\x22" * 32)
@@ -391,6 +392,15 @@ def test_malformed_workload_entry_is_rejected(entry):
     d = scenario_dict(workload=[{"tick": 5, "sender": 0, "op": "deploy_customer_agreement"}, entry])
     with pytest.raises(ScenarioError, match="workload entry 1"):
         SimScenario.from_dict(d).build_workload()
+
+
+def test_workload_ref_to_a_feedback_entry_names_its_feedback_id():
+    d = scenario_dict(workload=[
+        {"tick": 5, "sender": 0, "op": "post_feedback", "subject": "ab" * 32, "body": "seen"},
+        {"tick": 6, "sender": 1, "op": "post_feedback", "subject": {"ref": 0}, "body": "reply"},
+    ])
+    (_, feedback), (_, reply) = SimScenario.from_dict(d).build_workload()
+    assert reply.payload.subject == manual_created_id(feedback.payload, feedback.sender, 0)
 
 
 def test_scenario_command_rejects_malformed_workload_entry(tmp_path, capsys):

@@ -20,7 +20,7 @@ from testingplus.tx import (
     RegisterTestCase,
     Transaction,
 )
-from testingplus.vm import apply_transaction, case_id_for, contract_id_for
+from testingplus.vm import apply_transaction, created_id
 
 from conftest import Actor, make_genesis
 from test_golden_runs import ACTORS, _ledger_ops
@@ -38,8 +38,9 @@ class Engagement:
     def __init__(self):
         self.chain = Chain(make_genesis(VALIDATOR, [(CUSTOMER, 1000), (TESTER, 1000)]))
         self.nonces = {CUSTOMER.address: 0, TESTER.address: 0}
-        self.contract = contract_id_for(CUSTOMER.address, 0, DeployAcceptanceTest.TAG)
-        self.append([self.tx(CUSTOMER, DeployAcceptanceTest(CUSTOMER.address, TESTER.address, 0))])
+        deploy = self.tx(CUSTOMER, DeployAcceptanceTest(CUSTOMER.address, TESTER.address, 0))
+        self.contract = created_id(deploy.payload, deploy.sender, deploy.nonce)
+        self.append([deploy])
 
     def tx(self, actor, payload):
         nonce = self.nonces[actor.address]
@@ -49,8 +50,8 @@ class Engagement:
     def next_txs(self):
         h = self.chain.height + 1
         expected = h.to_bytes(32, "big")
-        case = case_id_for(TESTER.address, self.nonces[TESTER.address], expected)
         register = self.tx(TESTER, RegisterTestCase(self.contract, b"case", b"\x01" * 32, expected))
+        case = created_id(register.payload, register.sender, register.nonce)
         run = self.tx(TESTER, RecordExecution(case, expected))
         feedback = self.tx(CUSTOMER, PostFeedback(case, b"seen"))
         return [register, run, feedback]

@@ -135,6 +135,16 @@ class TestSweep:
         with pytest.raises(ScenarioError):
             SweepSpec.from_dict(self.spec_dict(values=[]))
 
+    @pytest.mark.parametrize("values", ["14", {"1": 0, "4": 0}, 4, None])
+    def test_values_must_be_a_json_list(self, values):
+        with pytest.raises(ScenarioError, match="sweep values must be a JSON list"):
+            SweepSpec.from_dict(self.spec_dict(values=values))
+
+    @pytest.mark.parametrize("base", [[["seed", 7]], "seed", None])
+    def test_base_must_be_a_json_object(self, base):
+        with pytest.raises(ScenarioError, match="sweep base must be a JSON object"):
+            SweepSpec.from_dict(self.spec_dict(base=base))
+
     def test_derived_seeds_distinct_per_cell(self):
         spec = SweepSpec.from_dict(self.spec_dict())
         seeds = {spec.derived_seed(v, r) for v in spec.values for r in range(2)}

@@ -25,6 +25,9 @@ from testingplus.tx import (
     parse_u64,
     payload_from_json,
 )
+from testingplus.vm import created_id
+
+from oracles import manual_created_id
 
 B = st.binary(max_size=40)
 U = st.integers(0, 2**64 - 1)
@@ -50,6 +53,15 @@ def reference_encoding(payload) -> bytes:
         v = getattr(payload, f.name)
         body += enc_bytes(v) if isinstance(v, bytes) else enc_u64(v)
     return bytes([payload.TAG]) + body
+
+
+@given(PAYLOADS, st.binary(min_size=20, max_size=20), U)
+def test_created_id_matches_the_oracle_for_every_payload_type(payload, sender, nonce):
+    expected = manual_created_id(payload, sender, nonce)
+    assert created_id(payload, sender, nonce) == expected
+    # the three deploy ops and the three history records create one; the rest none
+    creates_none = (SetTestingFee, SetReward, InitiateTest, CompleteTest)
+    assert (expected is None) == isinstance(payload, creates_none)
 
 
 @given(PAYLOADS)

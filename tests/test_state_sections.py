@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from testingplus.state import WorldState
 from testingplus.tx import DeployCustomerAgreement, SetTestingFee
-from testingplus.vm import apply_transaction, contract_id_for
+from testingplus.vm import apply_transaction, created_id
 
 from test_execution_cache import CUSTOMER, Engagement
 from test_state_encoding import (LOGS, RECORDS, SECTIONS, reference_serialize, rekeyed,
@@ -152,9 +152,9 @@ def test_transaction_outside_the_history_keeps_its_encodings():
     eng = Engagement()
     for _ in range(5):
         eng.append(eng.next_txs())
-    nonce = eng.nonces[CUSTOMER.address]
-    eng.append([eng.tx(CUSTOMER, DeployCustomerAgreement())])
-    contract = contract_id_for(CUSTOMER.address, nonce, DeployCustomerAgreement.TAG)
+    deploy = eng.tx(CUSTOMER, DeployCustomerAgreement())
+    eng.append([deploy])
+    contract = created_id(deploy.payload, deploy.sender, deploy.nonce)
 
     state = eng.chain.state.copy()
     history = ("test_cases", "executions", "feedbacks")

@@ -19,7 +19,7 @@ from testingplus.tx import (
     Transaction,
 )
 from testingplus import vm
-from testingplus.vm import apply_transaction, case_id_for, contract_id_for
+from testingplus.vm import apply_transaction, created_id
 
 from conftest import Actor
 
@@ -33,14 +33,14 @@ def deploy_acceptance(local, customer, developer, fee):
         customer, DeployAcceptanceTest(customer.address, developer.address, fee)
     )
     assert receipt.ok
-    return contract_id_for(customer.address, tx.nonce, DeployAcceptanceTest.TAG)
+    return created_id(tx.payload, tx.sender, tx.nonce)
 
 
 class TestCustomerAgreement:
     def test_deploy_sets_customer_and_zero_fee(self, local, customer):
         receipt, tx = local.submit(customer, DeployCustomerAgreement())
         assert receipt.ok
-        cid = contract_id_for(customer.address, tx.nonce, DeployCustomerAgreement.TAG)
+        cid = created_id(tx.payload, tx.sender, tx.nonce)
         c = local.chain.state.customer_agreements[cid]
         assert c.customer == customer.address
         assert c.testing_fee == 0
@@ -52,14 +52,14 @@ class TestCustomerAgreement:
 
     def test_customer_sets_fee(self, local, customer):
         _, tx = local.submit(customer, DeployCustomerAgreement())
-        cid = contract_id_for(customer.address, tx.nonce, DeployCustomerAgreement.TAG)
+        cid = created_id(tx.payload, tx.sender, tx.nonce)
         receipt, _ = local.submit(customer, SetTestingFee(cid, 100))
         assert receipt.ok
         assert local.chain.state.customer_agreements[cid].testing_fee == 100
 
     def test_non_customer_cannot_set_fee(self, local, customer, developer):
         _, tx = local.submit(customer, DeployCustomerAgreement())
-        cid = contract_id_for(customer.address, tx.nonce, DeployCustomerAgreement.TAG)
+        cid = created_id(tx.payload, tx.sender, tx.nonce)
         receipt, _ = local.submit(developer, SetTestingFee(cid, 100))
         assert receipt.status == "Reverted"
         assert receipt.reason == b"Only customer can set the fee"
@@ -67,7 +67,7 @@ class TestCustomerAgreement:
 
     def test_zero_fee_permitted(self, local, customer):
         _, tx = local.submit(customer, DeployCustomerAgreement())
-        cid = contract_id_for(customer.address, tx.nonce, DeployCustomerAgreement.TAG)
+        cid = created_id(tx.payload, tx.sender, tx.nonce)
         receipt, _ = local.submit(customer, SetTestingFee(cid, 0))
         assert receipt.ok
 
@@ -79,7 +79,7 @@ class TestCustomerAgreement:
 class TestDeveloperAgreement:
     def test_developer_sets_reward(self, local, developer):
         _, tx = local.submit(developer, DeployDeveloperAgreement())
-        cid = contract_id_for(developer.address, tx.nonce, DeployDeveloperAgreement.TAG)
+        cid = created_id(tx.payload, tx.sender, tx.nonce)
         assert local.chain.state.developer_agreements[cid].reward == 0
         receipt, _ = local.submit(developer, SetReward(cid, 50))
         assert receipt.ok
@@ -87,7 +87,7 @@ class TestDeveloperAgreement:
 
     def test_non_developer_cannot_set_reward(self, local, customer, developer):
         _, tx = local.submit(developer, DeployDeveloperAgreement())
-        cid = contract_id_for(developer.address, tx.nonce, DeployDeveloperAgreement.TAG)
+        cid = created_id(tx.payload, tx.sender, tx.nonce)
         receipt, _ = local.submit(customer, SetReward(cid, 50))
         assert receipt.status == "Reverted"
         assert receipt.reason == b"Only developer can set the reward"
@@ -154,7 +154,7 @@ class TestAcceptanceTest:
         _, reg = local.submit(
             customer, RegisterTestCase(cid, b"case", b"\x01" * 32, b"\x02" * 32)
         )
-        case_id = case_id_for(customer.address, reg.nonce, b"\x02" * 32)
+        case_id = created_id(reg.payload, reg.sender, reg.nonce)
         local.submit(tester, RecordExecution(case_id, b"\x02" * 32))
         before = balance(local, developer)
         receipt, _ = local.submit(developer, CompleteTest(cid))
@@ -180,7 +180,7 @@ class TestAcceptanceTest:
         _, reg = local.submit(
             customer, RegisterTestCase(cid, b"case", b"\x01" * 32, b"\x02" * 32)
         )
-        case_id = case_id_for(customer.address, reg.nonce, b"\x02" * 32)
+        case_id = created_id(reg.payload, reg.sender, reg.nonce)
         local.submit(tester, RecordExecution(case_id, b"\xff" * 32))  # Fail verdict
         receipt, _ = local.submit(developer, CompleteTest(cid))
         assert receipt.reason == b"results not verified"
@@ -264,9 +264,9 @@ def _random_workload(rng, actors, n_ops=40):
         actor_nonce = sum(1 for a, *_ in ops[:-1] if a is ops[-1][0])
         a, payload, _, tag = ops[-1]
         if tag == "deploy":
-            contracts.append((contract_id_for(a.address, actor_nonce, DeployAcceptanceTest.TAG), payload.fee))
+            contracts.append((created_id(payload, a.address, actor_nonce), payload.fee))
         elif tag == "register":
-            cases.append((case_id_for(a.address, actor_nonce, payload.expected_output_digest), payload.expected_output_digest))
+            cases.append((created_id(payload, a.address, actor_nonce), payload.expected_output_digest))
     return ops
 
 
@@ -319,7 +319,7 @@ def test_conflicting_reorder_changes_root(customer):
     s1 = _fresh_state(actors, [500])
     s2 = _fresh_state(actors, [500])
     deploy = Transaction(customer.address, 0, DeployCustomerAgreement(), 0, b"s")
-    cid = contract_id_for(customer.address, 0, DeployCustomerAgreement.TAG)
+    cid = created_id(deploy.payload, deploy.sender, deploy.nonce)
     fee_a = Transaction(customer.address, 1, SetTestingFee(cid, 100), 0, b"s")
     fee_b = Transaction(customer.address, 2, SetTestingFee(cid, 200), 0, b"s")
     for tx in (deploy, fee_a, fee_b):
@@ -342,9 +342,9 @@ def test_authorization_only_owner_mutates(seed):
     _apply_ops(state, [(owner, DeployCustomerAgreement(), 0, "x")])
     _apply_ops(state, [(owner, DeployDeveloperAgreement(), 0, "x")])
     _apply_ops(state, [(owner, DeployAcceptanceTest(owner.address, owner.address, 50), 0, "x")])
-    ca = contract_id_for(owner.address, 0, DeployCustomerAgreement.TAG)
-    da = contract_id_for(owner.address, 1, DeployDeveloperAgreement.TAG)
-    at = contract_id_for(owner.address, 2, DeployAcceptanceTest.TAG)
+    ca = created_id(DeployCustomerAgreement(), owner.address, 0)
+    da = created_id(DeployDeveloperAgreement(), owner.address, 1)
+    at = created_id(DeployAcceptanceTest(owner.address, owner.address, 50), owner.address, 2)
     attacks = [
         (SetTestingFee(ca, rng.randrange(999)), 0, b"Only customer can set the fee"),
         (SetReward(da, rng.randrange(999)), 0, b"Only developer can set the reward"),

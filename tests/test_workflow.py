@@ -16,7 +16,7 @@ from testingplus.tx import (
     RecordExecution,
     RegisterTestCase,
 )
-from testingplus.vm import case_id_for, contract_id_for
+from testingplus.vm import created_id
 from testingplus.workflow import (
     ArtifactStore,
     CompensationOverflowError,
@@ -36,12 +36,12 @@ def _contract(local, customer, developer, fee=0):
     _, tx = local.submit(
         customer, DeployAcceptanceTest(customer.address, developer.address, fee)
     )
-    return contract_id_for(customer.address, tx.nonce, DeployAcceptanceTest.TAG)
+    return created_id(tx.payload, tx.sender, tx.nonce)
 
 
 def _case(local, customer, cid, expected=b"\x02" * 32, desc=b"case"):
     _, tx = local.submit(customer, RegisterTestCase(cid, desc, b"\x01" * 32, expected))
-    return case_id_for(customer.address, tx.nonce, expected)
+    return created_id(tx.payload, tx.sender, tx.nonce)
 
 
 class TestRegistry:
@@ -170,7 +170,7 @@ class TestCompensation:
                 _, tx = local.submit(
                     customer, RegisterTestCase(cid, b"c", b"\x01" * 32, expected)
                 )
-                case_id = case_id_for(customer.address, tx.nonce, expected)
+                case_id = created_id(tx.payload, tx.sender, tx.nonce)
                 cases.append((case_id, expected))
                 log.append((local.chain.state.height, customer.address, "register", (case_id, expected)))
             else:
@@ -244,6 +244,14 @@ class TestArtifactStore:
         d2 = store.put(b"x")
         assert d1 == d2
         assert len(list(store.root.iterdir())) == 1
+
+    def test_put_replaces_a_torn_earlier_write(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        digest = hash256(b"console log text")
+        (store.root / digest.hex()).write_bytes(b"console")
+        assert store.put(b"console log text") == digest
+        assert store.get(digest) == b"console log text"
+        assert [p.name for p in store.root.iterdir()] == [digest.hex()]
 
     def test_missing_artifact(self, tmp_path):
         store = ArtifactStore(tmp_path)
