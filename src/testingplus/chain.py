@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .block import Block, BlockHeader, build_block, decode_chain, encode_chain, merkle_root
-from .codec import DecodeError, ZERO_ADDRESS, ZERO_HASH
+from .codec import U64_MAX, DecodeError, ZERO_ADDRESS, ZERO_HASH
 from .keys import KeyRegistry, UnknownSenderError, address_from_pubkey, sign, verify
 from .state import AccountState, WorldState
 from .tx import Transaction, parse_u64, verify_transaction
@@ -52,6 +52,13 @@ class ValidatorSet:
         return index
 
 
+def check_issuance(balances) -> None:
+    """The genesis balances must add up to a u64, so that no account's
+    balance can grow past one."""
+    if sum(balances) > U64_MAX:
+        raise ValueError("total issuance exceeds u64")
+
+
 def proposer_for(height: int, round_: int, vs: ValidatorSet) -> bytes:
     return vs.members[(height + round_) % vs.n][0]
 
@@ -91,9 +98,7 @@ class GenesisConfig:
             timeout_ticks=parse_u64(raw.get("timeout_ticks", 50)),
         )
         ValidatorSet.from_pubkeys(cfg.validator_pubkeys)  # raises unless distinct and non-empty
-        total = sum(b for _, b in cfg.accounts)
-        if total > 2**64 - 1:
-            raise ValueError("total issuance exceeds u64")
+        check_issuance(b for _, b in cfg.accounts)
         return cfg
 
     def registry(self) -> KeyRegistry:

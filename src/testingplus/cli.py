@@ -12,22 +12,22 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .block import Block, merkle_proof
 from .chain import Chain, ChainStore, CorruptChainError, GenesisConfig, ValidatorSet
-from .codec import hash256, record_json
+from .codec import csv_table, hash256, record_json
 from .keys import address_from_pubkey, generate_keypair
 from .state import VERDICT_PASS
 from .tx import Transaction, hex_bytes, parse_u64, payload_from_json, sign_transaction
 from .vm import created_id
 from .workflow import (
     ArtifactStore,
-    UnknownCaseError,
-    WindowBeyondHeadError,
+    AuditEvent,
+    CompensationStatement,
+    QueryError,
     audit_trail,
-    audit_trail_csv,
-    audit_trail_json,
     compute_compensation,
 )
 
@@ -46,6 +46,12 @@ def _log(message: str) -> None:
 
 def _print_json(value) -> None:
     print(json.dumps(value, sort_keys=True))
+
+
+def _write_csv(cls, records) -> None:
+    """Records of one dataclass as a CSV table, a header row of its field names."""
+    sys.stdout.write(csv_table([f.name for f in fields(cls)],
+                               [record_json(r).values() for r in records]))
 
 
 def _load_key(path: str) -> dict:
@@ -257,23 +263,19 @@ def cmd_query(args) -> int:
                 "passes": sum(1 for e in execs if e.verdict == VERDICT_PASS),
             })
         elif sel == "audit":
-            cid = bytes.fromhex(rest[0])
-            try:
-                events = audit_trail(chain.state, cid)
-            except UnknownCaseError as exc:
-                raise UsageError(f"unknown test case {exc}") from exc
+            events = audit_trail(chain.state, bytes.fromhex(rest[0]))
             if args.csv:
-                sys.stdout.write(audit_trail_csv(events))
+                _write_csv(AuditEvent, events)
             else:
-                print(audit_trail_json(events))
+                _print_json([record_json(e) for e in events])
         elif sel == "compensation":
             tester, *numbers = rest[:5]
             lo, hi, base, bonus = map(parse_u64, numbers)
-            try:
-                stmt = compute_compensation(chain.state, bytes.fromhex(tester), lo, hi, base, bonus)
-            except (WindowBeyondHeadError, OverflowError) as exc:
-                raise UsageError(str(exc)) from exc
-            print(stmt.to_csv() if args.csv else stmt.to_json())
+            stmt = compute_compensation(chain.state, bytes.fromhex(tester), lo, hi, base, bonus)
+            if args.csv:
+                _write_csv(CompensationStatement, [stmt])
+            else:
+                _print_json(record_json(stmt))
         elif sel == "proof":
             h, idx = parse_u64(rest[0]), parse_u64(rest[1])
             if h >= len(chain.blocks):
@@ -292,6 +294,8 @@ def cmd_query(args) -> int:
             })
         else:
             raise UsageError(f"unknown selector {sel!r}")
+    except QueryError as exc:
+        raise UsageError(str(exc)) from exc
     except (IndexError, ValueError) as exc:
         raise UsageError(f"bad query arguments: {exc}") from exc
     return EXIT_OK

@@ -11,7 +11,9 @@ exactly the bytes its encoder writes, so those bytes are canonical.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import struct
 from dataclasses import fields
 from functools import cached_property
@@ -178,3 +180,13 @@ def record_json(record) -> dict:
         value = getattr(record, f.name)
         out[f.name] = value.hex() if isinstance(value, bytes) else value
     return out
+
+
+def csv_table(header, rows) -> str:
+    """An RFC-4180 CSV table: the header row, then the rows, each line
+    ending in a newline."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()

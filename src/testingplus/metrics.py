@@ -8,13 +8,11 @@ and serialized state size.
 from __future__ import annotations
 
 import copy
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .codec import enc_u64, hash256, record_json
+from .codec import csv_table, enc_u64, hash256, record_json
 from .sim import ScenarioError, SimScenario, SimTrace, _uint, run_simulation
 
 
@@ -57,9 +55,6 @@ class MetricsReport:
         latency = out.pop("latency")
         out.update((f"latency_{k}", getattr(latency, k)) for k in ("min", "median", "p95", "max"))
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def analyze(trace: SimTrace) -> MetricsReport:
@@ -151,6 +146,8 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepSpec":
         """Axis values are taken as given, for SimScenario.from_dict to judge."""
+        if not isinstance(raw, dict):
+            raise ScenarioError(f"a sweep spec is a JSON object, not {type(raw).__name__}")
         try:
             base, values = raw["base"], raw["values"]
             if not isinstance(base, dict):
@@ -221,17 +218,15 @@ def run_sweep(spec: SweepSpec) -> str:
     """Run every (axis value, repetition) cell and return an RFC-4180 CSV
     table, rows in spec order. A failing cell becomes a row with its error
     in the status column; the sweep continues."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_HEADER)
+    rows = []
     for value in spec.values:
         for rep in range(spec.repetitions):
             seed = spec.derived_seed(value, rep)
             try:
                 scenario = spec.scenario_for(value, rep)
                 report = analyze(run_simulation(scenario)).to_dict()
-                w.writerow([spec.axis, value, rep, seed, "ok"] + [report[k] for k in CSV_HEADER[5:]])
+                rows.append([spec.axis, value, rep, seed, "ok"] + [report[k] for k in CSV_HEADER[5:]])
             except Exception as exc:  # a broken cell must not kill the sweep
-                w.writerow([spec.axis, value, rep, seed, f"error: {exc}"]
-                           + [""] * (len(CSV_HEADER) - 5))
-    return buf.getvalue()
+                rows.append([spec.axis, value, rep, seed, f"error: {exc}"]
+                            + [""] * (len(CSV_HEADER) - 5))
+    return csv_table(CSV_HEADER, rows)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .chain import GenesisConfig
+from .chain import GenesisConfig, check_issuance
 from .codec import U64_MAX, enc_u64, hash256
 from .consensus import ConsensusMessage, Node
 from .keys import address_from_pubkey, generate_keypair
@@ -142,6 +142,7 @@ class SimScenario:
                 gossip_interval=_ticks_or_none(raw, "gossip_interval"),
                 raw=raw,
             )
+            check_issuance(scenario.account_balances)
         except (KeyError, TypeError, ValueError) as exc:
             message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
             raise ScenarioError(message) from exc

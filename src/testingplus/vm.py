@@ -100,20 +100,7 @@ def created_id(payload: Payload, sender: bytes, nonce: int) -> bytes | None:
     """Id of the contract, test case, execution or feedback that `payload`
     creates when `sender` submits it at `nonce`; None for the other payloads."""
     salt = _ID_SALT.get(type(payload))
-    return None if salt is None else _id_for(sender, nonce, salt(payload))
-
-
-def _id_for(sender: bytes, nonce: int, salt: bytes) -> bytes:
-    """The one id rule: the hash of sender ‖ u64(nonce) ‖ salt."""
-    return hash256(sender + enc_u64(nonce) + salt)
-
-
-# kept for tests/test_golden_runs.py, which derives the ids of its pinned runs with them
-case_id_for = _id_for
-
-
-def contract_id_for(sender: bytes, nonce: int, tag: int) -> bytes:
-    return _id_for(sender, nonce, bytes([tag]))
+    return None if salt is None else hash256(sender + enc_u64(nonce) + salt(payload))
 
 
 def _put_history(state: WorldState, tx: Transaction, height: int, tick: int, record_type,

@@ -1,29 +1,19 @@
-"""Read-side workflow queries: compensation statements, audit trails, their
-JSON/CSV exports, and the content-addressed off-chain artifact store."""
+"""Read-side workflow queries: compensation statements, audit trails, and
+the content-addressed off-chain artifact store."""
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
-from .codec import U64_MAX, hash256, record_json
+from .codec import U64_MAX, hash256
 from .state import VERDICT_PASS, WorldState
 
 
-class WindowBeyondHeadError(ValueError):
-    pass
-
-
-class CompensationOverflowError(OverflowError):
-    pass
-
-
-class UnknownCaseError(KeyError):
-    pass
+class QueryError(ValueError):
+    """A query that the chain cannot answer: a window beyond its head, an
+    amount beyond u64, or a test case it does not hold."""
 
 
 @dataclass(frozen=True)
@@ -35,18 +25,6 @@ class CompensationStatement:
     matched: int
     amount: int
     contribution_ppm: int
-
-    def to_dict(self) -> dict:
-        return record_json(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def to_csv(self) -> str:
-        row = self.to_dict()
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([row.keys(), row.values()])
-        return buf.getvalue()
 
 
 def compute_compensation(
@@ -63,16 +41,16 @@ def compute_compensation(
     window, in parts per million (0 when the window is empty).
     """
     if from_height > to_height:
-        raise WindowBeyondHeadError(f"window start {from_height} is after its end {to_height}")
+        raise QueryError(f"window start {from_height} is after its end {to_height}")
     if not 0 <= from_height <= to_height <= state.height:
-        raise WindowBeyondHeadError("window beyond head")
+        raise QueryError("window beyond head")
     in_window = [e for e in state.executions if from_height <= e.block_height <= to_height]
     mine = [e for e in in_window if e.tester == tester]
     executed = len(mine)
     matched = sum(1 for e in mine if e.verdict == VERDICT_PASS)
     amount = base_rate * executed + bonus_rate * matched
     if amount > U64_MAX:
-        raise CompensationOverflowError("compensation amount exceeds u64")
+        raise QueryError("compensation amount exceeds u64")
     total = len(in_window)
     contribution_ppm = (1_000_000 * executed) // total if total else 0
     return CompensationStatement(
@@ -88,9 +66,6 @@ class AuditEvent:
     actor: bytes
     tx_hash: bytes
 
-    def to_dict(self) -> dict:
-        return record_json(self)
-
 
 def audit_trail(state: WorldState, case_id: bytes) -> list[AuditEvent]:
     """Chronological history of one test case: registration, executions,
@@ -98,7 +73,7 @@ def audit_trail(state: WorldState, case_id: bytes) -> list[AuditEvent]:
     acceptance contract."""
     case = state.test_cases.get(case_id)
     if case is None:
-        raise UnknownCaseError(case_id.hex())
+        raise QueryError(f"unknown test case {case_id.hex()}")
     events: list[tuple[int, AuditEvent]] = [
         (case.seq, AuditEvent("register", case.tick, case.block_height, case.author, case.tx_hash))
     ]
@@ -133,29 +108,17 @@ def audit_trail(state: WorldState, case_id: bytes) -> list[AuditEvent]:
     return [ev for _, ev in events]
 
 
-def audit_trail_json(events: list[AuditEvent]) -> str:
-    return json.dumps([e.to_dict() for e in events], sort_keys=True)
-
-
-def audit_trail_csv(events: list[AuditEvent]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow([f.name for f in fields(AuditEvent)])
-    w.writerows(e.to_dict().values() for e in events)
-    return buf.getvalue()
-
-
 class ArtifactStore:
     """Flat content-addressed directory; file name = lowercase hex digest."""
 
     def __init__(self, root: Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.root = Path(root)  # made by the first put, so a read creates nothing
 
     def put(self, data: bytes) -> bytes:
         """Store `data` under its digest: written under a temporary name and
         renamed into place, so a torn earlier write is replaced whole."""
         digest = hash256(data)
+        self.root.mkdir(parents=True, exist_ok=True)
         path = self.root / digest.hex()
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         tmp.write_bytes(data)

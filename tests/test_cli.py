@@ -348,6 +348,34 @@ class TestQuery:
         rc = main(["query", "--store", populated["store"], "compensation", tester_addr, "3", "2", "1", "1"])
         assert (rc, capsys.readouterr()) == (2, ("", "error: window start 3 is after its end 2\n"))
 
+    def test_csv_outputs_are_pinned(self, populated, capsys):
+        """Each CSV table ends in one newline, with no blank line after it."""
+        tester_addr = json.loads(open(populated["keys"]["tester"]).read())["address"]
+        rc, out = self.q(populated, capsys, "--csv", "compensation", tester_addr, "0", "4", "10", "5")
+        assert (rc, out) == (0, (
+            "tester,from_height,to_height,executed,matched,amount,contribution_ppm\n"
+            "b14705888f4a68391a09aa5968dd25d16c3bba7b,0,4,1,1,15,1000000\n"))
+        rc, out = self.q(populated, capsys, "--csv", "audit", populated["ids"]["case"])
+        assert (rc, out) == (0, (
+            "kind,tick,block_height,actor,tx_hash\n"
+            "register,3,3,1325b850c2871916eae203f0efc3c8987f64e5e3,"
+            "1ef1395b2be2164280f2c869428213ae8d52bd86af86a525506895079cc29ae1\n"
+            "execute,4,4,b14705888f4a68391a09aa5968dd25d16c3bba7b,"
+            "d5dcd060e52062d296c5fc9e644e03caff167c3ebe49cf9aa4ac5df54fbc813c\n"))
+
+    @pytest.mark.parametrize("args,message", [
+        (("compensation", "{tester}", "0", "99", "1", "1"), "window beyond head"),
+        (("compensation", "{tester}", "0", "4", str(2**64 - 1), "1"),
+         "compensation amount exceeds u64"),
+        (("audit", "0b" * 32), "unknown test case " + "0b" * 32),
+    ], ids=["window-beyond-head", "amount-beyond-u64", "unknown-case"])
+    @pytest.mark.parametrize("csv", [[], ["--csv"]], ids=["json", "csv"])
+    def test_failed_query_names_its_error(self, populated, capsys, args, message, csv):
+        tester_addr = json.loads(open(populated["keys"]["tester"]).read())["address"]
+        rc = main(["query", "--store", populated["store"], *csv,
+                   *[a.format(tester=tester_addr) for a in args]])
+        assert (rc, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
+
     def test_proof_verifies_against_block_root(self, populated, capsys):
         rc, out = self.q(populated, capsys, "proof", "3", "0")
         assert rc == 0
@@ -446,6 +474,44 @@ class TestScenarioAndBench:
         assert main(["bench", str(sfile), "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err == f"error: bad sweep spec: {message}\n"
 
+    @pytest.mark.parametrize("spec", [[1], "x", None])
+    def test_sweep_spec_that_is_not_an_object_is_named(self, tmp_path, capsys, spec):
+        sfile = tmp_path / "sweep.json"
+        sfile.write_text(json.dumps(spec))
+        assert main(["bench", str(sfile), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad sweep spec: a sweep spec is a JSON object, not {type(spec).__name__}\n")
+
+    def _issuance_scenario(self, tmp_path, balances):
+        """One account pays the other the whole of its balance as a fee."""
+        scenario = {
+            "seed": 1, "n_validators": 1, "latency": [1, 1], "accounts": balances,
+            "max_ticks": 60,
+            "workload": [
+                {"tick": 1, "sender": 0, "op": "deploy_acceptance_test", "customer": 0,
+                 "developer": 1, "fee": balances[0]},
+                {"tick": 5, "sender": 0, "op": "initiate_test", "contract": {"ref": 0},
+                 "value": balances[0]},
+                {"tick": 9, "sender": 1, "op": "complete_test", "contract": {"ref": 0}},
+            ],
+        }
+        sfile = tmp_path / "scenario.json"
+        sfile.write_text(json.dumps(scenario))
+        return sfile
+
+    def test_issuance_beyond_u64_is_refused_and_writes_no_trace(self, tmp_path, capsys):
+        sfile = self._issuance_scenario(tmp_path, [2**64 - 1, 2**64 - 1])
+        trace_path = tmp_path / "trace.ndjson"
+        assert main(["scenario", str(sfile), "--out", str(trace_path)]) == 2
+        assert capsys.readouterr().err == "error: bad scenario: total issuance exceeds u64\n"
+        assert not trace_path.exists()
+
+    def test_issuance_of_exactly_u64_max_is_accepted(self, tmp_path, capsys):
+        sfile = self._issuance_scenario(tmp_path, [2**64 - 2, 1])
+        trace_path = tmp_path / "trace.ndjson"
+        assert main(["scenario", str(sfile), "--out", str(trace_path)]) == 0
+        assert trace_path.exists()
+
     def test_bench_writes_csv(self, tmp_path, capsys):
         spec = {
             "base": {
@@ -476,6 +542,11 @@ class TestArtifact:
 
     def test_get_missing_is_usage_error(self, env, capsys):
         assert main(["artifact", "--store", env["store"], "get", "ab" * 32]) == 2
+
+    def test_get_on_a_missing_store_creates_nothing(self, tmp_path, capsys):
+        store = tmp_path / "nowhere"
+        assert main(["artifact", "--store", str(store), "get", "00" * 32]) == 2
+        assert not store.exists()
 
 
 def test_cli_import_leaves_the_simulator_unloaded():
@@ -511,8 +582,9 @@ def test_cli_import_leaves_the_simulator_unloaded():
     lambda g: g.update(timeout_ticks=-1),
     lambda g: g.update(empty_block_interval="soon"),
     lambda g: g.update(accounts=[5]),
+    lambda g: [a.update(balance=2**63) for a in g["accounts"]],
 ], ids=["duplicate-validator", "negative-balance", "fractional-balance", "negative-timeout",
-        "text-interval", "account-not-an-object"])
+        "text-interval", "account-not-an-object", "issuance-beyond-u64"])
 def test_bad_genesis_is_usage_error_and_writes_no_store(tmp_path, env, capsys, edit):
     raw = json.loads((tmp_path / "genesis.json").read_text())
     edit(raw)

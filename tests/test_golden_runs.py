@@ -26,9 +26,10 @@ from testingplus.tx import (
     SetTestingFee,
     Transaction,
 )
-from testingplus.vm import apply_transaction, case_id_for, contract_id_for
+from testingplus.vm import apply_transaction
 
 from conftest import Actor, fixture_hex, make_genesis
+from oracles import manual_created_id
 
 VALIDATOR = Actor(b"\x11" * 32)
 ACTORS = [Actor(bytes([0x50 + i]) * 32) for i in range(4)]
@@ -48,8 +49,7 @@ def _ledger_ops(rng, n_ops):
         value = 0
         if kind == "deploy" or not contracts:
             payload = DeployAcceptanceTest(actor.address, other.address, rng.randrange(0, 50))
-            contracts.append((contract_id_for(actor.address, nonce, DeployAcceptanceTest.TAG),
-                              payload.fee))
+            contracts.append((manual_created_id(payload, actor.address, nonce), payload.fee))
         elif kind == "initiate":
             cid, fee = rng.choice(contracts)
             payload, value = InitiateTest(cid), fee if rng.random() < 0.8 else fee + 1
@@ -58,7 +58,7 @@ def _ledger_ops(rng, n_ops):
         elif kind == "register" or not cases:
             expected = bytes([rng.randrange(256)]) * 32
             payload = RegisterTestCase(rng.choice(contracts)[0], b"case", b"\x01" * 32, expected)
-            cases.append((case_id_for(actor.address, nonce, expected), expected))
+            cases.append((manual_created_id(payload, actor.address, nonce), expected))
         elif kind == "execute":
             case_id, expected = rng.choice(cases)
             actual = expected if rng.random() < 0.6 else bytes([rng.randrange(256)]) * 32

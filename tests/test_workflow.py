@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from testingplus.codec import hash256
+from testingplus.cli import _print_json, _write_csv
+from testingplus.codec import hash256, record_json
 from testingplus.state import VERDICT_FAIL, VERDICT_PASS
 from testingplus.tx import (
     CompleteTest,
@@ -19,12 +20,10 @@ from testingplus.tx import (
 from testingplus.vm import created_id
 from testingplus.workflow import (
     ArtifactStore,
-    CompensationOverflowError,
-    UnknownCaseError,
-    WindowBeyondHeadError,
+    AuditEvent,
+    CompensationStatement,
+    QueryError,
     audit_trail,
-    audit_trail_csv,
-    audit_trail_json,
     compute_compensation,
 )
 
@@ -133,28 +132,30 @@ class TestCompensation:
         assert (s.executed, s.matched, s.amount, s.contribution_ppm) == (0, 0, 0, 0)
 
     def test_window_beyond_head_raises(self, local, tester):
-        with pytest.raises(WindowBeyondHeadError, match="window beyond head"):
+        with pytest.raises(QueryError, match="window beyond head"):
             compute_compensation(
                 local.chain.state, tester.address, 0, local.chain.state.height + 1, 1, 1
             )
-        with pytest.raises(WindowBeyondHeadError, match="window start 3 is after its end 2"):
+        with pytest.raises(QueryError, match="window start 3 is after its end 2"):
             compute_compensation(local.chain.state, tester.address, 3, 2, 1, 1)
 
     def test_overflow_raises(self, local, customer, developer, tester):
         self._run(local, customer, developer, tester, [True])
-        with pytest.raises(CompensationOverflowError):
+        with pytest.raises(QueryError, match="compensation amount exceeds u64"):
             compute_compensation(
                 local.chain.state, tester.address, 0, local.chain.state.height, 2**64, 0
             )
 
-    def test_json_and_csv_round(self, local, customer, developer, tester):
+    def test_json_and_csv_round(self, capsys, local, customer, developer, tester):
         self._run(local, customer, developer, tester, [True])
         s = compute_compensation(
             local.chain.state, tester.address, 0, local.chain.state.height, 10, 5
         )
-        d = json.loads(s.to_json())
+        _print_json(record_json(s))
+        d = json.loads(capsys.readouterr().out)
         assert d["amount"] == 15 and d["tester"] == tester.address.hex()
-        lines = s.to_csv().splitlines()
+        _write_csv(CompensationStatement, [s])
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("tester,") and len(lines) == 2
 
     @pytest.mark.parametrize("seed", range(10))
@@ -209,7 +210,7 @@ class TestAuditTrail:
         assert events[-1].actor == developer.address
 
     def test_unknown_case_raises(self, local):
-        with pytest.raises(UnknownCaseError):
+        with pytest.raises(QueryError, match="unknown test case " + "0b" * 32):
             audit_trail(local.chain.state, b"\x0b" * 32)
 
     def test_other_cases_excluded(self, local, customer, developer, tester):
@@ -220,12 +221,14 @@ class TestAuditTrail:
         local.submit(tester, RecordExecution(b, b"\x03" * 32))
         assert len(audit_trail(local.chain.state, a)) == 2  # register + execute
 
-    def test_exports(self, local, customer, developer, tester):
+    def test_exports(self, capsys, local, customer, developer, tester):
         case_id = self._build(local, customer, developer, tester)
         events = audit_trail(local.chain.state, case_id)
-        parsed = json.loads(audit_trail_json(events))
+        _print_json([record_json(e) for e in events])
+        parsed = json.loads(capsys.readouterr().out)
         assert [p["kind"] for p in parsed] == [e.kind for e in events]
-        csv_lines = audit_trail_csv(events).splitlines()
+        _write_csv(AuditEvent, events)
+        csv_lines = capsys.readouterr().out.splitlines()
         assert csv_lines[0] == "kind,tick,block_height,actor,tx_hash"
         assert len(csv_lines) == len(events) + 1
 
@@ -253,6 +256,13 @@ class TestArtifactStore:
         assert store.get(digest) == b"console log text"
         assert [p.name for p in store.root.iterdir()] == [digest.hex()]
 
+    def test_read_of_a_missing_store_creates_nothing(self, tmp_path):
+        store = ArtifactStore(tmp_path / "nowhere" / "artifacts")
+        with pytest.raises(FileNotFoundError):
+            store.get(hash256(b"never stored"))
+        assert not store.has(hash256(b"never stored"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_artifact(self, tmp_path):
         store = ArtifactStore(tmp_path)
         with pytest.raises(FileNotFoundError):
@@ -267,22 +277,26 @@ class TestArtifactStore:
             store.get(digest)
 
 
-def test_statement_and_audit_exports_are_pinned():
-    from testingplus.workflow import AuditEvent, CompensationStatement, audit_trail_csv
+def test_statement_and_audit_exports_are_pinned(capsys):
+    """What `query compensation` and `query audit` print, JSON and CSV."""
+    def printed(write, *args):
+        write(*args)
+        return capsys.readouterr().out
 
     s = CompensationStatement(b"\xab" * 2, 1, 9, 4, 3, 55, 250000)
-    assert json.loads(s.to_json()) == {
+    assert json.loads(printed(_print_json, record_json(s))) == {
         "tester": "abab", "from_height": 1, "to_height": 9, "executed": 4, "matched": 3,
         "amount": 55, "contribution_ppm": 250000,
     }
-    assert s.to_csv() == ("tester,from_height,to_height,executed,matched,amount,contribution_ppm\n"
-                          "abab,1,9,4,3,55,250000\n")
+    assert printed(_write_csv, CompensationStatement, [s]) == (
+        "tester,from_height,to_height,executed,matched,amount,contribution_ppm\n"
+        "abab,1,9,4,3,55,250000\n")
     events = [AuditEvent("register", 3, 1, b"\x01", b"\x02"),
               AuditEvent("settle", 8, 2, b"\x03", b"\x04")]
-    assert audit_trail_json(events) == (
+    assert printed(_print_json, [record_json(e) for e in events]) == (
         '[{"actor": "01", "block_height": 1, "kind": "register", "tick": 3, "tx_hash": "02"}, '
-        '{"actor": "03", "block_height": 2, "kind": "settle", "tick": 8, "tx_hash": "04"}]'
+        '{"actor": "03", "block_height": 2, "kind": "settle", "tick": 8, "tx_hash": "04"}]\n'
     )
-    assert audit_trail_csv(events) == ("kind,tick,block_height,actor,tx_hash\n"
-                                       "register,3,1,01,02\nsettle,8,2,03,04\n")
-    assert audit_trail_csv([]) == "kind,tick,block_height,actor,tx_hash\n"
+    assert printed(_write_csv, AuditEvent, events) == ("kind,tick,block_height,actor,tx_hash\n"
+                                                       "register,3,1,01,02\nsettle,8,2,03,04\n")
+    assert printed(_write_csv, AuditEvent, []) == "kind,tick,block_height,actor,tx_hash\n"
