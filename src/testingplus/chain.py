@@ -8,10 +8,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .block import Block, BlockHeader, build_block, decode_chain, encode_chain, merkle_root
-from .codec import U64_MAX, DecodeError, ZERO_ADDRESS, ZERO_HASH
+from .codec import (HASH_HEX, U64_MAX, DecodeError, InputError, ZERO_ADDRESS, ZERO_HASH,
+                    list_of, obj, uint)
 from .keys import KeyRegistry, UnknownSenderError, address_from_pubkey, sign, verify
 from .state import AccountState, WorldState
-from .tx import Transaction, parse_u64, verify_transaction
+from .tx import Transaction, verify_transaction
 from .vm import Receipt, apply_transaction
 
 
@@ -31,7 +32,7 @@ class ValidatorSet:
         members = tuple((address_from_pubkey(pk), pk) for pk in pubkeys)
         addrs = [a for a, _ in members]
         if len(set(addrs)) != len(addrs) or not members:
-            raise ValueError("validator addresses must be distinct and non-empty")
+            raise InputError("validators", "a non-empty list of keys with distinct addresses")
         return cls(members)
 
     @property
@@ -53,10 +54,11 @@ class ValidatorSet:
 
 
 def check_issuance(balances) -> None:
-    """The genesis balances must add up to a u64, so that no account's
-    balance can grow past one."""
-    if sum(balances) > U64_MAX:
-        raise ValueError("total issuance exceeds u64")
+    """The genesis balances (JSON path `accounts`) must add up to a u64, so
+    that no account's balance can grow past one."""
+    total = sum(balances)
+    if total > U64_MAX:
+        raise InputError("accounts", f"balances that add up to at most {U64_MAX}", total)
 
 
 def proposer_for(height: int, round_: int, vs: ValidatorSet) -> bytes:
@@ -88,14 +90,14 @@ class GenesisConfig:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "GenesisConfig":
-        raw = json.loads(text)
+    def from_dict(cls, raw: dict) -> "GenesisConfig":
+        v = _GENESIS(raw, "")
         cfg = cls(
-            chain_id=bytes.fromhex(raw["chain_id"]),
-            validator_pubkeys=[bytes.fromhex(v) for v in raw["validators"]],
-            accounts=[(bytes.fromhex(a["pubkey"]), parse_u64(a["balance"])) for a in raw["accounts"]],
-            empty_block_interval=parse_u64(raw.get("empty_block_interval", 50)),
-            timeout_ticks=parse_u64(raw.get("timeout_ticks", 50)),
+            chain_id=v["chain_id"],
+            validator_pubkeys=v["validators"],
+            accounts=[(a["pubkey"], a["balance"]) for a in v["accounts"]],
+            empty_block_interval=v["empty_block_interval"],
+            timeout_ticks=v["timeout_ticks"],
         )
         ValidatorSet.from_pubkeys(cfg.validator_pubkeys)  # raises unless distinct and non-empty
         check_issuance(b for _, b in cfg.accounts)
@@ -131,6 +133,15 @@ class GenesisConfig:
             proposer=ZERO_ADDRESS,
         )
         return Block(header, (), ())
+
+
+_GENESIS = obj(
+    chain_id=HASH_HEX,
+    validators=list_of(HASH_HEX),
+    accounts=list_of(obj(pubkey=HASH_HEX, balance=uint)),
+    empty_block_interval=(uint, GenesisConfig.empty_block_interval),
+    timeout_ticks=(uint, GenesisConfig.timeout_ticks),
+)
 
 
 class CorruptChainError(Exception):
@@ -335,8 +346,8 @@ class ChainStore:
 
     def load(self) -> Chain:
         try:
-            genesis = GenesisConfig.from_json(self.genesis_path.read_text())
-        except (ValueError, KeyError, TypeError) as exc:
+            genesis = GenesisConfig.from_dict(json.loads(self.genesis_path.read_text()))
+        except ValueError as exc:
             raise CorruptChainError(0, f"bad genesis.json: {exc}") from exc
         try:
             blocks = decode_chain(self.chain_path.read_bytes())

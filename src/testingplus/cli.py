@@ -17,10 +17,11 @@ from pathlib import Path
 
 from .block import Block, merkle_proof
 from .chain import Chain, ChainStore, CorruptChainError, GenesisConfig, ValidatorSet
-from .codec import csv_table, hash256, record_json
+from .codec import (ADDRESS_LEN, HASH_HEX, InputError, csv_table, hash256, hexbytes, list_of,
+                    obj, record_json, uint)
 from .keys import address_from_pubkey, generate_keypair
 from .state import VERDICT_PASS
-from .tx import Transaction, hex_bytes, parse_u64, payload_from_json, sign_transaction
+from .tx import OP_ENTRY, WORKLOAD_ENTRY, Transaction, payload_from_json, sign_transaction
 from .vm import created_id
 from .workflow import (
     ArtifactStore,
@@ -54,19 +55,30 @@ def _write_csv(cls, records) -> None:
                                [record_json(r).values() for r in records]))
 
 
-def _load_key(path: str) -> dict:
-    """A key file whose public key and address both derive from its secret."""
+def _read_json(path, what: str, read):
+    """`read` of the JSON file at `path`; a file that cannot be read or
+    parsed, or that `read` refuses, is a usage error led by `what`."""
     try:
-        key = json.loads(Path(path).read_text())
-        secret, public = generate_keypair(bytes.fromhex(key["secret_key"]))
-        if bytes.fromhex(key["public_key"]) != public:
-            raise ValueError("public key does not derive from the secret key")
-        address = address_from_pubkey(public)
-        if bytes.fromhex(key["address"]) != address:
-            raise ValueError("address does not derive from the public key")
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"cannot read key file {path}: {exc}") from exc
-    return {"address": address, "public_key": public, "secret_key": secret}
+        return read(json.loads(Path(path).read_text()))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, InputError) as exc:
+        raise UsageError(f"{what}: {exc}") from exc
+
+
+_KEY_FILE = obj(secret_key=HASH_HEX, public_key=HASH_HEX, address=hexbytes(ADDRESS_LEN))
+
+
+def _key_file(value) -> dict:
+    """A key file whose public key and address both derive from its secret."""
+    key = _KEY_FILE(value, "")
+    public = generate_keypair(key["secret_key"])[1]
+    for name, derived in (("public_key", public), ("address", address_from_pubkey(public))):
+        if key[name] != derived:
+            raise InputError(name, "the one secret_key derives", key[name].hex())
+    return key
+
+
+def _load_key(path) -> dict:
+    return _read_json(path, f"cannot read key file {path}", _key_file)
 
 
 def _write_secret(path: Path, text: str) -> None:
@@ -81,20 +93,11 @@ def cmd_keygen(args) -> int:
     if out.exists() and not args.force:
         raise UsageError(f"{out} exists (use --force to overwrite)")
     secret, public = generate_keypair()
-    _write_secret(
-        out,
-        json.dumps(
-            {
-                "address": address_from_pubkey(public).hex(),
-                "public_key": public.hex(),
-                "secret_key": secret.hex(),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    key = {"address": address_from_pubkey(public).hex(), "public_key": public.hex(),
+           "secret_key": secret.hex()}  # the key file that _key_file reads back
+    _write_secret(out, json.dumps(key, indent=2, sort_keys=True))
     _log(f"wrote key file {out}")
-    print(json.dumps({"address": address_from_pubkey(public).hex()}))
+    print(json.dumps({"address": key["address"]}))
     return EXIT_OK
 
 
@@ -102,10 +105,7 @@ def cmd_init(args) -> int:
     store = ChainStore(Path(args.store))
     if store.genesis_path.exists() or store.chain_path.exists():
         raise UsageError(f"store {args.store} exists")
-    try:
-        genesis = GenesisConfig.from_json(Path(args.genesis).read_text())
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise UsageError(f"bad genesis file: {exc}") from exc
+    genesis = _read_json(args.genesis, "bad genesis file", GenesisConfig.from_dict)
     sealer = _load_key(args.validator_key)
     validators = ValidatorSet.from_pubkeys(genesis.validator_pubkeys)
     if validators.pubkey_of(sealer["address"]) is None:
@@ -127,25 +127,17 @@ def _load_store(args) -> tuple[ChainStore, Chain]:
     return store, store.load()
 
 
+_JSON_LIST = list_of(lambda value, path: value)
+
+
 def cmd_submit(args) -> int:
-    try:
-        raw = json.loads(Path(args.payload).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read payload: {exc}") from exc
-    if not isinstance(raw, dict) or "op" not in raw:
-        raise UsageError("payload must be a JSON object with an 'op' field")
+    entry = WORKLOAD_ENTRY if args.queue else OP_ENTRY
+    raw, value = _read_json(args.payload, "bad payload", lambda doc: (doc, entry(doc, "")["value"]))
 
     if args.queue:
         queue_path = Path(args.queue)
-        try:
-            entries = json.loads(queue_path.read_text()) if queue_path.exists() else []
-            if not isinstance(entries, list):
-                raise ValueError("not a JSON list")
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot read queue file {queue_path}: {exc}") from exc
-        for field in ("tick", "sender"):
-            if field not in raw:
-                raise UsageError(f"queue mode payloads need a {field!r} field")
+        entries = _read_json(queue_path, f"cannot read queue file {queue_path}",
+                             lambda doc: _JSON_LIST(doc, "")) if queue_path.exists() else []
         entries.append(raw)
         queue_path.write_text(json.dumps(entries, indent=2))
         print(json.dumps({"queued": len(entries), "file": str(queue_path)}))
@@ -159,9 +151,8 @@ def cmd_submit(args) -> int:
         raise UsageError("sender has no account on this chain")
     artifacts = ArtifactStore(store.artifacts_dir)
     try:
-        payload = payload_from_json(raw, hex_bytes, hex_bytes, artifacts.put)
-        value = parse_u64(raw.get("value", 0))
-    except ValueError as exc:
+        payload = payload_from_json(raw, artifacts.put)
+    except InputError as exc:
         raise UsageError(f"bad payload: {exc}") from exc
     tx = Transaction(sender, acct.nonce, payload, value)
     tx = sign_transaction(tx, key["secret_key"], key["public_key"])
@@ -215,103 +206,115 @@ def _contracts_json(section, *names) -> list[dict]:
     return [{"id": v["contract_id"], **{name: v[name] for name in names}} for v in views]
 
 
+def _arg(name: str, kind):
+    """An argparse type reading an argument with a kind; argparse says `invalid <name> value`."""
+
+    def read(arg: str):
+        return kind(arg, "")
+
+    read.__name__ = name
+    return read
+
+
+# on the command line a u64 is ASCII decimal digits
+_U64 = _arg("u64", lambda a, path: uint(int(a) if a.isascii() and a.isdigit() else a, path))
+_ID = _arg("32-byte hex", HASH_HEX)
+# the typed arguments of each query selector, parsed before the store loads
+_QUERY_ARGS = {
+    "block": [("height", _U64)],
+    "state": [],
+    "case": [("case_id", _ID)],
+    "audit": [("case_id", _ID)],
+    "compensation": [("tester", _arg("20-byte hex", hexbytes(ADDRESS_LEN))), ("from_height", _U64),
+                     ("to_height", _U64), ("base_rate", _U64), ("bonus_rate", _U64)],
+    "proof": [("height", _U64), ("index", _U64)],
+}
+_CSV_QUERIES = ("audit", "compensation")
+
+
 def cmd_query(args) -> int:
-    _, chain = _load_store(args)
     sel = args.selector
-    rest = args.args
-    try:
-        if sel == "block":
-            h = parse_u64(rest[0])
-            if h >= len(chain.blocks):
-                raise UsageError(f"no block at height {h}")
-            _print_json(_block_json(chain.blocks[h]))
-        elif sel == "state":
-            state = chain.state
-            _print_json({
-                "height": chain.height,
-                "state_root": state.root().hex(),
-                "accounts": [record_json(state.accounts[k]) for k in sorted(state.accounts)],
-                "customer_agreements": _contracts_json(
-                    state.customer_agreements, "customer", "testing_fee"),
-                "developer_agreements": _contracts_json(
-                    state.developer_agreements, "developer", "reward"),
-                "acceptance_tests": _contracts_json(
-                    state.acceptance_tests, "customer", "developer", "testing_fee",
-                    "is_test_completed", "escrow"),
-                "test_cases": len(state.test_cases),
-                "executions": len(state.executions),
-                "feedbacks": len(state.feedbacks),
-            })
-        elif sel == "case":
-            cid = bytes.fromhex(rest[0])
-            case = chain.state.test_cases.get(cid)
-            if case is None:
-                raise UsageError(f"unknown test case {rest[0]}")
-            execs = [e for e in chain.state.executions if e.case_id == cid]
-            _print_json({
-                "case_id": case.case_id.hex(),
-                "acceptance_contract": case.acceptance_contract.hex(),
-                "author": case.author.hex(),
-                "description": case.description.decode("utf-8", "replace"),
-                "input_digest": case.input_digest.hex(),
-                "expected_output_digest": case.expected_output_digest.hex(),
-                "executions": [
-                    {"exec_id": e.exec_id.hex(), "tester": e.tester.hex(),
-                     "verdict": e.verdict, "block_height": e.block_height}
-                    for e in execs
-                ],
-                "passes": sum(1 for e in execs if e.verdict == VERDICT_PASS),
-            })
-        elif sel == "audit":
-            events = audit_trail(chain.state, bytes.fromhex(rest[0]))
-            if args.csv:
-                _write_csv(AuditEvent, events)
-            else:
-                _print_json([record_json(e) for e in events])
-        elif sel == "compensation":
-            tester, *numbers = rest[:5]
-            lo, hi, base, bonus = map(parse_u64, numbers)
-            stmt = compute_compensation(chain.state, bytes.fromhex(tester), lo, hi, base, bonus)
-            if args.csv:
-                _write_csv(CompensationStatement, [stmt])
-            else:
-                _print_json(record_json(stmt))
-        elif sel == "proof":
-            h, idx = parse_u64(rest[0]), parse_u64(rest[1])
-            if h >= len(chain.blocks):
-                raise UsageError(f"no block at height {h}")
-            block = chain.blocks[h]
-            try:
-                proof = merkle_proof(block, idx)
-            except IndexError as exc:
-                raise UsageError(str(exc)) from exc
-            _print_json({
-                "block_height": h,
-                "leaf": block.transactions[idx].hash().hex(),
-                "leaf_index": proof.leaf_index,
-                "siblings": [{"hash": s.hex(), "sibling_on_right": r} for s, r in proof.siblings],
-                "merkle_root": block.header.merkle_root.hex(),
-            })
+    if args.csv and sel not in _CSV_QUERIES:
+        raise UsageError(f"query {sel} has no CSV form")
+    _, chain = _load_store(args)
+    state = chain.state
+    if sel in ("block", "proof"):
+        if args.height >= len(chain.blocks):
+            raise UsageError(f"no block at height {args.height}")
+        block = chain.blocks[args.height]
+    if sel == "block":
+        _print_json(_block_json(block))
+    elif sel == "state":
+        _print_json({
+            "height": chain.height,
+            "state_root": state.root().hex(),
+            "accounts": [record_json(state.accounts[k]) for k in sorted(state.accounts)],
+            "customer_agreements": _contracts_json(
+                state.customer_agreements, "customer", "testing_fee"),
+            "developer_agreements": _contracts_json(
+                state.developer_agreements, "developer", "reward"),
+            "acceptance_tests": _contracts_json(
+                state.acceptance_tests, "customer", "developer", "testing_fee",
+                "is_test_completed", "escrow"),
+            "test_cases": len(state.test_cases),
+            "executions": len(state.executions),
+            "feedbacks": len(state.feedbacks),
+        })
+    elif sel == "case":
+        case = state.test_cases.get(args.case_id)
+        if case is None:
+            raise UsageError(f"unknown test case {args.case_id.hex()}")
+        execs = [e for e in state.executions if e.case_id == args.case_id]
+        _print_json({
+            "case_id": case.case_id.hex(),
+            "acceptance_contract": case.acceptance_contract.hex(),
+            "author": case.author.hex(),
+            "description": case.description.decode("utf-8", "replace"),
+            "input_digest": case.input_digest.hex(),
+            "expected_output_digest": case.expected_output_digest.hex(),
+            "executions": [
+                {"exec_id": e.exec_id.hex(), "tester": e.tester.hex(),
+                 "verdict": e.verdict, "block_height": e.block_height}
+                for e in execs
+            ],
+            "passes": sum(1 for e in execs if e.verdict == VERDICT_PASS),
+        })
+    elif sel == "audit":
+        events = audit_trail(state, args.case_id)
+        if args.csv:
+            _write_csv(AuditEvent, events)
         else:
-            raise UsageError(f"unknown selector {sel!r}")
-    except QueryError as exc:
-        raise UsageError(str(exc)) from exc
-    except (IndexError, ValueError) as exc:
-        raise UsageError(f"bad query arguments: {exc}") from exc
+            _print_json([record_json(e) for e in events])
+    elif sel == "compensation":
+        stmt = compute_compensation(state, args.tester, args.from_height, args.to_height,
+                                    args.base_rate, args.bonus_rate)
+        if args.csv:
+            _write_csv(CompensationStatement, [stmt])
+        else:
+            _print_json(record_json(stmt))
+    else:  # proof
+        if args.index >= len(block.transactions):
+            raise UsageError(f"tx index {args.index} out of range")
+        proof = merkle_proof(block, args.index)
+        _print_json({
+            "block_height": args.height,
+            "leaf": block.transactions[args.index].hash().hex(),
+            "leaf_index": proof.leaf_index,
+            "siblings": [{"hash": s.hex(), "sibling_on_right": r} for s, r in proof.siblings],
+            "merkle_root": block.header.merkle_root.hex(),
+        })
     return EXIT_OK
 
 
 def cmd_scenario(args) -> int:
-    from .sim import ScenarioError, SimScenario, run_simulation
+    from .sim import SimScenario, run_simulation
 
-    try:
-        scenario = SimScenario.from_file(args.scenario)
-        trace = run_simulation(scenario)  # resolving the workload can fail too
-    except (OSError, json.JSONDecodeError, ScenarioError) as exc:
-        raise UsageError(f"bad scenario: {exc}") from exc
+    # resolving the workload can fail too
+    trace = _read_json(args.scenario, "bad scenario",
+                       lambda raw: run_simulation(SimScenario.from_dict(raw)))
     trace.write(args.out)
     summary = trace.summary
-    _log(f"simulated {scenario.max_ticks} ticks, trace -> {args.out}")
+    _log(f"simulated {summary['max_ticks']} ticks, trace -> {args.out}")
     _print_json({"trace": str(args.out), "truncated": summary["truncated"],
                  "heights": [n["height"] for n in summary["nodes"]]})
     return EXIT_OK
@@ -319,13 +322,8 @@ def cmd_scenario(args) -> int:
 
 def cmd_bench(args) -> int:
     from .metrics import SweepSpec, run_sweep
-    from .sim import ScenarioError
 
-    try:
-        spec = SweepSpec.from_file(args.sweep)
-    except (OSError, json.JSONDecodeError, ScenarioError) as exc:
-        raise UsageError(f"bad sweep spec: {exc}") from exc
-    csv_text = run_sweep(spec)
+    csv_text = run_sweep(_read_json(args.sweep, "bad sweep spec", SweepSpec.from_dict))
     Path(args.out).write_text(csv_text)
     _log(f"sweep -> {args.out}")
     print(json.dumps({"csv": str(args.out), "rows": csv_text.count("\n") - 1}))
@@ -344,7 +342,7 @@ def cmd_artifact(args) -> int:
         print(json.dumps({"digest": digest.hex()}))
     else:
         try:
-            data = artifacts.get(bytes.fromhex(args.file))
+            data = artifacts.get(HASH_HEX(args.file, "digest"))
         except (FileNotFoundError, ValueError) as exc:
             raise UsageError(f"artifact not available: {exc}") from exc
         sys.stdout.buffer.write(data)
@@ -375,10 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="read-only chain queries")
     p.add_argument("--store", required=True)
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("selector", choices=["block", "state", "case", "audit", "compensation", "proof"])
-    p.add_argument("args", nargs="*")
+    p.add_argument("--csv", action="store_true", help="CSV output (audit and compensation)")
     p.set_defaults(func=cmd_query)
+    selectors = p.add_subparsers(dest="selector", required=True)
+    for name, arguments in _QUERY_ARGS.items():
+        q = selectors.add_parser(name)
+        for arg, kind in arguments:
+            q.add_argument(arg, type=kind)
+        if name in _CSV_QUERIES:  # SUPPRESS keeps a --csv given before the selector
+            q.add_argument("--csv", action="store_true", default=argparse.SUPPRESS)
 
     p = sub.add_parser("scenario", help="run a simulation scenario")
     p.add_argument("scenario")
@@ -410,7 +413,7 @@ def main(argv=None) -> int:
             if not args.store or not args.key:
                 raise UsageError("submit needs --store and --key (or --queue)")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, QueryError) as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE
     except CorruptChainError as exc:

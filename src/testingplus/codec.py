@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import reprlib
 import struct
 from dataclasses import fields
 from functools import cached_property
@@ -170,6 +171,89 @@ def schema(tag: int | None, *kinds):
         return cls
 
     return build
+
+
+# The one reader of outside input. A kind is called as kind(value, path) and
+# returns the value read, or raises InputError naming the value's JSON path.
+# In JSON a u64 is a JSON integer, never a string.
+
+class InputError(ValueError):
+    """An input value that breaks its rule: `<path>: must be <rule>, not
+    <value>`, or `<path>: must be <rule>` when no value is given."""
+
+    def __init__(self, path: str, rule: str, *value):
+        got = f", not {reprlib.repr(value[0])}" if value else ""
+        super().__init__(f"{path}: must be {rule}{got}" if path else f"must be {rule}{got}")
+
+
+def _kind(rule: str, ok, convert=lambda value: value):
+    def read(value, path: str):
+        if not ok(value):
+            raise InputError(path, rule, value)
+        return convert(value)
+
+    return read
+
+
+# type() also refuses a bool
+uint = _kind("a non-negative integer below 2**64", lambda v: type(v) is int and 0 <= v <= U64_MAX)
+positive = _kind("a positive integer below 2**64", lambda v: type(v) is int and 0 < v <= U64_MAX)
+probability = _kind("a number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1, float)
+text = _kind("a string", lambda v: isinstance(v, str))
+
+
+def hexbytes(n: int):
+    """The kind of n bytes written in hex."""
+
+    def read(value, path: str) -> bytes:
+        try:
+            if len(data := bytes.fromhex(value)) == n:
+                return data
+        except (TypeError, ValueError):  # not a string, or not hex
+            pass
+        raise InputError(path, f"{n} bytes of hex", value)
+
+    return read
+
+
+HASH_HEX = hexbytes(HASH_LEN)  # an id, digest or key
+
+
+def list_of(kind, size: int | None = None):
+    """The kind of a JSON list of values of one kind, `size` of them if given."""
+    rule = "a JSON list" if size is None else f"a JSON list of {size} values"
+
+    def read(value, path: str) -> list:
+        if not isinstance(value, list) or size not in (None, len(value)):
+            raise InputError(path, rule, value)
+        return [kind(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+    return read
+
+
+_REQUIRED = object()
+
+
+def obj(**fields):
+    """The kind of a JSON object: a copy of it with each named field read by
+    its kind. A field given as (kind, default) may be left out, or be that
+    default itself (so `(uint, None)` also takes null). Keys it does not
+    name are kept as they are."""
+
+    def read(value, path: str) -> dict:
+        if not isinstance(value, dict):
+            raise InputError(path, "a JSON object", value)
+        out = dict(value)
+        for key, spec in fields.items():
+            kind, default = spec if isinstance(spec, tuple) else (spec, _REQUIRED)
+            at = f"{path}.{key}" if path else key
+            got = value.get(key, default)
+            if got is _REQUIRED:
+                raise InputError(at, "given")
+            out[key] = got if got is default else kind(got, at)
+        return out
+
+    return read
 
 
 def record_json(record) -> dict:

@@ -10,10 +10,10 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .codec import csv_table, enc_u64, hash256, record_json
-from .sim import ScenarioError, SimScenario, SimTrace, _uint, run_simulation
+from .codec import (InputError, csv_table, enc_u64, hash256, list_of, obj, positive,
+                    record_json, text, uint)
+from .sim import CRASH_FAULTS, SimScenario, SimTrace, run_simulation
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def analyze(trace: SimTrace) -> MetricsReport:
         elif kind == "summary":
             summary = e
     if scenario is None or summary is None:
-        raise ScenarioError("trace missing scenario header or summary")
+        raise InputError("trace", "an event log with a scenario and a summary event")
 
     committed_submitted = [tx for tx in submits if tx in first_commit]
     latencies = [first_commit[tx] - submits[tx] for tx in committed_submitted]
@@ -136,6 +136,14 @@ CSV_HEADER = [
 ]
 
 
+_SWEEP = obj(
+    base=obj(seed=uint),  # every cell's seed derives from it
+    axis=text,
+    values=list_of(lambda value, path: value),  # each cell's scenario judges its value
+    repetitions=(positive, 1),
+)
+
+
 @dataclass
 class SweepSpec:
     base: dict  # base scenario dict
@@ -146,33 +154,12 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepSpec":
         """Axis values are taken as given, for SimScenario.from_dict to judge."""
-        if not isinstance(raw, dict):
-            raise ScenarioError(f"a sweep spec is a JSON object, not {type(raw).__name__}")
-        try:
-            base, values = raw["base"], raw["values"]
-            if not isinstance(base, dict):
-                raise ValueError(f"sweep base must be a JSON object, not {type(base).__name__}")
-            if not isinstance(values, list):
-                raise ValueError(f"sweep values must be a JSON list, not {type(values).__name__}")
-            spec = cls(
-                base=dict(base),
-                axis=raw["axis"],
-                values=list(values),
-                repetitions=_positive(raw.get("repetitions", 1), "repetitions"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise ScenarioError(message) from exc
-        if spec.axis not in SWEEP_AXES:
-            raise ScenarioError(f"unknown sweep axis {spec.axis!r}")
-        if not spec.values:
-            raise ScenarioError("sweep needs at least one value")
-        _uint(spec.base.get("seed"), "base seed")  # every cell's seed derives from it
-        return spec
-
-    @classmethod
-    def from_file(cls, path) -> "SweepSpec":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        v = _SWEEP(raw, "")
+        if v["axis"] not in SWEEP_AXES:
+            raise InputError("axis", f"one of {', '.join(SWEEP_AXES)}", v["axis"])
+        if not v["values"]:
+            raise InputError("values", "a non-empty list", v["values"])
+        return cls(v["base"], v["axis"], v["values"], v["repetitions"])
 
     def derived_seed(self, value, repetition: int) -> int:
         material = (
@@ -188,30 +175,17 @@ class SweepSpec:
         if self.axis == "n_validators":
             raw["n_validators"] = value
             if type(value) is int:  # else from_dict refuses the value itself
-                # drop the crash faults of nodes beyond the new node count;
-                # from_dict judges every other entry as given
-                raw["crash_faults"] = [c for c in raw.get("crash_faults", [])
-                                       if not _node_at_or_beyond(c, value)]
+                # drop the crash faults of nodes beyond the new node count
+                faults = CRASH_FAULTS(raw.get("crash_faults", []), "crash_faults")
+                raw["crash_faults"] = [c for c in faults if c["node"] < value]
             raw["partitions"] = []
         elif self.axis == "drop_probability":
             raw["drop_probability"] = value
         else:  # workload_interval: resequence submissions at a fixed spacing
-            interval = _positive(value, "workload_interval")
+            interval = positive(value, "workload_interval")
             for i, entry in enumerate(raw.get("workload", [])):
                 entry["tick"] = 1 + i * interval
         return SimScenario.from_dict(raw)
-
-
-def _node_at_or_beyond(fault, n: int) -> bool:
-    node = fault.get("node") if isinstance(fault, dict) else None
-    return type(node) is int and node >= n
-
-
-def _positive(value, what: str) -> int:
-    # a JSON integer; type() also refuses a bool
-    if type(value) is not int or value < 1:
-        raise ScenarioError(f"{what} must be a positive integer, not {value!r}")
-    return value
 
 
 def run_sweep(spec: SweepSpec) -> str:

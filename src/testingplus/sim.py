@@ -19,15 +19,12 @@ from functools import lru_cache
 from pathlib import Path
 
 from .chain import GenesisConfig, check_issuance
-from .codec import U64_MAX, enc_u64, hash256
+from .codec import (HASH_HEX, InputError, enc_u64, hash256, list_of, obj, positive, probability,
+                    uint)
 from .consensus import ConsensusMessage, Node
 from .keys import address_from_pubkey, generate_keypair
-from .tx import Transaction, hex_bytes, parse_u64, payload_from_json, sign_transaction
+from .tx import WORKLOAD_ENTRY, Transaction, payload_from_json, sign_transaction
 from .vm import created_id
-
-
-class ScenarioError(ValueError):
-    pass
 
 
 def validator_seed(scenario_seed: int, index: int) -> bytes:
@@ -44,39 +41,24 @@ def _keypairs(derive, scenario_seed: int, count: int) -> tuple[tuple[bytes, byte
     return tuple(generate_keypair(derive(scenario_seed, i)) for i in range(count))
 
 
-def _is_uint(value) -> bool:
-    # a JSON integer within u64; type() also refuses a bool
-    return type(value) is int and 0 <= value <= U64_MAX
-
-
-def _uint(value, what: str) -> int:
-    """A count, tick, index or balance of a scenario."""
-    if not _is_uint(value):
-        raise ScenarioError(f"{what} must be a non-negative integer, not {value!r}")
-    return value
-
-
-def _ticks_or_none(raw: dict, key: str) -> int | None:
-    value = raw.get(key)
-    if value is not None and not _is_uint(value):
-        raise ScenarioError(f"{key} must be null or a non-negative integer, not {value!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class Partition:
-    from_tick: int
-    to_tick: int
-    sides: tuple[tuple[int, ...], ...]
-
-    def side_table(self, n: int) -> list[int | None]:
-        """Per node 0..n-1, the index of the side it is on (None if on none)."""
-        table: list[int | None] = [None] * n
-        for i, side in enumerate(self.sides):
-            for node in side:
-                if 0 <= node < n:
-                    table[node] = i
-        return table
+_REF = obj(ref=uint)
+_PARTITION = obj(from_tick=uint, to_tick=uint, sides=list_of(list_of(uint)))
+CRASH_FAULTS = list_of(obj(node=uint, tick=uint))
+_SCENARIO = obj(
+    seed=uint,
+    n_validators=positive,
+    latency=list_of(positive, 2),
+    drop_probability=(probability, 0.0),
+    partitions=(list_of(_PARTITION), []),
+    crash_faults=(CRASH_FAULTS, []),
+    accounts=(list_of(uint), []),
+    workload=(list_of(WORKLOAD_ENTRY), []),
+    max_ticks=positive,
+    empty_block_interval=(uint, GenesisConfig.empty_block_interval),
+    # 0 or null: derived from the latency bound
+    timeout_ticks=(uint, None),
+    gossip_interval=(uint, None),
+)
 
 
 @dataclass
@@ -85,7 +67,7 @@ class SimScenario:
     n_validators: int
     latency: tuple[int, int]
     drop_probability: float
-    partitions: list[Partition]
+    partitions: list[dict]  # from_tick, to_tick and sides, each node on one side
     crash_faults: dict[int, int]  # node -> crash tick
     account_balances: list[int]
     workload: list[dict]  # raw entries, resolved at build time
@@ -97,96 +79,50 @@ class SimScenario:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimScenario":
-        """Every count, tick, index and balance is a non-negative JSON
-        integer within u64; only a crash fault's node may be any integer,
-        so that validate() names it as out of range."""
-        if not isinstance(raw, dict):
-            raise ScenarioError(f"a scenario is a JSON object, not {type(raw).__name__}")
-        try:
-            partitions = [
-                Partition(
-                    _uint(p["from_tick"], "partition from_tick"),
-                    _uint(p["to_tick"], "partition to_tick"),
-                    tuple(tuple(_uint(x, "partition node") for x in side) for side in p["sides"]),
-                )
-                for p in raw.get("partitions", [])
-            ]
-            # checked as a list: a dict would keep only a node's last crash
-            crash_faults: dict[int, int] = {}
-            for c in raw.get("crash_faults", []):
-                node = c["node"]
-                if type(node) is not int:
-                    raise ScenarioError(f"crash fault node must be an integer, not {node!r}")
-                if node in crash_faults:
-                    raise ScenarioError(f"crash fault for node {node} listed twice")
-                crash_faults[node] = _uint(c["tick"], "crash fault tick")
-            lo, hi = raw["latency"]
-            drop = raw.get("drop_probability", 0.0)
-            if type(drop) not in (int, float):  # type() also refuses a bool
-                raise ScenarioError(f"drop_probability must be a number, not {drop!r}")
-            scenario = cls(
-                seed=_uint(raw["seed"], "seed"),
-                n_validators=_uint(raw["n_validators"], "n_validators"),
-                latency=(_uint(lo, "latency"), _uint(hi, "latency")),
-                drop_probability=float(drop),
-                partitions=partitions,
-                crash_faults=crash_faults,
-                account_balances=[_uint(b, "account balance") for b in raw.get("accounts", [])],
-                workload=list(raw.get("workload", [])),
-                max_ticks=_uint(raw["max_ticks"], "max_ticks"),
-                empty_block_interval=_uint(
-                    raw.get("empty_block_interval", GenesisConfig.empty_block_interval),
-                    "empty_block_interval",
-                ),
-                timeout_ticks=_ticks_or_none(raw, "timeout_ticks"),
-                gossip_interval=_ticks_or_none(raw, "gossip_interval"),
-                raw=raw,
-            )
-            check_issuance(scenario.account_balances)
-        except (KeyError, TypeError, ValueError) as exc:
-            message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise ScenarioError(message) from exc
-        scenario.validate()
-        return scenario
-
-    @classmethod
-    def from_file(cls, path) -> "SimScenario":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def validate(self) -> None:
-        if self.n_validators < 1 or self.max_ticks < 1:
-            raise ScenarioError("need at least one validator and one tick")
-        if not 0 <= self.drop_probability <= 1:
-            raise ScenarioError("drop_probability outside [0,1]")
-        if self.latency[0] < 1 or self.latency[1] < self.latency[0]:
-            raise ScenarioError("latency bounds must satisfy 1 <= min <= max")
-        for p in self.partitions:
-            seen = [n for side in p.sides for n in side]
-            if sorted(seen) != list(range(self.n_validators)):
-                raise ScenarioError("partition sides must cover each node exactly once")
-        for node in self.crash_faults:
-            if not 0 <= node < self.n_validators:
-                raise ScenarioError(
-                    f"crash fault for node {node} outside 0..{self.n_validators - 1}"
-                )
+        """Every field is read by its kind; the checks here relate fields."""
+        v = _SCENARIO(raw, "")
+        n, (lo, hi), max_ticks = v["n_validators"], v["latency"], v["max_ticks"]
+        if hi < lo:
+            raise InputError("latency[1]", f"at least latency[0] ({lo})", hi)
+        for i, p in enumerate(v["partitions"]):
+            if sorted(node for side in p["sides"] for node in side) != list(range(n)):
+                raise InputError(f"partitions[{i}].sides",
+                                 f"a split of nodes 0..{n - 1}, each on one side", p["sides"])
+        crash_faults: dict[int, int] = {}  # read as a list: a dict keeps one crash per node
+        for i, fault in enumerate(v["crash_faults"]):
+            node = fault["node"]
+            if node >= n:
+                raise InputError(f"crash_faults[{i}].node", f"a node in 0..{n - 1}", node)
+            if node in crash_faults:
+                raise InputError(f"crash_faults[{i}].node", "a node no earlier crash fault names",
+                                 node)
+            crash_faults[node] = fault["tick"]
+        check_issuance(v["accounts"])
         # only ticks 0..max_ticks are simulated, and a submission goes to a live
         # validator, so none may arrive once all have crashed
-        all_down = None
-        if all(i in self.crash_faults for i in range(self.n_validators)):
-            all_down = max(self.crash_faults[i] for i in range(self.n_validators))
-        for k, entry in enumerate(self.workload):
-            tick = entry.get("tick") if isinstance(entry, dict) else None
-            if type(tick) is not int:
-                continue  # build_workload reports a malformed entry
-            if not 0 <= tick <= self.max_ticks:
-                raise ScenarioError(
-                    f"workload entry {k}: tick {tick} outside 0..max_ticks ({self.max_ticks})"
-                )
+        all_down = max(crash_faults.values()) if len(crash_faults) == n else None
+        for k, entry in enumerate(v["workload"]):
+            tick = entry["tick"]
+            if tick > max_ticks:
+                raise InputError(f"workload[{k}].tick", f"at most max_ticks ({max_ticks})", tick)
             if all_down is not None and tick >= all_down:
-                raise ScenarioError(
-                    f"workload entry {k}: tick {tick} is after every validator "
-                    f"has crashed (tick {all_down})"
-                )
+                raise InputError(f"workload[{k}].tick",
+                                 f"before every validator has crashed (at tick {all_down})", tick)
+        return cls(
+            seed=v["seed"],
+            n_validators=n,
+            latency=(lo, hi),
+            drop_probability=v["drop_probability"],
+            partitions=list(v["partitions"]),
+            crash_faults=crash_faults,
+            account_balances=list(v["accounts"]),
+            workload=list(v["workload"]),
+            max_ticks=max_ticks,
+            empty_block_interval=v["empty_block_interval"],
+            timeout_ticks=v["timeout_ticks"],
+            gossip_interval=v["gossip_interval"],
+            raw=raw,
+        )
 
     def digest(self) -> bytes:
         return hash256(json.dumps(self.raw, sort_keys=True).encode())
@@ -233,35 +169,35 @@ class SimScenario:
         created: dict[int, bytes] = {}
         out: list[tuple[int, Transaction]] = []
 
-        def index_of(value) -> int:
-            index = _uint(value, "account index")
+        def index_of(value, path: str) -> int:
+            index = uint(value, path)
             if index >= len(addrs):
-                raise ScenarioError(f"account index {index} out of range")
+                raise InputError(path, f"an account index below {len(addrs)}", index)
             return index
 
-        def ident(value) -> bytes:
-            if isinstance(value, dict) and "ref" in value:
-                ref = _uint(value["ref"], "workload ref")
-                if ref not in created:
-                    raise ScenarioError(f"workload ref {ref} does not name a created id")
-                return created[ref]
-            return hex_bytes(value)
+        def account(value, path: str) -> bytes:
+            return addrs[index_of(value, path)]
+
+        def ident(value, path: str) -> bytes:
+            if not isinstance(value, dict):
+                return HASH_HEX(value, path)
+            ref = _REF(value, path)["ref"]
+            if ref not in created:
+                raise InputError(f"{path}.ref", "an earlier entry that creates an id", ref)
+            return created[ref]
 
         for k, entry in enumerate(self.workload):
-            try:
-                tick = _uint(entry["tick"], "tick")
-                sender_idx = index_of(entry["sender"])
-                payload = payload_from_json(entry, ident, lambda i: addrs[index_of(i)], hash256)
-                sender, nonce = addrs[sender_idx], nonces[sender_idx]
-                tx = Transaction(sender, nonce, payload, parse_u64(entry.get("value", 0)))
-                tx = sign_transaction(tx, *keys[sender_idx])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ScenarioError(f"workload entry {k}: {exc}") from exc
+            path = f"workload[{k}]"
+            sender_idx = index_of(entry["sender"], f"{path}.sender")
+            payload = payload_from_json(entry, hash256, ident, account, path)
+            sender, nonce = addrs[sender_idx], nonces[sender_idx]
+            tx = sign_transaction(Transaction(sender, nonce, payload, entry["value"]),
+                                  *keys[sender_idx])
             cid = created_id(payload, sender, nonce)
             if cid is not None:
                 created[k] = cid
             nonces[sender_idx] += 1
-            out.append((tick, tx))
+            out.append((entry["tick"], tx))
         return out
 
 
@@ -286,7 +222,7 @@ class SimTrace:
             try:
                 events.append(json.loads(line))
             except json.JSONDecodeError as exc:
-                raise ScenarioError(f"malformed trace at line {lineno}: {exc}") from exc
+                raise InputError(f"line {lineno}", "a JSON value", line) from exc
         return cls(events)
 
     @property
@@ -294,7 +230,7 @@ class SimTrace:
         for e in reversed(self.events):
             if e["type"] == "summary":
                 return e
-        raise ScenarioError("trace has no summary event")
+        raise InputError("trace", "an event log with a summary event")
 
 
 def chain_digest(node: Node) -> bytes:
@@ -349,7 +285,9 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
     # fault tables: a node is down from its crash tick on; a partition is
     # consulted only on the ticks its window covers
     crash_at = [scenario.crash_faults.get(i, NEVER) for i in range(n)]
-    windows = [(p.from_tick, p.to_tick, p.side_table(n)) for p in scenario.partitions]
+    windows = [(p["from_tick"], p["to_tick"],
+                {node: i for i, side in enumerate(p["sides"]) for node in side})  # node -> its side
+               for p in scenario.partitions]
     others = [[d for d in range(n) if d != s] for s in range(n)]
     cut_tables: dict[tuple[int, ...], list[list[bool]]] = {}
 

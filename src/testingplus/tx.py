@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Union
 
 from . import codec
-from .codec import ADDRESS_LEN, HASH_LEN, Reader, U64_MAX, hash256, DecodeError, schema
+from .codec import ADDRESS_LEN, Reader, hash256, DecodeError, schema
 from .keys import KeyRegistry, UnknownSenderError, address_from_pubkey, sign, verify
 
 MAX_PAYLOAD_BYTES = 64 * 1024
@@ -24,9 +24,7 @@ ID = "id"  # a contract, case or execution id, resolved by the caller
 ACCOUNT = "account"  # an account address, resolved by the caller
 DIGEST = "digest"  # hex at "<key>_digest", else the caller's digest of the text at <key>
 TEXT = "text"  # text at <key>, empty if absent
-U64 = "u64"  # a JSON integer or decimal string within u64
-# byte length an id, account or digest field must have in an op entry
-_SIZES = {ID: HASH_LEN, ACCOUNT: ADDRESS_LEN, DIGEST: HASH_LEN}
+U64 = "u64"  # a JSON integer within u64
 
 # Each payload class carries its tag, its op name in JSON and FIELDS: the
 # JSON key and kind of each dataclass field, in encoding order. Its codec is
@@ -136,48 +134,36 @@ def decode_payload(r: Reader) -> Payload:
     return cls.decode(r)
 
 
-def parse_u64(value) -> int:
-    """A JSON integer or decimal string within u64; ValueError otherwise."""
-    if isinstance(value, str) and value.isascii() and value.isdigit():
-        value = int(value)
-    if type(value) is not int or not 0 <= value <= U64_MAX:
-        raise ValueError(f"not a u64: {value!r}")
-    return value
+# an op entry, and a scenario's workload entry: an op entry plus the tick it
+# is submitted at and the index of its sender's account
+OP_ENTRY = codec.obj(op=codec.text, value=(codec.uint, 0))
+WORKLOAD_ENTRY = codec.obj(op=codec.text, value=(codec.uint, 0), tick=codec.uint, sender=codec.uint)
 
 
-def hex_bytes(value) -> bytes:
-    if not isinstance(value, str):
-        raise ValueError(f"not a hex string: {value!r}")
-    return bytes.fromhex(value)
-
-
-def payload_from_json(entry: dict, ident, account, digest) -> Payload:
+def payload_from_json(entry, digest, ident=codec.HASH_HEX,
+                      account=codec.hexbytes(ADDRESS_LEN), path: str = "") -> Payload:
     """The payload an op entry such as {"op": "set_testing_fee", "contract":
-    "<hex>", "fee": 25} describes. `ident` and `account` resolve an id or
-    account field's JSON value to bytes, `digest` maps text to its digest.
-    Raises ValueError for an unknown op or a missing or malformed field, an
-    id or digest that is not 32 bytes among them, or an account not 20."""
-    op = entry.get("op")
+    "<hex>", "fee": 25} at JSON path `path` describes, or InputError. `ident`
+    and `account` read an id and an account field (32 and 20 bytes of hex
+    unless the caller resolves them otherwise); `digest` maps text to its digest."""
+    prefix = f"{path}." if path else ""  # of each field's JSON path
+    op = OP_ENTRY(entry, path)["op"]
     cls = _BY_OP.get(op)
     if cls is None:
-        raise ValueError(f"unknown op {op!r}")
+        raise codec.InputError(prefix + "op", "a known op", op)
+    kinds = {ID: ident, ACCOUNT: account, U64: codec.uint}
     values = []
     for key, kind in cls.FIELDS:
         if kind == TEXT:
-            value = str(entry.get(key, "")).encode()
+            value = codec.text(entry.get(key, ""), prefix + key).encode()
         elif kind == DIGEST:
             hex_key = key + "_digest"
-            value = (hex_bytes(entry[hex_key]) if hex_key in entry
-                     else digest(str(entry.get(key, "")).encode()))
+            value = (codec.HASH_HEX(entry[hex_key], prefix + hex_key) if hex_key in entry
+                     else digest(codec.text(entry.get(key, ""), prefix + key).encode()))
         elif key not in entry:
-            raise ValueError(f"{op} needs a {key!r} field")
-        elif kind == U64:
-            value = parse_u64(entry[key])
+            raise codec.InputError(prefix + key, "given")
         else:
-            value = (ident if kind == ID else account)(entry[key])
-        size = _SIZES.get(kind)
-        if size is not None and len(value) != size:
-            raise ValueError(f"{op} field {key!r} must be {size} bytes, not {len(value)}")
+            value = kinds[kind](entry[key], prefix + key)
         values.append(value)
     return cls(*values)
 

@@ -53,6 +53,15 @@ def submit(env, who, payload, capsys):
     return rc, json.loads(out[-1]) if out else None
 
 
+def submit_err(env, who, payload, capsys):
+    """The exit code and stderr of submitting a payload."""
+    p = env["tmp"] / "payload.json"
+    p.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = main(["submit", str(p), "--store", env["store"], "--key", env["keys"][who]])
+    return rc, capsys.readouterr().err
+
+
 class TestKeygen:
     def test_writes_key_with_matching_address(self, tmp_path, capsys):
         out = tmp_path / "k.json"
@@ -193,11 +202,17 @@ class TestSubmit:
         assert main(["query", "--store", env["store"], "state"]) == 0
         assert json.loads(capsys.readouterr().out)["height"] == 0
 
-    def test_decimal_string_numbers_accepted(self, env, capsys):
-        rc, out = submit(env, "customer", {"op": "set_testing_fee", "contract": "00" * 32,
-                                           "fee": "25"},
-                         capsys)
-        assert (rc, out["block_height"], out["reason"]) == (0, 1, "unknown contract")
+    @pytest.mark.parametrize("payload,message", [
+        ({"op": "set_testing_fee", "contract": "00" * 32, "fee": "25"},
+         "fee: must be a non-negative integer below 2**64, not '25'"),
+        ({"op": "deploy_customer_agreement", "value": "25"},
+         "value: must be a non-negative integer below 2**64, not '25'"),
+    ], ids=["field", "value"])
+    def test_decimal_string_numbers_refused(self, env, capsys, payload, message):
+        """In JSON a u64 is a JSON integer, never a string."""
+        rc, err = submit_err(env, "customer", payload, capsys)
+        assert (rc, err) == (2, f"error: bad payload: {message}\n")
+        assert ChainStore(Path(env["store"])).load().height == 0
 
     def test_record_execution_prints_execution_id(self, populated, capsys):
         case = populated["ids"]["case"]
@@ -241,6 +256,33 @@ class TestSubmit:
         p = env["tmp"] / "p.json"
         p.write_text(json.dumps({"op": "deploy_customer_agreement"}))
         assert main(["submit", str(p), "--queue", str(q)]) == 2
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"op": ["x"]}, "op: must be a string, not ['x']"),
+        ({"op": "post_feedback", "subject": "00" * 32, "body": ["x", None]},
+         "body: must be a string, not ['x', None]"),
+        ({"op": "register_test_case", "contract": "00" * 32, "expected_output": None},
+         "expected_output: must be a string, not None"),
+    ], ids=["list-op", "list-body", "null-expected-output"])
+    def test_non_string_text_is_refused_and_commits_nothing(self, env, capsys, payload, message):
+        """Text fields are JSON strings; a missing one is empty, nothing else is read as text."""
+        rc, err = submit_err(env, "customer", payload, capsys)
+        assert (rc, err) == (2, f"error: bad payload: {message}\n")
+        assert ChainStore(Path(env["store"])).load().height == 0
+
+    def test_queue_mode_reads_tick_sender_and_op_as_a_scenario_does(self, env, capsys):
+        q = env["tmp"] / "workload.json"
+        p = env["tmp"] / "p.json"
+        for entry, message in [({"op": ["x"], "tick": 5, "sender": 0}, "op: must be a string"),
+                               ({"op": "deploy_customer_agreement", "tick": "5", "sender": 0},
+                                "tick: must be a non-negative integer below 2**64, not '5'"),
+                               ({"op": "deploy_customer_agreement", "tick": 5},
+                                "sender: must be given")]:
+            p.write_text(json.dumps(entry))
+            capsys.readouterr()
+            assert main(["submit", str(p), "--queue", str(q)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: bad payload: {message}")
+        assert not q.exists()
 
     @pytest.mark.parametrize("text", ["{", '{"tick": 5}', '"entries"'],
                              ids=["not-json", "object", "string"])
@@ -423,6 +465,66 @@ class TestQuery:
         assert "undecodable: 4 trailing bytes" in capsys.readouterr().err
 
 
+class TestQueryArguments:
+    """Each selector's arguments are typed and parsed before the store
+    loads: a missing, extra or malformed one exits 2 through argparse."""
+
+    CASES = [
+        (["block"], "the following arguments are required: height"),
+        (["block", "0", "junk"], "unrecognized arguments: junk"),
+        (["block", "x"], "argument height: invalid u64 value: 'x'"),
+        (["state", "junk"], "unrecognized arguments: junk"),
+        (["case"], "the following arguments are required: case_id"),
+        (["case", "{case}", "junk"], "unrecognized arguments: junk"),
+        (["case", "zz"], "argument case_id: invalid 32-byte hex value: 'zz'"),
+        (["audit"], "the following arguments are required: case_id"),
+        (["audit", "{case}", "junk"], "unrecognized arguments: junk"),
+        (["audit", "0b" * 31], f"argument case_id: invalid 32-byte hex value: '{'0b' * 31}'"),
+        (["compensation", "{tester}", "0"],
+         "the following arguments are required: to_height, base_rate, bonus_rate"),
+        (["compensation", "{tester}", "0", "1", "1", "1", "9"], "unrecognized arguments: 9"),
+        (["compensation", "{tester}0", "0", "1", "1", "1"],
+         "argument tester: invalid 20-byte hex value: "),
+        (["compensation", "{tester}", "0", "1", "1", "1.5"],
+         "argument bonus_rate: invalid u64 value: '1.5'"),
+        (["proof", "3"], "the following arguments are required: index"),
+        (["proof", "3", "0", "0"], "unrecognized arguments: 0"),
+        (["proof", "3", "-1"], "argument index: invalid u64 value: '-1'"),
+        (["state", "--csv"], "unrecognized arguments: --csv"),
+        (["--csv", "state"], "query state has no CSV form"),
+        (["--csv", "block", "0"], "query block has no CSV form"),
+        (["--csv", "case", "{case}"], "query case has no CSV form"),
+        (["--csv", "proof", "3", "0"], "query proof has no CSV form"),
+    ]
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["intact", "corrupt-store"])
+    def test_bad_arguments_exit_two_without_loading_the_store(self, populated, capsys, corrupt):
+        """On a store whose chain.bin is corrupt each still exits 2, not 3:
+        nothing is loaded before the arguments are read."""
+        chain_bin = Path(populated["store"]) / "chain.bin"
+        if corrupt:
+            chain_bin.write_bytes(b"\xff" + chain_bin.read_bytes()[1:])
+            assert main(["query", "--store", populated["store"], "state"]) == 3
+        tester = json.loads(open(populated["keys"]["tester"]).read())["address"]
+        for args, message in self.CASES:
+            args = [a.format(tester=tester, case=populated["ids"]["case"]) for a in args]
+            capsys.readouterr()
+            rc = main(["query", "--store", populated["store"], *args])
+            out, err = capsys.readouterr()
+            assert (rc, out) == (2, ""), args
+            assert message in err, (args, err)
+
+    def test_csv_goes_before_or_after_the_selector(self, populated, capsys):
+        tester = json.loads(open(populated["keys"]["tester"]).read())["address"]
+        for args in (["audit", populated["ids"]["case"]],
+                     ["compensation", tester, "0", "4", "10", "5"]):
+            outputs = []
+            for argv in (["--csv", *args], [*args, "--csv"]):
+                assert main(["query", "--store", populated["store"], *argv]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1] and outputs[0].count(",") > 4
+
+
 class TestScenarioAndBench:
     def test_scenario_run_writes_trace(self, tmp_path, capsys):
         scenario = {
@@ -440,33 +542,63 @@ class TestScenarioAndBench:
 
         assert SimTrace.read(trace_path).summary["truncated"] is False
 
+    @pytest.mark.parametrize("entry,message", [
+        ({"op": ["x"]}, "workload[0].op: must be a string, not ['x']"),
+        ({"op": "post_feedback", "subject": "00" * 32, "body": ["x", None]},
+         "workload[0].body: must be a string, not ['x', None]"),
+        ({"op": "register_test_case", "contract": "00" * 32, "expected_output": None},
+         "workload[0].expected_output: must be a string, not None"),
+    ], ids=["list-op", "list-body", "null-expected-output"])
+    def test_non_string_text_in_a_workload_is_refused(self, tmp_path, capsys, entry, message):
+        scenario = {"seed": 1, "n_validators": 1, "latency": [1, 1], "accounts": [100],
+                    "max_ticks": 20, "workload": [{"tick": 2, "sender": 0, **entry}]}
+        sfile = tmp_path / "scenario.json"
+        sfile.write_text(json.dumps(scenario))
+        assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err == f"error: bad scenario: {message}\n"
+        assert not (tmp_path / "t").exists()
+
     def test_bad_scenario_usage_error(self, tmp_path, capsys):
         sfile = tmp_path / "scenario.json"
         sfile.write_text(json.dumps({"seed": 1}))
         assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
 
-    @pytest.mark.parametrize("scenario,message", [
+    # (scenario, what is wrong with it, which names the case, and the message)
+    BAD_SCENARIOS = [
         ({"seed": 1, "n_validators": 1, "latency": [1, 1], "accounts": [-5], "max_ticks": 40},
-         "account balance must be a non-negative integer, not -5"),
-        ({"seed": 1}, "missing field 'latency'"),
-        ([1], "a scenario is a JSON object, not list"),
-    ])
-    def test_bad_scenario_is_named_once(self, tmp_path, capsys, scenario, message):
+         "account balance must be a non-negative integer, not -5",
+         "accounts[0]: must be a non-negative integer below 2**64, not -5"),
+        ({"seed": 1}, "missing field 'latency'", "n_validators: must be given"),
+        ([1], "a scenario is a JSON object, not list", "must be a JSON object, not [1]"),
+    ]
+
+    @pytest.mark.parametrize("scenario,case,message", BAD_SCENARIOS,
+                             ids=[f"scenario{i}-{case}" for i, (_, case, _) in enumerate(BAD_SCENARIOS)])
+    def test_bad_scenario_is_named_once(self, tmp_path, capsys, scenario, case, message):
         sfile = tmp_path / "scenario.json"
         sfile.write_text(json.dumps(scenario))
         assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
         assert capsys.readouterr().err == f"error: bad scenario: {message}\n"
 
-    @pytest.mark.parametrize("edit,message", [
-        (lambda spec: spec.pop("axis"), "missing field 'axis'"),
+    # (edit of a good sweep spec, what is wrong after it, which names the case
+    # after its edit, and the message)
+    BAD_SWEEP_EDITS = [
+        (lambda spec: spec.pop("axis"), "missing field 'axis'", "axis: must be given"),
         (lambda spec: spec.update(repetitions=1.7),
-         "repetitions must be a positive integer, not 1.7"),
-        (lambda spec: spec.update(values="14"), "sweep values must be a JSON list, not str"),
+         "repetitions must be a positive integer, not 1.7",
+         "repetitions: must be a positive integer below 2**64, not 1.7"),
+        (lambda spec: spec.update(values="14"), "sweep values must be a JSON list, not str",
+         "values: must be a JSON list, not '14'"),
         (lambda spec: spec.update(values={"1": 0, "4": 0}),
-         "sweep values must be a JSON list, not dict"),
-        (lambda spec: spec.update(base=[["seed", 1]]), "sweep base must be a JSON object, not list"),
-    ])
-    def test_bad_sweep_spec_is_named_once(self, tmp_path, capsys, edit, message):
+         "sweep values must be a JSON list, not dict",
+         "values: must be a JSON list, not {'1': 0, '4': 0}"),
+        (lambda spec: spec.update(base=[["seed", 1]]), "sweep base must be a JSON object, not list",
+         "base: must be a JSON object, not [['seed', 1]]"),
+    ]
+
+    @pytest.mark.parametrize("edit,case,message", BAD_SWEEP_EDITS,
+                             ids=[f"<lambda>-{case}" for _, case, _ in BAD_SWEEP_EDITS])
+    def test_bad_sweep_spec_is_named_once(self, tmp_path, capsys, edit, case, message):
         spec = {"base": {"seed": 1}, "axis": "n_validators", "values": [1]}
         edit(spec)
         sfile = tmp_path / "sweep.json"
@@ -480,7 +612,7 @@ class TestScenarioAndBench:
         sfile.write_text(json.dumps(spec))
         assert main(["bench", str(sfile), "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err == (
-            f"error: bad sweep spec: a sweep spec is a JSON object, not {type(spec).__name__}\n")
+            f"error: bad sweep spec: must be a JSON object, not {spec!r}\n")
 
     def _issuance_scenario(self, tmp_path, balances):
         """One account pays the other the whole of its balance as a fee."""
@@ -503,7 +635,9 @@ class TestScenarioAndBench:
         sfile = self._issuance_scenario(tmp_path, [2**64 - 1, 2**64 - 1])
         trace_path = tmp_path / "trace.ndjson"
         assert main(["scenario", str(sfile), "--out", str(trace_path)]) == 2
-        assert capsys.readouterr().err == "error: bad scenario: total issuance exceeds u64\n"
+        assert capsys.readouterr().err == (
+            f"error: bad scenario: accounts: must be balances that add up to at most {2**64 - 1}, "
+            f"not {2 * (2**64 - 1)}\n")
         assert not trace_path.exists()
 
     def test_issuance_of_exactly_u64_max_is_accepted(self, tmp_path, capsys):
@@ -542,6 +676,11 @@ class TestArtifact:
 
     def test_get_missing_is_usage_error(self, env, capsys):
         assert main(["artifact", "--store", env["store"], "get", "ab" * 32]) == 2
+
+    def test_get_reads_the_digest_as_32_bytes_of_hex(self, env, capsys):
+        assert main(["artifact", "--store", env["store"], "get", "zz"]) == 2
+        assert capsys.readouterr().err == (
+            "error: artifact not available: digest: must be 32 bytes of hex, not 'zz'\n")
 
     def test_get_on_a_missing_store_creates_nothing(self, tmp_path, capsys):
         store = tmp_path / "nowhere"
@@ -583,8 +722,12 @@ def test_cli_import_leaves_the_simulator_unloaded():
     lambda g: g.update(empty_block_interval="soon"),
     lambda g: g.update(accounts=[5]),
     lambda g: [a.update(balance=2**63) for a in g["accounts"]],
+    lambda g: g.update(chain_id=""),
+    lambda g: g["accounts"][0].update(pubkey="ab"),
+    lambda g: g["validators"].append("cd" * 20),
 ], ids=["duplicate-validator", "negative-balance", "fractional-balance", "negative-timeout",
-        "text-interval", "account-not-an-object", "issuance-beyond-u64"])
+        "text-interval", "account-not-an-object", "issuance-beyond-u64", "empty-chain-id",
+        "one-byte-account-key", "short-validator-key"])
 def test_bad_genesis_is_usage_error_and_writes_no_store(tmp_path, env, capsys, edit):
     raw = json.loads((tmp_path / "genesis.json").read_text())
     edit(raw)
@@ -598,14 +741,24 @@ def test_bad_genesis_is_usage_error_and_writes_no_store(tmp_path, env, capsys, e
     assert not store.exists()
 
 
-def test_genesis_balances_and_intervals_accept_decimal_strings(tmp_path, env):
+@pytest.mark.parametrize("edit,message", [
+    (lambda g: g["accounts"][0].update(balance="1000"),
+     "accounts[0].balance: must be a non-negative integer below 2**64, not '1000'"),
+    (lambda g: g.update(timeout_ticks="40"),
+     "timeout_ticks: must be a non-negative integer below 2**64, not '40'"),
+], ids=["balance", "timeout"])
+def test_genesis_balances_and_intervals_refuse_decimal_strings(tmp_path, env, capsys, edit, message):
+    """In JSON a u64 is a JSON integer, never a string; `init` writes integers."""
     raw = json.loads((tmp_path / "genesis.json").read_text())
-    raw["accounts"][0]["balance"] = "1000"
-    raw["timeout_ticks"] = "40"
-    good = tmp_path / "good_genesis.json"
-    good.write_text(json.dumps(raw))
-    assert main(["init", "--store", str(tmp_path / "s3"), "--genesis", str(good),
-                 "--validator-key", env["keys"]["validator"]]) == 0
+    edit(raw)
+    bad = tmp_path / "bad_genesis.json"
+    bad.write_text(json.dumps(raw))
+    store = tmp_path / "s3"
+    capsys.readouterr()
+    assert main(["init", "--store", str(store), "--genesis", str(bad),
+                 "--validator-key", env["keys"]["validator"]]) == 2
+    assert capsys.readouterr().err == f"error: bad genesis file: {message}\n"
+    assert not store.exists()
 
 
 @pytest.mark.parametrize("edit", [

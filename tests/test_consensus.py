@@ -3,6 +3,7 @@
 import pytest
 
 from testingplus.chain import GenesisConfig, ValidatorSet, proposer_for
+from testingplus.codec import InputError
 from testingplus.consensus import Commit, Node, Propose, Status, TxGossip, Vote
 from testingplus.sim import SimScenario, run_simulation
 from testingplus.tx import DeployCustomerAgreement, Transaction
@@ -364,9 +365,8 @@ def all_crashed_scenario():
 
 
 def test_workload_after_every_validator_crashed_is_rejected():
-    from testingplus.sim import ScenarioError
-
-    with pytest.raises(ScenarioError, match="workload entry 0"):
+    with pytest.raises(InputError, match=r"^workload\[0\]\.tick: must be before every validator "
+                                         r"has crashed \(at tick 5\), not 10$"):
         SimScenario.from_dict(all_crashed_scenario())
     # an entry before the last crash is still accepted
     ok = all_crashed_scenario()
@@ -374,24 +374,36 @@ def test_workload_after_every_validator_crashed_is_rejected():
     SimScenario.from_dict(ok)
 
 
-@pytest.mark.parametrize("entry", [
-    {"tick": 9, "sender": -1, "op": "deploy_customer_agreement"},
-    {"tick": 9, "sender": 2, "op": "deploy_customer_agreement"},
-    {"tick": 9, "sender": 0, "op": "deploy_acceptance_test", "customer": -1, "developer": 1, "fee": 5},
-    {"tick": 9, "sender": 0, "op": "deploy_acceptance_test", "customer": 0, "developer": -2, "fee": 5},
-    {"tick": 9, "sender": 0, "op": "set_testing_fee", "contract": {"ref": 0}, "fee": None},
-    {"tick": 9, "sender": 0, "op": "set_testing_fee", "contract": {"ref": None}, "fee": 1},
-    {"tick": None, "sender": 0, "op": "deploy_customer_agreement"},
-    {"tick": 9, "sender": 0, "op": "set_testing_fee", "contract": "00", "fee": 1},
-    {"tick": 9, "sender": 0, "op": "register_test_case", "contract": {"ref": 0},
-     "input_digest": "08" * 16},
-])
-def test_malformed_workload_entry_is_rejected(entry):
-    from testingplus.sim import ScenarioError
+# (second workload entry, the message naming its bad field)
+MALFORMED_ENTRIES = [
+    ({"tick": 9, "sender": -1, "op": "deploy_customer_agreement"},
+     "workload[1].sender: must be a non-negative integer below 2**64, not -1"),
+    ({"tick": 9, "sender": 2, "op": "deploy_customer_agreement"},
+     "workload[1].sender: must be an account index below 2, not 2"),
+    ({"tick": 9, "sender": 0, "op": "deploy_acceptance_test", "customer": -1, "developer": 1,
+      "fee": 5}, "workload[1].customer: must be a non-negative integer below 2**64, not -1"),
+    ({"tick": 9, "sender": 0, "op": "deploy_acceptance_test", "customer": 0, "developer": -2,
+      "fee": 5}, "workload[1].developer: must be a non-negative integer below 2**64, not -2"),
+    ({"tick": 9, "sender": 0, "op": "set_testing_fee", "contract": {"ref": 0}, "fee": None},
+     "workload[1].fee: must be a non-negative integer below 2**64, not None"),
+    ({"tick": 9, "sender": 0, "op": "set_testing_fee", "contract": {"ref": None}, "fee": 1},
+     "workload[1].contract.ref: must be a non-negative integer below 2**64, not None"),
+    ({"tick": None, "sender": 0, "op": "deploy_customer_agreement"},
+     "workload[1].tick: must be a non-negative integer below 2**64, not None"),
+    ({"tick": 9, "sender": 0, "op": "set_testing_fee", "contract": "00", "fee": 1},
+     "workload[1].contract: must be 32 bytes of hex, not '00'"),
+    ({"tick": 9, "sender": 0, "op": "register_test_case", "contract": {"ref": 0},
+      "input_digest": "08" * 16}, "workload[1].input_digest: must be 32 bytes of hex, not '08"),
+]
 
+
+@pytest.mark.parametrize("entry,message", MALFORMED_ENTRIES,
+                         ids=[f"entry{i}" for i in range(len(MALFORMED_ENTRIES))])
+def test_malformed_workload_entry_is_rejected(entry, message):
     d = scenario_dict(workload=[{"tick": 5, "sender": 0, "op": "deploy_customer_agreement"}, entry])
-    with pytest.raises(ScenarioError, match="workload entry 1"):
+    with pytest.raises(InputError) as exc:
         SimScenario.from_dict(d).build_workload()
+    assert str(exc.value).startswith(message)
 
 
 def test_workload_ref_to_a_feedback_entry_names_its_feedback_id():
@@ -413,7 +425,8 @@ def test_scenario_command_rejects_malformed_workload_entry(tmp_path, capsys):
     sfile = tmp_path / "scenario.json"
     sfile.write_text(json.dumps(scenario_dict(workload=workload)))
     assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
-    assert "workload entry 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: bad scenario: workload[0].fee: must be a non-negative integer below 2**64, not None\n")
 
 
 def test_scenario_command_errors_when_every_validator_crashed(tmp_path):
@@ -432,17 +445,17 @@ def test_scenario_command_errors_when_every_validator_crashed(tmp_path):
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 2
-    assert "workload entry 0" in proc.stderr
+    assert "workload[0].tick: must be before every validator has crashed" in proc.stderr
 
 
 @pytest.mark.parametrize("tick", [-3, -1, 401, 10**6])
 def test_workload_tick_outside_run_is_rejected(tick):
-    from testingplus.sim import ScenarioError
-
     entries = [{"tick": 5, "sender": 0, "op": "deploy_customer_agreement"},
                {"tick": tick, "sender": 1, "op": "deploy_developer_agreement"}]
-    with pytest.raises(ScenarioError, match=f"workload entry 1: tick {tick} outside 0..max_ticks"):
+    rule = "a non-negative integer below 2**64" if tick < 0 else "at most max_ticks (400)"
+    with pytest.raises(InputError) as exc:
         SimScenario.from_dict(scenario_dict(workload=entries))
+    assert str(exc.value) == f"workload[1].tick: must be {rule}, not {tick}"
 
 
 def test_workload_ticks_at_both_ends_of_run_are_submitted():
@@ -461,7 +474,8 @@ def test_scenario_command_rejects_workload_tick_past_max_ticks(tmp_path, capsys)
     sfile = tmp_path / "scenario.json"
     sfile.write_text(json.dumps(scenario_dict(workload=workload, max_ticks=200)))
     assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
-    assert "workload entry 0: tick 500 outside 0..max_ticks" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: bad scenario: workload[0].tick: must be at most max_ticks (200), not 500\n")
     assert not (tmp_path / "t").exists()
 
 
@@ -475,19 +489,26 @@ def test_sweep_cell_respaced_past_max_ticks_is_an_error_row():
                                 "values": [10, 100]})
     rows = list(csv.DictReader(io.StringIO(run_sweep(spec))))
     assert [r["status"] for r in rows][0] == "ok"
-    assert rows[1]["status"] == "error: workload entry 2: tick 201 outside 0..max_ticks (120)"
+    assert rows[1]["status"] == "error: workload[2].tick: must be at most max_ticks (120), not 201"
 
 
-@pytest.mark.parametrize("faults,message", [
-    ([{"node": 4, "tick": 20}], "crash fault for node 4 outside 0..3"),
-    ([{"node": -1, "tick": 20}], "crash fault for node -1 outside 0..3"),
-    ([{"node": 1, "tick": 20}, {"node": 1, "tick": 30}], "crash fault for node 1 listed twice"),
-])
-def test_crash_fault_that_cannot_happen_is_rejected(faults, message):
-    from testingplus.sim import ScenarioError
+# (crash faults, the fault the case describes, which names it, and the message)
+IMPOSSIBLE_CRASHES = [
+    ([{"node": 4, "tick": 20}], "crash fault for node 4 outside 0..3",
+     "crash_faults[0].node: must be a node in 0..3, not 4"),
+    ([{"node": -1, "tick": 20}], "crash fault for node -1 outside 0..3",
+     "crash_faults[0].node: must be a non-negative integer below 2**64, not -1"),
+    ([{"node": 1, "tick": 20}, {"node": 1, "tick": 30}], "crash fault for node 1 listed twice",
+     "crash_faults[1].node: must be a node no earlier crash fault names, not 1"),
+]
 
-    with pytest.raises(ScenarioError, match=message):
+
+@pytest.mark.parametrize("faults,case,message", IMPOSSIBLE_CRASHES,
+                         ids=[f"faults{i}-{case}" for i, (_, case, _) in enumerate(IMPOSSIBLE_CRASHES)])
+def test_crash_fault_that_cannot_happen_is_rejected(faults, case, message):
+    with pytest.raises(InputError) as exc:
         SimScenario.from_dict(scenario_dict(crash_faults=faults))
+    assert str(exc.value) == message
 
 
 def test_scenario_command_rejects_crash_fault_outside_validators(tmp_path, capsys):
@@ -498,7 +519,7 @@ def test_scenario_command_rejects_crash_fault_outside_validators(tmp_path, capsy
     sfile = tmp_path / "scenario.json"
     sfile.write_text(json.dumps(scenario_dict(crash_faults=[{"node": 9, "tick": 20}])))
     assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
-    assert "crash fault for node 9 outside 0..3" in capsys.readouterr().err
+    assert "crash_faults[0].node: must be a node in 0..3, not 9" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
 
 
@@ -517,9 +538,8 @@ def test_validator_sweep_drops_crash_faults_beyond_each_size():
 @pytest.mark.parametrize("key", ["timeout_ticks", "gossip_interval"])
 @pytest.mark.parametrize("value", ["abc", [1], -5, 0.5, "10", True])
 def test_bad_timeout_or_gossip_interval_is_rejected(key, value):
-    from testingplus.sim import ScenarioError
-
-    with pytest.raises(ScenarioError, match=f"{key} must be null or a non-negative integer"):
+    with pytest.raises(InputError,
+                       match=rf"^{key}: must be a non-negative integer below 2\*\*64, not "):
         SimScenario.from_dict(scenario_dict(**{key: value}))
 
 
@@ -543,46 +563,69 @@ def test_scenario_command_rejects_bad_timeout_or_gossip_interval(tmp_path, capsy
     sfile = tmp_path / "scenario.json"
     sfile.write_text(json.dumps(scenario_dict(**{key: value})))
     assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
-    assert f"{key} must be null or a non-negative integer" in capsys.readouterr().err
+    assert (f"error: bad scenario: {key}: must be a non-negative integer below 2**64, not "
+            in capsys.readouterr().err)
     assert not (tmp_path / "t").exists()
 
 
-# scenario numbers that int() used to truncate or take negative
+# scenario numbers that int() used to truncate or take negative: (overrides,
+# the rule the case breaks, which names it, and the message naming its path)
 BAD_SCENARIO_NUMBERS = [
-    ({"accounts": [-5]}, "account balance must be a non-negative integer"),
-    ({"accounts": [1000, 2.9]}, "account balance must be a non-negative integer"),
-    ({"accounts": [1000, "1000"]}, "account balance must be a non-negative integer"),
-    ({"accounts": [2**64]}, "account balance must be a non-negative integer"),
-    ({"seed": -1}, "seed must be a non-negative integer"),
-    ({"seed": "7"}, "seed must be a non-negative integer"),
-    ({"n_validators": 4.9}, "n_validators must be a non-negative integer"),
-    ({"n_validators": True}, "n_validators must be a non-negative integer"),
-    ({"latency": [1, 2.5]}, "latency must be a non-negative integer"),
-    ({"latency": [1, 2, 3]}, "too many values"),
-    ({"max_ticks": 400.5}, "max_ticks must be a non-negative integer"),
-    ({"empty_block_interval": -5}, "empty_block_interval must be a non-negative integer"),
-    ({"empty_block_interval": 0.5}, "empty_block_interval must be a non-negative integer"),
-    ({"empty_block_interval": False}, "empty_block_interval must be a non-negative integer"),
+    ({"accounts": [-5]}, "account balance must be a non-negative integer",
+     "accounts[0]: must be a non-negative integer below 2**64, not -5"),
+    ({"accounts": [1000, 2.9]}, "account balance must be a non-negative integer",
+     "accounts[1]: must be a non-negative integer below 2**64, not 2.9"),
+    ({"accounts": [1000, "1000"]}, "account balance must be a non-negative integer",
+     "accounts[1]: must be a non-negative integer below 2**64, not '1000'"),
+    ({"accounts": [2**64]}, "account balance must be a non-negative integer",
+     f"accounts[0]: must be a non-negative integer below 2**64, not {2**64}"),
+    ({"seed": -1}, "seed must be a non-negative integer",
+     "seed: must be a non-negative integer below 2**64, not -1"),
+    ({"seed": "7"}, "seed must be a non-negative integer",
+     "seed: must be a non-negative integer below 2**64, not '7'"),
+    ({"n_validators": 4.9}, "n_validators must be a non-negative integer",
+     "n_validators: must be a positive integer below 2**64, not 4.9"),
+    ({"n_validators": True}, "n_validators must be a non-negative integer",
+     "n_validators: must be a positive integer below 2**64, not True"),
+    ({"latency": [1, 2.5]}, "latency must be a non-negative integer",
+     "latency[1]: must be a positive integer below 2**64, not 2.5"),
+    ({"latency": [1, 2, 3]}, "too many values",
+     "latency: must be a JSON list of 2 values, not [1, 2, 3]"),
+    ({"max_ticks": 400.5}, "max_ticks must be a non-negative integer",
+     "max_ticks: must be a positive integer below 2**64, not 400.5"),
+    ({"empty_block_interval": -5}, "empty_block_interval must be a non-negative integer",
+     "empty_block_interval: must be a non-negative integer below 2**64, not -5"),
+    ({"empty_block_interval": 0.5}, "empty_block_interval must be a non-negative integer",
+     "empty_block_interval: must be a non-negative integer below 2**64, not 0.5"),
+    ({"empty_block_interval": False}, "empty_block_interval must be a non-negative integer",
+     "empty_block_interval: must be a non-negative integer below 2**64, not False"),
     ({"partitions": [{"from_tick": 1.5, "to_tick": 9, "sides": [[0, 1], [2, 3]]}]},
-     "partition from_tick must be a non-negative integer"),
+     "partition from_tick must be a non-negative integer",
+     "partitions[0].from_tick: must be a non-negative integer below 2**64, not 1.5"),
     ({"partitions": [{"from_tick": 1, "to_tick": 9, "sides": [[0, 1.0], [2, 3]]}]},
-     "partition node must be a non-negative integer"),
-    ({"crash_faults": [{"node": 1.0, "tick": 20}]}, "crash fault node must be an integer"),
-    ({"crash_faults": [{"node": True, "tick": 20}]}, "crash fault node must be an integer"),
-    ({"crash_faults": [{"node": 1, "tick": -20}]}, "crash fault tick must be a non-negative integer"),
+     "partition node must be a non-negative integer",
+     "partitions[0].sides[0][1]: must be a non-negative integer below 2**64, not 1.0"),
+    ({"crash_faults": [{"node": 1.0, "tick": 20}]}, "crash fault node must be an integer",
+     "crash_faults[0].node: must be a non-negative integer below 2**64, not 1.0"),
+    ({"crash_faults": [{"node": True, "tick": 20}]}, "crash fault node must be an integer",
+     "crash_faults[0].node: must be a non-negative integer below 2**64, not True"),
+    ({"crash_faults": [{"node": 1, "tick": -20}]}, "crash fault tick must be a non-negative integer",
+     "crash_faults[0].tick: must be a non-negative integer below 2**64, not -20"),
 ]
+BAD_SCENARIO_NUMBER_IDS = [f"overrides{i}-{rule}"
+                           for i, (_, rule, _) in enumerate(BAD_SCENARIO_NUMBERS)]
 
 
-@pytest.mark.parametrize("overrides,message", BAD_SCENARIO_NUMBERS)
-def test_scenario_numbers_must_be_non_negative_json_integers(overrides, message):
-    from testingplus.sim import ScenarioError
-
-    with pytest.raises(ScenarioError, match=message):
+@pytest.mark.parametrize("overrides,rule,message", BAD_SCENARIO_NUMBERS, ids=BAD_SCENARIO_NUMBER_IDS)
+def test_scenario_numbers_must_be_non_negative_json_integers(overrides, rule, message):
+    with pytest.raises(InputError) as exc:
         SimScenario.from_dict(scenario_dict(**overrides))
+    assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("overrides,message", BAD_SCENARIO_NUMBERS)
-def test_scenario_command_rejects_non_integer_or_negative_numbers(tmp_path, capsys, overrides, message):
+@pytest.mark.parametrize("overrides,rule,message", BAD_SCENARIO_NUMBERS, ids=BAD_SCENARIO_NUMBER_IDS)
+def test_scenario_command_rejects_non_integer_or_negative_numbers(tmp_path, capsys, overrides,
+                                                                 rule, message):
     import json
 
     from testingplus.cli import main
@@ -590,23 +633,31 @@ def test_scenario_command_rejects_non_integer_or_negative_numbers(tmp_path, caps
     sfile = tmp_path / "scenario.json"
     sfile.write_text(json.dumps(scenario_dict(**overrides)))
     assert main(["scenario", str(sfile), "--out", str(tmp_path / "t")]) == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: bad scenario: {message}\n"
     assert not (tmp_path / "t").exists()
 
 
-@pytest.mark.parametrize("entry", [
-    {"tick": 5.5, "sender": 0, "op": "deploy_customer_agreement"},
-    {"tick": True, "sender": 0, "op": "deploy_customer_agreement"},
-    {"tick": 5, "sender": 1.0, "op": "deploy_customer_agreement"},
-    {"tick": 5, "sender": "1", "op": "deploy_customer_agreement"},
-    {"tick": 9, "sender": 0, "op": "set_testing_fee", "contract": {"ref": 0.0}, "fee": 1},
-])
-def test_workload_ticks_and_indices_must_be_json_integers(entry):
-    from testingplus.sim import ScenarioError
+# (second workload entry, the path of its bad number)
+NON_INTEGER_ENTRIES = [
+    ({"tick": 5.5, "sender": 0, "op": "deploy_customer_agreement"}, "tick"),
+    ({"tick": True, "sender": 0, "op": "deploy_customer_agreement"}, "tick"),
+    ({"tick": 5, "sender": 1.0, "op": "deploy_customer_agreement"}, "sender"),
+    ({"tick": 5, "sender": "1", "op": "deploy_customer_agreement"}, "sender"),
+    ({"tick": 9, "sender": 0, "op": "set_testing_fee", "contract": {"ref": 0.0}, "fee": 1},
+     "contract.ref"),
+]
 
+
+@pytest.mark.parametrize("entry,field", NON_INTEGER_ENTRIES,
+                         ids=[f"entry{i}" for i in range(len(NON_INTEGER_ENTRIES))])
+def test_workload_ticks_and_indices_must_be_json_integers(entry, field):
     d = scenario_dict(workload=[{"tick": 5, "sender": 0, "op": "deploy_customer_agreement"}, entry])
-    with pytest.raises(ScenarioError, match="workload entry 1: .* must be a non-negative integer"):
+    value = entry[field.split(".")[0]]
+    value = value["ref"] if isinstance(value, dict) else value
+    with pytest.raises(InputError) as exc:
         SimScenario.from_dict(d).build_workload()
+    assert str(exc.value) == (
+        f"workload[1].{field}: must be a non-negative integer below 2**64, not {value!r}")
 
 
 def test_message_of_unknown_type_is_dropped_as_invalid():

@@ -14,7 +14,8 @@ from testingplus.metrics import (
     analyze,
     run_sweep,
 )
-from testingplus.sim import ScenarioError, SimScenario, SimTrace, run_simulation
+from testingplus.codec import InputError
+from testingplus.sim import SimScenario, SimTrace, run_simulation
 
 
 def base_scenario(**overrides):
@@ -109,7 +110,7 @@ class TestAnalyze:
         assert d["scenario_digest"] == trace.events[0]["digest"]
 
     def test_headerless_trace_rejected(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(InputError):
             analyze(SimTrace([{"type": "summary", "truncated": False, "max_ticks": 1, "nodes": []}]))
 
 
@@ -128,21 +129,22 @@ class TestSweep:
         return d
 
     def test_unknown_axis_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown sweep axis"):
+        with pytest.raises(InputError, match=r"^axis: must be one of n_validators, "
+                                            r"drop_probability, workload_interval, not 'block_size'$"):
             SweepSpec.from_dict(self.spec_dict(axis="block_size"))
 
     def test_empty_values_rejected(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(InputError, match=r"^values: must be a non-empty list, not \[\]$"):
             SweepSpec.from_dict(self.spec_dict(values=[]))
 
     @pytest.mark.parametrize("values", ["14", {"1": 0, "4": 0}, 4, None])
     def test_values_must_be_a_json_list(self, values):
-        with pytest.raises(ScenarioError, match="sweep values must be a JSON list"):
+        with pytest.raises(InputError, match="^values: must be a JSON list, not "):
             SweepSpec.from_dict(self.spec_dict(values=values))
 
     @pytest.mark.parametrize("base", [[["seed", 7]], "seed", None])
     def test_base_must_be_a_json_object(self, base):
-        with pytest.raises(ScenarioError, match="sweep base must be a JSON object"):
+        with pytest.raises(InputError, match="^base: must be a JSON object, not "):
             SweepSpec.from_dict(self.spec_dict(base=base))
 
     def test_derived_seeds_distinct_per_cell(self):
@@ -185,17 +187,29 @@ class TestSweep:
         assert rows[0][4] == "ok"
         assert rows[1][4].startswith("error:")
 
-    @pytest.mark.parametrize("axis,value,message", [
-        ("n_validators", 4.9, "n_validators must be a non-negative integer, not 4.9"),
-        ("n_validators", True, "n_validators must be a non-negative integer, not True"),
-        ("n_validators", "4", "n_validators must be a non-negative integer, not '4'"),
-        ("drop_probability", "0.1", "drop_probability must be a number, not '0.1'"),
-        ("drop_probability", True, "drop_probability must be a number, not True"),
-        ("workload_interval", 2.5, "workload_interval must be a positive integer, not 2.5"),
-        ("workload_interval", True, "workload_interval must be a positive integer, not True"),
-        ("workload_interval", 0, "workload_interval must be a positive integer, not 0"),
-    ])
-    def test_axis_value_is_judged_as_given(self, axis, value, message):
+    # (axis, value, the rule the case breaks, which names it, and the message)
+    BAD_AXIS_VALUES = [
+        ("n_validators", 4.9, "n_validators must be a non-negative integer, not 4.9",
+         "n_validators: must be a positive integer below 2**64, not 4.9"),
+        ("n_validators", True, "n_validators must be a non-negative integer, not True",
+         "n_validators: must be a positive integer below 2**64, not True"),
+        ("n_validators", "4", "n_validators must be a non-negative integer, not '4'",
+         "n_validators: must be a positive integer below 2**64, not '4'"),
+        ("drop_probability", "0.1", "drop_probability must be a number, not '0.1'",
+         "drop_probability: must be a number in [0, 1], not '0.1'"),
+        ("drop_probability", True, "drop_probability must be a number, not True",
+         "drop_probability: must be a number in [0, 1], not True"),
+        ("workload_interval", 2.5, "workload_interval must be a positive integer, not 2.5",
+         "workload_interval: must be a positive integer below 2**64, not 2.5"),
+        ("workload_interval", True, "workload_interval must be a positive integer, not True",
+         "workload_interval: must be a positive integer below 2**64, not True"),
+        ("workload_interval", 0, "workload_interval must be a positive integer, not 0",
+         "workload_interval: must be a positive integer below 2**64, not 0"),
+    ]
+
+    @pytest.mark.parametrize("axis,value,rule,message", BAD_AXIS_VALUES,
+                             ids=[f"{a}-{v}-{rule}" for a, v, rule, _ in BAD_AXIS_VALUES])
+    def test_axis_value_is_judged_as_given(self, axis, value, rule, message):
         spec = SweepSpec.from_dict(self.spec_dict(axis=axis, values=[value], repetitions=1))
         rows = list(csv.reader(io.StringIO(run_sweep(spec))))[1:]
         assert rows[0][4] == f"error: {message}"
@@ -205,18 +219,21 @@ class TestSweep:
         spec = self.spec_dict(axis=axis, values=[value], repetitions=1)
         spec["base"]["crash_faults"] = [{"node": "1", "tick": 5}]
         rows = list(csv.reader(io.StringIO(run_sweep(SweepSpec.from_dict(spec)))))[1:]
-        assert rows[0][4] == "error: crash fault node must be an integer, not '1'"
+        assert rows[0][4] == (
+            "error: crash_faults[0].node: must be a non-negative integer below 2**64, not '1'")
 
     @pytest.mark.parametrize("seed", [4.9, True, "7", "x", -1, None])
     def test_base_seed_must_be_a_u64(self, seed):
         spec = self.spec_dict()
         spec["base"]["seed"] = seed
-        with pytest.raises(ScenarioError, match="base seed must be a non-negative integer"):
+        with pytest.raises(InputError,
+                           match=r"^base\.seed: must be a non-negative integer below 2\*\*64, not "):
             SweepSpec.from_dict(spec)
 
     @pytest.mark.parametrize("repetitions", [1.7, True, 0, -1, "2", None])
     def test_repetitions_must_be_a_positive_integer(self, repetitions):
-        with pytest.raises(ScenarioError, match="repetitions must be a positive integer"):
+        with pytest.raises(InputError,
+                           match=r"^repetitions: must be a positive integer below 2\*\*64, not "):
             SweepSpec.from_dict(self.spec_dict(repetitions=repetitions))
 
 

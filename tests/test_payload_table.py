@@ -6,7 +6,8 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from testingplus.codec import Reader, enc_bytes, enc_u64, hash256
+from testingplus.cli import build_parser
+from testingplus.codec import InputError, Reader, enc_bytes, enc_u64, hash256, uint
 from testingplus.tx import (
     CompleteTest,
     DeployAcceptanceTest,
@@ -21,8 +22,6 @@ from testingplus.tx import (
     SetTestingFee,
     decode_payload,
     encode_payload,
-    hex_bytes,
-    parse_u64,
     payload_from_json,
 )
 from testingplus.vm import created_id
@@ -110,7 +109,7 @@ ENTRIES = [
     {"op": "deploy_customer_agreement"},
     {"op": "set_testing_fee", "contract": "01" * 32, "fee": 25},
     {"op": "deploy_developer_agreement"},
-    {"op": "set_reward", "contract": "02" * 32, "amount": str(2**64 - 1)},
+    {"op": "set_reward", "contract": "02" * 32, "amount": 2**64 - 1},
     {"op": "deploy_acceptance_test", "customer": "03" * 20, "developer": "04" * 20, "fee": 7},
     {"op": "initiate_test", "contract": "05" * 32},
     {"op": "complete_test", "contract": "06" * 32},
@@ -123,7 +122,7 @@ ENTRIES = [
 
 @pytest.mark.parametrize("entry,pinned", zip(ENTRIES, PINNED), ids=[e["op"] for e in ENTRIES])
 def test_op_entry_builds_the_payload(entry, pinned):
-    assert payload_from_json(entry, hex_bytes, hex_bytes, hash256) == pinned[0]
+    assert payload_from_json(entry, hash256) == pinned[0]
 
 
 def test_text_fields_go_through_the_digest_resolver():
@@ -134,20 +133,37 @@ def test_text_fields_go_through_the_digest_resolver():
         return hash256(data)
 
     p = payload_from_json({"op": "register_test_case", "contract": "07" * 32, "input": "in",
-                           "expected_output": "out"}, hex_bytes, hex_bytes, digest)
+                           "expected_output": "out"}, digest)
     assert seen == [b"in", b"out"]
     assert (p.description, p.expected_output_digest) == (b"", hash256(b"out"))
 
 
+def cli_u64(arg: str) -> int:
+    """A u64 as the command line reads it, in the height of `query block`."""
+    return build_parser().parse_args(["query", "--store", "s", "block", arg]).height
+
+
+# one u64 rule: a JSON integer in JSON, ASCII decimal digits on the command line
 @pytest.mark.parametrize("value,parsed", [(0, 0), (25, 25), ("25", 25), (2**64 - 1, 2**64 - 1)])
 def test_u64_accepts_integers_and_decimal_strings(value, parsed):
-    assert parse_u64(value) == parsed
+    if isinstance(value, str):
+        assert cli_u64(value) == parsed
+        with pytest.raises(InputError,
+                           match=r"^fee: must be a non-negative integer below 2\*\*64, not '25'$"):
+            uint(value, "fee")  # never a string in JSON
+    else:
+        assert uint(value, "fee") == parsed
+        assert cli_u64(str(value)) == parsed
 
 
 @pytest.mark.parametrize("value", [-5, 2**64, "abc", "-5", "", None, True, 2.5, [1]])
-def test_u64_rejects_everything_else(value):
-    with pytest.raises(ValueError):
-        parse_u64(value)
+def test_u64_rejects_everything_else(value, capsys):
+    with pytest.raises(InputError, match="^fee: must be "):
+        uint(value, "fee")
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        with pytest.raises(SystemExit):
+            cli_u64(str(value))
+        assert f"argument height: invalid u64 value: '{value}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry", [
@@ -159,8 +175,8 @@ def test_u64_rejects_everything_else(value):
     {"op": "set_testing_fee", "contract": "01" * 32, "fee": None},
 ])
 def test_malformed_entries_raise_value_error(entry):
-    with pytest.raises(ValueError):
-        payload_from_json(entry, hex_bytes, hex_bytes, hash256)
+    with pytest.raises(InputError):
+        payload_from_json(entry, hash256)
 
 
 @pytest.mark.parametrize("entry,size", [
@@ -174,5 +190,5 @@ def test_malformed_entries_raise_value_error(entry):
     ({"op": "register_test_case", "contract": "07" * 32, "input_digest": "08" * 31}, 32),
 ])
 def test_ids_accounts_and_digests_must_have_their_length(entry, size):
-    with pytest.raises(ValueError, match=f"must be {size} bytes"):
-        payload_from_json(entry, hex_bytes, hex_bytes, hash256)
+    with pytest.raises(InputError, match=f": must be {size} bytes of hex, not "):
+        payload_from_json(entry, hash256)
