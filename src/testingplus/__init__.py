@@ -24,7 +24,7 @@ from .chain import (
     verify_chain,
 )
 from .codec import hash256
-from .keys import KeyRegistry, UnknownSenderError, address_from_pubkey, generate_keypair
+from .keys import address_from_pubkey, generate_keypair
 from .state import WorldState
 from .tx import Transaction, sign_transaction, verify_transaction
 from .vm import Receipt, apply_transaction
@@ -52,8 +52,6 @@ __all__ = [
     "proposer_for",
     "verify_chain",
     "hash256",
-    "KeyRegistry",
-    "UnknownSenderError",
     "address_from_pubkey",
     "generate_keypair",
     "MetricsReport",

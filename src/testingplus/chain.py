@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .block import Block, BlockHeader, build_block, decode_chain, encode_chain, merkle_root
 from .codec import (HASH_HEX, U64_MAX, DecodeError, InputError, ZERO_ADDRESS, ZERO_HASH,
                     list_of, obj, uint)
-from .keys import KeyRegistry, UnknownSenderError, address_from_pubkey, sign, verify
+from .keys import address_from_pubkey, sign, verify
 from .state import AccountState, WorldState
 from .tx import Transaction, verify_transaction
 from .vm import Receipt, apply_transaction
@@ -65,8 +66,12 @@ def proposer_for(height: int, round_: int, vs: ValidatorSet) -> bytes:
     return vs.members[(height + round_) % vs.n][0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenesisConfig:
+    """A chain's fixed parameters and the one source of its authorities:
+    who may vote (`validators`) and who may sign (`pubkeys`), each derived
+    once and shared by every `Chain` of this genesis."""
+
     chain_id: bytes
     validator_pubkeys: list[bytes]
     accounts: list[tuple[bytes, int]]  # (pubkey, balance)
@@ -99,17 +104,20 @@ class GenesisConfig:
             empty_block_interval=v["empty_block_interval"],
             timeout_ticks=v["timeout_ticks"],
         )
-        ValidatorSet.from_pubkeys(cfg.validator_pubkeys)  # raises unless distinct and non-empty
+        cfg.validators  # raises unless distinct and non-empty
         check_issuance(b for _, b in cfg.accounts)
         return cfg
 
-    def registry(self) -> KeyRegistry:
-        reg = KeyRegistry()
-        for pk in self.validator_pubkeys:
-            reg.register(pk)
-        for pk, _ in self.accounts:
-            reg.register(pk)
-        return reg
+    @cached_property
+    def validators(self) -> ValidatorSet:
+        return ValidatorSet.from_pubkeys(self.validator_pubkeys)
+
+    @cached_property
+    def pubkeys(self) -> dict[bytes, bytes]:
+        """Address -> public key of every validator and account: the only
+        senders a block may carry. Shared, so never written to."""
+        keys = [*self.validator_pubkeys, *(pk for pk, _ in self.accounts)]
+        return {address_from_pubkey(pk): pk for pk in keys}
 
     def genesis_state(self) -> WorldState:
         state = WorldState()
@@ -153,12 +161,12 @@ class CorruptChainError(Exception):
         self.reason = reason
 
 
-def check_block(
-    parent: BlockHeader, block: Block, registry: KeyRegistry, validators: ValidatorSet | None = None
-) -> None:
+def check_block(parent: BlockHeader, block: Block, pubkeys: dict[bytes, bytes],
+                validators: ValidatorSet | None = None) -> None:
     """Everything about a block that does not need its execution: height
-    and link to `parent`, Merkle root, transaction signatures and, when
-    `validators` is given, a quorum of distinct validator votes. Raises
+    and link to `parent`, Merkle root, each sender's key in `pubkeys`
+    (address -> public key, else `unknown-sender`) and its signature and,
+    when `validators` is given, a quorum of distinct validator votes. Raises
     `CorruptChainError` at the block's height on the first failure."""
     h = parent.height + 1
     header = block.header
@@ -169,11 +177,11 @@ def check_block(
     if header.merkle_root != merkle_root([tx.hash() for tx in block.transactions]):
         raise CorruptChainError(h, "merkle-mismatch")
     for tx in block.transactions:
-        try:
-            if not verify_transaction(tx, registry):
-                raise CorruptChainError(h, "tx-signature")
-        except UnknownSenderError:
-            raise CorruptChainError(h, "unknown-sender") from None
+        pubkey = pubkeys.get(tx.sender)
+        if pubkey is None:
+            raise CorruptChainError(h, "unknown-sender")
+        if not verify_transaction(tx, pubkey):
+            raise CorruptChainError(h, "tx-signature")
     if validators is not None:
         _check_votes(block, validators)
 
@@ -195,7 +203,7 @@ def _check_votes(block: Block, validators: ValidatorSet) -> None:
         raise CorruptChainError(h, "quorum")
 
 
-def verify_chain(blocks: list[Block], validators: ValidatorSet, registry: KeyRegistry) -> None:
+def verify_chain(blocks: list[Block], validators: ValidatorSet, pubkeys: dict[bytes, bytes]) -> None:
     """Structural audit of a chain: `check_block` at every height after
     genesis. Raises `CorruptChainError` at the lowest failing height.
 
@@ -210,7 +218,7 @@ def verify_chain(blocks: list[Block], validators: ValidatorSet, registry: KeyReg
     if g.header.merkle_root != merkle_root([tx.hash() for tx in g.transactions]):
         raise CorruptChainError(0, "merkle-mismatch")
     for parent, block in zip(blocks, blocks[1:]):
-        check_block(parent.header, block, registry, validators)
+        check_block(parent.header, block, pubkeys, validators)
 
 
 class Chain:
@@ -218,8 +226,8 @@ class Chain:
 
     def __init__(self, genesis: GenesisConfig):
         self.genesis = genesis
-        self.validators = ValidatorSet.from_pubkeys(genesis.validator_pubkeys)
-        self.registry = genesis.registry()
+        self.validators = genesis.validators
+        self.pubkeys = genesis.pubkeys
         self.state = genesis.genesis_state()
         self.blocks: list[Block] = [genesis.genesis_block()]
         self.committed_txs: set[bytes] = set()
@@ -267,7 +275,7 @@ class Chain:
     def validate_block(self, block: Block) -> None:
         """`check_block` against the head, without votes, then execution
         (reused if the block was staged or validated before)."""
-        check_block(self.head.header, block, self.registry)
+        check_block(self.head.header, block, self.pubkeys)
         self._execute_block(block)
 
     def _execute_block(self, block: Block) -> tuple[WorldState, tuple[Receipt, ...]]:
@@ -289,7 +297,7 @@ class Chain:
         """The one way onto the chain: `check_block` against the head, votes
         included, then execution (reused if the block was staged or
         validated before); the block becomes the head."""
-        check_block(self.head.header, block, self.registry, self.validators)
+        check_block(self.head.header, block, self.pubkeys, self.validators)
         self.state, receipts = self._execute_block(block)
         self._executed.clear()
         self.blocks.append(block)

@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .block import Block, merkle_proof
-from .chain import Chain, ChainStore, CorruptChainError, GenesisConfig, ValidatorSet
+from .chain import Chain, ChainStore, CorruptChainError, GenesisConfig
 from .codec import (ADDRESS_LEN, HASH_HEX, InputError, csv_table, hash256, hexbytes, list_of,
                     obj, record_json, uint)
 from .keys import address_from_pubkey, generate_keypair
@@ -107,7 +107,7 @@ def cmd_init(args) -> int:
         raise UsageError(f"store {args.store} exists")
     genesis = _read_json(args.genesis, "bad genesis file", GenesisConfig.from_dict)
     sealer = _load_key(args.validator_key)
-    validators = ValidatorSet.from_pubkeys(genesis.validator_pubkeys)
+    validators = genesis.validators
     if validators.pubkey_of(sealer["address"]) is None:
         raise UsageError("validator key is not in the genesis validator set")
     if validators.quorum > 1:  # the store seals every block with its one validator key

@@ -1,4 +1,4 @@
-"""Ed25519 key handling and the address <-> public key registry.
+"""Ed25519 key handling: key pairs, addresses, signing and verification.
 
 Addresses are the first 20 bytes of hash256(raw public key). Signature
 verification is memoized because chain verification re-checks the same
@@ -10,7 +10,6 @@ as a signature.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
@@ -20,10 +19,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .codec import ADDRESS_LEN, hash256
-
-
-class UnknownSenderError(KeyError):
-    """Address has no registered public key ("unknown identity")."""
 
 
 def generate_keypair(seed: bytes | None = None) -> tuple[bytes, bytes]:
@@ -63,21 +58,3 @@ def _verify_cached(pubkey: bytes, signature: bytes, message: bytes) -> bool:
 
 def verify(pubkey: bytes, signature: bytes, message: bytes) -> bool:
     return _verify_cached(pubkey, signature, message)
-
-
-@dataclass
-class KeyRegistry:
-    """Maps addresses to the public keys they were derived from."""
-
-    _keys: dict[bytes, bytes] = field(default_factory=dict)
-
-    def register(self, pubkey: bytes) -> bytes:
-        addr = address_from_pubkey(pubkey)
-        self._keys[addr] = pubkey
-        return addr
-
-    def get(self, address: bytes) -> bytes:
-        try:
-            return self._keys[address]
-        except KeyError:
-            raise UnknownSenderError(address.hex()) from None

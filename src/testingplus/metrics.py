@@ -183,8 +183,8 @@ class SweepSpec:
             raw["drop_probability"] = value
         else:  # workload_interval: resequence submissions at a fixed spacing
             interval = positive(value, "workload_interval")
-            for i, entry in enumerate(raw.get("workload", [])):
-                entry["tick"] = 1 + i * interval
+            entries = list_of(obj())(raw.get("workload", []), "workload")
+            raw["workload"] = [{**e, "tick": 1 + i * interval} for i, e in enumerate(entries)]
         return SimScenario.from_dict(raw)
 
 

@@ -13,7 +13,7 @@ from typing import Union
 
 from . import codec
 from .codec import ADDRESS_LEN, Reader, hash256, DecodeError, schema
-from .keys import KeyRegistry, UnknownSenderError, address_from_pubkey, sign, verify
+from .keys import address_from_pubkey, sign, verify
 
 MAX_PAYLOAD_BYTES = 64 * 1024
 MAX_TEXT_BYTES = 4 * 1024
@@ -201,11 +201,6 @@ def sign_transaction(tx: Transaction, secret: bytes, pubkey: bytes) -> Transacti
     return Transaction(tx.sender, tx.nonce, tx.payload, tx.value, sig)
 
 
-def verify_transaction(tx: Transaction, registry: KeyRegistry) -> bool:
-    """True iff the signature is valid for the sender's registered key.
-
-    Raises UnknownSenderError for an unregistered sender address, which is a
-    different outcome from a bad signature.
-    """
-    pubkey = registry.get(tx.sender)  # raises UnknownSenderError
+def verify_transaction(tx: Transaction, pubkey: bytes) -> bool:
+    """True iff the signature is valid for `pubkey`, the sender's key."""
     return verify(pubkey, tx.signature, tx.encode_unsigned())

@@ -146,7 +146,7 @@ def test_criterion_2_tamper_evidence(capfd):
             local.submit(actors[rng.randrange(3)], DeployCustomerAgreement())
         chain = local.chain
         assert len(chain.blocks) == 20
-        assert verify_chain(chain.blocks, chain.validators, chain.registry) is None
+        assert verify_chain(chain.blocks, chain.validators, chain.pubkeys) is None
 
         flagged = 0
         trials = 0
@@ -168,7 +168,7 @@ def test_criterion_2_tamper_evidence(capfd):
                 continue
             blocks[h] = mutated
             try:
-                verify_chain(blocks, chain.validators, chain.registry)
+                verify_chain(blocks, chain.validators, chain.pubkeys)
             except CorruptChainError as err:
                 assert err.height <= h
             else:

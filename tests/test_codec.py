@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from testingplus.codec import Reader, enc_bytes, enc_u64, hash256
-from testingplus.keys import KeyRegistry, UnknownSenderError
 from testingplus.tx import (
     RegisterTestCase,
     SetTestingFee,
@@ -72,32 +71,20 @@ def test_transaction_roundtrip(customer):
 
 
 def test_sign_verify_roundtrip(customer):
-    reg = KeyRegistry()
-    reg.register(customer.pubkey)
     tx = customer.sign(Transaction(customer.address, 0, SetTestingFee(b"\x00" * 32, 1), 0))
-    assert verify_transaction(tx, reg)
+    assert verify_transaction(tx, customer.pubkey)
 
 
 def test_signature_binds_payload(customer):
-    reg = KeyRegistry()
-    reg.register(customer.pubkey)
     tx = customer.sign(Transaction(customer.address, 0, SetTestingFee(b"\x00" * 32, 1), 0))
     tampered = Transaction(tx.sender, tx.nonce, SetTestingFee(b"\x00" * 32, 2), tx.value, tx.signature)
-    assert not verify_transaction(tampered, reg)
+    assert not verify_transaction(tampered, customer.pubkey)
 
 
 def test_wrong_key_rejected(customer, developer):
-    reg = KeyRegistry()
-    reg.register(developer.pubkey)  # register developer's key under their address
     tx = customer.sign(Transaction(customer.address, 0, SetTestingFee(b"\x00" * 32, 1), 0))
     forged = Transaction(developer.address, 0, tx.payload, 0, tx.signature)
-    assert not verify_transaction(forged, reg)
-
-
-def test_unknown_sender_is_distinct_outcome(customer):
-    tx = customer.sign(Transaction(customer.address, 0, SetTestingFee(b"\x00" * 32, 1), 0))
-    with pytest.raises(UnknownSenderError):
-        verify_transaction(tx, KeyRegistry())
+    assert not verify_transaction(forged, developer.pubkey)  # the key of the claimed sender
 
 
 def test_key_sender_mismatch_refused(customer, developer):

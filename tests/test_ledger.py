@@ -14,6 +14,7 @@ from testingplus.block import (
     merkle_root,
 )
 from testingplus.chain import Chain, ChainStore, CorruptChainError, verify_chain
+from testingplus.cli import EXIT_CORRUPT, main
 from testingplus.codec import ZERO_HASH, hash256
 from testingplus.keys import sign
 from testingplus.tx import DeployCustomerAgreement, SetTestingFee, Transaction
@@ -67,13 +68,13 @@ def _fixture_chain(n_blocks=10):
 def _failed_check(blocks, chain):
     """(height, reason) of the `CorruptChainError` that `verify_chain` raises."""
     with pytest.raises(CorruptChainError) as err:
-        verify_chain(blocks, chain.validators, chain.registry)
+        verify_chain(blocks, chain.validators, chain.pubkeys)
     return err.value.height, err.value.reason
 
 
 def test_valid_fixture_chain_verifies():
     chain = _fixture_chain(11)
-    assert verify_chain(chain.blocks, chain.validators, chain.registry) is None
+    assert verify_chain(chain.blocks, chain.validators, chain.pubkeys) is None
 
 
 def test_chain_roundtrips_through_binary_stream():
@@ -135,6 +136,40 @@ def test_forged_vote_rejected():
     assert _failed_check(blocks, chain) == (3, "vote-not-validator")
 
 
+@pytest.mark.parametrize("reason", ["unknown-sender", "tx-signature"])
+def test_bad_sender_fails_append_audit_and_load_at_its_height(tmp_path, capsys, reason):
+    """A sealed block whose transaction is signed by a key outside the
+    genesis, or carries a bad signature, is refused at its height by every
+    path onto a chain."""
+    validator = Actor(b"\x11" * 32)
+    chain = _fixture_chain(4)
+    if reason == "unknown-sender":
+        signer = Actor(b"\x99" * 32)
+        tx = signer.sign(Transaction(signer.address, 0, SetTestingFee(b"\x00" * 32, 1), 0))
+    else:
+        customer = Actor(b"\x22" * 32)
+        good = customer.sign(Transaction(customer.address, 9, SetTestingFee(b"\x00" * 32, 1), 0))
+        tx = replace(good, signature=bytes([good.signature[0] ^ 1]) + good.signature[1:])
+    block = build_block(chain.head.header, [tx], chain.head.header.state_root, validator.address, 9)
+    block = chain.seal(block, [(validator.address, validator.secret)])
+    blocks = chain.blocks + [block]
+
+    assert _failed_check(blocks, chain) == (4, reason)
+    with pytest.raises(CorruptChainError) as err:
+        chain.append(block)
+    assert (err.value.height, err.value.reason) == (4, reason)
+    assert chain.height == 3
+
+    store = ChainStore(tmp_path / "store")
+    store.init(chain.genesis)
+    store.chain_path.write_bytes(encode_chain(blocks))
+    with pytest.raises(CorruptChainError) as err:
+        store.load()
+    assert (err.value.height, err.value.reason) == (4, reason)
+    assert main(["query", "--store", str(store.root), "state"]) == EXIT_CORRUPT
+    assert f"chain invalid at height 4: {reason}" in capsys.readouterr().err
+
+
 def test_empty_chain_invalid(chain):
     assert _failed_check([], chain) == (0, "empty chain")
 
@@ -165,7 +200,7 @@ def test_tamper_evidence_random_mutations(trials):
             continue  # e.g. flip inside a length prefix reproducing same value
         blocks[h] = mutated
         try:
-            verify_chain(blocks, chain.validators, chain.registry)
+            verify_chain(blocks, chain.validators, chain.pubkeys)
         except CorruptChainError as err:
             assert err.height <= h
         else:

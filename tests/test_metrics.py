@@ -222,6 +222,17 @@ class TestSweep:
         assert rows[0][4] == (
             "error: crash_faults[0].node: must be a non-negative integer below 2**64, not '1'")
 
+    @pytest.mark.parametrize("axis,value", [("workload_interval", 10), ("drop_probability", 0.1)])
+    @pytest.mark.parametrize("workload,message", [
+        ([1], "workload[0]: must be a JSON object, not 1"),
+        (5, "workload: must be a JSON list, not 5"),
+    ], ids=["entry-not-object", "not-list"])
+    def test_bad_base_workload_is_judged_on_every_axis(self, axis, value, workload, message):
+        spec = self.spec_dict(axis=axis, values=[value])
+        spec["base"]["workload"] = workload
+        rows = list(csv.reader(io.StringIO(run_sweep(SweepSpec.from_dict(spec)))))[1:]
+        assert [r[4] for r in rows] == [f"error: {message}"] * 2  # in every repetition
+
     @pytest.mark.parametrize("seed", [4.9, True, "7", "x", -1, None])
     def test_base_seed_must_be_a_u64(self, seed):
         spec = self.spec_dict()

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from testingplus.chain import Chain
 from testingplus.cli import _print_json, _write_csv
 from testingplus.codec import hash256, record_json
 from testingplus.state import VERDICT_FAIL, VERDICT_PASS
@@ -27,7 +28,7 @@ from testingplus.workflow import (
     compute_compensation,
 )
 
-from conftest import Actor
+from conftest import Actor, LocalChain, make_genesis
 from oracles import rescan_compensation
 
 
@@ -104,15 +105,12 @@ class TestCompensation:
         assert (s.executed, s.matched, s.amount) == (4, 3, 55)
         assert s.contribution_ppm == 1_000_000
 
-    def test_two_testers_contribution_split(self, local, customer, developer, tester):
+    def test_two_testers_contribution_split(self, validator, customer, developer, tester):
         other = Actor(b"\x77" * 32)
-        # fund the second tester via genesis? accounts are fixed, so register
-        # the extra key directly: reverting ops never create accounts, so give
-        # the chain knowledge of the key and a zero-balance account up front.
-        local.chain.registry.register(other.pubkey)
-        from testingplus.state import AccountState
-
-        local.chain.state.put(AccountState(other.address, 0, 0))
+        # the second tester may sign only as a genesis account; it needs no funds
+        genesis = make_genesis(
+            validator, [(customer, 1000), (developer, 200), (tester, 300), (other, 0)])
+        local = LocalChain(Chain(genesis), validator)
         case_id = self._run(local, customer, developer, tester, [True, True, True])
         local.submit(other, RecordExecution(case_id, b"\x02" * 32))
         head = local.chain.state.height
