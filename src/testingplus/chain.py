@@ -3,14 +3,17 @@ and the on-disk store."""
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 from .block import Block, BlockHeader, build_block, decode_chain, encode_chain, merkle_root
-from .codec import (HASH_HEX, U64_MAX, DecodeError, InputError, ZERO_ADDRESS, ZERO_HASH,
-                    list_of, obj, uint)
+from .codec import (BYTES, HASH_HEX, U64, U64_MAX, DecodeError, InputError, Reader,
+                    ZERO_ADDRESS, ZERO_HASH, enc_bytes, hash256, list_of, obj, schema, uint)
 from .keys import address_from_pubkey, sign, verify
 from .state import AccountState, WorldState
 from .tx import Transaction, verify_transaction
@@ -161,13 +164,10 @@ class CorruptChainError(Exception):
         self.reason = reason
 
 
-def check_block(parent: BlockHeader, block: Block, pubkeys: dict[bytes, bytes],
-                validators: ValidatorSet | None = None) -> None:
-    """Everything about a block that does not need its execution: height
-    and link to `parent`, Merkle root, each sender's key in `pubkeys`
-    (address -> public key, else `unknown-sender`) and its signature and,
-    when `validators` is given, a quorum of distinct validator votes. Raises
-    `CorruptChainError` at the block's height on the first failure."""
+def check_hashes(parent: BlockHeader, block: Block) -> None:
+    """The hash-only checks of a block: its height and link to `parent` and
+    its Merkle root. Raises `CorruptChainError` at the block's height on the
+    first failure."""
     h = parent.height + 1
     header = block.header
     if header.height != h:
@@ -176,6 +176,17 @@ def check_block(parent: BlockHeader, block: Block, pubkeys: dict[bytes, bytes],
         raise CorruptChainError(h, "link-mismatch")
     if header.merkle_root != merkle_root([tx.hash() for tx in block.transactions]):
         raise CorruptChainError(h, "merkle-mismatch")
+
+
+def check_block(parent: BlockHeader, block: Block, pubkeys: dict[bytes, bytes],
+                validators: ValidatorSet | None = None) -> None:
+    """Everything about a block that does not need its execution:
+    `check_hashes`, each sender's key in `pubkeys` (address -> public key,
+    else `unknown-sender`) and its signature and, when `validators` is
+    given, a quorum of distinct validator votes. Raises `CorruptChainError`
+    at the block's height on the first failure."""
+    check_hashes(parent, block)
+    h = block.header.height
     for tx in block.transactions:
         pubkey = pubkeys.get(tx.sender)
         if pubkey is None:
@@ -305,24 +316,100 @@ class Chain:
         return list(receipts)
 
     @classmethod
-    def from_blocks(cls, genesis: GenesisConfig, blocks: list[Block]) -> "Chain":
+    def from_blocks(cls, genesis: GenesisConfig, blocks: list[Block],
+                    base: WorldState | None = None) -> "Chain":
         """Rebuild a stored chain (genesis block included) by appending each
         block after genesis in turn, so a corrupt store fails at its lowest
-        bad height, whether a check or the execution fails there."""
+        bad height, whether a check or the execution fails there. `base`,
+        the state after block `base.height` as `checkpoint_state` accepted
+        it, starts the appends after that block instead."""
         chain = cls(genesis)
         if not blocks or blocks[0] != chain.blocks[0]:
             raise CorruptChainError(0, "genesis-mismatch")
-        for block in blocks[1:]:
+        if base is not None:
+            chain.state = base
+            chain.blocks = blocks[:base.height + 1]
+            chain.committed_txs.update(tx.hash() for b in chain.blocks for tx in b.transactions)
+        for block in blocks[len(chain.blocks):]:
             chain.append(block)
         return chain
 
 
+@schema(0xC1, U64, U64, BYTES, BYTES)
+@dataclass(frozen=True)
+class Checkpoint:
+    """checkpoint.bin: the state after block `height` (`WorldState.serialize`)
+    and the length and SHA-256 of the stored chain up to that block."""
+
+    height: int
+    chain_len: int
+    chain_digest: bytes
+    state: bytes
+
+
+def checkpoint_state(genesis: GenesisConfig, data: bytes, blocks: list[Block],
+                     record: bytes) -> WorldState:
+    """The state a checkpoint record holds, if the stored chain `data`
+    (decoded as `blocks`) vouches for it; else `CorruptChainError` with the
+    reason. The record must decode strictly and name a block h after
+    genesis; the chain's first `chain_len` bytes must be exactly blocks
+    0..h and hash to `chain_digest`, so that no byte below h is unchecked,
+    votes included; blocks 1..h must pass `check_hashes`; block h must
+    carry a quorum of validator votes, which vouch for the headers below
+    it; and the state must hash to block h's state root and decode
+    strictly. Transaction signatures, votes below h and execution are not
+    checked again."""
+    try:
+        r = Reader(record)
+        cp = Checkpoint.decode(r)
+        r.expect_end()
+    except DecodeError as exc:
+        raise CorruptChainError(0, f"undecodable: {exc}") from exc
+    h = cp.height
+    if not 0 < h < len(blocks):
+        raise CorruptChainError(h, "no-such-block")
+    if (cp.chain_len != sum(len(enc_bytes(b.encoded)) for b in blocks[:h + 1])
+            or hash256(data[:cp.chain_len]) != cp.chain_digest):
+        raise CorruptChainError(h, "chain-digest-mismatch")
+    for parent, block in zip(blocks, blocks[1:h + 1]):
+        check_hashes(parent.header, block)
+    _check_votes(blocks[h], genesis.validators)
+    if hash256(cp.state) != blocks[h].header.state_root:
+        raise CorruptChainError(h, "state-root-mismatch")
+    try:
+        state = WorldState.decode(cp.state)
+    except DecodeError as exc:
+        raise CorruptChainError(h, f"undecodable state: {exc}") from exc
+    state.height = h
+    return state
+
+
+def _write_durably(path: Path, data: bytes) -> None:
+    """Replace `path` with `data` whole: a temporary file, fsync, a rename
+    over `path`, then fsync of the directory, so that a crash leaves the old
+    file or the new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as f:
+        f.write(data)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class ChainStore:
-    """Directory layout: genesis.json, chain.bin, validator_key.json (local
-    sealer), artifacts/ (content-addressed)."""
+    """Directory layout: genesis.json, chain.bin, checkpoint.bin (the state
+    at the head when it was saved), validator_key.json (local sealer), lock
+    (taken by writers), artifacts/ (content-addressed)."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
+        # why the last load did not use checkpoint.bin, if it exists
+        self.checkpoint_note: str | None = None
 
     @property
     def genesis_path(self) -> Path:
@@ -331,6 +418,10 @@ class ChainStore:
     @property
     def chain_path(self) -> Path:
         return self.root / "chain.bin"
+
+    @property
+    def checkpoint_path(self) -> Path:
+        return self.root / "checkpoint.bin"
 
     @property
     def mirror_path(self) -> Path:
@@ -352,16 +443,52 @@ class ChainStore:
         self.save(chain)
         return chain
 
+    @contextmanager
+    def locked(self):
+        """Hold the store's exclusive lock: a writer takes it from load to
+        save, so that concurrent writers commit one after another."""
+        fd = os.open(self.root / "lock", os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)  # releases the lock
+
     def load(self) -> Chain:
+        """The stored chain, from checkpoint.bin if `checkpoint_state`
+        accepts it, else replayed from genesis; `checkpoint_note` says why
+        an existing checkpoint.bin was not used. checkpoint.bin is read
+        first: `save` replaces chain.bin first, so the chain.bin read after
+        it holds at least the blocks it describes."""
+        self.checkpoint_note = None
         try:
             genesis = GenesisConfig.from_dict(json.loads(self.genesis_path.read_text()))
         except ValueError as exc:
             raise CorruptChainError(0, f"bad genesis.json: {exc}") from exc
         try:
-            blocks = decode_chain(self.chain_path.read_bytes())
+            record = self.checkpoint_path.read_bytes()
+        except FileNotFoundError:
+            record = None
+        data = self.chain_path.read_bytes()
+        try:
+            blocks = decode_chain(data)
         except DecodeError as exc:
             raise CorruptChainError(0, f"undecodable: {exc}") from exc
-        return Chain.from_blocks(genesis, blocks)
+        base = None
+        if record is not None:
+            try:
+                base = checkpoint_state(genesis, data, blocks, record)
+            except CorruptChainError as exc:
+                self.checkpoint_note = f"{exc.reason} at height {exc.height}"
+        return Chain.from_blocks(genesis, blocks, base)
 
     def save(self, chain: Chain) -> None:
-        self.chain_path.write_bytes(encode_chain(chain.blocks))
+        """Replace chain.bin and then checkpoint.bin, each whole (see
+        `_write_durably`). A crash between the two leaves an older
+        checkpoint, which still describes a prefix of chain.bin."""
+        data = encode_chain(chain.blocks)
+        _write_durably(self.chain_path, data)
+        if chain.height:  # genesis carries no votes to vouch for a checkpoint
+            state = chain.state.serialize()
+            _write_durably(self.checkpoint_path,
+                           Checkpoint(chain.height, len(data), hash256(data), state).encode())

@@ -120,11 +120,20 @@ def cmd_init(args) -> int:
     return EXIT_OK
 
 
-def _load_store(args) -> tuple[ChainStore, Chain]:
+def _open_store(args) -> ChainStore:
     store = ChainStore(Path(args.store))
     if not store.exists():
         raise UsageError("no chain")
-    return store, store.load()
+    return store
+
+
+def _load(store: ChainStore) -> Chain:
+    """The store's chain; a checkpoint.bin the load did not use is noted on stderr."""
+    try:
+        return store.load()
+    finally:
+        if store.checkpoint_note is not None:
+            _log(f"note: checkpoint ignored: {store.checkpoint_note}")
 
 
 _JSON_LIST = list_of(lambda value, path: value)
@@ -143,28 +152,30 @@ def cmd_submit(args) -> int:
         print(json.dumps({"queued": len(entries), "file": str(queue_path)}))
         return EXIT_OK
 
-    store, chain = _load_store(args)
-    key = _load_key(args.key)
-    sender = key["address"]
-    acct = chain.state.account(sender)
-    if acct is None:
-        raise UsageError("sender has no account on this chain")
-    artifacts = ArtifactStore(store.artifacts_dir)
-    try:
-        payload = payload_from_json(raw, artifacts.put)
-    except InputError as exc:
-        raise UsageError(f"bad payload: {exc}") from exc
-    tx = Transaction(sender, acct.nonce, payload, value)
-    tx = sign_transaction(tx, key["secret_key"], key["public_key"])
-    created = created_id(payload, sender, acct.nonce)
+    store = _open_store(args)
+    with store.locked():  # from load to save, so that no concurrent submit is lost
+        chain = _load(store)
+        key = _load_key(args.key)
+        sender = key["address"]
+        acct = chain.state.account(sender)
+        if acct is None:
+            raise UsageError("sender has no account on this chain")
+        artifacts = ArtifactStore(store.artifacts_dir)
+        try:
+            payload = payload_from_json(raw, artifacts.put)
+        except InputError as exc:
+            raise UsageError(f"bad payload: {exc}") from exc
+        tx = Transaction(sender, acct.nonce, payload, value)
+        tx = sign_transaction(tx, key["secret_key"], key["public_key"])
+        created = created_id(payload, sender, acct.nonce)
 
-    sealer = _load_key(store.root / "validator_key.json")
-    tick = chain.head.header.timestamp + 1
-    parent_root = chain.head.header.state_root
-    block, root, receipts = chain.stage([tx], sealer["address"], tick)
-    block = chain.seal(block, [(sealer["address"], sealer["secret_key"])])
-    chain.append(block)
-    store.save(chain)
+        sealer = _load_key(store.root / "validator_key.json")
+        tick = chain.head.header.timestamp + 1
+        parent_root = chain.head.header.state_root
+        block, root, receipts = chain.stage([tx], sealer["address"], tick)
+        block = chain.seal(block, [(sealer["address"], sealer["secret_key"])])
+        chain.append(block)
+        store.save(chain)
     receipt = receipts[0]
     out = {
         "tx_hash": receipt.tx_hash.hex(),
@@ -236,7 +247,7 @@ def cmd_query(args) -> int:
     sel = args.selector
     if args.csv and sel not in _CSV_QUERIES:
         raise UsageError(f"query {sel} has no CSV form")
-    _, chain = _load_store(args)
+    chain = _load(_open_store(args))
     state = chain.state
     if sel in ("block", "proof"):
         if args.height >= len(chain.blocks):

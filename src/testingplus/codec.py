@@ -145,10 +145,10 @@ def nested(cls):
 def schema(tag: int | None, *kinds):
     """Class decorator for a frozen dataclass: its canonical encoding is the
     tag byte, if any, then each field in declaration order as its kind.
-    Gives the class `encode()`, the same bytes kept as `encoded` on first
-    read (the record is frozen), and a static `decode(reader)` that checks
-    the tag. All are built here, once; a kind list that does not match the
-    fields one for one fails at import."""
+    Gives the class its `TAG`, `encode()`, the same bytes kept as `encoded`
+    on first read (the record is frozen), and a static `decode(reader)` that
+    checks the tag. All are built here, once; a kind list that does not
+    match the fields one for one fails at import."""
 
     def build(cls):
         names = [f.name for f in fields(cls)]
@@ -164,6 +164,7 @@ def schema(tag: int | None, *kinds):
                 raise DecodeError(f"tag 0x{got:02x} is not {cls.__name__}'s 0x{tag:02x}")
             return cls(*[read(r) for read in readers])
 
+        cls.TAG = tag
         cls.encode = encode
         cls.encoded = cached_property(encode)
         cls.encoded.__set_name__(cls, "encoded")

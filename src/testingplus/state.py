@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from types import MappingProxyType
 
-from .codec import BYTES, FLAG, U64, ZERO_HASH, flag, hash256, schema
+from .codec import BYTES, FLAG, U64, ZERO_HASH, DecodeError, Reader, flag, hash256, schema
 
 VERDICT_PASS = "Pass"
 VERDICT_FAIL = "Fail"
@@ -146,6 +146,8 @@ _SECTIONS = {
 }
 # record type -> (its section, the getter of its key or None)
 _SECTION_OF = {rtype: (name, key and attrgetter(key)) for name, (rtype, key) in _SECTIONS.items()}
+# record tag -> record type
+_TYPE_OF_TAG = {rtype.TAG: rtype for rtype, _ in _SECTIONS.values()}
 
 
 class WorldState:
@@ -254,6 +256,27 @@ class WorldState:
 
     def root(self) -> bytes:
         return hash256(self.serialize())
+
+    @classmethod
+    def decode(cls, data: bytes) -> "WorldState":
+        """The state that `serialize` wrote as `data`, or DecodeError. Each
+        record must carry the tag of a section's type and decode exactly, and
+        the records must come in the order and number that `serialize` writes,
+        so that the state serializes back to `data`. `next_seq`, which the root
+        does not cover, is one past the largest `seq` of the history records:
+        each took the `next_seq` of its time. `height` is left at 0."""
+        state = cls()
+        r = Reader(data)
+        while r.pos < len(data):
+            rtype = _TYPE_OF_TAG.get(r.peek_u8())
+            if rtype is None:
+                raise DecodeError(f"no section of the state holds tag 0x{r.peek_u8():02x}")
+            state.put(rtype.decode(r))
+        if state.serialize() != data:
+            raise DecodeError("records out of serialization order, or repeated")
+        history = [*state.test_cases.values(), *state.executions, *state.feedbacks]
+        state.next_seq = 1 + max((rec.seq for rec in history), default=-1)
+        return state
 
 
 def _view(name: str, read_only) -> property:

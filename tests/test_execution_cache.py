@@ -1,5 +1,6 @@
 """Each block is executed once on its way through stage, seal and append,
-each signature is verified once when a store is loaded, and the per-block
+each signature is verified once when a store is replayed from genesis (a
+checkpointed load verifies only the head's votes), and the per-block
 state work does not grow with chain height: the state is hashed once per
 block, to the root a transaction-by-transaction replay would reach."""
 
@@ -196,13 +197,8 @@ def test_block_root_matches_a_root_after_every_transaction(seed, sizes, data):
         assert chain.state.root() == root
 
 
-def test_store_load_verifies_each_signature_once(tmp_path, monkeypatch):
-    eng = Engagement()
-    for _ in range(4):
-        eng.append(eng.next_txs())
-    store = ChainStore(tmp_path / "store")
-    store.init(eng.chain.genesis)
-    store.save(eng.chain)
+def _counted_load(store, monkeypatch):
+    """The chain `store.load()` gives and every signature it verified."""
     checked = []
     for module in (tx_mod, chain_mod):  # transaction and vote signatures
         original = module.verify
@@ -212,10 +208,35 @@ def test_store_load_verifies_each_signature_once(tmp_path, monkeypatch):
             return original(pubkey, signature, message)
 
         monkeypatch.setattr(module, "verify", counted)
-    loaded = store.load()
+    return store.load(), checked
+
+
+def _saved_engagement(tmp_path):
+    eng = Engagement()
+    for _ in range(4):
+        eng.append(eng.next_txs())
+    store = ChainStore(tmp_path / "store")
+    store.init(eng.chain.genesis)
+    store.save(eng.chain)
+    return eng, store
+
+
+def test_store_load_without_checkpoint_verifies_each_signature_once(tmp_path, monkeypatch):
+    eng, store = _saved_engagement(tmp_path)
+    store.checkpoint_path.unlink()
+    loaded, checked = _counted_load(store, monkeypatch)
     blocks = eng.chain.blocks
     signatures = [tx.signature for b in blocks for tx in b.transactions]
     signatures += [sig for b in blocks for _, sig in b.votes]
     assert len(signatures) == 13 + 5
     assert sorted(checked) == sorted(signatures)
     assert loaded.state.root() == eng.chain.state.root()
+
+
+def test_checkpointed_store_load_verifies_only_the_head_votes(tmp_path, monkeypatch):
+    eng, store = _saved_engagement(tmp_path)
+    loaded, checked = _counted_load(store, monkeypatch)
+    assert store.checkpoint_note is None
+    assert checked == [sig for _, sig in eng.chain.head.votes]
+    assert loaded.state.root() == eng.chain.state.root()
+    assert loaded.state.next_seq == eng.chain.state.next_seq == 12

@@ -10,8 +10,10 @@ import hashlib
 import struct
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from testingplus.codec import DecodeError
 from testingplus.state import (
     AcceptanceTestState,
     AccountState,
@@ -173,3 +175,29 @@ def test_same_size_replacements_refresh_history():
     state.put(replace(case, acceptance_contract=b"contract-c"))
     assert state.history().cases_by_contract == {b"contract-c": (b"c1",)}
     assert state.copy().history() == state.history()
+
+
+@settings(max_examples=200, deadline=None)
+@given(world_states())
+def test_decode_reads_back_what_serialize_wrote(state):
+    data = reference_serialize(state)
+    decoded = WorldState.decode(data)
+    assert decoded.serialize() == data
+    for name in RECORDS:
+        assert getattr(decoded, name) == getattr(state, name)
+    seqs = [r.seq for r in (*state.test_cases.values(), *state.executions, *state.feedbacks)]
+    assert decoded.next_seq == max(seqs, default=-1) + 1
+
+
+def test_decode_refuses_what_serialize_never_writes():
+    a, b = (AccountState(bytes([i]) * 20, i, 0) for i in (1, 2))
+    run = ExecutionRecord(b"e1", b"c1", b"t", b"o", VERDICT_FAIL, 2, 2, b"h", 0)
+    for data, message in [
+        (a.encode() + b"\xff", "no section of the state holds tag 0xff"),
+        (b.encode() + a.encode(), "records out of serialization order, or repeated"),
+        (a.encode() + a.encode(), "records out of serialization order, or repeated"),
+        (run.encode() + a.encode(), "records out of serialization order, or repeated"),
+        (a.encode()[:-1], "unexpected end of input"),
+    ]:
+        with pytest.raises(DecodeError, match=message):
+            WorldState.decode(data)

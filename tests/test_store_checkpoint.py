@@ -1,0 +1,280 @@
+"""The store's checkpoint: a load that starts from checkpoint.bin must end
+where a replay from genesis of the same chain.bin ends, or fail where it
+fails, whatever the bytes of either file; a checkpoint that its chain does
+not vouch for is ignored with a note; a crash between the two writes of a
+save loads as the chain before or after it; and concurrent submits commit
+one after another."""
+
+import json
+import os
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from testingplus import chain as chain_mod
+from testingplus.block import Block, decode_chain, encode_chain
+from testingplus.chain import Chain, ChainStore, Checkpoint, CorruptChainError
+from testingplus.cli import main
+from testingplus.codec import DecodeError, Reader, hash256
+from testingplus.state import AccountState, WorldState
+
+from conftest import Actor
+from test_cli import env, submit  # noqa: F401  (env is a fixture)
+from test_execution_cache import VALIDATOR, Engagement
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def outcome(load):
+    """What a load gives: the failed height and reason, or the head hash,
+    the state root and the next history number of the chain loaded."""
+    try:
+        chain = load()
+    except CorruptChainError as exc:
+        return ("corrupt", exc.height, exc.reason)
+    return ("ok", chain.head.header.hash(), chain.state.root(), chain.state.next_seq)
+
+
+def replayed(genesis, data: bytes):
+    """The oracle: `Chain.from_blocks` from genesis over the decoded bytes."""
+    try:
+        blocks = decode_chain(data)
+    except DecodeError as exc:
+        return ("corrupt", 0, f"undecodable: {exc}")
+    return outcome(lambda: Chain.from_blocks(genesis, blocks))
+
+
+def built_store(tmp_path, checkpoint_height=None):
+    """A store of 10 blocks, one transaction each, whose checkpoint.bin is
+    at `checkpoint_height` (the head if None), and the engagement that made it."""
+    eng = Engagement()
+    store = ChainStore(tmp_path / "store")
+    store.init(eng.chain.genesis)
+    for _ in range(3):
+        for tx in eng.next_txs():
+            eng.append([tx])
+            if eng.chain.height == checkpoint_height:
+                store.save(eng.chain)
+                record = store.checkpoint_path.read_bytes()
+    store.save(eng.chain)
+    if checkpoint_height is not None:
+        store.checkpoint_path.write_bytes(record)
+    assert eng.chain.height == 10
+    return store, eng
+
+
+@pytest.fixture
+def saved(tmp_path):
+    """The 10-block store with its checkpoint at height 6: a byte of chain.bin
+    is either below the checkpoint, where any change must make the load
+    ignore it, or above it, where the load appends from it."""
+    return built_store(tmp_path, 6)
+
+
+def checked_load(store, genesis, data: bytes) -> None:
+    """Load `data` as chain.bin and compare with the oracle."""
+    store.chain_path.write_bytes(data)
+    assert outcome(store.load) == replayed(genesis, data), store.checkpoint_note
+
+
+@pytest.mark.parametrize("height", [None, 6], ids=["at-head", "below-head"])
+def test_load_uses_the_checkpoint_and_matches_the_replay(tmp_path, height):
+    store, eng = built_store(tmp_path, height)
+    chain = eng.chain
+    loaded = store.load()
+    assert store.checkpoint_note is None
+    data = store.chain_path.read_bytes()
+    assert outcome(lambda: loaded) == replayed(chain.genesis, data)
+    assert outcome(lambda: loaded) == outcome(lambda: chain)
+    assert loaded.blocks == chain.blocks
+    assert loaded.committed_txs == chain.committed_txs
+
+
+def test_every_flipped_chain_byte_loads_as_the_replay(saved):
+    store, eng = saved
+    data = store.chain_path.read_bytes()
+    for i in range(len(data)):
+        flipped = bytearray(data)
+        flipped[i] ^= 0xFF
+        checked_load(store, eng.chain.genesis, bytes(flipped))
+
+
+def test_every_truncated_chain_loads_as_the_replay(saved):
+    store, eng = saved
+    data = store.chain_path.read_bytes()
+    for n in range(len(data) + 1):
+        checked_load(store, eng.chain.genesis, data[:n])
+
+
+def test_every_flipped_checkpoint_byte_is_ignored(saved):
+    store, eng = saved
+    record = store.checkpoint_path.read_bytes()
+    want = outcome(lambda: eng.chain)
+    for i in range(len(record)):
+        flipped = bytearray(record)
+        flipped[i] ^= 0xFF
+        store.checkpoint_path.write_bytes(bytes(flipped))
+        assert outcome(store.load) == want, i
+        assert store.checkpoint_note is not None, i
+
+
+def richer_state(store) -> tuple[Checkpoint, WorldState]:
+    """The store's checkpoint and its state with the validator's balance raised."""
+    cp = Checkpoint.decode(Reader(store.checkpoint_path.read_bytes()))
+    state = WorldState.decode(cp.state)
+    rich = state.account(VALIDATOR.address)
+    state.put(AccountState(rich.address, rich.balance + 10**6, rich.nonce))
+    return cp, state
+
+
+def test_checkpoint_with_changed_state_is_ignored(tmp_path):
+    store, eng = built_store(tmp_path)
+    cp, state = richer_state(store)
+    data = store.chain_path.read_bytes()
+    store.checkpoint_path.write_bytes(
+        replace(cp, chain_digest=hash256(data), state=state.serialize()).encode())
+    assert outcome(store.load) == outcome(lambda: eng.chain)
+    assert store.checkpoint_note == "state-root-mismatch at height 10"
+
+
+def test_head_resealed_by_an_outsider_is_ignored(tmp_path):
+    """A forger without the validator key commits a richer state by
+    re-sealing the head with their own key: the checkpoint is ignored and
+    the load fails where the replay fails."""
+    store, eng = built_store(tmp_path)
+    chain = eng.chain
+    outsider = Actor(b"\x66" * 32)
+    _, state = richer_state(store)
+    head = chain.head
+    header = replace(head.header, state_root=state.root())
+    forged = Block(header, head.transactions, ())
+    forged = chain.seal(forged, [(outsider.address, outsider.secret)])
+    data = encode_chain(chain.blocks[:-1] + [forged])
+    store.chain_path.write_bytes(data)
+    store.checkpoint_path.write_bytes(
+        Checkpoint(10, len(data), hash256(data), state.serialize()).encode())
+    got = outcome(store.load)
+    assert store.checkpoint_note == "vote-not-validator at height 10"
+    assert got == replayed(chain.genesis, data) == ("corrupt", 10, "vote-not-validator")
+
+
+def test_old_vote_byte_is_tamper_evident(tmp_path):
+    """Votes below the checkpoint are under no hash; the prefix digest is
+    what catches a changed one, so the load still fails as the replay does."""
+    store, eng = built_store(tmp_path)
+    data = store.chain_path.read_bytes()
+    data = _flipped_in_block(data, eng.chain, 3, eng.chain.blocks[3].votes[0][1])
+    store.chain_path.write_bytes(data)
+    assert outcome(store.load) == ("corrupt", 3, "vote-signature")
+    assert store.checkpoint_note == "chain-digest-mismatch at height 10"
+
+
+def _flipped_in_block(data: bytes, chain, height: int, part: bytes) -> bytes:
+    at = data.index(part, data.index(chain.blocks[height].header.encoded))
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+
+
+@pytest.mark.parametrize("forgery", ["tx-signature", "short-digest"])
+def test_forged_prefix_with_recomputed_digest_is_ignored(tmp_path, forgery):
+    """A forger without the validator key changes block 3 and writes a
+    checkpoint whose digest matches: the checkpoint is ignored, so the load
+    fails at height 3 as the replay does. A changed transaction is caught by
+    the hash checks below the checkpoint; a changed vote, which no hash
+    covers, by the digest having to cover every block up to the checkpoint."""
+    store, eng = built_store(tmp_path)
+    cp = Checkpoint.decode(Reader(store.checkpoint_path.read_bytes()))
+    block = eng.chain.blocks[3]
+    data = store.chain_path.read_bytes()
+    if forgery == "tx-signature":
+        data = _flipped_in_block(data, eng.chain, 3, block.transactions[0].signature)
+        cp = replace(cp, chain_digest=hash256(data))
+        want = ("merkle-mismatch", "merkle-mismatch at height 3")
+    else:
+        data = _flipped_in_block(data, eng.chain, 3, block.votes[0][1])
+        cp = replace(cp, chain_len=0, chain_digest=hash256(b""))
+        want = ("vote-signature", "chain-digest-mismatch at height 10")
+    store.chain_path.write_bytes(data)
+    store.checkpoint_path.write_bytes(cp.encode())
+    assert outcome(store.load) == replayed(eng.chain.genesis, data) == ("corrupt", 3, want[0])
+    assert store.checkpoint_note == want[1]
+
+
+class Crash(BaseException):
+    pass
+
+
+@pytest.mark.parametrize("crash_at", [1, 2, None], ids=["first-rename", "second-rename", "none"])
+def test_crash_during_save_loads_before_or_after(tmp_path, monkeypatch, crash_at):
+    store, eng = built_store(tmp_path)
+    before = outcome(lambda: eng.chain)
+    eng.append(eng.next_txs()[:1])
+    after = outcome(lambda: eng.chain)
+
+    renames = []
+    real_replace = os.replace
+
+    def crashing(src, dst):
+        renames.append(dst)
+        if len(renames) == crash_at:
+            raise Crash
+        real_replace(src, dst)
+
+    monkeypatch.setattr(chain_mod.os, "replace", crashing)
+    if crash_at is None:
+        store.save(eng.chain)
+    else:
+        with pytest.raises(Crash):
+            store.save(eng.chain)
+    monkeypatch.undo()
+    assert [Path(p).name for p in renames] == ["chain.bin", "checkpoint.bin"][:crash_at or 2]
+    want = {1: before, 2: after, None: after}[crash_at]
+    assert outcome(store.load) == want
+    assert store.checkpoint_note is None
+
+
+def _cli(*args):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "testingplus.cli", *args],
+                            env=dict(os.environ, PYTHONPATH=path), text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_concurrent_submits_all_commit(env):
+    """Three submits (more than the cores of a small runner) started while
+    the store is locked wait for the lock, and once it is free they commit
+    one after another: the height rises by 3."""
+    store = ChainStore(Path(env["store"]))
+    payload = env["tmp"] / "deploy.json"
+    payload.write_text(json.dumps({"op": "deploy_customer_agreement"}))
+    with store.locked():
+        procs = [_cli("submit", str(payload), "--store", env["store"], "--key", env["keys"][who])
+                 for who in ("customer", "developer", "tester")]
+        time.sleep(1.0)
+        assert [p.poll() for p in procs] == [None] * 3
+    outs = [p.communicate(timeout=60) for p in procs]
+    assert [p.returncode for p in procs] == [0] * 3, outs
+    assert sorted(json.loads(out)["block_height"] for out, _ in outs) == [1, 2, 3]
+    out, _ = _cli("query", "--store", env["store"], "state").communicate(timeout=60)
+    assert json.loads(out)["height"] == 3
+
+
+def test_ignored_checkpoint_is_noted_and_changes_no_output(env, capsys):
+    submit(env, "customer", {"op": "deploy_customer_agreement"}, capsys)
+    query = ["query", "--store", env["store"], "state"]
+    assert main(query) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    store = ChainStore(Path(env["store"]))
+    record = bytearray(store.checkpoint_path.read_bytes())
+    record[-1] ^= 0xFF
+    store.checkpoint_path.write_bytes(bytes(record))
+    assert main(query) == 0
+    note = "note: checkpoint ignored: state-root-mismatch at height 1\n"
+    assert capsys.readouterr() == (out, note)
+    store.checkpoint_path.unlink()
+    assert main(query) == 0
+    assert capsys.readouterr() == (out, "")
