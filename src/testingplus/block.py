@@ -4,9 +4,8 @@ of a stored chain."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
-from .codec import BYTES, U64, Reader, ZERO_HASH, hash256, nested, record, row, schema, seq
+from .codec import BYTES, U64, Reader, ZERO_HASH, hash256, kept, nested, record, row, schema, seq
 from .tx import Transaction
 
 
@@ -23,7 +22,7 @@ class BlockHeader:
     def hash(self) -> bytes:
         return self._hash
 
-    @cached_property
+    @kept
     def _hash(self) -> bytes:
         # frozen, so the hash is computed once per object
         return hash256(self.encoded)

@@ -8,12 +8,11 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 from .block import Block, BlockHeader, build_block, decode_chain, encode_chain, merkle_root
 from .codec import (BYTES, HASH_HEX, U64, U64_MAX, DecodeError, InputError, Reader,
-                    ZERO_ADDRESS, ZERO_HASH, enc_bytes, hash256, list_of, obj, schema, uint)
+                    ZERO_ADDRESS, ZERO_HASH, enc_bytes, hash256, kept, list_of, obj, schema, uint)
 from .keys import address_from_pubkey, sign, verify
 from .state import AccountState, WorldState
 from .tx import Transaction, verify_transaction
@@ -111,11 +110,11 @@ class GenesisConfig:
         check_issuance(b for _, b in cfg.accounts)
         return cfg
 
-    @cached_property
+    @kept
     def validators(self) -> ValidatorSet:
         return ValidatorSet.from_pubkeys(self.validator_pubkeys)
 
-    @cached_property
+    @kept
     def pubkeys(self) -> dict[bytes, bytes]:
         """Address -> public key of every validator and account: the only
         senders a block may carry. Shared, so never written to."""

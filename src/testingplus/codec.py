@@ -17,7 +17,6 @@ import io
 import reprlib
 import struct
 from dataclasses import fields
-from functools import cached_property
 from operator import attrgetter
 
 HASH_LEN = 32
@@ -30,6 +29,27 @@ U64_MAX = 2**64 - 1
 
 class DecodeError(ValueError):
     """Raised when a byte stream does not parse as the expected structure."""
+
+
+class kept:
+    """A method of a frozen class read as an attribute: computed on the
+    first read and kept in the instance's __dict__, which later reads find
+    first. Unlike functools.cached_property before Python 3.12, the first
+    read takes no lock."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def hash256(data: bytes) -> bytes:
@@ -136,7 +156,7 @@ def nested(cls):
         inner = Reader(data)
         rec = cls.decode(inner)
         inner.expect_end()
-        rec.__dict__["encoded"] = data  # where the cached_property keeps it
+        rec.__dict__["encoded"] = data  # where `kept` keeps it
         return rec
 
     return (lambda rec: enc_bytes(rec.encoded)), read
@@ -145,9 +165,9 @@ def nested(cls):
 def schema(tag: int | None, *kinds):
     """Class decorator for a frozen dataclass: its canonical encoding is the
     tag byte, if any, then each field in declaration order as its kind.
-    Gives the class its `TAG`, `encode()`, the same bytes kept as `encoded`
-    on first read (the record is frozen), and a static `decode(reader)` that
-    checks the tag. All are built here, once; a kind list that does not
+    Gives the class its `TAG`, `encode()`, the same bytes as `encoded`, a
+    `kept` attribute (the record is frozen), and a static `decode(reader)`
+    that checks the tag. All are built here, once; a kind list that does not
     match the fields one for one fails at import."""
 
     def build(cls):
@@ -166,7 +186,7 @@ def schema(tag: int | None, *kinds):
 
         cls.TAG = tag
         cls.encode = encode
-        cls.encoded = cached_property(encode)
+        cls.encoded = kept(encode)
         cls.encoded.__set_name__(cls, "encoded")
         cls.decode = staticmethod(decode)
         return cls

@@ -1,10 +1,12 @@
 """Ed25519 key handling: key pairs, addresses, signing and verification.
 
 Addresses are the first 20 bytes of hash256(raw public key). Signature
-verification is memoized because chain verification re-checks the same
-(signature, message, key) triples many times, and each secret's private key
-object is built once, because loading one from raw bytes costs about as much
-as a signature.
+verification is memoized because the same (signature, message, key) triples
+are checked many times in one process: a block's transactions when it is
+validated and again when it is appended, and all of it again by every
+simulated validator that receives it. (A store load below its checkpoint
+checks no signature at all.) Each secret's private key object is built once,
+because loading one from raw bytes costs about as much as a signature.
 """
 
 from __future__ import annotations

@@ -9,18 +9,20 @@ are frozen: a change replaces the record, so each record computes its
 canonical encoding once and keeps it.
 
 WorldState.put(record) is the only way to write the state. The record's type
-picks its section: a keyed record replaces the entry under its key and drops
-the section's kept encoding; an execution or feedback record is appended to
-its log, whose kept encoding stays valid, so the next read encodes only the
-new records. Serializing a state thus re-encodes only the keyed sections put
-to since the last time and joins seven kept byte strings. Sections are read
-through read-only views, so a write that bypasses put() fails instead of
-leaving a stale root.
+picks its section: a keyed record replaces the entry under its key, and the
+key is noted; an execution or feedback record is appended to its log. Each
+keyed section keeps its keys in key order beside their records' encodings,
+and the next read splices in only the noted keys' encodings, so a write
+costs in proportion to what it writes, not to the size of its section. A
+log's kept encoding stays a prefix of the log, so the next read encodes only
+the new records. Sections are read through read-only views, so a write that
+bypasses put() fails instead of leaving a stale root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -154,14 +156,20 @@ class WorldState:
     """Every section is read through a read-only view named after it; put()
     is the only write."""
 
-    __slots__ = ("_records", "_encoded", "next_seq", "height", "_history")
+    __slots__ = ("_records", "_order", "_noted", "_encoded", "next_seq", "height", "_history")
 
     def __init__(self) -> None:
         # section name -> its records: a dict by key, or a list in append order
         self._records = {name: {} if key else [] for name, (_, key) in _SECTIONS.items()}
-        # section name -> (kept joined encoding, the number of records it
-        # covers); None once a keyed section is written
-        self._encoded: dict[str, tuple[bytes, int] | None] = dict.fromkeys(_SECTIONS, (b"", 0))
+        # keyed section name -> (its keys in key order, their records'
+        # encodings in the same order), as of the last read; a read splices
+        # into copies, so these lists are never changed and copies share them
+        self._order = {name: ([], []) for name, (_, key) in _SECTIONS.items() if key}
+        # keyed section name -> the keys put since the last read, as dict keys
+        self._noted: dict[str, dict] = {name: {} for name in self._order}
+        # section name -> its kept joined encoding as of the last read; for a
+        # log, (that encoding, the number of records it covers)
+        self._encoded: dict = {name: b"" if key else (b"", 0) for name, (_, key) in _SECTIONS.items()}
         self.next_seq = 0
         self.height = 0  # last applied block height; not part of the root
         self._history: HistoryIndex | None = None
@@ -187,13 +195,15 @@ class WorldState:
             else:
                 history.add_case(record)
         records[key] = record
-        self._encoded[name] = None
+        self._noted[name][key] = None
 
     def copy(self) -> "WorldState":
         # records are frozen, so shallow container copies are enough, and
         # kept bytes are immutable, so both states may hold them
         clone = object.__new__(WorldState)
         clone._records = {name: records.copy() for name, records in self._records.items()}
+        clone._order = self._order.copy()
+        clone._noted = {name: noted.copy() for name, noted in self._noted.items()}
         clone._encoded = self._encoded.copy()
         clone.next_seq = self.next_seq
         clone.height = self.height
@@ -215,19 +225,21 @@ class WorldState:
     def account(self, address: bytes) -> AccountState | None:
         return self._records["accounts"].get(address)
 
+    # the account writes build the new record directly: dataclasses.replace
+    # costs about twice as much
     def credit(self, address: bytes, amount: int) -> None:
         acct = self._records["accounts"][address]
-        self.put(replace(acct, balance=acct.balance + amount))
+        self.put(AccountState(address, acct.balance + amount, acct.nonce))
 
     def debit(self, address: bytes, amount: int) -> None:
         acct = self._records["accounts"][address]
         if acct.balance < amount:
             raise ValueError("balance underflow")
-        self.put(replace(acct, balance=acct.balance - amount))
+        self.put(AccountState(address, acct.balance - amount, acct.nonce))
 
     def bump_nonce(self, address: bytes) -> None:
         acct = self._records["accounts"][address]
-        self.put(replace(acct, nonce=acct.nonce + 1))
+        self.put(AccountState(address, acct.balance, acct.nonce + 1))
 
     def total_currency(self) -> int:
         """Circulating balances plus funds held in acceptance-test escrow."""
@@ -237,18 +249,34 @@ class WorldState:
 
     def _encoding(self, name: str) -> bytes:
         """A section's canonical encoding: its records joined, a keyed
-        section's in key order. A log encodes only what was appended since
-        the last read."""
+        section's in key order. A keyed section splices in the encodings of
+        the keys put since the last read, in key order, so that each search
+        starts where the last one ended and in-order puts only append; a log
+        encodes only what was appended since the last read."""
         records = self._records[name]
         kept = self._encoded[name]
-        if kept is None:
-            enc = b"".join([records[k].encoded for k in sorted(records)])
-        else:
+        if name not in self._noted:
             enc, count = kept
             if count == len(records):
                 return enc
             enc += b"".join([r.encoded for r in records[count:]])
-        self._encoded[name] = (enc, len(records))
+            self._encoded[name] = (enc, len(records))
+            return enc
+        noted = self._noted[name]
+        if not noted:
+            return kept
+        keys, encs = (lst.copy() for lst in self._order[name])
+        i = 0
+        for key in sorted(noted):
+            i = bisect_left(keys, key, i)
+            if i < len(keys) and keys[i] == key:
+                encs[i] = records[key].encoded
+            else:
+                keys.insert(i, key)
+                encs.insert(i, records[key].encoded)
+        noted.clear()
+        self._order[name] = keys, encs
+        enc = self._encoded[name] = b"".join(encs)
         return enc
 
     def serialize(self) -> bytes:
@@ -262,16 +290,20 @@ class WorldState:
         """The state that `serialize` wrote as `data`, or DecodeError. Each
         record must carry the tag of a section's type and decode exactly, and
         the records must come in the order and number that `serialize` writes,
-        so that the state serializes back to `data`. `next_seq`, which the root
-        does not cover, is one past the largest `seq` of the history records:
-        each took the `next_seq` of its time. `height` is left at 0."""
+        so that the state serializes back to `data`. Each record keeps the
+        bytes it was read from as its `encoded`: every kind reads strictly, so
+        they are its canonical encoding. `next_seq`, which the root does not
+        cover, is one past the largest `seq` of the history records: each took
+        the `next_seq` of its time. `height` is left at 0."""
         state = cls()
         r = Reader(data)
-        while r.pos < len(data):
+        while (start := r.pos) < len(data):
             rtype = _TYPE_OF_TAG.get(r.peek_u8())
             if rtype is None:
                 raise DecodeError(f"no section of the state holds tag 0x{r.peek_u8():02x}")
-            state.put(rtype.decode(r))
+            record = rtype.decode(r)
+            record.__dict__["encoded"] = data[start:r.pos]
+            state.put(record)
         if state.serialize() != data:
             raise DecodeError("records out of serialization order, or repeated")
         history = [*state.test_cases.values(), *state.executions, *state.feedbacks]

@@ -8,11 +8,10 @@ signature. The detached signature covers exactly the bytes before it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 from . import codec
-from .codec import ADDRESS_LEN, Reader, hash256, DecodeError, schema
+from .codec import ADDRESS_LEN, Reader, hash256, DecodeError, kept, schema
 from .keys import address_from_pubkey, sign, verify
 
 MAX_PAYLOAD_BYTES = 64 * 1024
@@ -184,7 +183,7 @@ class Transaction:
     def hash(self) -> bytes:
         return self._hash
 
-    @cached_property
+    @kept
     def _hash(self) -> bytes:
         # frozen, so the hash is computed once per object
         return hash256(self.encoded)
