@@ -6,7 +6,8 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-from contextlib import contextmanager
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -383,16 +384,31 @@ def checkpoint_state(genesis: GenesisConfig, data: bytes, blocks: list[Block],
     return state
 
 
-def _write_durably(path: Path, data: bytes) -> None:
-    """Replace `path` with `data` whole: a temporary file, fsync, a rename
-    over `path`, then fsync of the directory, so that a crash leaves the old
-    file or the new one."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+def replace_file(path: Path, data: bytes, mode: int | None = None) -> None:
+    """Replace the file at `path` with `data` whole, so that after a crash it
+    holds its old bytes or its new ones: a temporary file named for this
+    process, fsync, `os.replace`, fsync of the directory. The file gets
+    `mode`, else the mode it had, else 0o666 less the umask; errors name `path`."""
+    old = path.stat() if path.exists() else None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "wb") as f:  # a device or pipe, such as /dev/stdout, cannot be replaced
+            f.write(data)
+        return
+    if mode is None and old is not None:
+        mode = stat.S_IMODE(old.st_mode)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            if mode is not None:
+                os.fchmod(f.fileno(), mode)
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        with suppress(OSError):
+            tmp.unlink()
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     fd = os.open(path.parent, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -400,10 +416,23 @@ def _write_durably(path: Path, data: bytes) -> None:
         os.close(fd)
 
 
+@contextmanager
+def locked(path: Path, create: bool = True):
+    """Hold an exclusive `flock` on `path`, a file made empty if missing or,
+    without `create`, a directory; never a file that `replace_file` replaces."""
+    fd = os.open(path, os.O_RDWR | os.O_CREAT if create else os.O_RDONLY, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # releases the lock
+
+
 class ChainStore:
     """Directory layout: genesis.json, chain.bin, checkpoint.bin (the state
     at the head when it was saved), validator_key.json (local sealer), lock
-    (taken by writers), artifacts/ (content-addressed)."""
+    (`locked` by writers), artifacts/ (content-addressed), each written by
+    `replace_file`. chain.bin, which `init` writes last, is the commit point."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -435,23 +464,11 @@ class ChainStore:
         return self.genesis_path.exists() and self.chain_path.exists()
 
     def init(self, genesis: GenesisConfig) -> Chain:
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.artifacts_dir.mkdir(exist_ok=True)
-        self.genesis_path.write_text(genesis.to_json())
+        self.artifacts_dir.mkdir(parents=True, exist_ok=True)
+        replace_file(self.genesis_path, genesis.to_json().encode())
         chain = Chain(genesis)
         self.save(chain)
         return chain
-
-    @contextmanager
-    def locked(self):
-        """Hold the store's exclusive lock: a writer takes it from load to
-        save, so that concurrent writers commit one after another."""
-        fd = os.open(self.root / "lock", os.O_RDWR | os.O_CREAT, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            os.close(fd)  # releases the lock
 
     def load(self) -> Chain:
         """The stored chain, from checkpoint.bin if `checkpoint_state`
@@ -483,11 +500,11 @@ class ChainStore:
 
     def save(self, chain: Chain) -> None:
         """Replace chain.bin and then checkpoint.bin, each whole (see
-        `_write_durably`). A crash between the two leaves an older
+        `replace_file`). A crash between the two leaves an older
         checkpoint, which still describes a prefix of chain.bin."""
         data = encode_chain(chain.blocks)
-        _write_durably(self.chain_path, data)
+        replace_file(self.chain_path, data)
         if chain.height:  # genesis carries no votes to vouch for a checkpoint
             state = chain.state.serialize()
-            _write_durably(self.checkpoint_path,
-                           Checkpoint(chain.height, len(data), hash256(data), state).encode())
+            replace_file(self.checkpoint_path,
+                         Checkpoint(chain.height, len(data), hash256(data), state).encode())

@@ -9,14 +9,14 @@ or input error, 3 chain store corruption.
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .block import Block, merkle_proof
-from .chain import Chain, ChainStore, CorruptChainError, GenesisConfig
+from .chain import Chain, ChainStore, CorruptChainError, GenesisConfig, locked, replace_file
 from .codec import (ADDRESS_LEN, HASH_HEX, InputError, csv_table, hash256, hexbytes, list_of,
                     obj, record_json, uint)
 from .keys import address_from_pubkey, generate_keypair
@@ -55,13 +55,16 @@ def _write_csv(cls, records) -> None:
                                [record_json(r).values() for r in records]))
 
 
-def _read_json(path, what: str, read):
-    """`read` of the JSON file at `path`; a file that cannot be read or
-    parsed, or that `read` refuses, is a usage error led by `what`."""
+def _read_json(path, what: str, read, with_bytes: bool = False):
+    """`read` of the JSON file at `path`, and with `with_bytes` the file's
+    bytes, read once; a file that cannot be read or parsed, or that `read`
+    refuses, is a usage error led by `what`."""
     try:
-        return read(json.loads(Path(path).read_text()))
+        data = Path(path).read_bytes()
+        value = read(json.loads(io.TextIOWrapper(io.BytesIO(data)).read()))  # as read_text decodes
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, InputError) as exc:
         raise UsageError(f"{what}: {exc}") from exc
+    return (value, data) if with_bytes else value
 
 
 _KEY_FILE = obj(secret_key=HASH_HEX, public_key=HASH_HEX, address=hexbytes(ADDRESS_LEN))
@@ -77,15 +80,8 @@ def _key_file(value) -> dict:
     return key
 
 
-def _load_key(path) -> dict:
-    return _read_json(path, f"cannot read key file {path}", _key_file)
-
-
-def _write_secret(path: Path, text: str) -> None:
-    """Write a file that holds a secret key, readable by its owner only."""
-    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600), "w") as f:
-        os.fchmod(f.fileno(), 0o600)  # a file that already existed keeps its old mode otherwise
-        f.write(text)
+def _load_key(path, with_bytes: bool = False):
+    return _read_json(path, f"cannot read key file {path}", _key_file, with_bytes)
 
 
 def cmd_keygen(args) -> int:
@@ -95,7 +91,7 @@ def cmd_keygen(args) -> int:
     secret, public = generate_keypair()
     key = {"address": address_from_pubkey(public).hex(), "public_key": public.hex(),
            "secret_key": secret.hex()}  # the key file that _key_file reads back
-    _write_secret(out, json.dumps(key, indent=2, sort_keys=True))
+    replace_file(out, json.dumps(key, indent=2, sort_keys=True).encode(), 0o600)  # owner only
     _log(f"wrote key file {out}")
     print(json.dumps({"address": key["address"]}))
     return EXIT_OK
@@ -103,18 +99,19 @@ def cmd_keygen(args) -> int:
 
 def cmd_init(args) -> int:
     store = ChainStore(Path(args.store))
-    if store.genesis_path.exists() or store.chain_path.exists():
+    if store.chain_path.exists():  # the store's commit point: what a crashed init left is redone
         raise UsageError(f"store {args.store} exists")
     genesis = _read_json(args.genesis, "bad genesis file", GenesisConfig.from_dict)
-    sealer = _load_key(args.validator_key)
+    sealer, sealer_bytes = _load_key(args.validator_key, with_bytes=True)
     validators = genesis.validators
     if validators.pubkey_of(sealer["address"]) is None:
         raise UsageError("validator key is not in the genesis validator set")
     if validators.quorum > 1:  # the store seals every block with its one validator key
         raise UsageError(f"the store's one validator key cannot reach the genesis quorum of "
                          f"{validators.quorum} votes; a store needs a genesis with one validator")
-    store.init(genesis)
-    _write_secret(store.root / "validator_key.json", Path(args.validator_key).read_text())
+    store.root.mkdir(parents=True, exist_ok=True)
+    replace_file(store.root / "validator_key.json", sealer_bytes, 0o600)
+    store.init(genesis)  # writes chain.bin last
     _log(f"initialized store {store.root}")
     print(json.dumps({"store": str(store.root), "chain_id": genesis.chain_id.hex()}))
     return EXIT_OK
@@ -145,15 +142,17 @@ def cmd_submit(args) -> int:
 
     if args.queue:
         queue_path = Path(args.queue)
-        entries = _read_json(queue_path, f"cannot read queue file {queue_path}",
-                             lambda doc: _JSON_LIST(doc, "")) if queue_path.exists() else []
-        entries.append(raw)
-        queue_path.write_text(json.dumps(entries, indent=2))
+        # on its directory, which the replace keeps, so that no concurrent entry is lost
+        with locked(queue_path.parent, create=False):
+            entries = _read_json(queue_path, f"cannot read queue file {queue_path}",
+                                 lambda doc: _JSON_LIST(doc, "")) if queue_path.exists() else []
+            entries.append(raw)
+            replace_file(queue_path, json.dumps(entries, indent=2).encode())
         print(json.dumps({"queued": len(entries), "file": str(queue_path)}))
         return EXIT_OK
 
     store = _open_store(args)
-    with store.locked():  # from load to save, so that no concurrent submit is lost
+    with locked(store.root / "lock"):  # from load to save, so that no concurrent submit is lost
         chain = _load(store)
         key = _load_key(args.key)
         sender = key["address"]
@@ -335,7 +334,7 @@ def cmd_bench(args) -> int:
     from .metrics import SweepSpec, run_sweep
 
     csv_text = run_sweep(_read_json(args.sweep, "bad sweep spec", SweepSpec.from_dict))
-    Path(args.out).write_text(csv_text)
+    replace_file(Path(args.out), csv_text.encode())
     _log(f"sweep -> {args.out}")
     print(json.dumps({"csv": str(args.out), "rows": csv_text.count("\n") - 1}))
     return EXIT_OK
@@ -345,11 +344,7 @@ def cmd_artifact(args) -> int:
     store = ChainStore(Path(args.store))
     artifacts = ArtifactStore(store.artifacts_dir)
     if args.action == "put":
-        try:
-            data = Path(args.file).read_bytes()
-        except OSError as exc:
-            raise UsageError(str(exc)) from exc
-        digest = artifacts.put(data)
+        digest = artifacts.put(Path(args.file).read_bytes())
         print(json.dumps({"digest": digest.hex()}))
     else:
         try:
@@ -424,15 +419,12 @@ def main(argv=None) -> int:
             if not args.store or not args.key:
                 raise UsageError("submit needs --store and --key (or --queue)")
         return args.func(args)
-    except (UsageError, QueryError) as exc:
+    except (UsageError, QueryError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE
     except CorruptChainError as exc:
         _log(f"store corruption: {exc}")
         return EXIT_CORRUPT
-    except OSError as exc:
-        _log(f"error: {exc}")
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -102,9 +102,8 @@ class Node:
         self.round = 0
         self.round_entry = tick
         self.last_commit_tick = tick
-        self.proposed_key: tuple[int, int] | None = None  # (height, round) already proposed
-        self.my_vote: Vote | None = None
-        self.voted_proposal: Propose | None = None
+        self.proposed_round: int | None = None  # the round already proposed at this height
+        self.voted: tuple[Propose, Vote] | None = None  # this height's one vote and its proposal
         self.proposals: dict[bytes, Block] = {}
         self.tallies: dict[bytes, dict[bytes, bytes]] = {}
         for tx in self.chain.head.transactions:
@@ -148,20 +147,16 @@ class Node:
             self.round += 1
             self.round_entry = tick
 
-        height = self.next_height
-        if proposer_for(height, self.round, vs) == self.address and self.proposed_key != (
-            height,
-            self.round,
-        ):
-            if self.voted_proposal is not None:
+        if (proposer_for(self.next_height, self.round, vs) == self.address
+                and self.proposed_round != self.round):
+            if self.voted is not None:
                 # converge on the proposal already voted instead of forking a new one
-                self.proposed_key = (height, self.round)
-                out.append((None, self.voted_proposal))
-                out.append((None, self.my_vote))
+                self.proposed_round = self.round
+                out.extend((None, m) for m in self.voted)
             elif self.mempool or tick - self.last_commit_tick >= genesis.empty_block_interval:
                 txs = list(self.mempool.values())[:MAX_BLOCK_TXS]
                 block, _, _ = self.chain.stage(txs, self.address, tick)
-                self.proposed_key = (height, self.round)
+                self.proposed_round = self.round
                 prop = Propose(block, self.round)
                 out.append((None, prop))
                 accepted = self._accept_proposal(prop, self.index, tick)
@@ -170,9 +165,8 @@ class Node:
         if tick - self.last_gossip >= self.gossip_interval:
             self.last_gossip = tick
             out.append((None, Status(len(self.chain.blocks))))
-            if self.my_vote is not None and self.voted_proposal is not None:
-                out.append((None, self.voted_proposal))
-                out.append((None, self.my_vote))
+            if self.voted is not None:
+                out.extend((None, m) for m in self.voted)
             for tx in list(self.mempool.values())[:SYNC_BATCH]:
                 out.append((None, TxGossip(tx)))
         return out
@@ -207,12 +201,11 @@ class Node:
                 self.invalid_dropped += 1
                 return []
             self.proposals[header_hash] = block
-        if self.my_vote is not None:
+        if self.voted is not None:
             return self._try_commit(tick)
         sig = sign(self.secret, header_hash)
         vote = Vote(header_hash, h, self.address, sig)
-        self.my_vote = vote
-        self.voted_proposal = prop
+        self.voted = (prop, vote)
         self.tallies.setdefault(header_hash, {})[self.address] = sig
         out: list[Outbound] = [(None, vote), (None, prop)]
         out.extend(self._try_commit(tick))

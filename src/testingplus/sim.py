@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .chain import GenesisConfig, check_issuance
+from .chain import GenesisConfig, check_issuance, replace_file
 from .codec import (HASH_HEX, InputError, enc_u64, hash256, list_of, obj, positive, probability,
                     uint)
 from .consensus import ConsensusMessage, Node
@@ -208,7 +208,7 @@ class SimTrace:
         self.events = events
 
     def write(self, path) -> None:
-        Path(path).write_text(self.to_text())
+        replace_file(Path(path), self.to_text().encode())
 
     def to_text(self) -> str:
         return "".join(json.dumps(e, sort_keys=True) + "\n" for e in self.events)

@@ -3,10 +3,10 @@ the content-addressed off-chain artifact store."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from .chain import replace_file
 from .codec import U64_MAX, hash256
 from .state import VERDICT_PASS, WorldState
 
@@ -115,14 +115,11 @@ class ArtifactStore:
         self.root = Path(root)  # made by the first put, so a read creates nothing
 
     def put(self, data: bytes) -> bytes:
-        """Store `data` under its digest: written under a temporary name and
-        renamed into place, so a torn earlier write is replaced whole."""
+        """Store `data` under its digest, replaced whole (`replace_file`), so
+        a torn earlier write is replaced and a crash leaves no torn file."""
         digest = hash256(data)
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / digest.hex()
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        replace_file(self.root / digest.hex(), data)
         return digest
 
     def get(self, digest: bytes) -> bytes:

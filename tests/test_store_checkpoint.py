@@ -17,7 +17,7 @@ import pytest
 
 from testingplus import chain as chain_mod
 from testingplus.block import Block, decode_chain, encode_chain
-from testingplus.chain import Chain, ChainStore, Checkpoint, CorruptChainError
+from testingplus.chain import Chain, ChainStore, Checkpoint, CorruptChainError, locked
 from testingplus.cli import main
 from testingplus.codec import DecodeError, Reader, hash256
 from testingplus.state import AccountState, WorldState
@@ -250,7 +250,7 @@ def test_concurrent_submits_all_commit(env):
     store = ChainStore(Path(env["store"]))
     payload = env["tmp"] / "deploy.json"
     payload.write_text(json.dumps({"op": "deploy_customer_agreement"}))
-    with store.locked():
+    with locked(store.root / "lock"):
         procs = [_cli("submit", str(payload), "--store", env["store"], "--key", env["keys"][who])
                  for who in ("customer", "developer", "tester")]
         time.sleep(1.0)
