@@ -3,22 +3,14 @@ of a stored chain."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .codec import BYTES, U64, Reader, ZERO_HASH, hash256, kept, nested, record, row, schema, seq
+from .codec import (BYTES, U64, Reader, ZERO_HASH, hash256, inline, kept, nested, record, row,
+                    schema, seq)
 from .tx import Transaction
 
 
-@schema(None, U64, BYTES, BYTES, BYTES, U64, BYTES)
-@dataclass(frozen=True)
+@schema(None, height=U64, prev_hash=BYTES, merkle_root=BYTES, state_root=BYTES, timestamp=U64,
+        proposer=BYTES)
 class BlockHeader:
-    height: int
-    prev_hash: bytes
-    merkle_root: bytes
-    state_root: bytes
-    timestamp: int
-    proposer: bytes
-
     def hash(self) -> bytes:
         return self._hash
 
@@ -28,15 +20,12 @@ class BlockHeader:
         return hash256(self.encoded)
 
 
-@schema(None, record(BlockHeader), seq(nested(Transaction)), seq(row(BYTES, BYTES)))
-@dataclass(frozen=True)
+# votes: (validator address, signature over the header hash) pairs
+@schema(None, header=inline(BlockHeader), transactions=seq(nested(Transaction)),
+        votes=seq(row(BYTES, BYTES)))
 class Block:
-    header: BlockHeader
-    transactions: tuple[Transaction, ...]
-    votes: tuple[tuple[bytes, bytes], ...]  # (validator address, signature over header hash)
-
     def with_votes(self, votes) -> "Block":
-        return replace(self, votes=tuple(votes))
+        return self.replace(votes=tuple(votes))
 
 
 decode_block = Block.decode
@@ -77,11 +66,10 @@ def _parent_level(level: list[bytes]) -> list[bytes]:
     return [hash256(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
 
 
-@dataclass(frozen=True)
+@record("leaf_index", "siblings")
 class MerkleProof:
-    leaf_index: int
-    # (sibling hash, sibling_on_right)
-    siblings: tuple[tuple[bytes, bool], ...]
+    """The path from a leaf to the root: (sibling hash, sibling_on_right)
+    pairs, from the leaf up."""
 
 
 def merkle_proof(block: Block, tx_index: int) -> MerkleProof:

@@ -8,28 +8,29 @@ import json
 import os
 import stat
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from pathlib import Path
 
 from .block import Block, BlockHeader, build_block, decode_chain, encode_chain, merkle_root
 from .codec import (BYTES, HASH_HEX, U64, U64_MAX, DecodeError, InputError, Reader,
-                    ZERO_ADDRESS, ZERO_HASH, enc_bytes, hash256, kept, list_of, obj, schema, uint)
+                    ZERO_ADDRESS, ZERO_HASH, enc_bytes, hash256, kept, list_of, obj, record, schema,
+                    uint)
 from .keys import address_from_pubkey, sign, verify
 from .state import AccountState, WorldState
 from .tx import Transaction, verify_transaction
 from .vm import Receipt, apply_transaction
 
 
-@dataclass(frozen=True)
+@record("members")
 class ValidatorSet:
-    """Fixed ordered validator list; quorum is floor(2n/3)+1 votes."""
+    """Fixed ordered (address, pubkey) validator list; quorum is floor(2n/3)+1 votes."""
 
-    members: tuple[tuple[bytes, bytes], ...]  # (address, pubkey)
+    @kept
+    def _pubkeys(self) -> dict[bytes, bytes]:
+        return dict(self.members)
 
-    def __post_init__(self):
-        # address -> pubkey and address -> index, built once
-        object.__setattr__(self, "_pubkeys", dict(self.members))
-        object.__setattr__(self, "_indexes", {a: i for i, (a, _) in enumerate(self.members)})
+    @kept
+    def _indexes(self) -> dict[bytes, int]:
+        return {a: i for i, (a, _) in enumerate(self.members)}
 
     @classmethod
     def from_pubkeys(cls, pubkeys) -> "ValidatorSet":
@@ -69,18 +70,16 @@ def proposer_for(height: int, round_: int, vs: ValidatorSet) -> bytes:
     return vs.members[(height + round_) % vs.n][0]
 
 
-@dataclass(frozen=True)
+@record("chain_id", "validator_pubkeys", "accounts", "empty_block_interval", "timeout_ticks")
 class GenesisConfig:
     """A chain's fixed parameters and the one source of its authorities:
     who may vote (`validators`) and who may sign (`pubkeys`), each derived
-    once and shared by every `Chain` of this genesis."""
+    once and shared by every `Chain` of this genesis. `accounts` holds
+    (pubkey, balance) pairs."""
 
-    chain_id: bytes
-    validator_pubkeys: list[bytes]
-    accounts: list[tuple[bytes, int]]  # (pubkey, balance)
     # consensus timing in ticks, read by every consensus.Node
-    empty_block_interval: int = 50
-    timeout_ticks: int = 50
+    empty_block_interval = 50
+    timeout_ticks = 50
 
     def to_json(self) -> str:
         return json.dumps(
@@ -335,16 +334,10 @@ class Chain:
         return chain
 
 
-@schema(0xC1, U64, U64, BYTES, BYTES)
-@dataclass(frozen=True)
+@schema(0xC1, height=U64, chain_len=U64, chain_digest=BYTES, state=BYTES)
 class Checkpoint:
     """checkpoint.bin: the state after block `height` (`WorldState.serialize`)
     and the length and SHA-256 of the stored chain up to that block."""
-
-    height: int
-    chain_len: int
-    chain_digest: bytes
-    state: bytes
 
 
 def checkpoint_state(genesis: GenesisConfig, data: bytes, blocks: list[Block],
@@ -384,6 +377,38 @@ def checkpoint_state(genesis: GenesisConfig, data: bytes, blocks: list[Block],
     return state
 
 
+def fsync_dir(path: Path) -> None:
+    """Make the entries of the directory at `path` durable, such as a rename into it."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+_swept: set[Path] = set()  # the directories _remove_stale_temps has swept
+
+
+def _remove_stale_temps(directory: Path) -> None:
+    """Remove the temporary files `replace_file` left in `directory` in dead
+    processes (pids looked up in this pid namespace), once per directory and
+    process, so that puts into a large artifacts directory do not each list it."""
+    if directory in _swept:
+        return
+    _swept.add(directory)
+    for name in os.listdir(directory):
+        parts = name.split(".")  # "", the file's name in parts, pid, "tmp"
+        if not (len(parts) > 3 and parts[0] == "" and parts[-1] == "tmp" and parts[-2].isdecimal()):
+            continue
+        try:
+            os.kill(int(parts[-2]), 0)  # signal 0 only asks whether the process exists
+        except ProcessLookupError:
+            with suppress(FileNotFoundError):  # another process removed it first
+                (directory / name).unlink()
+        except (OverflowError, OSError):  # no pid at all, or another user's process
+            pass
+
+
 def replace_file(path: Path, data: bytes, mode: int | None = None) -> None:
     """Replace the file at `path` with `data` whole, so that after a crash it
     holds its old bytes or its new ones: a temporary file named for this
@@ -396,6 +421,7 @@ def replace_file(path: Path, data: bytes, mode: int | None = None) -> None:
         return
     if mode is None and old is not None:
         mode = stat.S_IMODE(old.st_mode)
+    _remove_stale_temps(path.parent)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
@@ -409,11 +435,7 @@ def replace_file(path: Path, data: bytes, mode: int | None = None) -> None:
         with suppress(OSError):
             tmp.unlink()
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    fsync_dir(path.parent)
 
 
 @contextmanager

@@ -12,7 +12,6 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .block import Block, merkle_proof
@@ -50,8 +49,8 @@ def _print_json(value) -> None:
 
 
 def _write_csv(cls, records) -> None:
-    """Records of one dataclass as a CSV table, a header row of its field names."""
-    sys.stdout.write(csv_table([f.name for f in fields(cls)],
+    """Records of one record class as a CSV table, a header row of its field names."""
+    sys.stdout.write(csv_table(cls._fields,
                                [record_json(r).values() for r in records]))
 
 

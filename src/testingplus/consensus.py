@@ -10,46 +10,36 @@ the proposal and vote a node is holding, plus Status-based chain sync.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .block import Block
 from .chain import Chain, CorruptChainError, GenesisConfig, proposer_for
+from .codec import record
 from .keys import sign, verify
 from .tx import Transaction
 
 
-@dataclass(frozen=True)
+@record("block", "round")  # block: its votes empty
 class Propose:
     kind = "propose"
-    block: Block  # votes empty
-    round: int
 
 
-@dataclass(frozen=True)
+@record("header_hash", "height", "signer", "signature")
 class Vote:
     kind = "vote"
-    header_hash: bytes
-    height: int
-    signer: bytes
-    signature: bytes
 
 
-@dataclass(frozen=True)
+@record("block")  # block: its votes filled
 class Commit:
     kind = "commit"
-    block: Block  # votes filled
 
 
-@dataclass(frozen=True)
+@record("tx")
 class TxGossip:
     kind = "txgossip"
-    tx: Transaction
 
 
-@dataclass(frozen=True)
+@record("chain_len")
 class Status:
     kind = "status"
-    chain_len: int
 
 
 ConsensusMessage = Propose | Vote | Commit | TxGossip | Status

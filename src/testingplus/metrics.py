@@ -9,20 +9,15 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
 
-from .codec import (InputError, csv_table, enc_u64, hash256, list_of, obj, positive,
-                    record_json, text, uint)
+from .codec import (InputError, csv_table, enc_u64, factory, hash256, list_of, obj, positive,
+                    record, record_json, text, uint)
 from .sim import CRASH_FAULTS, SimScenario, SimTrace, run_simulation
 
 
-@dataclass(frozen=True)
+@record("min", "median", "p95", "max", "count")
 class LatencyStats:
-    min: int = 0
-    median: float = 0.0
-    p95: int = 0
-    max: int = 0
-    count: int = 0
+    min, median, p95, max, count = 0, 0.0, 0, 0, 0
 
 
 def _latency_stats(samples: list[int]) -> LatencyStats:
@@ -35,20 +30,13 @@ def _latency_stats(samples: list[int]) -> LatencyStats:
     return LatencyStats(xs[0], median, xs[p95_idx], xs[-1], k)
 
 
-@dataclass(frozen=True)
+@record("scenario_digest", "total_ticks", "submitted", "committed", "uncommitted",
+        "throughput_per_1000_ticks", "latency", "block_interval_mean", "messages_sent",
+        "state_bytes", "truncated", "per_node")
 class MetricsReport:
-    scenario_digest: str
-    total_ticks: int
-    submitted: int
-    committed: int
-    uncommitted: int
-    throughput_per_1000_ticks: float
-    latency: LatencyStats
-    block_interval_mean: float
-    messages_sent: int
-    state_bytes: int
-    truncated: bool
-    per_node: list[dict] = field(default_factory=list)
+    """`latency` is a LatencyStats; `per_node` a list of dicts."""
+
+    per_node = factory(list)
 
     def to_dict(self) -> dict:
         out = record_json(self)
@@ -144,12 +132,11 @@ _SWEEP = obj(
 )
 
 
-@dataclass
+@record("base", "axis", "values", "repetitions")
 class SweepSpec:
-    base: dict  # base scenario dict
-    axis: str
-    values: list
-    repetitions: int = 1
+    """`base` is the base scenario dict."""
+
+    repetitions = 1
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepSpec":

@@ -14,13 +14,12 @@ import hashlib
 import json
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
 from .chain import GenesisConfig, check_issuance, replace_file
 from .codec import (HASH_HEX, InputError, enc_u64, hash256, list_of, obj, positive, probability,
-                    uint)
+                    record, uint)
 from .consensus import ConsensusMessage, Node
 from .keys import address_from_pubkey, generate_keypair
 from .tx import WORKLOAD_ENTRY, Transaction, payload_from_json, sign_transaction
@@ -61,21 +60,12 @@ _SCENARIO = obj(
 )
 
 
-@dataclass
+@record("seed", "n_validators", "latency", "drop_probability", "partitions", "crash_faults",
+        "account_balances", "workload", "max_ticks", "empty_block_interval", "timeout_ticks",
+        "gossip_interval", "raw")
 class SimScenario:
-    seed: int
-    n_validators: int
-    latency: tuple[int, int]
-    drop_probability: float
-    partitions: list[dict]  # from_tick, to_tick and sides, each node on one side
-    crash_faults: dict[int, int]  # node -> crash tick
-    account_balances: list[int]
-    workload: list[dict]  # raw entries, resolved at build time
-    max_ticks: int
-    empty_block_interval: int
-    timeout_ticks: int | None
-    gossip_interval: int | None
-    raw: dict  # the scenario as given; its digest is the chain id
+    """`latency`: (low, high); `partitions`: dicts of from_tick, to_tick and sides;
+    `crash_faults`: node -> crash tick; `raw`: the scenario, whose digest is the chain id."""
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimScenario":

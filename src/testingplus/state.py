@@ -22,105 +22,67 @@ bypasses put() fails instead of leaving a stale root.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
 
-from .codec import BYTES, FLAG, U64, ZERO_HASH, DecodeError, Reader, flag, hash256, schema
+from .codec import (BYTES, FLAG, U64, ZERO_HASH, DecodeError, Reader, factory, flag, hash256,
+                    record, schema)
 
 VERDICT_PASS = "Pass"
 VERDICT_FAIL = "Fail"
 
 
-@schema(0xA1, BYTES, U64, U64)
-@dataclass(frozen=True)
+@schema(0xA1, address=BYTES, balance=U64, nonce=U64)
 class AccountState:
-    address: bytes
-    balance: int
-    nonce: int
+    pass
 
 
-@schema(0xA2, BYTES, BYTES, U64)
-@dataclass(frozen=True)
+@schema(0xA2, contract_id=BYTES, customer=BYTES, testing_fee=U64)
 class CustomerAgreementState:
-    contract_id: bytes
-    customer: bytes
-    testing_fee: int
+    pass
 
 
-@schema(0xA3, BYTES, BYTES, U64)
-@dataclass(frozen=True)
+@schema(0xA3, contract_id=BYTES, developer=BYTES, reward=U64)
 class DeveloperAgreementState:
-    contract_id: bytes
-    developer: bytes
-    reward: int
+    pass
 
 
-@schema(0xA4, BYTES, BYTES, BYTES, U64, FLAG, U64, U64, U64, BYTES)
-@dataclass(frozen=True)
+# completed_*: settlement provenance, zero until completion
+@schema(0xA4, contract_id=BYTES, customer=BYTES, developer=BYTES, testing_fee=U64,
+        is_test_completed=FLAG, escrow=U64, completed_tick=U64, completed_height=U64,
+        completed_tx_hash=BYTES)
 class AcceptanceTestState:
-    contract_id: bytes
-    customer: bytes
-    developer: bytes
-    testing_fee: int
-    is_test_completed: bool = False
-    escrow: int = 0
-    # settlement provenance, zero until completion
-    completed_tick: int = 0
-    completed_height: int = 0
-    completed_tx_hash: bytes = ZERO_HASH
+    is_test_completed, escrow = False, 0
+    completed_tick, completed_height, completed_tx_hash = 0, 0, ZERO_HASH
 
 
-@schema(0xA5, BYTES, BYTES, BYTES, BYTES, BYTES, BYTES, U64, U64, BYTES, U64)
-@dataclass(frozen=True)
+@schema(0xA5, case_id=BYTES, acceptance_contract=BYTES, author=BYTES, description=BYTES,
+        input_digest=BYTES, expected_output_digest=BYTES, tick=U64, block_height=U64,
+        tx_hash=BYTES, seq=U64)
 class TestCase:
-    case_id: bytes
-    acceptance_contract: bytes
-    author: bytes
-    description: bytes
-    input_digest: bytes
-    expected_output_digest: bytes
-    tick: int
-    block_height: int
-    tx_hash: bytes
-    seq: int
+    pass
 
 
-@schema(0xA6, BYTES, BYTES, BYTES, BYTES, flag(VERDICT_FAIL, VERDICT_PASS), U64, U64, BYTES, U64)
-@dataclass(frozen=True)
+@schema(0xA6, exec_id=BYTES, case_id=BYTES, tester=BYTES, actual_output_digest=BYTES,
+        verdict=flag(VERDICT_FAIL, VERDICT_PASS), tick=U64, block_height=U64, tx_hash=BYTES,
+        seq=U64)
 class ExecutionRecord:
-    exec_id: bytes
-    case_id: bytes
-    tester: bytes
-    actual_output_digest: bytes
-    verdict: str  # VERDICT_PASS | VERDICT_FAIL
-    tick: int
-    block_height: int
-    tx_hash: bytes
-    seq: int
+    pass
 
 
-@schema(0xA7, BYTES, BYTES, BYTES, BYTES, U64, U64, BYTES, U64)
-@dataclass(frozen=True)
+# subject: a case_id or an exec_id
+@schema(0xA7, feedback_id=BYTES, subject=BYTES, author=BYTES, body=BYTES, tick=U64,
+        block_height=U64, tx_hash=BYTES, seq=U64)
 class Feedback:
-    feedback_id: bytes
-    subject: bytes  # case_id or exec_id
-    author: bytes
-    body: bytes
-    tick: int
-    block_height: int
-    tx_hash: bytes
-    seq: int
+    pass
 
 
-@dataclass
+@record("cases_by_contract", "passed", "exec_ids")
 class HistoryIndex:
     """Lookups the VM makes into the test history: the cases of each
     acceptance contract, the cases with a passing run, and execution ids."""
 
-    cases_by_contract: dict[bytes, tuple[bytes, ...]] = field(default_factory=dict)
-    passed: set[bytes] = field(default_factory=set)
-    exec_ids: set[bytes] = field(default_factory=set)
+    cases_by_contract, passed, exec_ids = factory(dict), factory(set), factory(set)
 
     def add_case(self, case: TestCase) -> None:
         contract = case.acceptance_contract
@@ -225,8 +187,7 @@ class WorldState:
     def account(self, address: bytes) -> AccountState | None:
         return self._records["accounts"].get(address)
 
-    # the account writes build the new record directly: dataclasses.replace
-    # costs about twice as much
+    # the account writes build the new record directly: replace() costs more
     def credit(self, address: bytes, amount: int) -> None:
         acct = self._records["accounts"][address]
         self.put(AccountState(address, acct.balance + amount, acct.nonce))

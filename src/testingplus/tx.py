@@ -7,7 +7,6 @@ signature. The detached signature covers exactly the bytes before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from . import codec
@@ -26,78 +25,57 @@ TEXT = "text"  # text at <key>, empty if absent
 U64 = "u64"  # a JSON integer within u64
 
 # Each payload class carries its tag, its op name in JSON and FIELDS: the
-# JSON key and kind of each dataclass field, in encoding order. Its codec is
-# built from the same table with codec.schema.
+# name, JSON key and kind of each field, in encoding order. The class's
+# fields and codec are built from the same table with codec.schema.
 
 
-@dataclass(frozen=True)
 class DeployCustomerAgreement:
     TAG, OP, FIELDS = 0x01, "deploy_customer_agreement", ()
 
 
-@dataclass(frozen=True)
 class SetTestingFee:
-    TAG, OP, FIELDS = 0x02, "set_testing_fee", (("contract", ID), ("fee", U64))
-    contract_id: bytes
-    fee: int
+    TAG, OP = 0x02, "set_testing_fee"
+    FIELDS = (("contract_id", "contract", ID), ("fee", "fee", U64))
 
 
-@dataclass(frozen=True)
 class DeployDeveloperAgreement:
     TAG, OP, FIELDS = 0x03, "deploy_developer_agreement", ()
 
 
-@dataclass(frozen=True)
 class SetReward:
-    TAG, OP, FIELDS = 0x04, "set_reward", (("contract", ID), ("amount", U64))
-    contract_id: bytes
-    amount: int
+    TAG, OP = 0x04, "set_reward"
+    FIELDS = (("contract_id", "contract", ID), ("amount", "amount", U64))
 
 
-@dataclass(frozen=True)
 class DeployAcceptanceTest:
     TAG, OP = 0x05, "deploy_acceptance_test"
-    FIELDS = (("customer", ACCOUNT), ("developer", ACCOUNT), ("fee", U64))
-    customer: bytes
-    developer: bytes
-    fee: int
+    FIELDS = (("customer", "customer", ACCOUNT), ("developer", "developer", ACCOUNT),
+              ("fee", "fee", U64))
 
 
-@dataclass(frozen=True)
 class InitiateTest:
-    TAG, OP, FIELDS = 0x06, "initiate_test", (("contract", ID),)
-    contract_id: bytes
+    TAG, OP, FIELDS = 0x06, "initiate_test", (("contract_id", "contract", ID),)
 
 
-@dataclass(frozen=True)
 class CompleteTest:
-    TAG, OP, FIELDS = 0x07, "complete_test", (("contract", ID),)
-    contract_id: bytes
+    TAG, OP, FIELDS = 0x07, "complete_test", (("contract_id", "contract", ID),)
 
 
-@dataclass(frozen=True)
 class RegisterTestCase:
     TAG, OP = 0x10, "register_test_case"
-    FIELDS = (("contract", ID), ("description", TEXT), ("input", DIGEST),
-              ("expected_output", DIGEST))
-    acceptance_contract: bytes
-    description: bytes
-    input_digest: bytes
-    expected_output_digest: bytes
+    FIELDS = (("acceptance_contract", "contract", ID), ("description", "description", TEXT),
+              ("input_digest", "input", DIGEST),
+              ("expected_output_digest", "expected_output", DIGEST))
 
 
-@dataclass(frozen=True)
 class RecordExecution:
-    TAG, OP, FIELDS = 0x11, "record_execution", (("case", ID), ("actual_output", DIGEST))
-    case_id: bytes
-    actual_output_digest: bytes
+    TAG, OP = 0x11, "record_execution"
+    FIELDS = (("case_id", "case", ID), ("actual_output_digest", "actual_output", DIGEST))
 
 
-@dataclass(frozen=True)
 class PostFeedback:
-    TAG, OP, FIELDS = 0x12, "post_feedback", (("subject", ID), ("body", TEXT))
-    subject: bytes
-    body_text: bytes
+    TAG, OP = 0x12, "post_feedback"
+    FIELDS = (("subject", "subject", ID), ("body_text", "body", TEXT))
 
 
 PAYLOAD_TYPES = (
@@ -117,7 +95,8 @@ _BY_TAG = {cls.TAG: cls for cls in PAYLOAD_TYPES}
 _BY_OP = {cls.OP: cls for cls in PAYLOAD_TYPES}
 for _cls in PAYLOAD_TYPES:
     # on chain, a U64 field is a u64 and every other kind a byte string
-    schema(_cls.TAG, *[codec.U64 if kind == U64 else codec.BYTES for _, kind in _cls.FIELDS])(_cls)
+    schema(_cls.TAG, **{name: codec.U64 if kind == U64 else codec.BYTES
+                        for name, _, kind in _cls.FIELDS})(_cls)
 del _cls
 
 
@@ -152,7 +131,7 @@ def payload_from_json(entry, digest, ident=codec.HASH_HEX,
         raise codec.InputError(prefix + "op", "a known op", op)
     kinds = {ID: ident, ACCOUNT: account, U64: codec.uint}
     values = []
-    for key, kind in cls.FIELDS:
+    for _, key, kind in cls.FIELDS:
         if kind == TEXT:
             value = codec.text(entry.get(key, ""), prefix + key).encode()
         elif kind == DIGEST:
@@ -167,14 +146,10 @@ def payload_from_json(entry, digest, ident=codec.HASH_HEX,
     return cls(*values)
 
 
-@schema(None, codec.BYTES, codec.U64, (encode_payload, decode_payload), codec.U64, codec.BYTES)
-@dataclass(frozen=True)
+@schema(None, sender=codec.BYTES, nonce=codec.U64, payload=(encode_payload, decode_payload),
+        value=codec.U64, signature=codec.BYTES)
 class Transaction:
-    sender: bytes
-    nonce: int
-    payload: Payload
-    value: int
-    signature: bytes = b""
+    signature = b""  # the default: unsigned
 
     def encode_unsigned(self) -> bytes:
         # the encoding without its last field, the length-prefixed signature

@@ -8,9 +8,7 @@ except for the sender's nonce increment. Revert reasons are byte-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .codec import enc_u64, hash256
+from .codec import enc_u64, hash256, record
 from .state import (
     AcceptanceTestState,
     CustomerAgreementState,
@@ -63,12 +61,8 @@ STATUS_SUCCESS = "Success"
 STATUS_REVERTED = "Reverted"
 
 
-@dataclass(frozen=True)
+@record("tx_hash", "status", "reason")  # reason: empty on success
 class Receipt:
-    tx_hash: bytes
-    status: str
-    reason: bytes  # empty on success
-
     @property
     def ok(self) -> bool:
         return self.status == STATUS_SUCCESS
@@ -123,7 +117,7 @@ def _set_testing_fee(state: WorldState, tx: Transaction, height: int, tick: int)
         raise _Revert(REASON_UNKNOWN_CONTRACT)
     if tx.sender != c.customer:
         raise _Revert(REASON_ONLY_CUSTOMER_FEE)
-    state.put(replace(c, testing_fee=tx.payload.fee))
+    state.put(c.replace(testing_fee=tx.payload.fee))
 
 
 def _deploy_developer_agreement(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
@@ -137,7 +131,7 @@ def _set_reward(state: WorldState, tx: Transaction, height: int, tick: int) -> N
         raise _Revert(REASON_UNKNOWN_CONTRACT)
     if tx.sender != d.developer:
         raise _Revert(REASON_ONLY_DEVELOPER_REWARD)
-    state.put(replace(d, reward=tx.payload.amount))
+    state.put(d.replace(reward=tx.payload.amount))
 
 
 def _deploy_acceptance_test(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
@@ -164,7 +158,7 @@ def _initiate_test(state: WorldState, tx: Transaction, height: int, tick: int) -
     if state.account(tx.sender).balance < tx.value:
         raise _Revert(REASON_INSUFFICIENT_BALANCE)
     state.debit(tx.sender, tx.value)
-    state.put(replace(t, escrow=tx.value, is_test_completed=False))
+    state.put(t.replace(escrow=tx.value, is_test_completed=False))
 
 
 def _complete_test(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
@@ -179,8 +173,7 @@ def _complete_test(state: WorldState, tx: Transaction, height: int, tick: int) -
     if any(c not in history.passed for c in history.cases_by_contract.get(t.contract_id, ())):
         raise _Revert(REASON_NOT_VERIFIED)
     state.credit(t.developer, t.escrow)
-    state.put(replace(
-        t,
+    state.put(t.replace(
         is_test_completed=True,
         escrow=0,
         completed_tick=tick,

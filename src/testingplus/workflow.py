@@ -3,11 +3,10 @@ the content-addressed off-chain artifact store."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
-from .chain import replace_file
-from .codec import U64_MAX, hash256
+from .chain import fsync_dir, replace_file
+from .codec import U64_MAX, hash256, record
 from .state import VERDICT_PASS, WorldState
 
 
@@ -16,15 +15,10 @@ class QueryError(ValueError):
     amount beyond u64, or a test case it does not hold."""
 
 
-@dataclass(frozen=True)
+@record("tester", "from_height", "to_height", "executed", "matched", "amount",
+        "contribution_ppm")
 class CompensationStatement:
-    tester: bytes
-    from_height: int
-    to_height: int
-    executed: int
-    matched: int
-    amount: int
-    contribution_ppm: int
+    pass
 
 
 def compute_compensation(
@@ -58,13 +52,10 @@ def compute_compensation(
     )
 
 
-@dataclass(frozen=True)
+@record("kind", "tick", "block_height", "actor", "tx_hash")
 class AuditEvent:
-    kind: str  # register | execute | feedback | settle
-    tick: int
-    block_height: int
-    actor: bytes
-    tx_hash: bytes
+    """One step of a test case's history; `kind` is register, execute,
+    feedback or settle."""
 
 
 def audit_trail(state: WorldState, case_id: bytes) -> list[AuditEvent]:
@@ -115,11 +106,19 @@ class ArtifactStore:
         self.root = Path(root)  # made by the first put, so a read creates nothing
 
     def put(self, data: bytes) -> bytes:
-        """Store `data` under its digest, replaced whole (`replace_file`), so
-        a torn earlier write is replaced and a crash leaves no torn file."""
+        """Store `data` under its digest. A file holding those bytes is kept
+        and its directory fsynced, for a rename of another process; a missing
+        or torn one is replaced whole (`replace_file`)."""
         digest = hash256(data)
+        path = self.root / digest.hex()
+        try:
+            if hash256(path.read_bytes()) == digest:
+                fsync_dir(self.root)
+                return digest
+        except OSError:  # missing, or unreadable: replaced below
+            pass
         self.root.mkdir(parents=True, exist_ok=True)
-        replace_file(self.root / digest.hex(), data)
+        replace_file(path, data)
         return digest
 
     def get(self, digest: bytes) -> bytes:

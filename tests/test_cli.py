@@ -714,6 +714,27 @@ def test_cli_import_leaves_the_simulator_unloaded():
         "[]", "testingplus.sim testingplus.metrics testingplus.consensus"]
 
 
+def test_a_cli_command_imports_neither_dataclasses_nor_inspect(env):
+    """Records are built by codec.record, so a command's process never
+    imports `dataclasses` or the `inspect` it pulls in."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, testingplus.cli\n"
+        "rc = testingplus.cli.main(['query', '--store', sys.argv[1], 'state'])\n"
+        "print(rc, sorted({'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, env["store"]], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["height"] == 0
+    assert proc.stderr.splitlines()[-1] == "0 []"
+
+
 @pytest.mark.parametrize("edit", [
     lambda g: g["validators"].append(g["validators"][0]),
     lambda g: g["accounts"][0].update(balance=-5),

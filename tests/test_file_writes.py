@@ -2,17 +2,21 @@
 temporary name, fsynced, renamed over its target and its directory fsynced,
 so that a crash leaves its old bytes or its new ones. A crashed `init` is
 either redone or leaves a working store, and concurrent writers of one file
-lose nothing."""
+lose nothing. A put of content already stored rewrites nothing, and the
+temporary files of dead processes are removed."""
 
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
 from testingplus.cli import main
+from testingplus.workflow import ArtifactStore
 
 from conftest import make_genesis
 from test_cli import write_key
@@ -198,3 +202,75 @@ def test_a_pipe_is_written_to_not_replaced(tmp_path, capsys):
     assert not reader.is_alive()
     assert got[0].decode().endswith('"type": "summary"}\n')
     assert fifo.is_fifo() and sorted(os.listdir(tmp_path)) == ["fifo", "scenario.json"]
+
+
+def test_a_second_put_of_stored_content_renames_nothing(tmp_path, monkeypatch):
+    """A file that already holds the content is kept, and only its directory
+    is fsynced: another process may have renamed it in without an fsync yet."""
+    artifacts = ArtifactStore(tmp_path / "artifacts")
+    digest = artifacts.put(b"run output")
+    calls = []
+    monkeypatch.setattr(os, "replace", lambda *args: calls.append(("replace", *args)))
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: calls.append(("fsync", _inode(os.fstat(fd))))
+                        or real_fsync(fd))
+    assert artifacts.put(b"run output") == digest
+    assert calls == [("fsync", _inode(artifacts.root.stat()))]
+
+
+@pytest.mark.parametrize("torn", [b"", b"run out", b"run outpux"])
+def test_a_torn_stored_artifact_is_replaced(tmp_path, torn):
+    artifacts = ArtifactStore(tmp_path / "artifacts")
+    digest = artifacts.put(b"run output")
+    (artifacts.root / digest.hex()).write_bytes(torn)
+    assert artifacts.put(b"run output") == digest
+    assert artifacts.get(digest) == b"run output"
+    assert os.listdir(artifacts.root) == [digest.hex()]
+
+
+def _init_with_temp_file(tmp_path, validator, customer, pid: int) -> Path:
+    """Plant `.validator_key.json.<pid>.tmp` in a store directory, run
+    `init` there, and return the planted file's path."""
+    genesis = tmp_path / "genesis.json"
+    genesis.write_text(make_genesis(validator, [(customer, 1000)]).to_json())
+    store = tmp_path / "store"
+    store.mkdir()
+    planted = store / f".validator_key.json.{pid}.tmp"
+    planted.write_text("a partly written key")
+    planted.chmod(0o600)
+    assert main(["init", "--store", str(store), "--genesis", str(genesis),
+                 "--validator-key", write_key(tmp_path / "validator.key", validator)]) == 0
+    return planted
+
+
+def test_init_removes_the_temporary_file_of_a_dead_process(tmp_path, capsys, validator,
+                                                          customer):
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait()  # reaped, so its pid names no process
+    planted = _init_with_temp_file(tmp_path, validator, customer, dead.pid)
+    assert not planted.exists()
+    assert not list(planted.parent.glob(".*.tmp"))
+
+
+def test_init_keeps_the_temporary_file_of_a_running_process(tmp_path, capsys, validator,
+                                                            customer):
+    sleeper = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+    try:
+        planted = _init_with_temp_file(tmp_path, validator, customer, sleeper.pid)
+        assert planted.read_text() == "a partly written key"
+    finally:
+        sleeper.kill()
+        sleeper.wait()
+
+
+def test_a_directory_is_swept_once_per_process(tmp_path, monkeypatch):
+    """Puts into a large artifacts directory do not each list it."""
+    artifacts = ArtifactStore(tmp_path / "artifacts")
+    artifacts.put(b"first")
+    listed = []
+    real_listdir = os.listdir
+    monkeypatch.setattr(os, "listdir", lambda path: listed.append(path) or real_listdir(path))
+    for i in range(5):
+        artifacts.put(b"run output %d" % i)
+    assert listed == []
+    assert len(real_listdir(artifacts.root)) == 6

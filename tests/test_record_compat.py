@@ -1,0 +1,139 @@
+"""Every record class that codec.record or codec.schema builds behaves as a
+frozen dataclass: a twin made with dataclasses.make_dataclass from the same
+fields and defaults (a `factory` as a default_factory) agrees on repr, ==, hash, deepcopy, pickle, dataclasses.fields, replace and
+asdict. Kept values such as `encoded` survive deepcopy and pickle."""
+
+import copy
+import dataclasses
+import importlib
+import pickle
+
+import pytest
+from hypothesis import given, strategies as st
+
+from testingplus.codec import factory
+from testingplus.metrics import LatencyStats, MetricsReport
+from testingplus.state import HistoryIndex
+
+from test_record_schema import BLOCKS, RECORDS, TRANSACTIONS
+
+MODULES = ["tx", "block", "state", "chain", "vm", "workflow", "consensus", "sim", "metrics"]
+
+
+def _record_classes():
+    out = []
+    for name in MODULES:
+        module = importlib.import_module(f"testingplus.{name}")
+        out += [cls for key, cls in vars(module).items()
+                if not key.startswith("_") and isinstance(cls, type)
+                and cls.__module__ == module.__name__ and "_fields" in vars(cls)]
+    return out
+
+
+CLASSES = _record_classes()
+
+
+def _field(default):
+    if isinstance(default, factory):
+        return dataclasses.field(default_factory=default.make)
+    return dataclasses.field(default=default)
+
+
+def _twin(cls):
+    fields = [(n, object, _field(vars(cls)[n])) if n in vars(cls) else (n, object)
+              for n in cls._fields]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+
+
+TWINS = {cls: _twin(cls) for cls in CLASSES}
+
+# hashable values that copy and pickle, as every record field holds
+VALUES = st.one_of(st.integers(-3, 2**64), st.binary(max_size=6), st.text(max_size=4),
+                   st.booleans(), st.none(), st.tuples(st.binary(max_size=3), st.booleans()))
+
+
+def test_every_record_class_is_found():
+    assert len(CLASSES) == 37
+    assert all(c.__hash__ is not None for c in CLASSES)
+
+
+@st.composite
+def instances(draw):
+    """A record class, the arguments its constructor took (its required
+    fields and some of its defaulted ones, by position), and a field value
+    to replace one field with."""
+    cls = draw(st.sampled_from(CLASSES))
+    required = sum(n not in vars(cls) for n in cls._fields)
+    args = draw(st.lists(VALUES, min_size=required, max_size=len(cls._fields)))
+    return cls, args, draw(VALUES)
+
+
+@given(instances())
+def test_a_record_agrees_with_its_dataclass_twin(case):
+    cls, args, new = case
+    rec, twin = cls(*args), TWINS[cls](*args)
+    assert repr(rec) == repr(twin)
+    assert rec == cls(*args) and (rec != cls(*args)) is False
+    assert rec != twin  # another class, as for two dataclasses
+    try:
+        expected = hash(tuple(getattr(twin, n) for n in cls._fields))
+    except TypeError:  # a factory default, such as a dict
+        for target in (rec, twin):
+            with pytest.raises(TypeError):
+                hash(target)
+    else:
+        assert hash(rec) == hash(twin) == expected
+    for other in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec)), copy.copy(rec)):
+        assert type(other) is cls and other == rec and repr(other) == repr(rec)
+    assert dataclasses.is_dataclass(rec) and dataclasses.is_dataclass(cls)
+    assert ([(f.name, f.default, f.default_factory) for f in dataclasses.fields(rec)]
+            == [(f.name, f.default, f.default_factory) for f in dataclasses.fields(twin)])
+    assert dataclasses.asdict(rec) == dataclasses.asdict(twin)
+    if cls._fields:
+        name = cls._fields[len(args) % len(cls._fields)]
+        replaced = rec.replace(**{name: new})
+        assert dataclasses.replace(rec, **{name: new}) == replaced
+        assert repr(replaced) == repr(dataclasses.replace(twin, **{name: new}))
+        unequal = getattr(twin, name) != new
+        assert (replaced != rec) == (dataclasses.replace(twin, **{name: new}) != twin) == unequal
+    with pytest.raises(TypeError):
+        rec.replace(not_a_field=1)
+
+
+@given(instances())
+def test_a_frozen_record_refuses_writes_as_its_twin_does(case):
+    cls, args, new = case
+    rec = cls(*args)
+    for target in (rec, TWINS[cls](*args)):
+        for name in (*cls._fields, "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(target, name, new)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(target, name)
+    assert repr(rec) == repr(cls(*args))
+
+
+def test_defaults_and_keywords_match_the_twin():
+    for cls in CLASSES:
+        required = [n for n in cls._fields if n not in vars(cls)]
+        kwargs = {n: i for i, n in enumerate(required)}
+        assert repr(cls(**kwargs)) == repr(TWINS[cls](**kwargs)), cls
+        with pytest.raises(TypeError):
+            cls(*range(len(cls._fields) + 1))
+
+
+@given(st.one_of(RECORDS, TRANSACTIONS, BLOCKS))
+def test_deepcopy_and_pickle_keep_the_kept_encoding(rec):
+    encoded = rec.encoded
+    for other in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert vars(other)["encoded"] == encoded
+        assert other == rec
+
+
+def test_a_factory_default_is_made_for_each_record():
+    assert HistoryIndex() == HistoryIndex({}, set(), set())
+    assert HistoryIndex().passed is not HistoryIndex().passed
+    args = ("d", 1, 1, 1, 0, 1.0, LatencyStats(), 1.0, 1, 1, False)
+    report = MetricsReport(*args)
+    assert report.per_node == [] and report.per_node is not MetricsReport(*args).per_node
+    assert report.replace(per_node=[{}]).per_node == [{}]

@@ -1,18 +1,16 @@
 """The record schema in codec: every state record, transaction, block
 header and block decodes back from the encoding its schema builds and keeps
 that encoding, every kind reads strictly, so that any bytes that decode are
-the canonical encoding of what they decode to, and the builder refuses a
-kind list that does not match the fields."""
-
-from dataclasses import dataclass
+the canonical encoding of what they decode to, and the builder refuses an
+unknown kind, a field named twice and a field that is also a kept value."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from testingplus import tx as tx_mod
 from testingplus.block import Block, BlockHeader, decode_chain, encode_chain
-from testingplus.codec import (BYTES, FLAG, U64, DecodeError, Reader, enc_bytes, flag, nested,
-                               record_json, schema)
+from testingplus.codec import (BYTES, FLAG, U64, DecodeError, Reader, enc_bytes, flag, kept,
+                               nested, record, record_json, schema)
 from testingplus.state import (
     AcceptanceTestState,
     AccountState,
@@ -39,7 +37,7 @@ RECORDS = st.one_of(
     st.builds(BlockHeader, U, B, B, B, U, B),
 )
 PAYLOADS = st.one_of([
-    st.builds(cls, *[U if kind == tx_mod.U64 else B for _, kind in cls.FIELDS])
+    st.builds(cls, *[U if kind == tx_mod.U64 else B for _, _, kind in cls.FIELDS])
     for cls in tx_mod.PAYLOAD_TYPES
 ])
 TRANSACTIONS = st.builds(tx_mod.Transaction, B, U, PAYLOADS, U, B)
@@ -103,15 +101,38 @@ def test_truncated_record_is_a_decode_error():
         CaseRecord.decode(Reader(encoded[:-1]))
 
 
-@pytest.mark.parametrize("kinds", [(U64,), (U64, BYTES, U64)])
-def test_kind_list_must_match_the_fields(kinds):
-    @dataclass(frozen=True)
-    class Pair:
-        a: int
-        b: bytes
+@pytest.mark.parametrize("kind", [int, "u64", (U64,), (b"", b""), (U64, BYTES)])
+def test_schema_refuses_an_unknown_kind(kind):
+    with pytest.raises(TypeError, match="'b': .* is not a kind"):
+        schema(0x01, a=U64, b=kind)
 
-    with pytest.raises(ValueError):
-        schema(0x01, *kinds)(Pair)
+
+def test_record_refuses_a_field_named_twice():
+    with pytest.raises(TypeError, match="a field is named twice"):
+        @record("a", "b", "a")
+        class Pair:
+            pass
+
+
+@pytest.mark.parametrize("name", ["_a", "a b", ""])
+def test_record_refuses_a_field_name_that_is_not_a_public_identifier(name):
+    with pytest.raises(TypeError, match="is not a public identifier"):
+        record("b", name)(type("Pair", (), {}))
+
+
+def test_record_refuses_a_kept_value_named_as_a_field():
+    with pytest.raises(TypeError, match=r"Pair\.b is both a field and a kept value"):
+        @record("a", "b")
+        class Pair:
+            @kept
+            def b(self):
+                return 1
+
+
+def test_schema_refuses_a_field_named_encoded():
+    """`encoded` is the kept encoding that the schema gives."""
+    with pytest.raises(TypeError, match="encoded is both a field and a kept value"):
+        schema(0x01, a=U64, encoded=BYTES)(type("Pair", (), {}))
 
 
 def test_header_has_no_tag():
