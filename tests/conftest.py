@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -14,6 +16,27 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def fixture_hex(name: str) -> bytes:
     return bytes.fromhex((FIXTURES / name).read_text().strip())
+
+
+# the keys of a trace or query result whose values are, or hash, a state root
+ROOT_KEYS = ("hash", "state_root", "head", "chain_digest", "state_delta_digest")
+
+
+def masked(value):
+    """`value`, a JSON value such as a trace event, with the value under
+    each of ROOT_KEYS, at any depth, replaced by "*": what a change to the
+    state root's definition alone must leave as it was."""
+    if isinstance(value, dict):
+        return {k: "*" if k in ROOT_KEYS else masked(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [masked(v) for v in value]
+    return value
+
+
+def masked_digest(events) -> bytes:
+    """SHA-256 of a trace's events, masked, in the form SimTrace.to_text writes."""
+    text = "".join(json.dumps(masked(e), sort_keys=True) + "\n" for e in events)
+    return hashlib.sha256(text.encode()).digest()
 
 
 class Actor:

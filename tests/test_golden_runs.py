@@ -5,6 +5,11 @@ plus every header's state root) and fixed simulator traces are reduced to
 one SHA-256 each and compared with digests pinned in `tests/fixtures/`. A
 change to execution, state encoding, hashing or message scheduling that
 alters any byte of any run fails here.
+
+Each run is also pinned with its state roots left out: the ledger run's
+receipts alone, and each trace with `conftest.masked` over it. A change to
+the state root's definition re-pins the full digests, and must leave these
+as they were: roots change no receipt, timing, message or event.
 """
 
 import hashlib
@@ -28,7 +33,7 @@ from testingplus.tx import (
 )
 from testingplus.vm import apply_transaction
 
-from conftest import Actor, fixture_hex, make_genesis
+from conftest import Actor, fixture_hex, make_genesis, masked_digest
 from oracles import manual_created_id
 
 VALIDATOR = Actor(b"\x11" * 32)
@@ -77,12 +82,13 @@ def _ledger_ops(rng, n_ops):
     return ops
 
 
-def ledger_run_digest(n_ops=150, seed=2024):
+def ledger_run_digest(n_ops=150, seed=2024, roots=True):
     """Blocks of 1-6 transactions from one op stream, every seventh block empty.
 
     Receipts carry no state root, so each block's transactions are replayed
     one by one on a copy of its pre-state, and the digest of each one's pre-
-    and post-state roots is folded in as receipts once carried it."""
+    and post-state roots is folded in as receipts once carried it. Without
+    `roots`, only the receipts are folded in."""
     rng = random.Random(seed)
     ops = _ledger_ops(rng, n_ops)
     chain = Chain(make_genesis(VALIDATOR, [(a, 500) for a in ACTORS]))
@@ -96,12 +102,13 @@ def ledger_run_digest(n_ops=150, seed=2024):
         block = chain.seal(block, [(VALIDATOR.address, VALIDATOR.secret)])
         appended = chain.append(block)
         assert staged == appended and len(appended) == len(txs)
-        acc.update(block.header.state_root)
+        if roots:
+            acc.update(block.header.state_root)
         for tx, rc in zip(txs, appended):
             assert apply_transaction(replay, tx, height=h, tick=3 * h) == rc
             post = replay.root()
             acc.update(rc.tx_hash + enc_bytes(rc.status.encode()) + enc_bytes(rc.reason)
-                       + hash256(pre + post))
+                       + (hash256(pre + post) if roots else b""))
             pre = post
         assert pre == block.header.state_root
     return acc.digest()
@@ -109,6 +116,10 @@ def ledger_run_digest(n_ops=150, seed=2024):
 
 def test_fixed_ledger_run_is_byte_identical():
     assert ledger_run_digest() == fixture_hex("ledger_run_digest.hex")
+
+
+def test_fixed_ledger_run_receipts_are_byte_identical():
+    assert ledger_run_digest(roots=False) == fixture_hex("ledger_run_receipts.hex")
 
 
 SIM_SCENARIO = {
@@ -146,6 +157,7 @@ def test_fixed_simulation_trace_is_byte_identical():
     trace = run_simulation(SimScenario.from_dict(SIM_SCENARIO))
     digest = hashlib.sha256(trace.to_text().encode()).digest()
     assert digest == fixture_hex("sim_trace_digest.hex")
+    assert masked_digest(trace.events) == fixture_hex("sim_trace_digest_masked.hex")
 
 
 def _pinned(**overrides):
@@ -195,3 +207,4 @@ def test_pinned_simulation_trace_is_byte_identical(name):
     trace = run_simulation(SimScenario.from_dict(PINNED_SCENARIOS[name]))
     digest = hashlib.sha256(trace.to_text().encode()).digest()
     assert digest == fixture_hex(f"sim_trace_{name}.hex")
+    assert masked_digest(trace.events) == fixture_hex(f"sim_trace_{name}_masked.hex")
