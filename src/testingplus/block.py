@@ -28,7 +28,6 @@ class Block:
         return self.replace(votes=tuple(votes))
 
 
-decode_block = Block.decode
 _write_frame, _read_frame = nested(Block)
 
 

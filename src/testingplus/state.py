@@ -1,8 +1,12 @@
 """World state: accounts, contract instances, and the test registry.
 
-The state root is the hash of a canonical serialization of every entry,
-sorted by (section, key), so two states with the same content always agree
-regardless of insertion order.
+The state root is the SHA-256 of a canonical serialization: first the
+history, every record that carries a `seq` (test cases, executions and
+feedbacks) in the order it was written, which for a state the VM built is
+ascending `seq`; then the accounts, customer agreements, developer
+agreements and acceptance tests, each section in key order. Two states
+with the same keyed entries and the same history agree, whatever order the
+keyed entries were written in.
 
 Each record type declares its tag and field kinds with codec.schema. Records
 are frozen: a change replaces the record, so each record computes its
@@ -10,23 +14,32 @@ canonical encoding once and keeps it.
 
 WorldState.put(record) is the only way to write the state. The record's type
 picks its section: a keyed record replaces the entry under its key, and the
-key is noted; an execution or feedback record is appended to its log. Each
-keyed section keeps its keys in key order beside their records' encodings,
-and the next read splices in only the noted keys' encodings, so a write
-costs in proportion to what it writes, not to the size of its section. A
-log's kept encoding stays a prefix of the log, so the next read encodes only
-the new records. Sections are read through read-only views, so a write that
-bypasses put() fails instead of leaving a stale root.
+key is noted; a history record is appended to the history, except a test
+case put under a case id the state holds, which is rewritten in its place.
+Each keyed section keeps its keys in key order beside their records'
+encodings, and the next read splices in only the noted keys' encodings, so
+a write costs in proportion to what it writes, not to the size of its
+section. The history only grows, so root() keeps a SHA-256 midstate over
+the history records already hashed and feeds in only the ones written
+since, then a copy of it the keyed sections: the root costs the new
+history and the keyed sections, not the whole history. Sections are read
+through read-only views, so a write that bypasses put() fails instead of
+leaving a stale root.
+
+copy() shares what it can: the history list, which each state reads only up
+to its own length and which a write past that length forks, and the keyed
+tables and the HistoryIndex, which the first write on either side copies.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from hashlib import sha256
 from operator import attrgetter
 from types import MappingProxyType
 
-from .codec import (BYTES, FLAG, U64, ZERO_HASH, DecodeError, Reader, factory, flag, hash256,
-                    record, schema)
+from .codec import (BYTES, FLAG, U64, ZERO_HASH, DecodeError, Reader, factory, flag, record,
+                    schema)
 
 VERDICT_PASS = "Pass"
 VERDICT_FAIL = "Fail"
@@ -84,148 +97,193 @@ class HistoryIndex:
 
     cases_by_contract, passed, exec_ids = factory(dict), factory(set), factory(set)
 
-    def add_case(self, case: TestCase) -> None:
-        contract = case.acceptance_contract
-        self.cases_by_contract[contract] = self.cases_by_contract.get(contract, ()) + (case.case_id,)
-
-    def add_execution(self, ex: ExecutionRecord) -> None:
-        self.exec_ids.add(ex.exec_id)
-        if ex.verdict == VERDICT_PASS:
-            self.passed.add(ex.case_id)
+    def add(self, rec) -> None:
+        if rec.__class__ is TestCase:
+            contract = rec.acceptance_contract
+            self.cases_by_contract[contract] = self.cases_by_contract.get(contract, ()) + (rec.case_id,)
+        elif rec.__class__ is ExecutionRecord:
+            self.exec_ids.add(rec.exec_id)
+            if rec.verdict == VERDICT_PASS:
+                self.passed.add(rec.case_id)
 
     def copy(self) -> "HistoryIndex":
         return HistoryIndex(dict(self.cases_by_contract), set(self.passed), set(self.exec_ids))
 
 
-# section name -> (record type, key field or None for an append-only log),
-# in serialization order
-_SECTIONS = {
+# keyed section name -> (record type, key field), in serialization order,
+# after the history
+_KEYED = {
     "accounts": (AccountState, "address"),
     "customer_agreements": (CustomerAgreementState, "contract_id"),
     "developer_agreements": (DeveloperAgreementState, "contract_id"),
     "acceptance_tests": (AcceptanceTestState, "contract_id"),
-    "test_cases": (TestCase, "case_id"),
-    "executions": (ExecutionRecord, None),
-    "feedbacks": (Feedback, None),
 }
-# record type -> (its section, the getter of its key or None)
-_SECTION_OF = {rtype: (name, key and attrgetter(key)) for name, (rtype, key) in _SECTIONS.items()}
+# record type -> its keyed section, or None for the history records, which
+# carry a `seq` and are serialized first, all together, in write order
+_SECTION_OF = {TestCase: None, ExecutionRecord: None, Feedback: None,
+               **{rtype: name for name, (rtype, _) in _KEYED.items()}}
+_KEY_OF = {name: attrgetter(key) for name, (_, key) in _KEYED.items()}
 # record tag -> record type
-_TYPE_OF_TAG = {rtype.TAG: rtype for rtype, _ in _SECTIONS.values()}
+_TYPE_OF_TAG = {rtype.TAG: rtype for rtype in _SECTION_OF}
 
 
 class WorldState:
-    """Every section is read through a read-only view named after it; put()
-    is the only write."""
+    """Every section is read through a read-only view named after it, and
+    the history through `history`; put() is the only write."""
 
-    __slots__ = ("_records", "_order", "_noted", "_encoded", "next_seq", "height", "_history")
+    __slots__ = ("_tables", "_index", "_owned", "_log", "_logged", "_mid", "_hashed", "_order",
+                 "_noted", "_encoded", "next_seq", "height")
 
     def __init__(self) -> None:
-        # section name -> its records: a dict by key, or a list in append order
-        self._records = {name: {} if key else [] for name, (_, key) in _SECTIONS.items()}
+        # keyed section name, or "test_cases", -> its records by key
+        self._tables = {name: {} for name in ("test_cases", *_KEYED)}
+        self._index: HistoryIndex | None = None
+        # the names of the tables, and "index", that no copy shares, so that
+        # this state may write them in place
+        self._owned = {"test_cases", *_KEYED, "index"}
+        # the history is self._log[:self._logged]: a copy shares the list,
+        # and a state appends in place only while it holds the whole list
+        self._log: list = []
+        self._logged = 0
+        # SHA-256 midstate over the first self._hashed history records
+        self._mid = sha256()
+        self._hashed = 0
         # keyed section name -> (its keys in key order, their records'
         # encodings in the same order), as of the last read; a read splices
         # into copies, so these lists are never changed and copies share them
-        self._order = {name: ([], []) for name, (_, key) in _SECTIONS.items() if key}
+        self._order = {name: ([], []) for name in _KEYED}
         # keyed section name -> the keys put since the last read, as dict keys
-        self._noted: dict[str, dict] = {name: {} for name in self._order}
-        # section name -> its kept joined encoding as of the last read; for a
-        # log, (that encoding, the number of records it covers)
-        self._encoded: dict = {name: b"" if key else (b"", 0) for name, (_, key) in _SECTIONS.items()}
+        self._noted: dict[str, dict] = {name: {} for name in _KEYED}
+        # keyed section name -> its kept joined encoding as of the last read
+        self._encoded = dict.fromkeys(_KEYED, b"")
         self.next_seq = 0
         self.height = 0  # last applied block height; not part of the root
-        self._history: HistoryIndex | None = None
 
     def put(self, record) -> None:
         """Write `record` into the section of its type: a keyed record
-        replaces the entry under its key, a log record is appended."""
+        replaces the entry under its key, a history record is appended (a
+        test case under a case id the state holds replaces it in place)."""
         try:
-            name, key_of = _SECTION_OF[type(record)]
+            name = _SECTION_OF[type(record)]
         except KeyError:
             raise TypeError(f"no section of the state holds a {type(record).__name__}") from None
-        records = self._records[name]
-        history = self._history
-        if key_of is None:
-            records.append(record)  # the kept encoding stays a prefix of the log
-            if history is not None and name == "executions":
-                history.add_execution(record)
+        if name is None:
+            self._put_history(record)
             return
-        key = key_of(record)
-        if history is not None and name == "test_cases":
-            if key in records:  # a replaced case may have moved contract: history() rescans
-                self._history = None
-            else:
-                history.add_case(record)
-        records[key] = record
+        key = _KEY_OF[name](record)
+        self._writable(name)[key] = record
         self._noted[name][key] = None
 
+    def _put_history(self, rec) -> None:
+        if rec.__class__ is TestCase:
+            cases = self._writable("test_cases")
+            old = cases.get(rec.case_id)
+            cases[rec.case_id] = rec
+            if old is not None:
+                # rewritten in place, below what the midstate may cover; the
+                # case may have moved contract, so history_index() rescans
+                log = self._log = self._log[:self._logged]
+                log[log.index(old)] = rec
+                self._mid, self._hashed = sha256(), 0
+                self._index = None
+                return
+        log = self._log
+        if len(log) != self._logged:  # a copy has appended to the shared list
+            log = self._log = log[:self._logged]
+        log.append(rec)
+        self._logged += 1
+        index = self._index
+        if index is not None and rec.__class__ is not Feedback:
+            if "index" not in self._owned:
+                index = self._index = index.copy()
+                self._owned.add("index")
+            index.add(rec)
+
+    def _writable(self, name: str) -> dict:
+        """The table `name`, copied first if a copy of this state shares it."""
+        table = self._tables[name]
+        if name not in self._owned:
+            table = self._tables[name] = table.copy()
+            self._owned.add(name)
+        return table
+
     def copy(self) -> "WorldState":
-        # records are frozen, so shallow container copies are enough, and
-        # kept bytes are immutable, so both states may hold them
+        # records are frozen and kept bytes immutable, so both states may hold
+        # them; the tables and the index are shared until either side writes
         clone = object.__new__(WorldState)
-        clone._records = {name: records.copy() for name, records in self._records.items()}
+        clone._tables = self._tables.copy()
+        clone._index = self._index
+        clone._owned = set()
+        self._owned.clear()
+        clone._log, clone._logged = self._log, self._logged
+        clone._mid, clone._hashed = self._mid.copy(), self._hashed
         clone._order = self._order.copy()
         clone._noted = {name: noted.copy() for name, noted in self._noted.items()}
         clone._encoded = self._encoded.copy()
         clone.next_seq = self.next_seq
         clone.height = self.height
-        clone._history = None if self._history is None else self._history.copy()
         return clone
 
-    def history(self) -> HistoryIndex:
+    def __deepcopy__(self, memo) -> "WorldState":
+        return self.copy()  # nothing a copy shares is written in place
+
+    def __getstate__(self) -> dict:
+        # a hashlib midstate cannot be pickled: the copy re-hashes its
+        # history on its first root()
+        state = {name: getattr(self, name) for name in self.__slots__
+                 if name not in ("_owned", "_mid", "_hashed")}
+        state["_log"] = self._log[:self._logged]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._owned = set()  # pickle keeps what states shared: copy on the first write
+        self._mid, self._hashed = sha256(), 0
+
+    def history_index(self) -> HistoryIndex:
         """The test-history lookups, kept in step by put() and rebuilt from
-        test_cases and executions after put() replaced a case."""
-        h = self._history
-        if h is None:
-            h = self._history = HistoryIndex()
-            for case in self._records["test_cases"].values():
-                h.add_case(case)
-            for ex in self._records["executions"]:
-                h.add_execution(ex)
-        return h
+        the history after put() replaced a case."""
+        index = self._index
+        if index is None:
+            index = self._index = HistoryIndex()
+            self._owned.add("index")
+            for rec in self._log[:self._logged]:
+                index.add(rec)
+        return index
+
+    @property
+    def history(self) -> tuple:
+        """The history records in the order they were written, read-only."""
+        return tuple(self._log[:self._logged])
 
     def account(self, address: bytes) -> AccountState | None:
-        return self._records["accounts"].get(address)
+        return self._tables["accounts"].get(address)
 
     # the account writes build the new record directly: replace() costs more
     def credit(self, address: bytes, amount: int) -> None:
-        acct = self._records["accounts"][address]
+        acct = self._tables["accounts"][address]
         self.put(AccountState(address, acct.balance + amount, acct.nonce))
 
     def debit(self, address: bytes, amount: int) -> None:
-        acct = self._records["accounts"][address]
+        acct = self._tables["accounts"][address]
         if acct.balance < amount:
             raise ValueError("balance underflow")
         self.put(AccountState(address, acct.balance - amount, acct.nonce))
 
     def bump_nonce(self, address: bytes) -> None:
-        acct = self._records["accounts"][address]
+        acct = self._tables["accounts"][address]
         self.put(AccountState(address, acct.balance, acct.nonce + 1))
 
-    def total_currency(self) -> int:
-        """Circulating balances plus funds held in acceptance-test escrow."""
-        return sum(a.balance for a in self._records["accounts"].values()) + sum(
-            t.escrow for t in self._records["acceptance_tests"].values()
-        )
-
     def _encoding(self, name: str) -> bytes:
-        """A section's canonical encoding: its records joined, a keyed
-        section's in key order. A keyed section splices in the encodings of
-        the keys put since the last read, in key order, so that each search
-        starts where the last one ended and in-order puts only append; a log
-        encodes only what was appended since the last read."""
-        records = self._records[name]
-        kept = self._encoded[name]
-        if name not in self._noted:
-            enc, count = kept
-            if count == len(records):
-                return enc
-            enc += b"".join([r.encoded for r in records[count:]])
-            self._encoded[name] = (enc, len(records))
-            return enc
+        """A keyed section's canonical encoding: its records joined in key
+        order. It splices in the encodings of the keys put since the last
+        read, in key order, so that each search starts where the last one
+        ended and in-order puts only append."""
         noted = self._noted[name]
         if not noted:
-            return kept
+            return self._encoded[name]
+        records = self._tables[name]
         keys, encs = (lst.copy() for lst in self._order[name])
         i = 0
         for key in sorted(noted):
@@ -241,10 +299,20 @@ class WorldState:
         return enc
 
     def serialize(self) -> bytes:
-        return b"".join([self._encoding(name) for name in _SECTIONS])
+        return b"".join([rec.encoded for rec in self._log[:self._logged]]
+                        + [self._encoding(name) for name in _KEYED])
 
     def root(self) -> bytes:
-        return hash256(self.serialize())
+        """SHA-256 of serialize(): the midstate takes in the history records
+        written since the last root, and a copy of it the keyed sections."""
+        n = self._logged
+        if self._hashed < n:
+            self._mid.update(b"".join([rec.encoded for rec in self._log[self._hashed:n]]))
+            self._hashed = n
+        digest = self._mid.copy()
+        for name in _KEYED:
+            digest.update(self._encoding(name))
+        return digest.digest()
 
     @classmethod
     def decode(cls, data: bytes) -> "WorldState":
@@ -262,22 +330,28 @@ class WorldState:
             rtype = _TYPE_OF_TAG.get(r.peek_u8())
             if rtype is None:
                 raise DecodeError(f"no section of the state holds tag 0x{r.peek_u8():02x}")
-            record = rtype.decode(r)
-            record.__dict__["encoded"] = data[start:r.pos]
-            state.put(record)
+            rec = rtype.decode(r)
+            rec.__dict__["encoded"] = data[start:r.pos]
+            state.put(rec)
         if state.serialize() != data:
             raise DecodeError("records out of serialization order, or repeated")
-        history = [*state.test_cases.values(), *state.executions, *state.feedbacks]
-        state.next_seq = 1 + max((rec.seq for rec in history), default=-1)
+        state.next_seq = 1 + max((rec.seq for rec in state._log), default=-1)
         return state
 
 
-def _view(name: str, read_only) -> property:
+def _table_view(name: str) -> property:
     # built on each read: a mappingproxy can be neither deep-copied nor pickled
-    return property(lambda self: read_only(self._records[name]),
+    return property(lambda self: MappingProxyType(self._tables[name]),
                     doc=f"The {name} section, read-only; write it through put().")
 
 
-for _name, (_, _key) in _SECTIONS.items():
-    setattr(WorldState, _name, _view(_name, MappingProxyType if _key else tuple))
-del _name, _key
+def _log_view(name: str, rtype) -> property:
+    return property(lambda self: tuple([r for r in self._log[:self._logged] if r.__class__ is rtype]),
+                    doc=f"The {name} section, in history order, read-only; write it through put().")
+
+
+for _name in ("test_cases", *_KEYED):
+    setattr(WorldState, _name, _table_view(_name))
+WorldState.executions = _log_view("executions", ExecutionRecord)
+WorldState.feedbacks = _log_view("feedbacks", Feedback)
+del _name

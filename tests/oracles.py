@@ -87,3 +87,10 @@ def rescan_compensation(blocks_payloads, tester, from_h, to_h, base, bonus):
     amount = base * executed + bonus * matched
     ppm = (1_000_000 * executed) // total if total else 0
     return executed, matched, amount, ppm
+
+
+def total_currency(state) -> int:
+    """Circulating balances plus funds held in acceptance-test escrow."""
+    return sum(a.balance for a in state.accounts.values()) + sum(
+        t.escrow for t in state.acceptance_tests.values()
+    )

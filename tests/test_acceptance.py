@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from testingplus.block import decode_block
+from testingplus.block import Block
 from testingplus.chain import Chain, CorruptChainError, verify_chain
 from testingplus.codec import DecodeError, Reader
 from testingplus.metrics import CSV_HEADER, SweepSpec, run_sweep
@@ -31,7 +31,7 @@ from testingplus.tx import (
 from testingplus.vm import apply_transaction, created_id
 
 from conftest import Actor, LocalChain, make_genesis
-from oracles import manual_created_id, rescan_compensation
+from oracles import manual_created_id, rescan_compensation, total_currency
 from test_vm import _apply_ops, _fresh_state, _random_workload
 
 VALIDATOR = Actor(b"\x11" * 32)
@@ -160,7 +160,7 @@ def test_criterion_2_tamper_evidence(capfd):
             enc[pos] ^= 1 << rng.randrange(8)
             try:
                 r = Reader(bytes(enc))
-                mutated = decode_block(r)
+                mutated = Block.decode(r)
                 r.expect_end()
             except DecodeError:
                 continue
@@ -220,11 +220,11 @@ def test_criterion_4_currency_conservation(capfd):
             rng = random.Random(40_000 + seed)
             actors = [Actor(bytes([i + 1]) * 32) for i in range(3)]
             state = _fresh_state(actors, [rng.randrange(2000) for _ in actors])
-            issuance = state.total_currency()
+            issuance = total_currency(state)
             ops = _random_workload(rng, actors, n_ops=30)
             for i in range(len(ops)):
                 _apply_ops(state, ops[i : i + 1])
-                assert state.total_currency() == issuance, (
+                assert total_currency(state) == issuance, (
                     f"conservation broken in run {seed} after op {i}"
                 )
 

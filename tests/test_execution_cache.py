@@ -4,12 +4,14 @@ checkpointed load verifies only the head's votes), and the per-block
 state work does not grow with chain height: the state is hashed once per
 block, to the root a transaction-by-transaction replay would reach."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from testingplus import chain as chain_mod
+from testingplus import state as state_mod
 from testingplus import tx as tx_mod
 from testingplus.block import build_block
 from testingplus.chain import Chain, ChainStore, CorruptChainError
@@ -25,7 +27,7 @@ from testingplus.vm import apply_transaction, created_id
 
 from conftest import Actor, make_genesis
 from test_golden_runs import ACTORS, _ledger_ops
-from test_state_encoding import LOGS, SECTIONS
+from test_state_encoding import KEYED
 
 VALIDATOR = Actor(b"\x11" * 32)
 CUSTOMER = Actor(b"\x22" * 32)
@@ -131,16 +133,15 @@ def test_stage_hands_out_no_cached_state():
     assert len(eng.chain.append(eng.seal(block))) == 3
 
 
-def test_state_serializations_per_block_flat_in_height(monkeypatch):
+def test_one_state_root_per_block(monkeypatch):
     eng = Engagement()
-    serialized = count_calls(monkeypatch, WorldState, "serialize")
+    roots = count_calls(monkeypatch, WorldState, "root")
     per_block = {}
-    while eng.chain.height < 60:
+    while eng.chain.height < 30:
         txs = eng.next_txs()
-        before = len(serialized)
+        before = len(roots)
         block = eng.append(txs)
-        per_block[block.header.height] = len(serialized) - before
-    assert per_block[10] == per_block[60]
+        per_block[block.header.height] = len(roots) - before
     # one state root per block, after its last transaction
     assert set(per_block.values()) == {1}
 
@@ -148,22 +149,62 @@ def test_state_serializations_per_block_flat_in_height(monkeypatch):
 def test_empty_block_hashes_no_state(monkeypatch):
     eng = Engagement()
     eng.append(eng.next_txs())
-    serialized = count_calls(monkeypatch, WorldState, "serialize")
+    roots = count_calls(monkeypatch, WorldState, "root")
     block = eng.append([])
-    assert len(serialized) == 0
+    assert len(roots) == 0
     assert block.header.state_root == eng.chain.state.root()
 
 
+class CountedSha256:
+    """hashlib.sha256 that adds the length of every input to `fed`."""
+
+    fed: list = []
+
+    def __init__(self, inner=None):
+        self.inner = inner or hashlib.sha256()
+
+    def update(self, data):
+        self.fed.append(len(data))
+        self.inner.update(data)
+
+    def copy(self):
+        return CountedSha256(self.inner.copy())
+
+    def digest(self):
+        return self.inner.digest()
+
+
+def test_history_hashed_per_block_is_what_the_block_adds(monkeypatch):
+    """A block's root feeds the hash the encodings of the history records
+    that block wrote, then the keyed sections: the history bytes hashed per
+    block do not grow with height."""
+    monkeypatch.setattr(state_mod, "sha256", CountedSha256)
+    eng = Engagement()
+    per_block = {}
+    while eng.chain.height < 40:
+        CountedSha256.fed = []
+        before = len(eng.chain.state.history)
+        block = eng.append(eng.next_txs())
+        state = eng.chain.state
+        added = sum(len(rec.encoded) for rec in state.history[before:])
+        keyed = sum(len(state._encoding(name)) for name in KEYED)
+        assert len(state.history) - before == 3
+        assert sum(CountedSha256.fed) == added + keyed
+        assert block.header.state_root == hashlib.sha256(state.serialize()).digest()
+        per_block[block.header.height] = added
+    assert per_block[40] == per_block[10]
+
+
 def rebuilt(state):
-    """A fresh state holding the same records, keyed ones put in reverse key order."""
+    """A fresh state holding the same records: keyed ones put in reverse key
+    order, then the history in its order."""
     fresh = WorldState()
-    for name in SECTIONS:
+    for name in KEYED:
         section = getattr(state, name)
         for key in sorted(section, reverse=True):
             fresh.put(section[key])
-    for name in LOGS:
-        for record in getattr(state, name):
-            fresh.put(record)
+    for record in state.history:
+        fresh.put(record)
     return fresh
 
 

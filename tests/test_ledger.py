@@ -190,9 +190,9 @@ def test_tamper_evidence_random_mutations(trials):
 
         try:
             r = Reader(bytes(enc))
-            from testingplus.block import decode_block
+            from testingplus.block import Block
 
-            mutated = decode_block(r)
+            mutated = Block.decode(r)
             r.expect_end()
         except DecodeError:
             continue  # undecodable bytes cannot even enter a chain

@@ -36,8 +36,30 @@ def lb(b):
     return struct.pack(">I", len(b)) + b
 
 
+def encode_history_record(r) -> bytes:
+    if isinstance(r, CaseRecord):
+        return (b"\xa5" + lb(r.case_id) + lb(r.acceptance_contract) + lb(r.author)
+                + lb(r.description) + lb(r.input_digest) + lb(r.expected_output_digest)
+                + u64(r.tick) + u64(r.block_height) + lb(r.tx_hash) + u64(r.seq))
+    if isinstance(r, ExecutionRecord):
+        return (b"\xa6" + lb(r.exec_id) + lb(r.case_id) + lb(r.tester)
+                + lb(r.actual_output_digest) + bytes([1 if r.verdict == VERDICT_PASS else 0])
+                + u64(r.tick) + u64(r.block_height) + lb(r.tx_hash) + u64(r.seq))
+    assert isinstance(r, Feedback)
+    return (b"\xa7" + lb(r.feedback_id) + lb(r.subject) + lb(r.author) + lb(r.body)
+            + u64(r.tick) + u64(r.block_height) + lb(r.tx_hash) + u64(r.seq))
+
+
 def reference_serialize(s: WorldState) -> bytes:
-    out = b""
+    """The history in the order it was written, then the keyed sections,
+    each in key order. The history view must hold exactly the records of
+    the three history sections, each section's in its own order."""
+    history = s.history
+    assert [r for r in history if isinstance(r, CaseRecord)] == list(s.test_cases.values())
+    assert tuple(r for r in history if isinstance(r, ExecutionRecord)) == s.executions
+    assert tuple(r for r in history if isinstance(r, Feedback)) == s.feedbacks
+    assert len(history) == len(s.test_cases) + len(s.executions) + len(s.feedbacks)
+    out = b"".join(encode_history_record(r) for r in history)
     for k in sorted(s.accounts):
         a = s.accounts[k]
         out += b"\xa1" + lb(a.address) + u64(a.balance) + u64(a.nonce)
@@ -53,18 +75,6 @@ def reference_serialize(s: WorldState) -> bytes:
                 + u64(t.testing_fee) + bytes([1 if t.is_test_completed else 0])
                 + u64(t.escrow) + u64(t.completed_tick) + u64(t.completed_height)
                 + lb(t.completed_tx_hash))
-    for k in sorted(s.test_cases):
-        c = s.test_cases[k]
-        out += (b"\xa5" + lb(c.case_id) + lb(c.acceptance_contract) + lb(c.author)
-                + lb(c.description) + lb(c.input_digest) + lb(c.expected_output_digest)
-                + u64(c.tick) + u64(c.block_height) + lb(c.tx_hash) + u64(c.seq))
-    for e in s.executions:
-        out += (b"\xa6" + lb(e.exec_id) + lb(e.case_id) + lb(e.tester)
-                + lb(e.actual_output_digest) + bytes([1 if e.verdict == VERDICT_PASS else 0])
-                + u64(e.tick) + u64(e.block_height) + lb(e.tx_hash) + u64(e.seq))
-    for f in s.feedbacks:
-        out += (b"\xa7" + lb(f.feedback_id) + lb(f.subject) + lb(f.author) + lb(f.body)
-                + u64(f.tick) + u64(f.block_height) + lb(f.tx_hash) + u64(f.seq))
     return out
 
 
@@ -93,22 +103,25 @@ SECTIONS = {
 
 
 LOGS = {"executions": executions, "feedbacks": feedbacks}
-RECORDS = {**{name: strat for name, (strat, _) in SECTIONS.items()}, **LOGS}  # serialization order
-
-
-@st.composite
-def world_states(draw):
-    state = WorldState()
-    for strat in RECORDS.values():
-        for record in draw(st.lists(strat, max_size=6)):
-            state.put(record)
-    return state
+RECORDS = {**{name: strat for name, (strat, _) in SECTIONS.items()}, **LOGS}
+# the keyed sections, serialized after the history, each in key order
+KEYED = ("accounts", "customer_agreements", "developer_agreements", "acceptance_tests")
 
 
 @st.composite
 def puts(draw):
     """A record of any section: a new key, a replaced key or a log append."""
     return draw(RECORDS[draw(st.sampled_from(list(RECORDS)))])
+
+
+@st.composite
+def world_states(draw):
+    """A state built by puts of every section in any order, so that the
+    history interleaves its three sections."""
+    state = WorldState()
+    for record in draw(st.lists(puts(), max_size=30)):
+        state.put(record)
+    return state
 
 
 @settings(max_examples=200, deadline=None)
@@ -142,7 +155,8 @@ def rekeyed(state, record, index=0):
 @given(world_states(), st.lists(st.tuples(puts(), st.booleans()), max_size=8))
 def test_history_lookups_follow_writes(state, writes):
     """The VM's lookups agree with a rescan after puts that add entries and
-    after puts that replace one and keep the section's size."""
+    after puts that replace one and keep the section's size, on the state
+    and on each copy taken along the way."""
     def rescan(s):
         by_contract = {}
         for c in s.test_cases.values():
@@ -151,14 +165,18 @@ def test_history_lookups_follow_writes(state, writes):
         return by_contract, passed, {e.exec_id for e in s.executions}
 
     def lookups(s):
-        h = s.history()
+        h = s.history_index()
         return {k: set(v) for k, v in h.cases_by_contract.items()}, h.passed, h.exec_ids
 
     assert lookups(state) == rescan(state)
+    clones = []
     for record, replacing in writes:
         state.put(rekeyed(state, record) if replacing else record)
-        clone = state.copy()
+        clones.append(state.copy())
         assert lookups(state) == rescan(state)
+        assert lookups(clones[-1]) == rescan(clones[-1])
+    # the later writes to the state changed no lookups its copies share
+    for clone in clones:
         assert lookups(clone) == rescan(clone)
 
 
@@ -168,13 +186,13 @@ def test_same_size_replacements_refresh_history():
     state = WorldState()
     state.put(case)
     state.put(run)
-    assert state.history().passed == set()
+    assert state.history_index().passed == set()
 
     state.put(replace(case, acceptance_contract=b"contract-b"))
-    assert state.history().cases_by_contract == {b"contract-b": (b"c1",)}
+    assert state.history_index().cases_by_contract == {b"contract-b": (b"c1",)}
     state.put(replace(case, acceptance_contract=b"contract-c"))
-    assert state.history().cases_by_contract == {b"contract-c": (b"c1",)}
-    assert state.copy().history() == state.history()
+    assert state.history_index().cases_by_contract == {b"contract-c": (b"c1",)}
+    assert state.copy().history_index() == state.history_index()
 
 
 @settings(max_examples=200, deadline=None)
@@ -185,18 +203,20 @@ def test_decode_reads_back_what_serialize_wrote(state):
     assert decoded.serialize() == data
     for name in RECORDS:
         assert getattr(decoded, name) == getattr(state, name)
-    seqs = [r.seq for r in (*state.test_cases.values(), *state.executions, *state.feedbacks)]
-    assert decoded.next_seq == max(seqs, default=-1) + 1
+    assert decoded.history == state.history
+    assert decoded.next_seq == max([r.seq for r in state.history], default=-1) + 1
 
 
 def test_decode_refuses_what_serialize_never_writes():
     a, b = (AccountState(bytes([i]) * 20, i, 0) for i in (1, 2))
     run = ExecutionRecord(b"e1", b"c1", b"t", b"o", VERDICT_FAIL, 2, 2, b"h", 0)
+    case = CaseRecord(b"c1", b"contract-a", b"u", b"d", b"i", b"o", 1, 1, b"h", 1)
     for data, message in [
+        (case.encode() + case.encode(), "records out of serialization order, or repeated"),
         (a.encode() + b"\xff", "no section of the state holds tag 0xff"),
         (b.encode() + a.encode(), "records out of serialization order, or repeated"),
         (a.encode() + a.encode(), "records out of serialization order, or repeated"),
-        (run.encode() + a.encode(), "records out of serialization order, or repeated"),
+        (a.encode() + run.encode(), "records out of serialization order, or repeated"),
         (a.encode()[:-1], "unexpected end of input"),
     ]:
         with pytest.raises(DecodeError, match=message):

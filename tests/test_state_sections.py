@@ -2,10 +2,11 @@
 
 Random sequences of puts (new keys, replaced keys, log appends) with reads
 in between must keep `serialize()` equal to the field-by-field reference
-encoder, on the state, its copies, deep copies and pickles. Every container
-mutator on a section view is refused and leaves the root as it was, and a
-transaction that touches neither the test registry nor the history leaves
-those sections' kept bytes as they were.
+encoder, and `root()` equal to its SHA-256, on the state, its copies, deep
+copies, pickles and decodes, with the history in the order it was written.
+Every container mutator on a section view is refused and leaves the root as
+it was, and a transaction that writes no history record feeds none of the
+history to the next root's hash.
 """
 
 import copy
@@ -15,7 +16,8 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from testingplus.state import WorldState
+from testingplus.state import (AccountState, ExecutionRecord, Feedback, TestCase as CaseRecord,
+                               WorldState)
 from testingplus.tx import DeployCustomerAgreement, SetTestingFee
 from testingplus.vm import apply_transaction, created_id
 
@@ -123,11 +125,66 @@ def test_deepcopy_and_pickle_round_trips_keep_the_root(state, before, after):
     for twin in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
         assert twin.root() == root
         assert_matches_reference(twin)
-        assert twin.history() == state.history()
+        assert twin.history_index() == state.history_index()
         for args in after:
             put(twin, *args)
             assert_matches_reference(twin)
     assert state.root() == root
+
+
+def test_states_pickled_together_do_not_share_writes():
+    """A pickle keeps what a state shares with its copy, so neither may
+    write a shared table in place."""
+    state = WorldState()
+    state.put(AccountState(b"a", 1, 0))
+    state, clone = pickle.loads(pickle.dumps((state, state.copy())))
+    assert state._tables["accounts"] is clone._tables["accounts"]
+    state.put(AccountState(b"b", 2, 0))
+    assert list(clone.accounts) == [b"a"]
+    assert_matches_reference(state)
+    assert_matches_reference(clone)
+
+
+TWINS = {
+    "copy": WorldState.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+    "decode": lambda s: WorldState.decode(s.serialize()),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(world_states(), st.lists(st.tuples(st.sampled_from(["put", *TWINS]), st.integers(0, 20),
+                                          puts(), st.booleans()), max_size=25))
+def test_root_hashes_serialize_through_copies_pickles_and_decodes(state, steps):
+    """States made from one another by copy, deepcopy, pickle and decode, and
+    written by put, each keep their own history in write order, and each
+    root is the SHA-256 of its serialization. A copy and a deep copy keep
+    the midstate, a pickle and a decode start it afresh, and a replaced test
+    case, rewritten in its place, resets it."""
+    states = [(state, list(state.history))]
+    for op, pick, (name, record, replacing, index), read in steps:
+        s, history = states[pick % len(states)]
+        if op == "put":
+            record = rekeyed(s, record, index) if replacing else record
+            old = s.test_cases.get(record.case_id) if isinstance(record, CaseRecord) else None
+            s.put(record)
+            if old is not None:
+                history[history.index(old)] = record
+                assert s._hashed == 0
+            elif isinstance(record, (CaseRecord, ExecutionRecord, Feedback)):
+                history.append(record)
+        else:
+            twin = TWINS[op](s)
+            assert twin._hashed == (s._hashed if op in ("copy", "deepcopy") else 0)
+            states.append((twin, list(history)))
+        assert s.history == tuple(history)
+        if read:  # the midstate then covers the whole history
+            assert_matches_reference(s)
+            assert s._hashed == len(history)
+    for s, history in states:
+        assert s.history == tuple(history)
+        assert_matches_reference(s)
 
 
 @settings(max_examples=20, deadline=None)
@@ -147,8 +204,8 @@ def test_every_write_past_put_is_refused(state, records):
 
 def test_transaction_outside_the_history_keeps_its_encodings():
     """A set_testing_fee writes accounts and customer agreements only, so the
-    test cases, executions and feedbacks keep the very same bytes objects:
-    the re-encoding per transaction does not grow with the test history."""
+    history is not written and the next root feeds none of it to the hash:
+    the work per transaction does not grow with the test history."""
     eng = Engagement()
     for _ in range(5):
         eng.append(eng.next_txs())
@@ -157,15 +214,15 @@ def test_transaction_outside_the_history_keeps_its_encodings():
     contract = created_id(deploy.payload, deploy.sender, deploy.nonce)
 
     state = eng.chain.state.copy()
-    history = ("test_cases", "executions", "feedbacks")
     written = ("accounts", "customer_agreements")
-    kept = {name: state._encoding(name) for name in history + written}
-    assert all(len(getattr(state, name)) == 5 for name in history)
+    kept = {name: state._encoding(name) for name in written}
+    history = state.history
+    assert len(history) == 15 and state._hashed == 15  # the head's root covered all of it
 
     receipt = apply_transaction(state, eng.tx(CUSTOMER, SetTestingFee(contract, 25)))
     assert receipt.ok
-    for name in history:
-        assert state._encoding(name) is kept[name]
+    state.root()
+    assert state.history == history and state._hashed == 15
     for name in written:
         assert state._encoding(name) != kept[name]
     assert_matches_reference(state)
