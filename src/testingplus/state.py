@@ -20,9 +20,9 @@ Each keyed section keeps its keys in key order beside their records'
 encodings, and the next read splices in only the noted keys' encodings, so
 a write costs in proportion to what it writes, not to the size of its
 section. The history only grows, so root() keeps a SHA-256 midstate over
-the history records already hashed and feeds in only the ones written
-since, then a copy of it the keyed sections: the root costs the new
-history and the keyed sections, not the whole history. Sections are read
+the history records already hashed, feeds it only the ones written since,
+and hashes a copy of it together with the keyed sections: a root costs the
+new history and the keyed sections, not the whole history. Sections are read
 through read-only views, so a write that bypasses put() fails instead of
 leaving a stale root.
 
@@ -304,7 +304,8 @@ class WorldState:
 
     def root(self) -> bytes:
         """SHA-256 of serialize(): the midstate takes in the history records
-        written since the last root, and a copy of it the keyed sections."""
+        written since the last root, and a copy of it then takes in the
+        keyed sections."""
         n = self._logged
         if self._hashed < n:
             self._mid.update(b"".join([rec.encoded for rec in self._log[self._hashed:n]]))
@@ -330,9 +331,9 @@ class WorldState:
             rtype = _TYPE_OF_TAG.get(r.peek_u8())
             if rtype is None:
                 raise DecodeError(f"no section of the state holds tag 0x{r.peek_u8():02x}")
-            rec = rtype.decode(r)
-            rec.__dict__["encoded"] = data[start:r.pos]
-            state.put(rec)
+            record = rtype.decode(r)
+            record.__dict__["encoded"] = data[start:r.pos]
+            state.put(record)
         if state.serialize() != data:
             raise DecodeError("records out of serialization order, or repeated")
         state.next_seq = 1 + max((rec.seq for rec in state._log), default=-1)
