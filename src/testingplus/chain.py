@@ -12,8 +12,7 @@ from pathlib import Path
 
 from .block import Block, BlockHeader, build_block, decode_chain, encode_chain, merkle_root
 from .codec import (BYTES, HASH_HEX, U64, U64_MAX, DecodeError, InputError, Reader,
-                    ZERO_ADDRESS, ZERO_HASH, enc_bytes, hash256, kept, list_of, obj, record, schema,
-                    uint)
+                    ZERO_ADDRESS, ZERO_HASH, hash256, kept, list_of, obj, record, schema, uint)
 from .keys import address_from_pubkey, sign, verify
 from .state import AccountState, WorldState
 from .tx import Transaction, verify_transaction
@@ -361,8 +360,9 @@ def checkpoint_state(genesis: GenesisConfig, data: bytes, blocks: list[Block],
     h = cp.height
     if not 0 < h < len(blocks):
         raise CorruptChainError(h, "no-such-block")
-    if (cp.chain_len != sum(len(enc_bytes(b.encoded)) for b in blocks[:h + 1])
-            or hash256(data[:cp.chain_len]) != cp.chain_digest):
+    # each block is stored as a 4-byte length prefix and its encoding
+    if (cp.chain_len != sum(4 + len(b.encoded) for b in blocks[:h + 1])
+            or hash256(memoryview(data)[:cp.chain_len]) != cp.chain_digest):
         raise CorruptChainError(h, "chain-digest-mismatch")
     for parent, block in zip(blocks, blocks[1:h + 1]):
         check_hashes(parent.header, block)

@@ -186,10 +186,9 @@ class _DataclassFields:
     def __get__(self, instance, owner):
         import dataclasses
 
-        defaults = {n: owner.__dict__.get(n, dataclasses.MISSING) for n in owner._fields}
         twin = dataclasses.make_dataclass(owner.__name__, [
-            (n, object, dataclasses.field(default_factory=d.make) if isinstance(d, factory)
-             else dataclasses.field(default=d)) for n, d in defaults.items()])
+            (n, object, dataclasses.field(default=owner.__dict__.get(n, dataclasses.MISSING)))
+            for n in owner._fields])
         owner.__dataclass_fields__ = twin.__dataclass_fields__
         return twin.__dataclass_fields__
 
@@ -197,24 +196,16 @@ class _DataclassFields:
 _DATACLASS_FIELDS = _DataclassFields()
 
 
-class factory:
-    """A record field's default made anew by `make()`, as a default_factory."""
-
-    def __init__(self, make):
-        self.make = make
-
-
 def record(*names: str):
     """Class decorator for a frozen record: fields `names`, in order, each
     defaulting to the class attribute of its name if the class body sets
-    one (a `factory` is called for each record). Gives the class `_fields`,
-    an `__init__` taking the fields by position or keyword, `__eq__` and
-    `__hash__` on the tuple of field values, a `__repr__` of
-    `Name(field=value, ...)`, `replace(**changes)`, and a `__setattr__` and
-    `__delattr__` that refuse. Instances keep their fields and `kept`
-    values in `__dict__`, so copy and pickle keep both. `__init__` and
-    `replace` are compiled from source made for the class: a generic
-    `*args` loop would double the cost of construction."""
+    one. Gives the class `_fields`, an `__init__` taking the fields by
+    position or keyword, `__eq__` and `__hash__` on the tuple of field
+    values, a `__repr__` of `Name(field=value, ...)`, `replace(**changes)`,
+    and a `__setattr__` and `__delattr__` that refuse. Instances keep their
+    fields and `kept` values in `__dict__`, so copy and pickle keep both.
+    `__init__` and `replace` are compiled from source made for the class: a
+    generic `*args` loop would double the cost of construction."""
 
     def build(cls):
         for name in names:
@@ -224,14 +215,11 @@ def record(*names: str):
                 raise TypeError(f"{cls.__name__}.{name} is both a field and a kept value")
         if len(set(names)) != len(names):
             raise TypeError(f"{cls.__name__}: a field is named twice")
-        made = {n for n in names if isinstance(cls.__dict__.get(n), factory)}
-        params = "".join(f", {n}=_M" if n in made else f", {n}=_d[{n!r}]" if n in cls.__dict__
-                         else f", {n}" for n in names)
+        params = "".join(f", {n}=_d[{n!r}]" if n in cls.__dict__ else f", {n}" for n in names)
         ns = {"_set": object.__setattr__, "_d": cls.__dict__, "_M": _REQUIRED}
         exec("\n".join([
             f"def __init__(self{params}):",
-            *[f" _set(self, {n!r}, _d[{n!r}].make() if {n} is _M else {n})" if n in made
-              else f" _set(self, {n!r}, {n})" for n in names],
+            *[f" _set(self, {n!r}, {n})" for n in names],
             " pass",
             f"def replace(self{', *' if names else ''}{''.join(f', {n}=_M' for n in names)}):",
             f" return self.__class__({', '.join(f'self.{n} if {n} is _M else {n}' for n in names)})",

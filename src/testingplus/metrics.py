@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import json
 
-from .codec import (InputError, csv_table, enc_u64, factory, hash256, list_of, obj, positive,
+from .codec import (InputError, csv_table, enc_u64, hash256, list_of, obj, positive,
                     record, record_json, text, uint)
 from .sim import CRASH_FAULTS, SimScenario, SimTrace, run_simulation
 
@@ -35,8 +35,6 @@ def _latency_stats(samples: list[int]) -> LatencyStats:
         "state_bytes", "truncated", "per_node")
 class MetricsReport:
     """`latency` is a LatencyStats; `per_node` a list of dicts."""
-
-    per_node = factory(list)
 
     def to_dict(self) -> dict:
         out = record_json(self)

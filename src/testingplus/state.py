@@ -14,21 +14,25 @@ canonical encoding once and keeps it.
 
 WorldState.put(record) is the only way to write the state. The record's type
 picks its section: a keyed record replaces the entry under its key, and the
-key is noted; a history record is appended to the history, except a test
-case put under a case id the state holds, which is rewritten in its place.
-Each keyed section keeps its keys in key order beside their records'
-encodings, and the next read splices in only the noted keys' encodings, so
-a write costs in proportion to what it writes, not to the size of its
-section. The history only grows, so root() keeps a SHA-256 midstate over
-the history records already hashed, feeds it only the ones written since,
-and hashes a copy of it together with the keyed sections: a root costs the
-new history and the keyed sections, not the whole history. Sections are read
-through read-only views, so a write that bypasses put() fails instead of
-leaving a stale root.
+key is noted; a history record is appended to the history, which only grows.
+Case ids come from (sender, nonce), so the VM never writes a case id twice,
+and a test case put under a case id the state holds is refused before
+anything is written. Each keyed section keeps its keys in key order beside
+their records' encodings, and the next read splices in only the noted keys'
+encodings, so a write costs in proportion to what it writes, not to the size
+of its section. Since the history only grows, root() keeps a SHA-256 midstate
+over the history records already hashed, feeds it only the ones written
+since, and hashes a copy of it together with the keyed sections: a root
+costs the new history and the keyed sections, not the whole history. put()
+also keeps the VM's lookups into the history as tables: the cases of each
+acceptance contract, the cases with a passing run, and the execution ids.
+Every table is read through a read-only view, so a write that bypasses put()
+fails instead of leaving a stale root or lookup.
 
 copy() shares what it can: the history list, which each state reads only up
-to its own length and which a write past that length forks, and the keyed
-tables and the HistoryIndex, which the first write on either side copies.
+to its own length and which a write past that length forks, and every table,
+which the first write on either side copies. A state cannot be pickled: its
+midstate is a hashlib object.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ from hashlib import sha256
 from operator import attrgetter
 from types import MappingProxyType
 
-from .codec import (BYTES, FLAG, U64, ZERO_HASH, DecodeError, Reader, factory, flag, record,
-                    schema)
+from .codec import BYTES, FLAG, U64, ZERO_HASH, DecodeError, Reader, flag, schema
 
 VERDICT_PASS = "Pass"
 VERDICT_FAIL = "Fail"
@@ -90,26 +93,6 @@ class Feedback:
     pass
 
 
-@record("cases_by_contract", "passed", "exec_ids")
-class HistoryIndex:
-    """Lookups the VM makes into the test history: the cases of each
-    acceptance contract, the cases with a passing run, and execution ids."""
-
-    cases_by_contract, passed, exec_ids = factory(dict), factory(set), factory(set)
-
-    def add(self, rec) -> None:
-        if rec.__class__ is TestCase:
-            contract = rec.acceptance_contract
-            self.cases_by_contract[contract] = self.cases_by_contract.get(contract, ()) + (rec.case_id,)
-        elif rec.__class__ is ExecutionRecord:
-            self.exec_ids.add(rec.exec_id)
-            if rec.verdict == VERDICT_PASS:
-                self.passed.add(rec.case_id)
-
-    def copy(self) -> "HistoryIndex":
-        return HistoryIndex(dict(self.cases_by_contract), set(self.passed), set(self.exec_ids))
-
-
 # keyed section name -> (record type, key field), in serialization order,
 # after the history
 _KEYED = {
@@ -123,24 +106,28 @@ _KEYED = {
 _SECTION_OF = {TestCase: None, ExecutionRecord: None, Feedback: None,
                **{rtype: name for name, (rtype, _) in _KEYED.items()}}
 _KEY_OF = {name: attrgetter(key) for name, (_, key) in _KEYED.items()}
+# every table of the state: the keyed sections, the test cases by case id,
+# and the VM's lookups into the history
+_TABLES = (*_KEYED, "test_cases", "cases_by_contract", "passed", "exec_ids")
 # record tag -> record type
 _TYPE_OF_TAG = {rtype.TAG: rtype for rtype in _SECTION_OF}
 
 
 class WorldState:
-    """Every section is read through a read-only view named after it, and
-    the history through `history`; put() is the only write."""
+    """Every table is read through a read-only view named after it, and the
+    history through `history`; put() is the only write."""
 
-    __slots__ = ("_tables", "_index", "_owned", "_log", "_logged", "_mid", "_hashed", "_order",
-                 "_noted", "_encoded", "next_seq", "height")
+    __slots__ = ("_tables", "_owned", "_log", "_logged", "_mid", "_hashed", "_order", "_noted",
+                 "_encoded", "next_seq", "height")
 
     def __init__(self) -> None:
-        # keyed section name, or "test_cases", -> its records by key
-        self._tables = {name: {} for name in ("test_cases", *_KEYED)}
-        self._index: HistoryIndex | None = None
-        # the names of the tables, and "index", that no copy shares, so that
-        # this state may write them in place
-        self._owned = {"test_cases", *_KEYED, "index"}
+        # table name -> its entries by key: the keyed sections, the test
+        # cases, and the VM's lookups (contract -> its case ids in history
+        # order; the passed case ids and the execution ids, as keys)
+        self._tables = {name: {} for name in _TABLES}
+        # the names of the tables that no copy shares, so that this state may
+        # write them in place
+        self._owned = set(_TABLES)
         # the history is self._log[:self._logged]: a copy shares the list,
         # and a state appends in place only while it holds the whole list
         self._log: list = []
@@ -161,8 +148,9 @@ class WorldState:
 
     def put(self, record) -> None:
         """Write `record` into the section of its type: a keyed record
-        replaces the entry under its key, a history record is appended (a
-        test case under a case id the state holds replaces it in place)."""
+        replaces the entry under its key, and a history record is appended
+        to the history. A test case under a case id the state holds raises
+        ValueError, and nothing is written."""
         try:
             name = _SECTION_OF[type(record)]
         except KeyError:
@@ -176,28 +164,22 @@ class WorldState:
 
     def _put_history(self, rec) -> None:
         if rec.__class__ is TestCase:
-            cases = self._writable("test_cases")
-            old = cases.get(rec.case_id)
-            cases[rec.case_id] = rec
-            if old is not None:
-                # rewritten in place, below what the midstate may cover; the
-                # case may have moved contract, so history_index() rescans
-                log = self._log = self._log[:self._logged]
-                log[log.index(old)] = rec
-                self._mid, self._hashed = sha256(), 0
-                self._index = None
-                return
+            if rec.case_id in self._tables["test_cases"]:
+                raise ValueError(f"the state holds test case {rec.case_id.hex()}: "
+                                 "the history is append-only")
+            self._writable("test_cases")[rec.case_id] = rec
+            by_contract = self._writable("cases_by_contract")
+            contract = rec.acceptance_contract
+            by_contract[contract] = by_contract.get(contract, ()) + (rec.case_id,)
+        elif rec.__class__ is ExecutionRecord:
+            self._writable("exec_ids")[rec.exec_id] = None
+            if rec.verdict == VERDICT_PASS:
+                self._writable("passed")[rec.case_id] = None
         log = self._log
         if len(log) != self._logged:  # a copy has appended to the shared list
             log = self._log = log[:self._logged]
         log.append(rec)
         self._logged += 1
-        index = self._index
-        if index is not None and rec.__class__ is not Feedback:
-            if "index" not in self._owned:
-                index = self._index = index.copy()
-                self._owned.add("index")
-            index.add(rec)
 
     def _writable(self, name: str) -> dict:
         """The table `name`, copied first if a copy of this state shares it."""
@@ -209,10 +191,9 @@ class WorldState:
 
     def copy(self) -> "WorldState":
         # records are frozen and kept bytes immutable, so both states may hold
-        # them; the tables and the index are shared until either side writes
+        # them; the tables are shared until either side writes
         clone = object.__new__(WorldState)
         clone._tables = self._tables.copy()
-        clone._index = self._index
         clone._owned = set()
         self._owned.clear()
         clone._log, clone._logged = self._log, self._logged
@@ -224,33 +205,12 @@ class WorldState:
         clone.height = self.height
         return clone
 
+    # copy.copy must not share the midstate, and nothing a copy shares is
+    # written in place, so a deep copy is a copy too
+    __copy__ = copy
+
     def __deepcopy__(self, memo) -> "WorldState":
-        return self.copy()  # nothing a copy shares is written in place
-
-    def __getstate__(self) -> dict:
-        # a hashlib midstate cannot be pickled: the copy re-hashes its
-        # history on its first root()
-        state = {name: getattr(self, name) for name in self.__slots__
-                 if name not in ("_owned", "_mid", "_hashed")}
-        state["_log"] = self._log[:self._logged]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._owned = set()  # pickle keeps what states shared: copy on the first write
-        self._mid, self._hashed = sha256(), 0
-
-    def history_index(self) -> HistoryIndex:
-        """The test-history lookups, kept in step by put() and rebuilt from
-        the history after put() replaced a case."""
-        index = self._index
-        if index is None:
-            index = self._index = HistoryIndex()
-            self._owned.add("index")
-            for rec in self._log[:self._logged]:
-                index.add(rec)
-        return index
+        return self.copy()
 
     @property
     def history(self) -> tuple:
@@ -333,7 +293,10 @@ class WorldState:
                 raise DecodeError(f"no section of the state holds tag 0x{r.peek_u8():02x}")
             record = rtype.decode(r)
             record.__dict__["encoded"] = data[start:r.pos]
-            state.put(record)
+            try:
+                state.put(record)
+            except ValueError as exc:  # a case id repeated
+                raise DecodeError("records out of serialization order, or repeated") from exc
         if state.serialize() != data:
             raise DecodeError("records out of serialization order, or repeated")
         state.next_seq = 1 + max((rec.seq for rec in state._log), default=-1)
@@ -341,9 +304,9 @@ class WorldState:
 
 
 def _table_view(name: str) -> property:
-    # built on each read: a mappingproxy can be neither deep-copied nor pickled
+    # built on each read: a mappingproxy cannot be deep-copied
     return property(lambda self: MappingProxyType(self._tables[name]),
-                    doc=f"The {name} section, read-only; write it through put().")
+                    doc=f"The {name} table, read-only; write it through put().")
 
 
 def _log_view(name: str, rtype) -> property:
@@ -351,7 +314,7 @@ def _log_view(name: str, rtype) -> property:
                     doc=f"The {name} section, in history order, read-only; write it through put().")
 
 
-for _name in ("test_cases", *_KEYED):
+for _name in _TABLES:
     setattr(WorldState, _name, _table_view(_name))
 WorldState.executions = _log_view("executions", ExecutionRecord)
 WorldState.feedbacks = _log_view("feedbacks", Feedback)

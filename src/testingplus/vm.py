@@ -169,8 +169,8 @@ def _complete_test(state: WorldState, tx: Transaction, height: int, tick: int) -
         raise _Revert(REASON_ONLY_DEVELOPER_COMPLETE)
     if t.escrow != t.testing_fee or (t.testing_fee == 0 and t.is_test_completed):
         raise _Revert(REASON_NOT_FUNDED)
-    history = state.history_index()
-    if any(c not in history.passed for c in history.cases_by_contract.get(t.contract_id, ())):
+    passed = state.passed
+    if any(c not in passed for c in state.cases_by_contract.get(t.contract_id, ())):
         raise _Revert(REASON_NOT_VERIFIED)
     state.credit(t.developer, t.escrow)
     state.put(t.replace(
@@ -207,7 +207,7 @@ def _post_feedback(state: WorldState, tx: Transaction, height: int, tick: int) -
     p = tx.payload
     if len(p.body_text) > MAX_TEXT_BYTES:
         raise _Revert(REASON_PAYLOAD_TOO_LARGE)
-    known = p.subject in state.test_cases or p.subject in state.history_index().exec_ids
+    known = p.subject in state.test_cases or p.subject in state.exec_ids
     if not known:
         raise _Revert(REASON_UNKNOWN_SUBJECT)
     _put_history(state, tx, height, tick, Feedback, p.subject, tx.sender, p.body_text)

@@ -129,6 +129,3 @@ class ArtifactStore:
         if hash256(data) != digest:
             raise ValueError(f"artifact {digest.hex()} fails its digest")
         return data
-
-    def has(self, digest: bytes) -> bool:
-        return (self.root / digest.hex()).exists()

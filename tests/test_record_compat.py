@@ -1,7 +1,8 @@
 """Every record class that codec.record or codec.schema builds behaves as a
 frozen dataclass: a twin made with dataclasses.make_dataclass from the same
-fields and defaults (a `factory` as a default_factory) agrees on repr, ==, hash, deepcopy, pickle, dataclasses.fields, replace and
-asdict. Kept values such as `encoded` survive deepcopy and pickle."""
+fields and defaults agrees on repr, ==, hash, deepcopy, pickle,
+dataclasses.fields, replace and asdict. Kept values such as `encoded`
+survive deepcopy and pickle."""
 
 import copy
 import dataclasses
@@ -10,10 +11,6 @@ import pickle
 
 import pytest
 from hypothesis import given, strategies as st
-
-from testingplus.codec import factory
-from testingplus.metrics import LatencyStats, MetricsReport
-from testingplus.state import HistoryIndex
 
 from test_record_schema import BLOCKS, RECORDS, TRANSACTIONS
 
@@ -33,15 +30,9 @@ def _record_classes():
 CLASSES = _record_classes()
 
 
-def _field(default):
-    if isinstance(default, factory):
-        return dataclasses.field(default_factory=default.make)
-    return dataclasses.field(default=default)
-
-
 def _twin(cls):
-    fields = [(n, object, _field(vars(cls)[n])) if n in vars(cls) else (n, object)
-              for n in cls._fields]
+    fields = [(n, object, dataclasses.field(default=vars(cls)[n])) if n in vars(cls)
+              else (n, object) for n in cls._fields]
     return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
 
 
@@ -53,7 +44,7 @@ VALUES = st.one_of(st.integers(-3, 2**64), st.binary(max_size=6), st.text(max_si
 
 
 def test_every_record_class_is_found():
-    assert len(CLASSES) == 37
+    assert len(CLASSES) == 36
     assert all(c.__hash__ is not None for c in CLASSES)
 
 
@@ -75,14 +66,7 @@ def test_a_record_agrees_with_its_dataclass_twin(case):
     assert repr(rec) == repr(twin)
     assert rec == cls(*args) and (rec != cls(*args)) is False
     assert rec != twin  # another class, as for two dataclasses
-    try:
-        expected = hash(tuple(getattr(twin, n) for n in cls._fields))
-    except TypeError:  # a factory default, such as a dict
-        for target in (rec, twin):
-            with pytest.raises(TypeError):
-                hash(target)
-    else:
-        assert hash(rec) == hash(twin) == expected
+    assert hash(rec) == hash(twin) == hash(tuple(getattr(twin, n) for n in cls._fields))
     for other in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec)), copy.copy(rec)):
         assert type(other) is cls and other == rec and repr(other) == repr(rec)
     assert dataclasses.is_dataclass(rec) and dataclasses.is_dataclass(cls)
@@ -129,11 +113,3 @@ def test_deepcopy_and_pickle_keep_the_kept_encoding(rec):
         assert vars(other)["encoded"] == encoded
         assert other == rec
 
-
-def test_a_factory_default_is_made_for_each_record():
-    assert HistoryIndex() == HistoryIndex({}, set(), set())
-    assert HistoryIndex().passed is not HistoryIndex().passed
-    args = ("d", 1, 1, 1, 0, 1.0, LatencyStats(), 1.0, 1, 1, False)
-    report = MetricsReport(*args)
-    assert report.per_node == [] and report.per_node is not MetricsReport(*args).per_node
-    assert report.replace(per_node=[{}]).per_node == [{}]

@@ -3,12 +3,13 @@
 Each record keeps its own canonical encoding; these tests check that the
 joined result is byte-for-byte the layout below, on random states built and
 edited through WorldState.put, and that the VM's history lookups follow
-those writes too.
+those writes too. The history is append-only: a test case put under a case
+id the state holds is refused, so the strategies put each case under a case
+id of its own.
 """
 
 import hashlib
 import struct
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,13 +115,24 @@ def puts(draw):
     return draw(RECORDS[draw(st.sampled_from(list(RECORDS)))])
 
 
+def fresh(state, record):
+    """`record`, or, for a test case, the case under a case id that `state`
+    does not hold: the VM never writes a case id twice, and put refuses it."""
+    if not isinstance(record, CaseRecord):
+        return record
+    case_id = record.case_id
+    while case_id in state.test_cases:
+        case_id += b"+"
+    return record.replace(case_id=case_id)
+
+
 @st.composite
 def world_states(draw):
     """A state built by puts of every section in any order, so that the
     history interleaves its three sections."""
     state = WorldState()
     for record in draw(st.lists(puts(), max_size=30)):
-        state.put(record)
+        state.put(fresh(state, record))
     return state
 
 
@@ -130,7 +142,7 @@ def test_serialize_matches_reference_encoder(state, records):
     assert state.serialize() == reference_serialize(state)
     snapshot = state.copy()
     for record in records:
-        state.put(record)
+        state.put(fresh(state, record))
         assert state.serialize() == reference_serialize(state)
         assert state.root() == hashlib.sha256(reference_serialize(state)).digest()
     # a copy taken before the writes is untouched by them
@@ -138,61 +150,71 @@ def test_serialize_matches_reference_encoder(state, records):
 
 
 def rekeyed(state, record, index=0):
-    """`record` moved under an existing key of its section (the index-th in
-    key order, wrapping), so that putting it replaces that entry; `record`
-    itself for a log record or an empty section."""
+    """`record` moved under an existing key of its keyed section (the
+    index-th in key order, wrapping), so that putting it replaces that
+    entry; else `fresh(state, record)`, as for a history record or an empty
+    section."""
     name = {AccountState: "accounts", CustomerAgreementState: "customer_agreements",
             DeveloperAgreementState: "developer_agreements",
-            AcceptanceTestState: "acceptance_tests", CaseRecord: "test_cases"}.get(type(record))
+            AcceptanceTestState: "acceptance_tests"}.get(type(record))
     keys = sorted(getattr(state, name)) if name else []
     if not keys:
-        return record
-    field = {"test_cases": "case_id", "accounts": "address"}.get(name, "contract_id")
-    return replace(record, **{field: keys[index % len(keys)]})
+        return fresh(state, record)
+    field = "address" if name == "accounts" else "contract_id"
+    return record.replace(**{field: keys[index % len(keys)]})
+
+
+def rescan(s):
+    """The VM's lookups worked out from the history alone."""
+    by_contract = {}
+    for r in s.history:
+        if isinstance(r, CaseRecord):
+            contract = r.acceptance_contract
+            by_contract[contract] = by_contract.get(contract, ()) + (r.case_id,)
+    passed = {e.case_id for e in s.executions if e.verdict == VERDICT_PASS}
+    return by_contract, passed, {e.exec_id for e in s.executions}
+
+
+def lookups(s):
+    return dict(s.cases_by_contract), set(s.passed), set(s.exec_ids)
 
 
 @settings(max_examples=100, deadline=None)
-@given(world_states(), st.lists(st.tuples(puts(), st.booleans()), max_size=8))
+@given(world_states(), st.lists(st.tuples(puts(), st.booleans(), st.integers(0, 20)), max_size=8))
 def test_history_lookups_follow_writes(state, writes):
-    """The VM's lookups agree with a rescan after puts that add entries and
-    after puts that replace one and keep the section's size, on the state
-    and on each copy taken along the way."""
-    def rescan(s):
-        by_contract = {}
-        for c in s.test_cases.values():
-            by_contract.setdefault(c.acceptance_contract, set()).add(c.case_id)
-        passed = {e.case_id for e in s.executions if e.verdict == VERDICT_PASS}
-        return by_contract, passed, {e.exec_id for e in s.executions}
-
-    def lookups(s):
-        h = s.history_index()
-        return {k: set(v) for k, v in h.cases_by_contract.items()}, h.passed, h.exec_ids
-
+    """The VM's lookups, read through their views, agree with a rescan after
+    puts that add entries and after puts that replace a keyed entry, on the
+    state and on copies of it, each written after copies were taken from
+    it: a write on either side of a copy changes no lookup of the other."""
+    states = [state]
     assert lookups(state) == rescan(state)
-    clones = []
-    for record, replacing in writes:
-        state.put(rekeyed(state, record) if replacing else record)
-        clones.append(state.copy())
-        assert lookups(state) == rescan(state)
-        assert lookups(clones[-1]) == rescan(clones[-1])
-    # the later writes to the state changed no lookups its copies share
-    for clone in clones:
-        assert lookups(clone) == rescan(clone)
+    for record, replacing, pick in writes:
+        s = states[pick % len(states)]
+        s.put(rekeyed(s, record) if replacing else fresh(s, record))
+        states.append(s.copy())
+        for t in states:
+            assert lookups(t) == rescan(t)
+    for name in ("cases_by_contract", "passed", "exec_ids"):
+        with pytest.raises(TypeError):
+            getattr(state, name)[b"k"] = ()
 
 
-def test_same_size_replacements_refresh_history():
-    case = CaseRecord(b"c1", b"contract-a", b"u", b"d", b"i", b"o", 1, 1, b"h", 0)
-    run = ExecutionRecord(b"e1", b"c1", b"t", b"o", VERDICT_FAIL, 2, 2, b"h", 1)
-    state = WorldState()
+@settings(max_examples=100, deadline=None)
+@given(world_states(), test_cases, test_cases)
+def test_a_repeated_case_id_is_refused(state, case, other):
+    """put of a test case under a case id the state holds raises and writes
+    nothing, on a state and on a copy that shares its tables: both keep
+    their serialization, root and lookups, and still share every table."""
+    case = fresh(state, case)
     state.put(case)
-    state.put(run)
-    assert state.history_index().passed == set()
-
-    state.put(replace(case, acceptance_contract=b"contract-b"))
-    assert state.history_index().cases_by_contract == {b"contract-b": (b"c1",)}
-    state.put(replace(case, acceptance_contract=b"contract-c"))
-    assert state.history_index().cases_by_contract == {b"contract-c": (b"c1",)}
-    assert state.copy().history_index() == state.history_index()
+    repeat = other.replace(case_id=case.case_id)
+    clone = state.copy()
+    for s in (state, clone):
+        before = s.serialize(), s.root(), lookups(s), s.history
+        with pytest.raises(ValueError, match="append-only"):
+            s.put(repeat)
+        assert (s.serialize(), s.root(), lookups(s), s.history) == before
+    assert all(state._tables[name] is clone._tables[name] for name in state._tables)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,7 +3,7 @@
 Random sequences of puts (new keys, replaced keys, log appends) with reads
 in between must keep `serialize()` equal to the field-by-field reference
 encoder, and `root()` equal to its SHA-256, on the state, its copies, deep
-copies, pickles and decodes, with the history in the order it was written.
+copies and decodes, with the history in the order it was written.
 Every container mutator on a section view is refused and leaves the root as
 it was, and a transaction that writes no history record feeds none of the
 history to the next root's hash.
@@ -22,8 +22,8 @@ from testingplus.tx import DeployCustomerAgreement, SetTestingFee
 from testingplus.vm import apply_transaction, created_id
 
 from test_execution_cache import CUSTOMER, Engagement
-from test_state_encoding import (LOGS, RECORDS, SECTIONS, reference_serialize, rekeyed,
-                                 world_states)
+from test_state_encoding import (LOGS, RECORDS, SECTIONS, fresh, lookups, reference_serialize,
+                                 rekeyed, world_states)
 
 # every way to write a dict or a list, as a caller would write it into a
 # section; `k` is a key or index and `r` a record of the section
@@ -49,14 +49,15 @@ def writes(name):
 @st.composite
 def puts(draw):
     """(section, record, replacing, index): with `replacing`, the record is
-    moved under an existing key of its section, if it has one, so that
-    putting it replaces that entry."""
+    moved under an existing key of its keyed section, if it has one, so that
+    putting it replaces that entry. A test case is put under a case id of
+    its own either way."""
     name = draw(st.sampled_from(list(RECORDS)))
     return name, draw(RECORDS[name]), draw(st.booleans()), draw(st.integers(0, 50))
 
 
 def put(state, name, record, replacing, index):
-    state.put(rekeyed(state, record, index) if replacing else record)
+    state.put(rekeyed(state, record, index) if replacing else fresh(state, record))
 
 
 def refused(state, name, write, record):
@@ -118,37 +119,34 @@ def test_clone_and_original_do_not_share_writes(state, clone_puts, original_puts
 
 @settings(max_examples=60, deadline=None)
 @given(world_states(), st.lists(puts(), max_size=6), st.lists(puts(), min_size=1, max_size=6))
-def test_deepcopy_and_pickle_round_trips_keep_the_root(state, before, after):
+def test_copies_and_deep_copies_keep_the_root(state, before, after):
     for args in before:
         put(state, *args)
     root = state.root()  # every kept encoding is filled
-    for twin in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+    for twin in (copy.copy(state), copy.deepcopy(state)):
         assert twin.root() == root
         assert_matches_reference(twin)
-        assert twin.history_index() == state.history_index()
+        assert lookups(twin) == lookups(state)
         for args in after:
             put(twin, *args)
             assert_matches_reference(twin)
     assert state.root() == root
 
 
-def test_states_pickled_together_do_not_share_writes():
-    """A pickle keeps what a state shares with its copy, so neither may
-    write a shared table in place."""
+def test_a_state_cannot_be_pickled():
+    """A state's midstate is a hashlib object, which pickle refuses, so no
+    pickle can drop it or share tables between states it was taken from."""
     state = WorldState()
     state.put(AccountState(b"a", 1, 0))
-    state, clone = pickle.loads(pickle.dumps((state, state.copy())))
-    assert state._tables["accounts"] is clone._tables["accounts"]
-    state.put(AccountState(b"b", 2, 0))
-    assert list(clone.accounts) == [b"a"]
-    assert_matches_reference(state)
-    assert_matches_reference(clone)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(TypeError, match="pickle"):
+            pickle.dumps(state, protocol)
 
 
 TWINS = {
     "copy": WorldState.copy,
+    "copy.copy": copy.copy,
     "deepcopy": copy.deepcopy,
-    "pickle": lambda s: pickle.loads(pickle.dumps(s)),
     "decode": lambda s: WorldState.decode(s.serialize()),
 }
 
@@ -156,27 +154,22 @@ TWINS = {
 @settings(max_examples=150, deadline=None)
 @given(world_states(), st.lists(st.tuples(st.sampled_from(["put", *TWINS]), st.integers(0, 20),
                                           puts(), st.booleans()), max_size=25))
-def test_root_hashes_serialize_through_copies_pickles_and_decodes(state, steps):
-    """States made from one another by copy, deepcopy, pickle and decode, and
-    written by put, each keep their own history in write order, and each
-    root is the SHA-256 of its serialization. A copy and a deep copy keep
-    the midstate, a pickle and a decode start it afresh, and a replaced test
-    case, rewritten in its place, resets it."""
+def test_root_hashes_serialize_through_copies_and_decodes(state, steps):
+    """States made from one another by copy, copy.copy, deepcopy and decode,
+    and written by put, each keep their own history in write order, and
+    each root is the SHA-256 of its serialization. The copies keep the
+    midstate, and a decode starts it afresh."""
     states = [(state, list(state.history))]
     for op, pick, (name, record, replacing, index), read in steps:
         s, history = states[pick % len(states)]
         if op == "put":
-            record = rekeyed(s, record, index) if replacing else record
-            old = s.test_cases.get(record.case_id) if isinstance(record, CaseRecord) else None
+            record = rekeyed(s, record, index) if replacing else fresh(s, record)
             s.put(record)
-            if old is not None:
-                history[history.index(old)] = record
-                assert s._hashed == 0
-            elif isinstance(record, (CaseRecord, ExecutionRecord, Feedback)):
+            if isinstance(record, (CaseRecord, ExecutionRecord, Feedback)):
                 history.append(record)
         else:
             twin = TWINS[op](s)
-            assert twin._hashed == (s._hashed if op in ("copy", "deepcopy") else 0)
+            assert twin._hashed == (0 if op == "decode" else s._hashed)
             states.append((twin, list(history)))
         assert s.history == tuple(history)
         if read:  # the midstate then covers the whole history
@@ -193,7 +186,7 @@ def test_every_write_past_put_is_refused(state, records):
     for name, record in records.items():
         for write in writes(name):
             refused(state, name, write, record)
-        state.put(record)  # so that the next pass sees the section non-empty
+        state.put(fresh(state, record))  # so that the next pass sees the section non-empty
         for write in writes(name):
             refused(state, name, write, record)
     with pytest.raises(TypeError):

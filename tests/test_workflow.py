@@ -237,7 +237,7 @@ class TestArtifactStore:
         digest = store.put(b"console log text")
         assert digest == hash256(b"console log text")
         assert store.get(digest) == b"console log text"
-        assert store.has(digest)
+        assert (store.root / digest.hex()).exists()
 
     def test_put_is_idempotent(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -258,14 +258,14 @@ class TestArtifactStore:
         store = ArtifactStore(tmp_path / "nowhere" / "artifacts")
         with pytest.raises(FileNotFoundError):
             store.get(hash256(b"never stored"))
-        assert not store.has(hash256(b"never stored"))
+        assert not (store.root / hash256(b"never stored").hex()).exists()
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_artifact(self, tmp_path):
         store = ArtifactStore(tmp_path)
         with pytest.raises(FileNotFoundError):
             store.get(hash256(b"never stored"))
-        assert not store.has(hash256(b"never stored"))
+        assert not (store.root / hash256(b"never stored").hex()).exists()
 
     def test_tampered_artifact_rejected(self, tmp_path):
         store = ArtifactStore(tmp_path)
