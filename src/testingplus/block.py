@@ -20,10 +20,33 @@ class BlockHeader:
         return hash256(self.encoded)
 
 
-# votes: (validator address, signature over the header hash) pairs
-@schema(None, header=inline(BlockHeader), transactions=seq(nested(Transaction)),
-        votes=seq(row(BYTES, BYTES)))
-class Block:
+# (validator address, signature over the header hash) pairs
+_VOTES = seq(row(BYTES, BYTES))
+
+
+class _TxHashes:
+    """The hashes of a block's transactions, computed on each read, so that
+    a copy of a block copies only its fields and encoding; a block that
+    `scan_chain` read has them in its `__dict__`, which a read finds first."""
+
+    def __get__(self, block, owner=None) -> list[bytes]:
+        return self if block is None else [tx.hash() for tx in block.transactions]
+
+
+class _Scanned:
+    """A block that `scan_chain` read lacks its transactions until they are
+    read; then they are decoded from its frame, strictly, and kept. Defined
+    in a base class, so that `record` does not take it for a default."""
+
+    @kept
+    def transactions(self) -> tuple[Transaction, ...]:
+        return Block.decode(Reader(self.encoded)).transactions
+
+
+@schema(None, header=inline(BlockHeader), transactions=seq(nested(Transaction)), votes=_VOTES)
+class Block(_Scanned):
+    tx_hashes = _TxHashes()
+
     def with_votes(self, votes) -> "Block":
         return self.replace(votes=tuple(votes))
 
@@ -43,6 +66,31 @@ def decode_chain(data: bytes) -> list[Block]:
     blocks = []
     while r.pos < len(data):
         blocks.append(_read_frame(r))
+    return blocks
+
+
+def scan_chain(data: bytes) -> list[Block]:
+    """The blocks of a stored chain, each frame read only as far as checking
+    its hashes and votes needs: the header, keeping the bytes it was read
+    from as its `encoded`; each transaction as the byte string that
+    `nested(Transaction)` reads, kept only as its hash in `tx_hashes`; and
+    the votes. A block keeps its frame as its `encoded`, and decodes its
+    transactions from it on their first read (`DecodeError` if they do not
+    decode strictly). Each frame must hold exactly that; raises `DecodeError`."""
+    _, read_votes = _VOTES
+    r = Reader(data)
+    blocks = []
+    while r.pos < len(data):
+        frame = r.read_bytes()
+        f = Reader(frame)
+        header = BlockHeader.decode(f)
+        vars(header)["encoded"] = frame[:f.pos]
+        tx_hashes = [hash256(f.read_bytes()) for _ in range(f.read_u64())]
+        votes = read_votes(f)
+        f.expect_end()
+        block = object.__new__(Block)  # its transactions left out, for _Scanned to read
+        vars(block).update(header=header, votes=votes, encoded=frame, tx_hashes=tx_hashes)
+        blocks.append(block)
     return blocks
 
 

@@ -10,7 +10,8 @@ import stat
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
-from .block import Block, BlockHeader, build_block, decode_chain, encode_chain, merkle_root
+from .block import (Block, BlockHeader, build_block, decode_chain, encode_chain, merkle_root,
+                    scan_chain)
 from .codec import (BYTES, HASH_HEX, U64, U64_MAX, DecodeError, InputError, Reader,
                     ZERO_ADDRESS, ZERO_HASH, hash256, kept, list_of, obj, record, schema, uint)
 from .keys import address_from_pubkey, sign, verify
@@ -172,7 +173,7 @@ def check_hashes(parent: BlockHeader, block: Block) -> None:
         raise CorruptChainError(h, "height-mismatch")
     if header.prev_hash != parent.hash():
         raise CorruptChainError(h, "link-mismatch")
-    if header.merkle_root != merkle_root([tx.hash() for tx in block.transactions]):
+    if header.merkle_root != merkle_root(block.tx_hashes):
         raise CorruptChainError(h, "merkle-mismatch")
 
 
@@ -224,7 +225,7 @@ def verify_chain(blocks: list[Block], validators: ValidatorSet, pubkeys: dict[by
     g = blocks[0]
     if g.header.height != 0 or g.header.prev_hash != ZERO_HASH:
         raise CorruptChainError(0, "bad genesis header")
-    if g.header.merkle_root != merkle_root([tx.hash() for tx in g.transactions]):
+    if g.header.merkle_root != merkle_root(g.tx_hashes):
         raise CorruptChainError(0, "merkle-mismatch")
     for parent, block in zip(blocks, blocks[1:]):
         check_block(parent.header, block, pubkeys, validators)
@@ -310,7 +311,7 @@ class Chain:
         self.state, receipts = self._execute_block(block)
         self._executed.clear()
         self.blocks.append(block)
-        self.committed_txs.update(tx.hash() for tx in block.transactions)
+        self.committed_txs.update(block.tx_hashes)
         return list(receipts)
 
     @classmethod
@@ -327,7 +328,7 @@ class Chain:
         if base is not None:
             chain.state = base
             chain.blocks = blocks[:base.height + 1]
-            chain.committed_txs.update(tx.hash() for b in chain.blocks for tx in b.transactions)
+            chain.committed_txs.update(h for b in chain.blocks for h in b.tx_hashes)
         for block in blocks[len(chain.blocks):]:
             chain.append(block)
         return chain
@@ -342,15 +343,16 @@ class Checkpoint:
 def checkpoint_state(genesis: GenesisConfig, data: bytes, blocks: list[Block],
                      record: bytes) -> WorldState:
     """The state a checkpoint record holds, if the stored chain `data`
-    (decoded as `blocks`) vouches for it; else `CorruptChainError` with the
-    reason. The record must decode strictly and name a block h after
-    genesis; the chain's first `chain_len` bytes must be exactly blocks
-    0..h and hash to `chain_digest`, so that no byte below h is unchecked,
-    votes included; blocks 1..h must pass `check_hashes`; block h must
-    carry a quorum of validator votes, which vouch for the headers below
-    it; and the state must hash to block h's state root and decode
-    strictly. Transaction signatures, votes below h and execution are not
-    checked again."""
+    (read as `blocks`, by `decode_chain` or `scan_chain`) vouches for it;
+    else `CorruptChainError` with the reason. The record must decode
+    strictly and name a block h after genesis; the chain's first
+    `chain_len` bytes must be exactly blocks 0..h and hash to
+    `chain_digest`, so that no byte below h is unchecked, votes included;
+    blocks 1..h must pass `check_hashes`, which reads only headers and
+    transaction hashes; block h must carry a quorum of validator votes,
+    which vouch for the headers below it; and the state must hash to block
+    h's state root and decode strictly. Transaction signatures, votes below
+    h and execution are not checked again."""
     try:
         r = Reader(record)
         cp = Checkpoint.decode(r)
@@ -497,7 +499,14 @@ class ChainStore:
         accepts it, else replayed from genesis; `checkpoint_note` says why
         an existing checkpoint.bin was not used. checkpoint.bin is read
         first: `save` replaces chain.bin first, so the chain.bin read after
-        it holds at least the blocks it describes."""
+        it holds at least the blocks it describes.
+
+        With a checkpoint, the chain is first read by `scan_chain`: blocks
+        up to the checkpoint are checked without decoding their
+        transactions, and only blocks above it are decoded, to be replayed.
+        If that read, a check or the replay fails, the load starts over
+        with every block decoded strictly, so that a corrupt store fails,
+        and notes its checkpoint, as a strict load does."""
         self.checkpoint_note = None
         try:
             genesis = GenesisConfig.from_dict(json.loads(self.genesis_path.read_text()))
@@ -508,6 +517,11 @@ class ChainStore:
         except FileNotFoundError:
             record = None
         data = self.chain_path.read_bytes()
+        if record is not None:
+            with suppress(DecodeError, CorruptChainError):
+                blocks = scan_chain(data)
+                return Chain.from_blocks(genesis, blocks,
+                                         checkpoint_state(genesis, data, blocks, record))
         try:
             blocks = decode_chain(data)
         except DecodeError as exc:

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .block import Block, merkle_proof
 from .chain import Chain, ChainStore, CorruptChainError, GenesisConfig, locked, replace_file
-from .codec import (ADDRESS_LEN, HASH_HEX, InputError, csv_table, hash256, hexbytes, list_of,
-                    obj, record_json, uint)
+from .codec import (ADDRESS_LEN, HASH_HEX, DecodeError, InputError, csv_table, hash256, hexbytes,
+                    list_of, obj, record_json, uint)
 from .keys import address_from_pubkey, generate_keypair
 from .state import VERDICT_PASS
 from .tx import OP_ENTRY, WORKLOAD_ENTRY, Transaction, payload_from_json, sign_transaction
@@ -421,7 +421,7 @@ def main(argv=None) -> int:
     except (UsageError, QueryError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE
-    except CorruptChainError as exc:
+    except (CorruptChainError, DecodeError) as exc:  # DecodeError: see block.scan_chain
         _log(f"store corruption: {exc}")
         return EXIT_CORRUPT
 

@@ -11,12 +11,13 @@ exactly the bytes its encoder writes, so those bytes are canonical.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import reprlib
 import struct
+from functools import cache
 from operator import attrgetter
+from types import FunctionType
 
 HASH_LEN = 32
 ADDRESS_LEN = 20
@@ -71,6 +72,10 @@ def enc_bytes(data: bytes) -> bytes:
     return struct.pack(">I", len(data)) + data
 
 
+_U32_AT = struct.Struct(">I").unpack_from
+_U64_AT = struct.Struct(">Q").unpack_from
+
+
 class Reader:
     """Cursor over a byte buffer for decoding canonical encodings."""
 
@@ -79,14 +84,18 @@ class Reader:
         self.pos = 0
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+        pos = self.pos
+        if pos + n > len(self.data):
             raise DecodeError("unexpected end of input")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        self.pos = pos + n
+        return self.data[pos : pos + n]
 
     def read_u8(self) -> int:
-        return self.take(1)[0]
+        pos = self.pos
+        if pos >= len(self.data):
+            raise DecodeError("unexpected end of input")
+        self.pos = pos + 1
+        return self.data[pos]
 
     def peek_u8(self) -> int:
         if self.pos >= len(self.data):
@@ -94,11 +103,21 @@ class Reader:
         return self.data[self.pos]
 
     def read_u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
+        pos = self.pos
+        if pos + 8 > len(self.data):
+            raise DecodeError("unexpected end of input")
+        self.pos = pos + 8
+        return _U64_AT(self.data, pos)[0]
 
     def read_bytes(self) -> bytes:
-        (n,) = struct.unpack(">I", self.take(4))
-        return self.take(n)
+        start = self.pos + 4
+        if start > len(self.data):
+            raise DecodeError("unexpected end of input")
+        end = start + _U32_AT(self.data, start - 4)[0]
+        if end > len(self.data):
+            raise DecodeError("unexpected end of input")
+        self.pos = end
+        return self.data[start:end]
 
     def expect_end(self) -> None:
         if self.pos != len(self.data):
@@ -196,6 +215,17 @@ class _DataclassFields:
 _DATACLASS_FIELDS = _DataclassFields()
 
 
+@cache
+def _init_template(n: int):
+    """An `__init__` that sets n fields, named f0, f1, ... both as its
+    parameters and as the constants it sets them under, compiled once per
+    field count for `record` to rename: its code and its globals."""
+    ns = {"_set": object.__setattr__}
+    exec("\n".join([f"def __init__(_self{''.join(f', f{i}' for i in range(n))}):",
+                    *[f" _set(_self, 'f{i}', f{i})" for i in range(n)], " pass"]), ns)
+    return ns["__init__"].__code__, ns
+
+
 def record(*names: str):
     """Class decorator for a frozen record: fields `names`, in order, each
     defaulting to the class attribute of its name if the class body sets
@@ -204,8 +234,12 @@ def record(*names: str):
     values, a `__repr__` of `Name(field=value, ...)`, `replace(**changes)`,
     and a `__setattr__` and `__delattr__` that refuse. Instances keep their
     fields and `kept` values in `__dict__`, so copy and pickle keep both.
-    `__init__` and `replace` are compiled from source made for the class: a
-    generic `*args` loop would double the cost of construction."""
+    `__init__` is the template compiled for the number of fields, its
+    parameter names and field-name constants swapped for the class's by
+    `CodeType.replace`: construction costs what source written for the
+    class would, and the import compiles no source per class, while a
+    generic `*args` loop would double the cost of construction. `replace`
+    is generic, as it runs only a few times per block."""
 
     def build(cls):
         for name in names:
@@ -215,15 +249,16 @@ def record(*names: str):
                 raise TypeError(f"{cls.__name__}.{name} is both a field and a kept value")
         if len(set(names)) != len(names):
             raise TypeError(f"{cls.__name__}: a field is named twice")
-        params = "".join(f", {n}=_d[{n!r}]" if n in cls.__dict__ else f", {n}" for n in names)
-        ns = {"_set": object.__setattr__, "_d": cls.__dict__, "_M": _REQUIRED}
-        exec("\n".join([
-            f"def __init__(self{params}):",
-            *[f" _set(self, {n!r}, {n})" for n in names],
-            " pass",
-            f"def replace(self{', *' if names else ''}{''.join(f', {n}=_M' for n in names)}):",
-            f" return self.__class__({', '.join(f'self.{n} if {n} is _M else {n}' for n in names)})",
-        ]), ns)
+        defaults = tuple(cls.__dict__[n] for n in names if n in cls.__dict__)
+        if any(n in cls.__dict__ for n in names[:len(names) - len(defaults)]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+        code, template_globals = _init_template(len(names))
+        renamed = {f"f{i}": n for i, n in enumerate(names)}
+        code = code.replace(co_varnames=("_self", *renamed.values()),
+                            co_consts=tuple(renamed.get(c, c) if type(c) is str else c
+                                            for c in code.co_consts))
+        init = FunctionType(code, template_globals, "__init__", defaults or None)
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
         # the tuple of a record's field values
         values = (attrgetter(*names) if len(names) > 1
                   else lambda rec: tuple([getattr(rec, n) for n in names]))
@@ -236,7 +271,18 @@ def record(*names: str):
         def __hash__(self):
             return hash(values(self))
 
-        cls.__init__, cls.replace = ns["__init__"], ns["replace"]
+        index = {n: i for i, n in enumerate(names)}
+
+        def replace(self, /, **changes):
+            fields = list(values(self))
+            for name, value in changes.items():
+                if name not in index:
+                    raise TypeError(f"{cls.__name__}.replace() got an unexpected keyword "
+                                    f"argument {name!r}")
+                fields[index[name]] = value
+            return cls(*fields)
+
+        cls.__init__, cls.replace = init, replace
         cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, _repr
         cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
         cls._fields = names
@@ -372,6 +418,8 @@ def record_json(rec) -> dict:
 def csv_table(header, rows) -> str:
     """An RFC-4180 CSV table: the header row, then the rows, each line
     ending in a newline."""
+    import csv  # only CSV output needs it: a command that writes none does not import it
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)

@@ -7,7 +7,11 @@ survive deepcopy and pickle."""
 import copy
 import dataclasses
 import importlib
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +45,37 @@ TWINS = {cls: _twin(cls) for cls in CLASSES}
 # hashable values that copy and pickle, as every record field holds
 VALUES = st.one_of(st.integers(-3, 2**64), st.binary(max_size=6), st.text(max_size=4),
                    st.booleans(), st.none(), st.tuples(st.binary(max_size=3), st.booleans()))
+
+
+def test_the_cli_import_compiles_one_init_per_field_count():
+    """`record` renames one compiled `__init__` per number of fields rather
+    than compiling source for each class: in a fresh interpreter, an audit
+    hook counts the compiles of generated source that the package makes
+    while `import testingplus.cli` runs (the standard library's, such as
+    namedtuple's, depend on what the interpreter imported at start)."""
+    script = """if True:
+        import sys
+        compiles = []
+
+        def hook(event, args):
+            if event == "compile" and args[1] == "<string>":
+                caller = sys._getframe(1).f_globals.get("__name__", "")
+                if caller.startswith("testingplus"):
+                    compiles.append(caller)
+
+        sys.addaudithook(hook)
+        import testingplus.cli
+        classes = {c for name, m in list(sys.modules.items()) if name.startswith("testingplus")
+                   for c in vars(m).values() if isinstance(c, type) and "_fields" in vars(c)}
+        print(len(compiles), len({len(c._fields) for c in classes}), len(classes))
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True).stdout
+    compiles, field_counts, classes = map(int, out.split())
+    assert classes >= 20
+    assert compiles <= field_counts < classes
 
 
 def test_every_record_class_is_found():

@@ -7,6 +7,7 @@ one after another."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -16,11 +17,13 @@ from pathlib import Path
 import pytest
 
 from testingplus import chain as chain_mod
-from testingplus.block import Block, decode_chain, encode_chain
+from testingplus.block import Block, BlockHeader, decode_chain, encode_chain, merkle_proof
 from testingplus.chain import Chain, ChainStore, Checkpoint, CorruptChainError, locked
 from testingplus.cli import main
-from testingplus.codec import DecodeError, Reader, hash256
+from testingplus.codec import DecodeError, Reader, enc_bytes, enc_u64, hash256
+from testingplus.keys import sign
 from testingplus.state import AccountState, WorldState
+from testingplus.tx import Transaction
 
 from conftest import Actor
 from test_cli import env, submit  # noqa: F401  (env is a fixture)
@@ -92,6 +95,83 @@ def test_load_uses_the_checkpoint_and_matches_the_replay(tmp_path, height):
     assert outcome(lambda: loaded) == outcome(lambda: chain)
     assert loaded.blocks == chain.blocks
     assert loaded.committed_txs == chain.committed_txs
+
+
+@pytest.mark.parametrize("height", [None, 6], ids=["at-head", "below-head"])
+def test_every_block_and_proof_a_command_reads_is_the_decoded_block(tmp_path, height, capsys):
+    """A load from the checkpoint leaves the transactions below it undecoded
+    until they are read: every block and proof that it gives, and that
+    `query` prints, is the one that the strictly decoded chain gives."""
+    store, _ = built_store(tmp_path, height)
+    strict = decode_chain(store.chain_path.read_bytes())
+    loaded = store.load()
+    assert store.checkpoint_note is None
+    replay = tmp_path / "replay"  # the same store without its checkpoint: loaded strictly
+    shutil.copytree(store.root, replay)
+    (replay / "checkpoint.bin").unlink()
+    for h, block in enumerate(strict):
+        assert type(loaded.blocks[h]) is Block and loaded.blocks[h] == block
+        queries = [["block", str(h)]]
+        for i in range(len(block.transactions)):
+            assert merkle_proof(loaded.blocks[h], i) == merkle_proof(block, i)
+            queries.append(["proof", str(h), str(i)])
+        for query in queries:
+            assert main(["query", "--store", str(store.root), *query]) == 0
+            out, err = capsys.readouterr()
+            assert main(["query", "--store", str(replay), *query]) == 0
+            assert capsys.readouterr() == (out, err) and err == ""
+
+
+@pytest.mark.parametrize("height", [None, 6], ids=["at-head", "below-head"])
+def test_a_checkpointed_load_decodes_only_the_transactions_above_it(tmp_path, height,
+                                                                    monkeypatch):
+    """Transactions are decoded for the blocks above the checkpoint, which
+    the load replays, and for no block below it until they are read."""
+    store, eng = built_store(tmp_path, height)
+    decoded = []
+    real = Transaction.decode
+
+    def counted(r):
+        tx = real(r)
+        decoded.append(tx.hash())
+        return tx
+
+    monkeypatch.setattr(Transaction, "decode", staticmethod(counted))
+    loaded = store.load()
+    above = eng.chain.blocks[(height or 10) + 1:]
+    assert store.checkpoint_note is None
+    assert decoded == [tx.hash() for b in above for tx in b.transactions]
+    assert loaded.committed_txs == eng.chain.committed_txs
+    # a block below the checkpoint decodes its transactions on their first read
+    before = len(decoded)
+    assert loaded.blocks[3].transactions == eng.chain.blocks[3].transactions
+    assert decoded[before:] == [tx.hash() for tx in eng.chain.blocks[3].transactions]
+
+
+def test_a_sealed_undecodable_transaction_below_the_checkpoint_fails_when_read(tmp_path,
+                                                                               capsys):
+    """Below the checkpoint a transaction is checked by its hash alone, which
+    the validator's votes on block h vouch for. A block that the validator
+    sealed over bytes that are no transaction therefore loads from the
+    checkpoint, and the command that reads those bytes exits 3, as every
+    command does on a strict load."""
+    store, eng = built_store(tmp_path)
+    genesis = eng.chain.genesis
+    junk = b"not a transaction"
+    header = BlockHeader(1, eng.chain.blocks[0].header.hash(), hash256(junk),
+                         genesis.genesis_state().root(), 1, VALIDATOR.address)
+    vote = enc_bytes(VALIDATOR.address) + enc_bytes(sign(VALIDATOR.secret, header.hash()))
+    block = header.encode() + enc_u64(1) + enc_bytes(junk) + enc_u64(1) + vote
+    data = encode_chain(eng.chain.blocks[:1]) + enc_bytes(block)
+    store.chain_path.write_bytes(data)
+    store.checkpoint_path.write_bytes(
+        Checkpoint(1, len(data), hash256(data), genesis.genesis_state().serialize()).encode())
+    assert main(["query", "--store", str(store.root), "state"]) == 0
+    assert main(["query", "--store", str(store.root), "block", "1"]) == 3
+    assert "store corruption: " in capsys.readouterr().err
+    store.checkpoint_path.unlink()
+    assert main(["query", "--store", str(store.root), "state"]) == 3
+    assert "undecodable" in capsys.readouterr().err
 
 
 def test_every_flipped_chain_byte_loads_as_the_replay(saved):
@@ -201,6 +281,23 @@ def test_forged_prefix_with_recomputed_digest_is_ignored(tmp_path, forgery):
     store.checkpoint_path.write_bytes(cp.encode())
     assert outcome(store.load) == replayed(eng.chain.genesis, data) == ("corrupt", 3, want[0])
     assert store.checkpoint_note == want[1]
+
+
+def test_padded_frame_below_the_checkpoint_with_recomputed_digest_is_undecodable(tmp_path):
+    """A forger pads a frame below the checkpoint after its votes, where no
+    hash reaches, and writes a checkpoint whose digest matches: the load
+    that starts from the checkpoint reads every frame to its end, so it
+    fails as the strict decode does."""
+    store, eng = built_store(tmp_path)
+    cp = Checkpoint.decode(Reader(store.checkpoint_path.read_bytes()))
+    frames = [enc_bytes(b.encoded) for b in eng.chain.blocks]
+    frames[3] = enc_bytes(eng.chain.blocks[3].encoded + b"junk")
+    data = b"".join(frames)
+    store.chain_path.write_bytes(data)
+    store.checkpoint_path.write_bytes(
+        replace(cp, chain_len=len(data), chain_digest=hash256(data)).encode())
+    want = ("corrupt", 0, "undecodable: 4 trailing bytes")
+    assert outcome(store.load) == replayed(eng.chain.genesis, data) == want
 
 
 class Crash(BaseException):
