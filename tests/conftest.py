@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -37,6 +38,29 @@ def masked_digest(events) -> bytes:
     """SHA-256 of a trace's events, masked, in the form SimTrace.to_text writes."""
     text = "".join(json.dumps(masked(e), sort_keys=True) + "\n" for e in events)
     return hashlib.sha256(text.encode()).digest()
+
+
+# each of ROOT_KEYS as json.dumps writes it as a key; a quote inside a string
+# value is escaped, so only a key can match
+_ROOT_KEY_TEXT = re.compile("|".join(f'"{k}": ' for k in ROOT_KEYS))
+
+
+class TraceDigests:
+    """Running SHA-256 over many traces, in the form SimTrace.to_text writes
+    them: `full` of the events, `masked` of the events with `masked` over
+    them, as `masked_digest` reads one trace. A line holding no key of
+    ROOT_KEYS is its own masked form, so only the rest are masked anew."""
+
+    def __init__(self):
+        self.full, self.masked = hashlib.sha256(), hashlib.sha256()
+
+    def update(self, events) -> None:
+        encode = json.JSONEncoder(sort_keys=True).encode  # as json.dumps(e, sort_keys=True)
+        has_root = _ROOT_KEY_TEXT.search
+        full = [encode(e) for e in events]
+        plain = [encode(masked(e)) if has_root(line) else line for e, line in zip(events, full)]
+        self.full.update(("\n".join(full) + "\n").encode())
+        self.masked.update(("\n".join(plain) + "\n").encode())
 
 
 class Actor:

@@ -30,7 +30,7 @@ from testingplus.tx import (
 )
 from testingplus.vm import apply_transaction, created_id
 
-from conftest import Actor, LocalChain, make_genesis
+from conftest import Actor, LocalChain, TraceDigests, fixture_hex, make_genesis
 from oracles import manual_created_id, rescan_compensation, total_currency
 from test_vm import _apply_ops, _fresh_state, _random_workload
 
@@ -270,10 +270,15 @@ def _random_fault_scenario(seed):
 
 
 def test_criterion_5_consensus_safety_liveness(capfd):
+    # every byte of the 200 traces, in order, full and masked: a change to
+    # message scheduling that alters any of them fails here
+    digests = TraceDigests()
+
     def body():
         for seed in range(200):
             scenario = SimScenario.from_dict(_random_fault_scenario(seed))
             trace = run_simulation(scenario)
+            digests.update(trace.events)
             by_height = {}
             for e in trace.events:
                 if e["type"] == "commit":
@@ -291,6 +296,8 @@ def test_criterion_5_consensus_safety_liveness(capfd):
             )
 
     run_criterion("5 consensus safety+liveness (200 scenarios)", 300.0, body, capfd)
+    assert digests.full.digest() == fixture_hex("sim_trace_criterion5.hex")
+    assert digests.masked.digest() == fixture_hex("sim_trace_criterion5_masked.hex")
 
 
 # -- criterion 6: workflow oracle equivalence --------------------------------

@@ -202,6 +202,75 @@ PINNED_SCENARIOS = {
 }
 
 
+
+def _engagement(k, base, tag):
+    """The 17 entries of one acceptance-test engagement (stream index `base`
+    on): customer k % 2, developer 2 + k % 2 and tester 4 + k % 2 set fees
+    and rewards, register two cases, fail and pass each, leave feedback on
+    each case and passing run, and complete."""
+    c, d, t = k % 2, 2 + k % 2, 4 + k % 2
+    fee = 50 + 7 * k
+    out = [
+        {"op": "deploy_customer_agreement", "sender": c},
+        {"op": "set_testing_fee", "sender": c, "contract": {"ref": base}, "fee": fee},
+        {"op": "deploy_developer_agreement", "sender": d},
+        {"op": "set_reward", "sender": d, "contract": {"ref": base + 2}, "amount": 10 + k},
+        {"op": "deploy_acceptance_test", "sender": c, "customer": c, "developer": d,
+         "fee": fee},
+        {"op": "initiate_test", "sender": c, "contract": {"ref": base + 4}, "value": fee},
+    ]
+    for case in range(2):
+        i, label = base + len(out), f"{tag}-{k}-{case}"
+        out += [
+            {"op": "register_test_case", "sender": t, "contract": {"ref": base + 4},
+             "description": f"case {label}", "input": f"input {label}",
+             "expected_output": f"expected {label}"},
+            {"op": "record_execution", "sender": t, "case": {"ref": i},
+             "actual_output": f"wrong {label}"},
+            {"op": "record_execution", "sender": t, "case": {"ref": i},
+             "actual_output": f"expected {label}"},
+            {"op": "post_feedback", "sender": c, "subject": {"ref": i},
+             "body": f"case note {label}"},
+            {"op": "post_feedback", "sender": d, "subject": {"ref": i + 2},
+             "body": f"run note {label}"},
+        ]
+    out.append({"op": "complete_test", "sender": d, "contract": {"ref": base + 4}})
+    return out
+
+
+def _fault_shape(seed, n, sides, ticks, crash, engagements, tag):
+    """One fault shape of the sim-faults benchmark: latency 1-3, 5% drop, a
+    healing partition, at most one crash, no empty blocks, and `engagements`
+    engagements submitted evenly over ticks 5-300."""
+    entries = []
+    for k in range(engagements):
+        entries += _engagement(k, len(entries), tag)
+    step = 295 / (len(entries) - 1)
+    return {
+        "seed": seed, "n_validators": n, "latency": [1, 3], "drop_probability": 0.05,
+        "partitions": [{"from_tick": ticks[0], "to_tick": ticks[1], "sides": sides}],
+        "crash_faults": [] if crash is None else [{"node": crash[0], "tick": crash[1]}],
+        "accounts": [10**6] * 6,
+        "workload": [dict(e, tick=5 + round(i * step)) for i, e in enumerate(entries)],
+        "max_ticks": 500,
+        "empty_block_interval": 10**6,
+    }
+
+
+# The five fault shapes of the sim-faults benchmark, each with a workload of
+# its own: an isolated validator that rejoins before another crashes, and the
+# 2|2 split on two network seeds, which stalls for good.
+PINNED_SCENARIOS.update({
+    f"fault_{name}": _fault_shape(*shape, tag=name) for name, shape in {
+        "n4_isolate1_crash3": (0, 4, [[1], [0, 2, 3]], (80, 160), (3, 220), 2),
+        "n7_isolate1_crash6": (0, 7, [[1], [0, 2, 3, 4, 5, 6]], (80, 160), (6, 220), 2),
+        "n7_isolate4_crash2": (0, 7, [[4], [0, 1, 2, 3, 5, 6]], (40, 120), (2, 160), 2),
+        "n4_split_0": (0, 4, [[0, 1], [2, 3]], (60, 160), None, 4),
+        "n4_split_1": (1, 4, [[0, 1], [2, 3]], (60, 160), None, 4),
+    }.items()
+})
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_SCENARIOS))
 def test_pinned_simulation_trace_is_byte_identical(name):
     trace = run_simulation(SimScenario.from_dict(PINNED_SCENARIOS[name]))
