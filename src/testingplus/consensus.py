@@ -10,6 +10,8 @@ the proposal and vote a node is holding, plus Status-based chain sync.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .block import Block
 from .chain import Chain, CorruptChainError, GenesisConfig, proposer_for
 from .codec import record
@@ -56,15 +58,25 @@ SYNC_BATCH = 20
 
 class Node:
     """A validator. Its timing (`empty_block_interval`, `timeout_ticks`) comes
-    from the genesis; only the gossip interval is the node's own."""
+    from the genesis; only the gossip interval is the node's own.
+
+    What the genesis fixes (validator set, quorum, timing) is read from it
+    once. The next height is `len(self.chain.blocks)`, and the proposer of
+    the current (height, round) is kept in `proposer`, set whenever either
+    moves, so a tick with nothing to do costs three comparisons. The mempool
+    holds each transaction as the `TxGossip` that carries it, built once."""
 
     def __init__(self, index: int, secret: bytes, genesis: GenesisConfig, gossip_interval: int):
         self.index = index
         self.secret = secret
         self.gossip_interval = gossip_interval
         self.chain = Chain(genesis)
-        self.address = self.chain.validators.members[index][0]
-        self.mempool: dict[bytes, Transaction] = {}
+        self.validators = genesis.validators
+        self.quorum = self.validators.quorum
+        self.timeout_ticks = genesis.timeout_ticks
+        self.empty_block_interval = genesis.empty_block_interval
+        self.address = self.validators.members[index][0]
+        self.mempool: dict[bytes, TxGossip] = {}  # tx hash -> its gossip message
         self.last_gossip = -(10**9)
         self.future_commits: dict[int, Block] = {}
         self.invalid_dropped = 0
@@ -74,38 +86,41 @@ class Node:
 
     @property
     def next_height(self) -> int:
-        return self.chain.height + 1
+        return len(self.chain.blocks)
 
     def submit(self, tx: Transaction) -> list[Outbound]:
         """Inject a client transaction at this node and gossip it."""
-        return [(None, TxGossip(tx))] if self._admit(tx) else []
+        gossip = TxGossip(tx)
+        return [(None, gossip)] if self._admit(gossip) else []
 
-    def _admit(self, tx: Transaction) -> bool:
-        """Add a transaction to the mempool unless it is committed or held."""
-        h = tx.hash()
+    def _admit(self, gossip: TxGossip) -> bool:
+        """Hold a gossiped transaction unless it is committed or held."""
+        h = gossip.tx.hash()
         if h in self.chain.committed_txs or h in self.mempool:
             return False
-        self.mempool[h] = tx
+        self.mempool[h] = gossip
         return True
 
-    def _after_append(self, tick: int) -> None:
-        self.round = 0
+    def _enter_round(self, round_: int, tick: int) -> None:
+        self.round = round_
         self.round_entry = tick
+        self.proposer = proposer_for(self.next_height, round_, self.validators)
+
+    def _after_append(self, tick: int) -> None:
+        self._enter_round(0, tick)
         self.last_commit_tick = tick
         self.proposed_round: int | None = None  # the round already proposed at this height
         self.voted: tuple[Propose, Vote] | None = None  # this height's one vote and its proposal
         self.proposals: dict[bytes, Block] = {}
         self.tallies: dict[bytes, dict[bytes, bytes]] = {}
-        for tx in self.chain.head.transactions:
-            self.mempool.pop(tx.hash(), None)
+        for h in self.chain.head.tx_hashes:
+            self.mempool.pop(h, None)
 
     def _try_commit(self, tick: int) -> list[Outbound]:
         for header_hash, tally in self.tallies.items():
-            if len(tally) >= self.chain.validators.quorum and header_hash in self.proposals:
+            if len(tally) >= self.quorum and header_hash in self.proposals:
                 block = self.proposals[header_hash]
-                votes = sorted(
-                    tally.items(), key=lambda kv: self.chain.validators.index_of(kv[0])
-                )
+                votes = sorted(tally.items(), key=lambda kv: self.validators.index_of(kv[0]))
                 sealed = block.with_votes(tuple(votes))
                 return [(None, Commit(sealed))] if self._commit(sealed, tick) else []
         return []
@@ -130,21 +145,16 @@ class Node:
 
     def on_tick(self, tick: int) -> list[Outbound]:
         out: list[Outbound] = []
-        genesis = self.chain.genesis
-        vs = self.chain.validators
+        if tick - self.round_entry >= self.timeout_ticks:
+            self._enter_round(self.round + 1, tick)
 
-        if tick - self.round_entry >= genesis.timeout_ticks:
-            self.round += 1
-            self.round_entry = tick
-
-        if (proposer_for(self.next_height, self.round, vs) == self.address
-                and self.proposed_round != self.round):
+        if self.proposer == self.address and self.proposed_round != self.round:
             if self.voted is not None:
                 # converge on the proposal already voted instead of forking a new one
                 self.proposed_round = self.round
                 out.extend((None, m) for m in self.voted)
-            elif self.mempool or tick - self.last_commit_tick >= genesis.empty_block_interval:
-                txs = list(self.mempool.values())[:MAX_BLOCK_TXS]
+            elif self.mempool or tick - self.last_commit_tick >= self.empty_block_interval:
+                txs = [g.tx for g in islice(self.mempool.values(), MAX_BLOCK_TXS)]
                 block, _, _ = self.chain.stage(txs, self.address, tick)
                 self.proposed_round = self.round
                 prop = Propose(block, self.round)
@@ -157,8 +167,7 @@ class Node:
             out.append((None, Status(len(self.chain.blocks))))
             if self.voted is not None:
                 out.extend((None, m) for m in self.voted)
-            for tx in list(self.mempool.values())[:SYNC_BATCH]:
-                out.append((None, TxGossip(tx)))
+            out.extend((None, g) for g in islice(self.mempool.values(), SYNC_BATCH))
         return out
 
     # -- messages ------------------------------------------------------------
@@ -171,16 +180,15 @@ class Node:
         return handler(self, msg, src, tick)
 
     def _accept_tx(self, gossip: TxGossip, src: int, tick: int) -> list[Outbound]:
-        self._admit(gossip.tx)
+        self._admit(gossip)
         return []
 
     def _accept_proposal(self, prop: Propose, src: int, tick: int) -> list[Outbound]:
         block = prop.block
         h = block.header.height
-        if h != self.next_height:
+        if h != len(self.chain.blocks):
             return []
-        vs = self.chain.validators
-        if block.header.proposer != proposer_for(h, prop.round, vs):
+        if block.header.proposer != proposer_for(h, prop.round, self.validators):
             self.invalid_dropped += 1
             return []
         header_hash = block.header.hash()
@@ -202,9 +210,9 @@ class Node:
         return out
 
     def _accept_vote(self, vote: Vote, src: int, tick: int) -> list[Outbound]:
-        if vote.height != self.next_height:
+        if vote.height != len(self.chain.blocks):
             return []
-        pk = self.chain.validators.pubkey_of(vote.signer)
+        pk = self.validators.pubkey_of(vote.signer)
         if pk is None or not verify(pk, vote.signature, vote.header_hash):
             self.invalid_dropped += 1
             return []
@@ -214,9 +222,10 @@ class Node:
     def _accept_commit(self, commit: Commit, src: int, tick: int) -> list[Outbound]:
         block = commit.block
         h = block.header.height
-        if h <= self.chain.height:
+        have = len(self.chain.blocks)
+        if h < have:
             return []
-        if h > self.next_height:
+        if h > have:
             self.future_commits[h] = block
         else:
             self._commit(block, tick)
@@ -226,11 +235,8 @@ class Node:
         have = len(self.chain.blocks)
         if status.chain_len >= have:
             return []
-        out: list[Outbound] = []
         hi = min(have, status.chain_len + SYNC_BATCH)
-        for block in self.chain.blocks[status.chain_len : hi]:
-            out.append((src, Commit(block)))
-        return out
+        return [(src, Commit(block)) for block in self.chain.blocks[status.chain_len : hi]]
 
 
 # message type -> handler; a message of any other type is dropped as invalid

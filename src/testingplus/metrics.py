@@ -51,18 +51,15 @@ def analyze(trace: SimTrace) -> MetricsReport:
     submits: dict[str, int] = {}
     first_commit: dict[str, int] = {}
     height_first_commit: dict[int, int] = {}
-    messages = 0
     per_node_msgs: dict[int, int] = {}
     per_node_commits: dict[int, int] = {}
+    msgs_of = per_node_msgs.get
+    # event types by how often they occur: most events are messages
     for e in trace.events:
         kind = e.get("type")
-        if kind == "scenario":
-            scenario = e
-        elif kind == "submit":
-            submits[e["tx"]] = e["t"]
-        elif kind == "msg":
-            messages += 1
-            per_node_msgs[e["src"]] = per_node_msgs.get(e["src"], 0) + 1
+        if kind == "msg":
+            src = e["src"]
+            per_node_msgs[src] = msgs_of(src, 0) + 1
         elif kind == "commit":
             per_node_commits[e["node"]] = per_node_commits.get(e["node"], 0) + 1
             h = e["h"]
@@ -71,6 +68,10 @@ def analyze(trace: SimTrace) -> MetricsReport:
             for tx in e["txs"]:
                 if tx not in first_commit or e["t"] < first_commit[tx]:
                     first_commit[tx] = e["t"]
+        elif kind == "submit":
+            submits[e["tx"]] = e["t"]
+        elif kind == "scenario":
+            scenario = e
         elif kind == "summary":
             summary = e
     if scenario is None or summary is None:
@@ -105,7 +106,7 @@ def analyze(trace: SimTrace) -> MetricsReport:
         throughput_per_1000_ticks=len(committed_submitted) * 1000 / total_ticks,
         latency=_latency_stats(latencies),
         block_interval_mean=(sum(intervals) / len(intervals)) if intervals else 0.0,
-        messages_sent=messages,
+        messages_sent=sum(per_node_msgs.values()),
         state_bytes=max((ns["state_bytes"] for ns in summary["nodes"]), default=0),
         truncated=summary["truncated"],
         per_node=per_node,

@@ -2,10 +2,18 @@
 
 The trace is a pure function of the scenario: one RNG seeded from the
 scenario drives latency and drop draws, deliveries at a tick are processed
-in (node id, sequence) order, and every message send is recorded with its
-outcome. A destination cut off by a partition draws nothing; any other draws
-its latency and then one `random()` for the drop. Identical scenarios
-therefore produce byte-identical traces.
+by destination node id, each destination's in send order, and every message
+send is recorded with its outcome. A destination cut off by a partition
+draws nothing; any other draws its latency and then one `random()` for the
+drop. Identical scenarios therefore produce byte-identical traces.
+
+The mailbox holds, for each tick with messages due, one list per
+destination node, and a message is appended to its destination's list when
+it is sent. A latency is at least one tick, so nothing is added to a tick's
+lists while they are delivered: reading them in node id order, each from
+the front, is that order, with no sequence number and no sort. A message
+that would arrive once its destination has crashed is recorded as `crashed`
+and never queued.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from pathlib import Path
 from .chain import GenesisConfig, check_issuance, replace_file
 from .codec import (HASH_HEX, InputError, enc_u64, hash256, list_of, obj, positive, probability,
                     record, uint)
-from .consensus import ConsensusMessage, Node
+from .consensus import ConsensusMessage, Node, Outbound
 from .keys import address_from_pubkey, generate_keypair
 from .tx import WORKLOAD_ENTRY, Transaction, payload_from_json, sign_transaction
 from .vm import created_id
@@ -301,69 +309,78 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
         }
     ]
     emit = events.append
-    # pending deliveries: {tick: [(dest, seq, src, msg)]}
-    mailbox: dict[int, list[tuple[int, int, int, ConsensusMessage]]] = defaultdict(list)
-    seq = 0
+    # pending deliveries: {tick: per destination, [(src, msg)] in send order}
+    mailbox: dict[int, list[list[tuple[int, ConsensusMessage]]]] = defaultdict(
+        lambda: [[] for _ in range(n)])
     cut: list[list[bool]] | None = None  # cut_for() of the current tick, None if no partition
 
-    def send(src: int, dest: int | None, msg: ConsensusMessage, tick: int) -> None:
-        # per destination: a blocked one draws nothing, any other draws its
-        # latency and then one random() for the drop
-        nonlocal seq
-        kind = msg.kind
+    def send(src: int, out: list[Outbound], tick: int) -> None:
+        # per message, per destination: a blocked one draws nothing, any
+        # other draws its latency and then one random() for the drop
         row = None if cut is None else cut[src]
-        for d in others[src] if dest is None else (dest,):
-            if d == src:
-                continue
-            if row is not None and row[d]:
-                emit({"type": "msg", "t": tick, "src": src, "dst": d,
-                      "kind": kind, "out": "blocked"})
-                continue
-            deliver = tick + draw_latency()
-            dropped = random_draw() < drop
-            if deliver >= crash_at[d]:
-                out = "crashed"
-            elif dropped:
-                out = "drop"
+        # each msg event is a copy of this one with dst, out and at set:
+        # copying a dict is cheaper than building one from seven keys
+        sent = {"type": "msg", "t": tick, "src": src, "dst": 0, "kind": "", "out": "", "at": 0}
+        for dest, msg in out:
+            if dest is None:
+                dests = others[src]
+            elif dest != src:
+                dests = (dest,)
             else:
-                out = "ok"
-                seq += 1
-                mailbox[deliver].append((d, seq, src, msg))
-            emit({"type": "msg", "t": tick, "src": src, "dst": d,
-                  "kind": kind, "out": out, "at": deliver})
+                continue
+            kind = sent["kind"] = msg.kind
+            for d in dests:
+                if row is not None and row[d]:
+                    emit({"type": "msg", "t": tick, "src": src, "dst": d,
+                          "kind": kind, "out": "blocked"})
+                    continue
+                deliver = tick + draw_latency()
+                dropped = random_draw() < drop
+                if deliver >= crash_at[d]:
+                    outcome = "crashed"
+                elif dropped:
+                    outcome = "drop"
+                else:
+                    outcome = "ok"
+                    mailbox[deliver][d].append((src, msg))
+                e = sent.copy()
+                e["dst"] = d
+                e["out"] = outcome
+                e["at"] = deliver
+                emit(e)
 
     for tick in range(scenario.max_ticks + 1):
         if windows:
             active = tuple(i for i, (lo, hi, _) in enumerate(windows) if lo <= tick <= hi)
             cut = cut_for(active) if active else None
-        # deliveries first, ordered by (destination node id, send sequence)
+        # deliveries first, by destination node id, each in send order; a
+        # message due after its destination crashes was never queued
         box = mailbox.pop(tick, None)
-        if box:
-            box.sort()  # (dest, seq) pairs are unique, so messages are never compared
-            for d, _, src, msg in box:
-                if tick >= crash_at[d]:
-                    continue
+        if box is not None:
+            for d, queue in enumerate(box):
                 node = nodes[d]
-                for dest2, out_msg in node.on_message(msg, src, tick):
-                    send(d, dest2, out_msg, tick)
-                if len(node.chain.blocks) != recorded[d]:
-                    _record_commits(node, recorded, events, tick)
+                blocks = node.chain.blocks  # Chain.append appends to this list
+                for src, msg in queue:
+                    out = node.on_message(msg, src, tick)
+                    if out:
+                        send(d, out, tick)
+                    if len(blocks) != recorded[d]:
+                        _record_commits(node, recorded, events, tick)
         # workload injection
         for idx, tx in by_tick.pop(tick, ()):
             target = idx % n
             while tick >= crash_at[target]:
                 target = (target + 1) % n
             emit({"type": "submit", "t": tick, "node": target, "tx": tx.hash().hex()})
-            for dest2, out_msg in nodes[target].submit(tx):
-                send(target, dest2, out_msg, tick)
-        # node timers in id order
+            send(target, nodes[target].submit(tx), tick)
+        # node timers in id order; a tick that sends nothing commits nothing
         for i, node in enumerate(nodes):
-            if tick >= crash_at[i]:
-                continue
-            for dest2, out_msg in node.on_tick(tick):
-                send(i, dest2, out_msg, tick)
-            if len(node.chain.blocks) != recorded[i]:
-                _record_commits(node, recorded, events, tick)
+            if tick < crash_at[i]:
+                out = node.on_tick(tick)
+                if out:
+                    send(i, out, tick)
+                    if len(node.chain.blocks) != recorded[i]:
+                        _record_commits(node, recorded, events, tick)
 
     last = scenario.max_ticks
     submitted = {tx.hash() for _, tx in workload}
