@@ -72,10 +72,10 @@ def proposer_for(height: int, round_: int, vs: ValidatorSet) -> bytes:
 
 @record("chain_id", "validator_pubkeys", "accounts", "empty_block_interval", "timeout_ticks")
 class GenesisConfig:
-    """A chain's fixed parameters and the one source of its authorities:
-    who may vote (`validators`) and who may sign (`pubkeys`), each derived
-    once and shared by every `Chain` of this genesis. `accounts` holds
-    (pubkey, balance) pairs."""
+    """A chain's fixed parameters, the one source of its authorities, who
+    may vote (`validators`) and who may sign (`pubkeys`), and of its block 0
+    (`genesis_block`): each derived once and shared by every `Chain` of this
+    genesis. `accounts` holds (pubkey, balance) pairs."""
 
     # consensus timing in ticks, read by every consensus.Node
     empty_block_interval = 50
@@ -133,6 +133,7 @@ class GenesisConfig:
             state.put(AccountState(addr, balance + (prev.balance if prev else 0), 0))
         return state
 
+    @kept
     def genesis_block(self) -> Block:
         header = BlockHeader(
             height=0,
@@ -239,7 +240,7 @@ class Chain:
         self.validators = genesis.validators
         self.pubkeys = genesis.pubkeys
         self.state = genesis.genesis_state()
-        self.blocks: list[Block] = [genesis.genesis_block()]
+        self.blocks: list[Block] = [genesis.genesis_block]
         self.committed_txs: set[bytes] = set()
         # header hash -> (post-state, receipts) of a block executed on top of
         # the head, so that stage, validate_block and append run it once;

@@ -1,11 +1,12 @@
 """Proof-of-authority node logic: rotating proposer, one vote per validator
 per height, commit on floor(2n/3)+1 votes.
 
-Node behaviour is written as pure-ish (state, event) -> outputs transitions
-driven by the simulator. Voting at most once per height is what makes two
-conflicting quorums at the same height impossible under crash faults;
-liveness across drops and healed partitions comes from periodic re-gossip of
-the proposal and vote a node is holding, plus Status-based chain sync.
+Node behaviour is written as (state, event) -> outputs transitions driven
+by the simulator; a node's state at its next height is one frozen `Height`.
+Voting at most once per height is what makes two conflicting quorums at the
+same height impossible under crash faults; liveness across drops and healed
+partitions comes from periodic re-gossip of the proposal and vote a node is
+holding, plus Status-based chain sync.
 """
 
 from __future__ import annotations
@@ -56,14 +57,24 @@ MAX_BLOCK_TXS = 100
 SYNC_BATCH = 20
 
 
-class Node:
-    """A validator. Its timing (`empty_block_interval`, `timeout_ticks`) comes
-    from the genesis; only the gossip interval is the node's own.
+@record("start", "round", "entry", "proposer", "proposed", "voted", "proposals", "tallies")
+class Height:
+    """What a node holds at its next height, which began at tick `start`:
+    the round, entered at tick `entry`, and its proposer; whether this node
+    has proposed in it; the node's one vote; and the proposals and votes taken."""
 
-    What the genesis fixes (validator set, quorum, timing) is read from it
-    once. The next height is `len(self.chain.blocks)`, and the proposer of
-    the current (height, round) is kept in `proposer`, set whenever either
-    moves, so a tick with nothing to do costs three comparisons. The mempool
+    proposed = False
+    voted: tuple[Propose, Vote] | None = None
+    proposals: tuple[tuple[bytes, Block], ...] = ()
+    tallies: frozenset[tuple[bytes, bytes, bytes]] = frozenset()
+
+
+class Node:
+    """A validator. What the genesis fixes (validator set, quorum, timing:
+    `empty_block_interval`, `timeout_ticks`) is read from it once; only the
+    gossip interval is the node's own. All it holds at its next height,
+    `len(self.chain.blocks)`, is the `Height` in `at`, replaced whole; a
+    commit is tried only after `at` gains a proposal or a vote. The mempool
     holds each transaction as the `TxGossip` that carries it, built once."""
 
     def __init__(self, index: int, secret: bytes, genesis: GenesisConfig, gossip_interval: int):
@@ -80,7 +91,7 @@ class Node:
         self.last_gossip = -(10**9)
         self.future_commits: dict[int, Block] = {}
         self.invalid_dropped = 0
-        self._after_append(0)  # the per-height fields, for height 1
+        self._after_append(0)  # `at`, for height 1
 
     # -- helpers -------------------------------------------------------------
 
@@ -101,26 +112,17 @@ class Node:
         self.mempool[h] = gossip
         return True
 
-    def _enter_round(self, round_: int, tick: int) -> None:
-        self.round = round_
-        self.round_entry = tick
-        self.proposer = proposer_for(self.next_height, round_, self.validators)
-
     def _after_append(self, tick: int) -> None:
-        self._enter_round(0, tick)
-        self.last_commit_tick = tick
-        self.proposed_round: int | None = None  # the round already proposed at this height
-        self.voted: tuple[Propose, Vote] | None = None  # this height's one vote and its proposal
-        self.proposals: dict[bytes, Block] = {}
-        self.tallies: dict[bytes, dict[bytes, bytes]] = {}
+        proposer = proposer_for(self.next_height, 0, self.validators)
+        self.at = Height(start=tick, round=0, entry=tick, proposer=proposer)
         for h in self.chain.head.tx_hashes:
             self.mempool.pop(h, None)
 
     def _try_commit(self, tick: int) -> list[Outbound]:
-        for header_hash, tally in self.tallies.items():
-            if len(tally) >= self.quorum and header_hash in self.proposals:
-                block = self.proposals[header_hash]
-                votes = sorted(tally.items(), key=lambda kv: self.validators.index_of(kv[0]))
+        for header_hash, block in self.at.proposals:
+            votes = [(signer, sig) for h, signer, sig in self.at.tallies if h == header_hash]
+            if len(votes) >= self.quorum:
+                votes.sort(key=lambda vote: self.validators.index_of(vote[0]))
                 sealed = block.with_votes(tuple(votes))
                 return [(None, Commit(sealed))] if self._commit(sealed, tick) else []
         return []
@@ -145,19 +147,21 @@ class Node:
 
     def on_tick(self, tick: int) -> list[Outbound]:
         out: list[Outbound] = []
-        if tick - self.round_entry >= self.timeout_ticks:
-            self._enter_round(self.round + 1, tick)
+        at = self.at
+        if tick - at.entry >= self.timeout_ticks:
+            proposer = proposer_for(self.next_height, at.round + 1, self.validators)
+            at = self.at = at.replace(round=at.round + 1, entry=tick, proposer=proposer, proposed=False)
 
-        if self.proposer == self.address and self.proposed_round != self.round:
-            if self.voted is not None:
+        if at.proposer == self.address and not at.proposed:
+            if at.voted is not None:
                 # converge on the proposal already voted instead of forking a new one
-                self.proposed_round = self.round
-                out.extend((None, m) for m in self.voted)
-            elif self.mempool or tick - self.last_commit_tick >= self.empty_block_interval:
+                self.at = at.replace(proposed=True)
+                out.extend((None, m) for m in at.voted)
+            elif self.mempool or tick - at.start >= self.empty_block_interval:
                 txs = [g.tx for g in islice(self.mempool.values(), MAX_BLOCK_TXS)]
                 block, _, _ = self.chain.stage(txs, self.address, tick)
-                self.proposed_round = self.round
-                prop = Propose(block, self.round)
+                self.at = at.replace(proposed=True)
+                prop = Propose(block, at.round)
                 out.append((None, prop))
                 accepted = self._accept_proposal(prop, self.index, tick)
                 out.extend(m for m in accepted if m[1] is not prop)
@@ -165,8 +169,7 @@ class Node:
         if tick - self.last_gossip >= self.gossip_interval:
             self.last_gossip = tick
             out.append((None, Status(len(self.chain.blocks))))
-            if self.voted is not None:
-                out.extend((None, m) for m in self.voted)
+            out.extend((None, m) for m in self.at.voted or ())
             out.extend((None, g) for g in islice(self.mempool.values(), SYNC_BATCH))
         return out
 
@@ -192,51 +195,46 @@ class Node:
             self.invalid_dropped += 1
             return []
         header_hash = block.header.hash()
-        if header_hash not in self.proposals:
-            try:
-                self.chain.validate_block(block)
-            except CorruptChainError:
-                self.invalid_dropped += 1
-                return []
-            self.proposals[header_hash] = block
-        if self.voted is not None:
+        at = self.at
+        if any(held == header_hash for held, _ in at.proposals):
+            return []  # held: this node voted when it took it, and no count changed
+        try:
+            self.chain.validate_block(block)
+        except CorruptChainError:
+            self.invalid_dropped += 1
+            return []
+        proposals = (*at.proposals, (header_hash, block))
+        if at.voted is not None:
+            self.at = at.replace(proposals=proposals)
             return self._try_commit(tick)
-        sig = sign(self.secret, header_hash)
-        vote = Vote(header_hash, h, self.address, sig)
-        self.voted = (prop, vote)
-        self.tallies.setdefault(header_hash, {})[self.address] = sig
-        out: list[Outbound] = [(None, vote), (None, prop)]
-        out.extend(self._try_commit(tick))
-        return out
+        vote = Vote(header_hash, h, self.address, sign(self.secret, header_hash))
+        self.at = at.replace(voted=(prop, vote), proposals=proposals,
+                             tallies=at.tallies | {(header_hash, self.address, vote.signature)})
+        return [(None, vote), (None, prop), *self._try_commit(tick)]
 
     def _accept_vote(self, vote: Vote, src: int, tick: int) -> list[Outbound]:
-        if vote.height != len(self.chain.blocks):
+        # a signer has one valid signature of a hash: one entry per (hash, signer)
+        entry = (vote.header_hash, vote.signer, vote.signature)
+        if vote.height != len(self.chain.blocks) or entry in self.at.tallies:
             return []
         pk = self.validators.pubkey_of(vote.signer)
         if pk is None or not verify(pk, vote.signature, vote.header_hash):
             self.invalid_dropped += 1
             return []
-        self.tallies.setdefault(vote.header_hash, {})[vote.signer] = vote.signature
+        self.at = self.at.replace(tallies=self.at.tallies | {entry})
         return self._try_commit(tick)
 
     def _accept_commit(self, commit: Commit, src: int, tick: int) -> list[Outbound]:
-        block = commit.block
-        h = block.header.height
-        have = len(self.chain.blocks)
-        if h < have:
-            return []
-        if h > have:
-            self.future_commits[h] = block
-        else:
-            self._commit(block, tick)
+        h = commit.block.header.height
+        if h > len(self.chain.blocks):
+            self.future_commits[h] = commit.block
+        elif h == len(self.chain.blocks):
+            self._commit(commit.block, tick)
         return []
 
     def _accept_status(self, status: Status, src: int, tick: int) -> list[Outbound]:
-        have = len(self.chain.blocks)
-        if status.chain_len >= have:
-            return []
-        hi = min(have, status.chain_len + SYNC_BATCH)
-        return [(src, Commit(block)) for block in self.chain.blocks[status.chain_len : hi]]
+        start = status.chain_len  # empty for a peer at least as long as this node
+        return [(src, Commit(block)) for block in self.chain.blocks[start : start + SYNC_BATCH]]
 
 
 # message type -> handler; a message of any other type is dropped as invalid

@@ -209,7 +209,8 @@ class SimTrace:
         replace_file(Path(path), self.to_text().encode())
 
     def to_text(self) -> str:
-        return "".join(json.dumps(e, sort_keys=True) + "\n" for e in self.events)
+        encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
+        return "".join(encode(e) + "\n" for e in self.events)
 
     @classmethod
     def read(cls, path) -> "SimTrace":

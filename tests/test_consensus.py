@@ -1,5 +1,7 @@
 """Proof-of-authority node behavior and whole-network simulations."""
 
+import copy
+
 import pytest
 
 from testingplus.chain import GenesisConfig, ValidatorSet, proposer_for
@@ -191,6 +193,32 @@ class TestVoting:
         observer.on_message(forged, 2, 1)
         assert observer.invalid_dropped == before + 1
         assert observer.chain.height == 0
+
+    def test_a_proposal_or_vote_delivered_again_changes_nothing(self):
+        nodes = make_cluster()
+        prop, vote = self._proposal(nodes)
+        observer = nodes[0]
+        observer.on_message(prop, 1, 1)
+        observer.on_message(vote, 1, 1)
+        at, dropped = observer.at, observer.invalid_dropped
+        assert observer.on_message(prop, 1, 2) == []
+        assert observer.on_message(vote, 1, 2) == []
+        assert observer.at is at and observer.invalid_dropped == dropped
+        assert hash(at) == hash(copy.copy(at))
+
+    def test_a_snapshot_twin_leaves_the_original_as_it_was(self):
+        nodes = make_cluster()  # quorum 3
+        prop, vote = self._proposal(nodes)
+        observer = nodes[0]
+        at = observer.at
+        twin = copy.copy(observer)
+        twin.mempool, twin.future_commits = dict(observer.mempool), dict(observer.future_commits)
+        twin.on_message(TxGossip(client_tx(nonce=1)), 3, 1)
+        twin.on_message(prop, 1, 1)  # its own vote: tally 1
+        twin.on_message(vote, 1, 1)  # tally 2, short of the quorum
+        assert len(twin.at.tallies) == 2 and twin.chain.height == 0
+        assert observer.at is at and at.voted is None and not at.proposals and not at.tallies
+        assert not observer.mempool
 
 
 class TestCommitsAndSync:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from testingplus.chain import proposer_for
 from testingplus.consensus import Node, TxGossip
+from testingplus.consensus import Height
 from testingplus.sim import SimScenario, run_simulation
 
 from test_golden_runs import PINNED_SCENARIOS
@@ -33,7 +34,24 @@ def check_kept_values(node: Node) -> None:
     assert node.empty_block_interval == genesis.empty_block_interval
     assert node.address == genesis.validators.members[node.index][0]
     assert node.next_height == chain.height + 1
-    assert node.proposer == proposer_for(chain.height + 1, node.round, genesis.validators)
+    assert node.at.proposer == proposer_for(chain.height + 1, node.at.round, genesis.validators)
+    # the per-height record: a proposal only from the round's proposer, one
+    # tally entry per (header hash, signer), and only proposals it can commit
+    at = node.at
+    assert type(at) is Height
+    assert at.start <= at.entry
+    assert not at.proposed or at.proposer == node.address
+    keys = [(header_hash, signer) for header_hash, signer, _ in at.tallies]
+    assert len(set(keys)) == len(keys)
+    assert all(genesis.validators.pubkey_of(signer) is not None for _, signer in keys)
+    if at.voted is not None:
+        prop, vote = at.voted
+        assert vote.signer == node.address and vote.height == node.next_height
+        assert vote.header_hash == prop.block.header.hash()
+        assert vote.header_hash in dict(at.proposals)
+        assert (vote.header_hash, vote.signer, vote.signature) in at.tallies
+    for header_hash, block in at.proposals:
+        assert block.header.height == node.next_height and block.header.hash() == header_hash
     for h, gossip in node.mempool.items():
         assert type(gossip) is TxGossip and gossip.tx.hash() == h
         assert h not in chain.committed_txs
