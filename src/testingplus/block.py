@@ -3,8 +3,8 @@ of a stored chain."""
 
 from __future__ import annotations
 
-from .codec import (BYTES, U64, Reader, ZERO_HASH, hash256, inline, kept, nested, record, row,
-                    schema, seq)
+from .codec import (BYTES, U64, DecodeError, Reader, ZERO_HASH, hash256, inline, kept, nested,
+                    record, row, schema, seq)
 from .tx import Transaction
 
 
@@ -61,7 +61,8 @@ def encode_chain(blocks) -> bytes:
 
 
 def decode_chain(data: bytes) -> list[Block]:
-    """The blocks of a stored chain; each frame must hold exactly one block."""
+    """The blocks of a stored chain; each frame must hold exactly one block.
+    The strict reader: the tests' replay oracle reads a store with it."""
     r = Reader(data)
     blocks = []
     while r.pos < len(data):
@@ -76,21 +77,26 @@ def scan_chain(data: bytes) -> list[Block]:
     `nested(Transaction)` reads, kept only as its hash in `tx_hashes`; and
     the votes. A block keeps its frame as its `encoded`, and decodes its
     transactions from it on their first read (`DecodeError` if they do not
-    decode strictly). Each frame must hold exactly that; raises `DecodeError`."""
+    decode strictly). Each frame must hold exactly that, else this raises
+    what `decode_chain` raises, which may fail earlier, inside a transaction."""
     _, read_votes = _VOTES
     r = Reader(data)
     blocks = []
-    while r.pos < len(data):
-        frame = r.read_bytes()
-        f = Reader(frame)
-        header = BlockHeader.decode(f)
-        vars(header)["encoded"] = frame[:f.pos]
-        tx_hashes = [hash256(f.read_bytes()) for _ in range(f.read_u64())]
-        votes = read_votes(f)
-        f.expect_end()
-        block = object.__new__(Block)  # its transactions left out, for _Scanned to read
-        vars(block).update(header=header, votes=votes, encoded=frame, tx_hashes=tx_hashes)
-        blocks.append(block)
+    try:
+        while r.pos < len(data):
+            frame = r.read_bytes()
+            f = Reader(frame)
+            header = BlockHeader.decode(f)
+            vars(header)["encoded"] = frame[:f.pos]
+            tx_hashes = [hash256(f.read_bytes()) for _ in range(f.read_u64())]
+            votes = read_votes(f)
+            f.expect_end()
+            block = object.__new__(Block)  # its transactions left out, for _Scanned to read
+            vars(block).update(header=header, votes=votes, encoded=frame, tx_hashes=tx_hashes)
+            blocks.append(block)
+    except DecodeError:
+        decode_chain(data)  # fails too: a store is undecodable for one reason
+        raise
     return blocks
 
 

@@ -10,8 +10,7 @@ import stat
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
-from .block import (Block, BlockHeader, build_block, decode_chain, encode_chain, merkle_root,
-                    scan_chain)
+from .block import Block, BlockHeader, build_block, encode_chain, merkle_root, scan_chain
 from .codec import (BYTES, HASH_HEX, U64, U64_MAX, DecodeError, InputError, Reader,
                     ZERO_ADDRESS, ZERO_HASH, hash256, kept, list_of, obj, record, schema, uint)
 from .keys import address_from_pubkey, sign, verify
@@ -178,12 +177,10 @@ def check_hashes(parent: BlockHeader, block: Block) -> None:
         raise CorruptChainError(h, "merkle-mismatch")
 
 
-def check_block(parent: BlockHeader, block: Block, pubkeys: dict[bytes, bytes],
-                validators: ValidatorSet | None = None) -> None:
-    """Everything about a block that does not need its execution:
-    `check_hashes`, each sender's key in `pubkeys` (address -> public key,
-    else `unknown-sender`) and its signature and, when `validators` is
-    given, a quorum of distinct validator votes. Raises `CorruptChainError`
+def check_block(parent: BlockHeader, block: Block, pubkeys: dict[bytes, bytes]) -> None:
+    """Everything about a block but its votes and its execution:
+    `check_hashes`, then each sender's key in `pubkeys` (address -> public
+    key, else `unknown-sender`) and its signature. Raises `CorruptChainError`
     at the block's height on the first failure."""
     check_hashes(parent, block)
     h = block.header.height
@@ -193,8 +190,6 @@ def check_block(parent: BlockHeader, block: Block, pubkeys: dict[bytes, bytes],
             raise CorruptChainError(h, "unknown-sender")
         if not verify_transaction(tx, pubkey):
             raise CorruptChainError(h, "tx-signature")
-    if validators is not None:
-        _check_votes(block, validators)
 
 
 def _check_votes(block: Block, validators: ValidatorSet) -> None:
@@ -215,8 +210,8 @@ def _check_votes(block: Block, validators: ValidatorSet) -> None:
 
 
 def verify_chain(blocks: list[Block], validators: ValidatorSet, pubkeys: dict[bytes, bytes]) -> None:
-    """Structural audit of a chain: `check_block` at every height after
-    genesis. Raises `CorruptChainError` at the lowest failing height.
+    """Structural audit of a chain: `check_block` and the votes at every
+    height after genesis. Raises `CorruptChainError` at the lowest failing height.
 
     Vote signatures cover the header hash, so a mutation of any header field
     (including the state root) surfaces at its own height.
@@ -229,7 +224,8 @@ def verify_chain(blocks: list[Block], validators: ValidatorSet, pubkeys: dict[by
     if g.header.merkle_root != merkle_root(g.tx_hashes):
         raise CorruptChainError(0, "merkle-mismatch")
     for parent, block in zip(blocks, blocks[1:]):
-        check_block(parent.header, block, pubkeys, validators)
+        check_block(parent.header, block, pubkeys)
+        _check_votes(block, validators)
 
 
 class Chain:
@@ -305,10 +301,11 @@ class Chain:
         _check_votes(block, self.validators)
 
     def append(self, block: Block) -> list[Receipt]:
-        """The one way onto the chain: `check_block` against the head, votes
-        included, then execution (reused if the block was staged or
+        """The one way onto the chain: `check_block` against the head, then
+        the votes, then execution (reused if the block was staged or
         validated before); the block becomes the head."""
-        check_block(self.head.header, block, self.pubkeys, self.validators)
+        check_block(self.head.header, block, self.pubkeys)
+        self.check_votes(block)
         self.state, receipts = self._execute_block(block)
         self._executed.clear()
         self.blocks.append(block)
@@ -344,8 +341,8 @@ class Checkpoint:
 def checkpoint_state(genesis: GenesisConfig, data: bytes, blocks: list[Block],
                      record: bytes) -> WorldState:
     """The state a checkpoint record holds, if the stored chain `data`
-    (read as `blocks`, by `decode_chain` or `scan_chain`) vouches for it;
-    else `CorruptChainError` with the reason. The record must decode
+    (read as `blocks` by `scan_chain`) vouches for it; else
+    `CorruptChainError` with the reason. The record must decode
     strictly and name a block h after genesis; the chain's first
     `chain_len` bytes must be exactly blocks 0..h and hash to
     `chain_digest`, so that no byte below h is unchecked, votes included;
@@ -500,14 +497,10 @@ class ChainStore:
         accepts it, else replayed from genesis; `checkpoint_note` says why
         an existing checkpoint.bin was not used. checkpoint.bin is read
         first: `save` replaces chain.bin first, so the chain.bin read after
-        it holds at least the blocks it describes.
-
-        With a checkpoint, the chain is first read by `scan_chain`: blocks
-        up to the checkpoint are checked without decoding their
-        transactions, and only blocks above it are decoded, to be replayed.
-        If that read, a check or the replay fails, the load starts over
-        with every block decoded strictly, so that a corrupt store fails,
-        and notes its checkpoint, as a strict load does."""
+        it holds at least the blocks it describes. chain.bin is read once, by
+        `scan_chain`; the blocks to be replayed (all unless the checkpoint
+        is used) then decode their transactions strictly, before the note
+        is set, so that an undecodable store fails at height 0 with no note."""
         self.checkpoint_note = None
         try:
             genesis = GenesisConfig.from_dict(json.loads(self.genesis_path.read_text()))
@@ -518,22 +511,20 @@ class ChainStore:
         except FileNotFoundError:
             record = None
         data = self.chain_path.read_bytes()
-        if record is not None:
-            with suppress(DecodeError, CorruptChainError):
-                blocks = scan_chain(data)
-                return Chain.from_blocks(genesis, blocks,
-                                         checkpoint_state(genesis, data, blocks, record))
+        base = note = None
         try:
-            blocks = decode_chain(data)
+            blocks = scan_chain(data)
+            if record is not None:
+                try:
+                    base = checkpoint_state(genesis, data, blocks, record)
+                except CorruptChainError as exc:
+                    note = f"{exc.reason} at height {exc.height}"
+            for block in blocks[base.height + 1 if base else 0:]:
+                block.transactions  # decoded strictly, to be replayed
+            self.checkpoint_note = note
+            return Chain.from_blocks(genesis, blocks, base)
         except DecodeError as exc:
             raise CorruptChainError(0, f"undecodable: {exc}") from exc
-        base = None
-        if record is not None:
-            try:
-                base = checkpoint_state(genesis, data, blocks, record)
-            except CorruptChainError as exc:
-                self.checkpoint_note = f"{exc.reason} at height {exc.height}"
-        return Chain.from_blocks(genesis, blocks, base)
 
     def save(self, chain: Chain) -> None:
         """Replace chain.bin and then checkpoint.bin, each whole (see

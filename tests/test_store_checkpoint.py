@@ -15,12 +15,14 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from testingplus import chain as chain_mod
-from testingplus.block import Block, BlockHeader, decode_chain, encode_chain, merkle_proof
+from testingplus import block as block_mod, chain as chain_mod
+from testingplus.block import (Block, BlockHeader, decode_chain, encode_chain, merkle_proof,
+                               scan_chain)
 from testingplus.chain import Chain, ChainStore, Checkpoint, CorruptChainError, locked
 from testingplus.cli import main
-from testingplus.codec import DecodeError, Reader, enc_bytes, enc_u64, hash256
+from testingplus.codec import ZERO_HASH, DecodeError, Reader, enc_bytes, enc_u64, hash256
 from testingplus.keys import sign
 from testingplus.state import AccountState, WorldState
 from testingplus.tx import Transaction
@@ -298,6 +300,118 @@ def test_padded_frame_below_the_checkpoint_with_recomputed_digest_is_undecodable
         replace(cp, chain_len=len(data), chain_digest=hash256(data)).encode())
     want = ("corrupt", 0, "undecodable: 4 trailing bytes")
     assert outcome(store.load) == replayed(eng.chain.genesis, data) == want
+
+
+def test_a_load_scans_once_and_checks_the_checkpoint_once(saved, monkeypatch):
+    """A load reads chain.bin once and runs `checkpoint_state` once, both
+    when the checkpoint is ignored and when the replay above it fails:
+    neither starts over from a strict decode."""
+    store, eng = saved
+    calls = []
+
+    def counted(name, fn):
+        def count(*args):
+            calls.append(name)
+            return fn(*args)
+        return count
+
+    for module, name in [(chain_mod, "scan_chain"), (chain_mod, "checkpoint_state"),
+                         (block_mod, "decode_chain")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    # a strict read is counted whichever module's name for decode_chain it calls
+    monkeypatch.setattr(chain_mod, "decode_chain", counted("decode_chain", decode_chain),
+                        raising=False)
+    data, record = store.chain_path.read_bytes(), store.checkpoint_path.read_bytes()
+    signature = eng.chain.blocks[8].transactions[0].signature
+    cases = [(data, record[:-1] + bytes([record[-1] ^ 0x01]), "state-root-mismatch at height 6"),
+             (_flipped_in_block(data, eng.chain, 8, signature), record, None)]
+    for chain_bin, checkpoint_bin, note in cases:
+        store.chain_path.write_bytes(chain_bin)
+        store.checkpoint_path.write_bytes(checkpoint_bin)
+        calls.clear()
+        got = outcome(store.load)
+        assert sorted(calls) == ["checkpoint_state", "scan_chain"]
+        assert store.checkpoint_note == note
+        assert got == replayed(eng.chain.genesis, chain_bin)
+    assert got[:2] == ("corrupt", 8)
+
+
+def _sealed(header: BlockHeader, txs: list[bytes]) -> bytes:
+    """The frame of a block that the validator sealed over `txs`, byte
+    strings that need not be transactions."""
+    vote = enc_bytes(VALIDATOR.address) + enc_bytes(sign(VALIDATOR.secret, header.hash()))
+    body = enc_u64(len(txs)) + b"".join(map(enc_bytes, txs)) + enc_u64(1) + vote
+    return enc_bytes(header.encode() + body)
+
+
+def test_a_failure_above_sealed_junk_below_the_checkpoint_is_reported_at_its_height(tmp_path):
+    """The one outcome that a one-pass load changes on purpose. Below the
+    checkpoint, block 1 is sealed over bytes that are no transaction; above
+    it, block 2 is sealed with a wrong state root. The load fails at block 2,
+    where its replay fails, while the strict reader finds the store
+    undecodable: junk sealed below the checkpoint fails only the command
+    that reads it."""
+    store, eng = built_store(tmp_path)
+    genesis = eng.chain.genesis
+    state = genesis.genesis_state()
+    junk = b"not a transaction"
+    one = BlockHeader(1, eng.chain.blocks[0].header.hash(), hash256(junk), state.root(), 1,
+                      VALIDATOR.address)
+    two = BlockHeader(2, one.hash(), ZERO_HASH, hash256(b"wrong"), 2, VALIDATOR.address)
+    prefix = encode_chain(eng.chain.blocks[:1]) + _sealed(one, [junk])
+    data = prefix + _sealed(two, [])
+    store.chain_path.write_bytes(data)
+    store.checkpoint_path.write_bytes(
+        Checkpoint(1, len(prefix), hash256(prefix), state.serialize()).encode())
+    assert outcome(store.load) == ("corrupt", 2, "state-root-mismatch")
+    assert store.checkpoint_note is None
+    assert replayed(genesis, data) == ("corrupt", 0, "undecodable: unexpected end of input")
+
+
+def test_scan_chain_refuses_a_store_for_the_strict_readers_reason(saved):
+    """A transaction's length prefix cut short fails the strict reader inside
+    the transaction, but the scan, which does not decode it, only at the end
+    of its frame; the scan raises the strict reader's reason all the same."""
+    store, eng = saved
+    data = bytearray(store.chain_path.read_bytes())
+    data[data.index(eng.chain.blocks[3].transactions[0].encoded) - 1] ^= 0xFF
+    with pytest.raises(DecodeError) as strict:
+        decode_chain(bytes(data))
+    with pytest.raises(DecodeError) as scanned:
+        scan_chain(bytes(data))
+    assert str(scanned.value) == str(strict.value) == "unexpected end of input"
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """The `saved` store, built once, with its chain.bin and checkpoint.bin bytes."""
+    store, eng = built_store(tmp_path_factory.mktemp("pristine"), 6)
+    return store, eng, store.chain_path.read_bytes(), store.checkpoint_path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(changes=st.lists(st.tuples(st.booleans(), st.integers(0, 2**16), st.integers(1, 255)),
+                        min_size=1, max_size=3),
+       cut=st.none() | st.integers(0, 2**16))
+def test_stores_with_several_changed_bytes_load_as_the_replay(pristine, changes, cut):
+    """One to three bytes changed across chain.bin and checkpoint.bin, and
+    chain.bin sometimes cut short: the load ends as the replay does, and a
+    store that does not decode carries no note."""
+    store, eng, data, record = pristine
+    files = {False: bytearray(data), True: bytearray(record)}
+    for in_checkpoint, at, mask in changes:
+        changed = files[in_checkpoint]
+        changed[at % len(changed)] ^= mask
+    chain_bin = bytes(files[False])
+    if cut is not None:
+        chain_bin = chain_bin[:cut % (len(chain_bin) + 1)]
+    store.chain_path.write_bytes(chain_bin)
+    store.checkpoint_path.write_bytes(bytes(files[True]))
+    got = outcome(store.load)
+    assert got == replayed(eng.chain.genesis, chain_bin), store.checkpoint_note
+    if got[0] == "corrupt" and got[2].startswith("undecodable"):
+        assert store.checkpoint_note is None
 
 
 class Crash(BaseException):
