@@ -20,32 +20,30 @@ class BlockHeader:
         return hash256(self.encoded)
 
 
+_TXS = seq(nested(Transaction))
 # (validator address, signature over the header hash) pairs
 _VOTES = seq(row(BYTES, BYTES))
 
 
-class _TxHashes:
-    """The hashes of a block's transactions, computed on each read, so that
-    a copy of a block copies only its fields and encoding; a block that
-    `scan_chain` read has them in its `__dict__`, which a read finds first."""
-
-    def __get__(self, block, owner=None) -> list[bytes]:
-        return self if block is None else [tx.hash() for tx in block.transactions]
-
-
 class _Scanned:
     """A block that `scan_chain` read lacks its transactions until they are
-    read; then they are decoded from its frame, strictly, and kept. Defined
-    in a base class, so that `record` does not take it for a default."""
+    read; then the section after the header in its frame is decoded strictly
+    and kept, each with the hash the scan took. Defined in a base class, so
+    that `record` does not take it for a default."""
 
     @kept
     def transactions(self) -> tuple[Transaction, ...]:
-        return Block.decode(Reader(self.encoded)).transactions
+        txs = _TXS[1](Reader(self.encoded[len(self.header.encoded):]))
+        for tx, h in zip(txs, self.tx_hashes, strict=True):
+            vars(tx)["_hash"] = h  # where `kept` keeps it
+        return txs
 
 
-@schema(None, header=inline(BlockHeader), transactions=seq(nested(Transaction)), votes=_VOTES)
+@schema(None, header=inline(BlockHeader), transactions=_TXS, votes=_VOTES)
 class Block(_Scanned):
-    tx_hashes = _TxHashes()
+    @kept
+    def tx_hashes(self) -> list[bytes]:
+        return [tx.hash() for tx in self.transactions]
 
     def with_votes(self, votes) -> "Block":
         return self.replace(votes=tuple(votes))

@@ -243,6 +243,14 @@ class Chain:
         # emptied whenever the head moves
         self._executed: dict[bytes, tuple[WorldState, tuple[Receipt, ...]]] = {}
 
+    def copy(self) -> "Chain":
+        """A snapshot: it shares the genesis, the blocks and the state (see
+        `WorldState.copy`), with its own block list and `committed_txs`, nothing executed."""
+        twin = object.__new__(type(self))
+        vars(twin).update(vars(self), state=self.state.copy(), blocks=list(self.blocks),
+                          committed_txs=set(self.committed_txs), _executed={})
+        return twin
+
     @property
     def head(self) -> Block:
         return self.blocks[-1]

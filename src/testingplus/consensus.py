@@ -2,7 +2,8 @@
 per height, commit on floor(2n/3)+1 votes.
 
 Node behaviour is written as (state, event) -> outputs transitions driven
-by the simulator; a node's state at its next height is one frozen `Height`.
+by the simulator, a tick being a `timeout` if due and then an `act`; a
+node's state at its next height is one frozen `Height`, and `copy.copy` a snapshot.
 Voting at most once per height is what makes two conflicting quorums at the
 same height impossible under crash faults; liveness across drops and healed
 partitions comes from periodic re-gossip of the proposal and vote a node is
@@ -75,7 +76,9 @@ class Node:
     gossip interval is the node's own. All it holds at its next height,
     `len(self.chain.blocks)`, is the `Height` in `at`, replaced whole; a
     commit is tried only after `at` gains a proposal or a vote. The mempool
-    holds each transaction as the `TxGossip` that carries it, built once."""
+    holds each transaction as the `TxGossip` that carries it, built once.
+    `copy.copy(node)`, a snapshot, shares `at` and has its own chain
+    (`Chain.copy`), mempool and held commits: its steps leave this node alone."""
 
     def __init__(self, index: int, secret: bytes, genesis: GenesisConfig, gossip_interval: int):
         self.index = index
@@ -92,6 +95,12 @@ class Node:
         self.future_commits: dict[int, Block] = {}
         self.invalid_dropped = 0
         self._after_append(0)  # `at`, for height 1
+
+    def __copy__(self) -> "Node":
+        twin = object.__new__(type(self))
+        vars(twin).update(vars(self), chain=self.chain.copy(), mempool=dict(self.mempool),
+                          future_commits=dict(self.future_commits))
+        return twin
 
     # -- helpers -------------------------------------------------------------
 
@@ -146,12 +155,22 @@ class Node:
     # -- tick ----------------------------------------------------------------
 
     def on_tick(self, tick: int) -> list[Outbound]:
+        """A tick: `timeout` if the round has run `timeout_ticks`, then `act`."""
+        if tick - self.at.entry >= self.timeout_ticks:
+            self.timeout(tick)
+        return self.act(tick)
+
+    def timeout(self, tick: int) -> None:
+        """Enter the next round at `tick`, with its proposer; sends nothing."""
+        at = self.at
+        proposer = proposer_for(self.next_height, at.round + 1, self.validators)
+        self.at = at.replace(round=at.round + 1, entry=tick, proposer=proposer, proposed=False)
+
+    def act(self, tick: int) -> list[Outbound]:
+        """As the round's proposer, once: re-send the held proposal and vote,
+        else propose if there is work or an empty block is due. Then re-gossip if due."""
         out: list[Outbound] = []
         at = self.at
-        if tick - at.entry >= self.timeout_ticks:
-            proposer = proposer_for(self.next_height, at.round + 1, self.validators)
-            at = self.at = at.replace(round=at.round + 1, entry=tick, proposer=proposer, proposed=False)
-
         if at.proposer == self.address and not at.proposed:
             if at.voted is not None:
                 # converge on the proposal already voted instead of forking a new one

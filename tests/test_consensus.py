@@ -1,8 +1,10 @@
 """Proof-of-authority node behavior and whole-network simulations."""
 
 import copy
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from testingplus.chain import GenesisConfig, ValidatorSet, proposer_for
 from testingplus.codec import InputError
@@ -212,13 +214,142 @@ class TestVoting:
         observer = nodes[0]
         at = observer.at
         twin = copy.copy(observer)
-        twin.mempool, twin.future_commits = dict(observer.mempool), dict(observer.future_commits)
         twin.on_message(TxGossip(client_tx(nonce=1)), 3, 1)
         twin.on_message(prop, 1, 1)  # its own vote: tally 1
         twin.on_message(vote, 1, 1)  # tally 2, short of the quorum
         assert len(twin.at.tallies) == 2 and twin.chain.height == 0
         assert observer.at is at and at.voted is None and not at.proposals and not at.tallies
         assert not observer.mempool
+
+    def test_a_snapshot_that_commits_leaves_the_original_alone(self):
+        nodes = make_cluster()  # quorum 3
+        prop, v1 = self._proposal(nodes)
+        v2 = only(nodes[2].on_message(prop, 1, 1), "vote")[0]
+        observer = nodes[0]
+        observer.submit(client_tx())  # the transaction the proposal carries
+        chain, at, blocks = observer.chain, observer.at, observer.chain.blocks
+        root, mempool = chain.state.root(), dict(observer.mempool)
+        twin = copy.copy(observer)
+        twin.on_message(prop, 1, 1)  # its own vote: tally 1
+        twin.on_message(v1, 1, 1)  # tally 2
+        assert only(twin.on_message(v2, 2, 1), "commit")  # tally 3
+        assert twin.chain.height == 1 and twin.chain.committed_txs == {client_tx().hash()}
+        assert not twin.mempool and twin.chain.state.root() != root
+        assert observer.at is at and observer.chain is chain
+        assert chain.height == 0 and chain.blocks is blocks and len(blocks) == 1
+        assert chain.state.root() == root and chain.committed_txs == set()
+        assert observer.mempool == mempool and observer.invalid_dropped == 0
+        # the original commits the same block by itself
+        for msg, src in ((prop, 1), (v1, 1), (v2, 2)):
+            observer.on_message(msg, src, 2)
+        assert chain.blocks is blocks and chain.head.header.hash() == twin.chain.head.header.hash()
+        assert chain.state.root() == twin.chain.state.root()
+
+
+class TestTimeoutAndAct:
+    def test_a_timeout_enters_the_next_round_and_sends_nothing(self):
+        nodes = make_cluster()
+        proposer = nodes[1]  # height 1, round 0 -> validator 1
+        proposer.submit(client_tx())
+        proposer.on_tick(0)  # proposes and votes
+        at, chain, rest = proposer.at, proposer.chain, dict(vars(proposer))
+        held = dict(proposer.mempool), dict(proposer.future_commits), list(chain.blocks)
+        assert at.proposed and at.voted
+        assert proposer.timeout(7) is None
+        assert proposer.at == at.replace(round=1, entry=7, proposer=nodes[2].address, proposed=False)
+        assert {k: v for k, v in vars(proposer).items() if k != "at"} == {
+            k: v for k, v in rest.items() if k != "at"}
+        assert (proposer.mempool, proposer.future_commits, chain.blocks) == held
+
+    def test_a_voter_made_proposer_by_a_timeout_re_sends_its_proposal_and_vote(self):
+        nodes = make_cluster(gossip_interval=10)
+        nodes[1].submit(client_tx())
+        prop = only(nodes[1].on_tick(0), "propose")[0]
+        late = nodes[2]  # proposer for height 1, round 1
+        held = late.on_message(prop, 1, 1)  # its vote, then the proposal it votes for
+        vote = only(held, "vote")[0]
+        assert late.at.voted == (prop, vote)
+        assert only(late.act(1), "status")  # not its round: re-gossip only
+        late.timeout(5)
+        assert late.act(5) == [(None, prop), (None, vote)]
+        assert late.act(6) == []
+
+
+POOL_SIZE = 12
+
+
+@cache
+def message_pool():
+    """Messages for height 1 and 2 of a 4-validator cluster: a proposal, its
+    three votes, a round-1 rival and its vote, both commits, two transactions
+    and two statuses."""
+    nodes = make_cluster()
+    nodes[1].submit(client_tx())
+    out = nodes[1].on_tick(0)
+    prop, v1 = only(out, "propose")[0], only(out, "vote")[0]
+    v2, v3 = (only(nodes[i].on_message(prop, 1, 1), "vote")[0] for i in (2, 3))
+    nodes[1].on_message(v2, 2, 1)
+    commit1 = only(nodes[1].on_message(v3, 3, 1), "commit")[0]
+    for node in nodes:
+        node.on_message(commit1, 1, 2)
+    nodes[2].submit(client_tx(nonce=1))
+    prop2 = only(nodes[2].on_tick(2), "propose")[0]  # height 2, round 0 -> validator 2
+    w1, w3 = (only(nodes[i].on_message(prop2, 2, 3), "vote")[0] for i in (1, 3))
+    nodes[2].on_message(w1, 1, 3)
+    commit2 = only(nodes[2].on_message(w3, 3, 3), "commit")[0]
+    rival_node = make_cluster()[2]
+    rival_node.submit(client_tx(nonce=1))
+    rival_node.timeout(50)
+    rival_out = rival_node.act(50)
+    rival, rival_vote = only(rival_out, "propose")[0], only(rival_out, "vote")[0]
+    pool = (prop, v1, v2, v3, rival, rival_vote, commit1, commit2,
+            TxGossip(client_tx()), TxGossip(client_tx(nonce=1)), Status(1), Status(2))
+    assert len(pool) == POOL_SIZE
+    return pool
+
+
+def fingerprint(node):
+    return hash(node.at), node.chain.head.header.hash(), tuple(node.mempool), tuple(node.future_commits)
+
+
+def step(node, steps):
+    """Apply (kind, message index, ticks to wait) steps; what each sent."""
+    pool, tick, sent = message_pool(), 0, []
+    for kind, index, wait in steps:
+        tick += wait
+        if kind == "deliver":
+            sent.append(node.on_message(pool[index], 1 + index % 3, tick))
+        elif kind == "timeout":
+            sent.append(node.timeout(tick))
+        else:
+            sent.append(node.act(tick))
+    return sent
+
+
+# a delivery is drawn as often as a timeout and an act together
+STEPS = st.lists(st.tuples(st.sampled_from(["deliver", "deliver", "timeout", "act"]),
+                           st.integers(0, POOL_SIZE - 1), st.integers(0, 30)),
+                 max_size=16)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(steps=STEPS)
+def test_snapshots_step_apart_from_the_original(steps):
+    pool = message_pool()
+    original = make_cluster()[0]
+    # held: a transaction, the height-1 proposal with this node's vote and
+    # validator 1's, and the height-2 commit
+    for index in (9, 0, 1, 7):
+        original.on_message(pool[index], 1, 0)
+    assert len(original.at.tallies) == 2 and list(original.future_commits) == [2]
+    before = fingerprint(original)
+    first = copy.copy(original)
+    sent = step(first, steps)
+    assert fingerprint(original) == before
+    second = copy.copy(original)
+    assert step(second, steps) == sent
+    assert fingerprint(second) == fingerprint(first)
+    assert fingerprint(original) == before
 
 
 class TestCommitsAndSync:
