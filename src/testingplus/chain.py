@@ -447,10 +447,11 @@ def replace_file(path: Path, data: bytes, mode: int | None = None) -> None:
 
 
 @contextmanager
-def locked(path: Path, create: bool = True):
-    """Hold an exclusive `flock` on `path`, a file made empty if missing or,
-    without `create`, a directory; never a file that `replace_file` replaces."""
-    fd = os.open(path, os.O_RDWR | os.O_CREAT if create else os.O_RDONLY, 0o644)
+def locked(directory: Path):
+    """Hold an exclusive `flock` on `directory`, which `replace_file` never
+    swaps out. `fsync_dir` and `_remove_stale_temps` open it through other
+    descriptors; their close keeps the lock, which belongs to this open."""
+    fd = os.open(directory, os.O_RDONLY)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
         yield
@@ -460,9 +461,9 @@ def locked(path: Path, create: bool = True):
 
 class ChainStore:
     """Directory layout: genesis.json, chain.bin, checkpoint.bin (the state
-    at the head when it was saved), validator_key.json (local sealer), lock
-    (`locked` by writers), artifacts/ (content-addressed), each written by
-    `replace_file`. chain.bin, which `init` writes last, is the commit point."""
+    at the head when it was saved), validator_key.json (local sealer),
+    artifacts/ (content-addressed), each written by `replace_file`. chain.bin,
+    which `init` writes last, is the commit point. A writer holds `locked(root)`."""
 
     def __init__(self, root: Path):
         self.root = Path(root)

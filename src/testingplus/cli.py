@@ -142,7 +142,7 @@ def cmd_submit(args) -> int:
     if args.queue:
         queue_path = Path(args.queue)
         # on its directory, which the replace keeps, so that no concurrent entry is lost
-        with locked(queue_path.parent, create=False):
+        with locked(queue_path.parent):
             entries = _read_json(queue_path, f"cannot read queue file {queue_path}",
                                  lambda doc: _JSON_LIST(doc, "")) if queue_path.exists() else []
             entries.append(raw)
@@ -151,7 +151,7 @@ def cmd_submit(args) -> int:
         return EXIT_OK
 
     store = _open_store(args)
-    with locked(store.root / "lock"):  # from load to save, so that no concurrent submit is lost
+    with locked(store.root):  # from load to save, so that no concurrent submit is lost
         chain = _load(store)
         key = _load_key(args.key)
         sender = key["address"]

@@ -83,13 +83,6 @@ class Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        pos = self.pos
-        if pos + n > len(self.data):
-            raise DecodeError("unexpected end of input")
-        self.pos = pos + n
-        return self.data[pos : pos + n]
-
     def read_u8(self) -> int:
         pos = self.pos
         if pos >= len(self.data):

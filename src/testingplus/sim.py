@@ -22,30 +22,21 @@ import hashlib
 import json
 import random
 from collections import defaultdict
-from functools import lru_cache
 from pathlib import Path
 
 from .chain import GenesisConfig, check_issuance, replace_file
-from .codec import (HASH_HEX, InputError, enc_u64, hash256, list_of, obj, positive, probability,
-                    record, uint)
+from .codec import (HASH_HEX, InputError, enc_u64, hash256, kept, list_of, obj, positive,
+                    probability, record, uint)
 from .consensus import ConsensusMessage, Node, Outbound
 from .keys import address_from_pubkey, generate_keypair
 from .tx import WORKLOAD_ENTRY, Transaction, payload_from_json, sign_transaction
 from .vm import created_id
 
 
-def validator_seed(scenario_seed: int, index: int) -> bytes:
-    return hash256(b"testingplus/validator/" + enc_u64(scenario_seed) + enc_u64(index))
-
-
-def account_seed(scenario_seed: int, index: int) -> bytes:
-    return hash256(b"testingplus/account/" + enc_u64(scenario_seed) + enc_u64(index))
-
-
-@lru_cache(maxsize=64)
-def _keypairs(derive, scenario_seed: int, count: int) -> tuple[tuple[bytes, bytes], ...]:
-    # derived once per (seed, count): genesis, the nodes and the workload share them
-    return tuple(generate_keypair(derive(scenario_seed, i)) for i in range(count))
+def _keypairs(role: bytes, seed: int, count: int) -> tuple[tuple[bytes, bytes], ...]:
+    """The first `count` key pairs of `role` (b"validator" or b"account") for a scenario seed."""
+    prefix = b"testingplus/" + role + b"/" + enc_u64(seed)
+    return tuple(generate_keypair(hash256(prefix + enc_u64(i))) for i in range(count))
 
 
 _REF = obj(ref=uint)
@@ -62,7 +53,7 @@ _SCENARIO = obj(
     workload=(list_of(WORKLOAD_ENTRY), []),
     max_ticks=positive,
     empty_block_interval=(uint, GenesisConfig.empty_block_interval),
-    # 0 or null: derived from the latency bound
+    # 0 or null: from_dict derives them from the latency bound
     timeout_ticks=(uint, None),
     gossip_interval=(uint, None),
 )
@@ -73,7 +64,9 @@ _SCENARIO = obj(
         "gossip_interval", "raw")
 class SimScenario:
     """`latency`: (low, high); `partitions`: dicts of from_tick, to_tick and sides;
-    `crash_faults`: node -> crash tick; `raw`: the scenario, whose digest is the chain id."""
+    `crash_faults`: node -> crash tick; `raw`: the scenario, whose digest is the chain id.
+    `from_dict` resolves `timeout_ticks` and `gossip_interval`. The key pairs and the
+    frozen genesis are `kept`: derived once and shared by every run of the scenario."""
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimScenario":
@@ -117,8 +110,8 @@ class SimScenario:
             workload=list(v["workload"]),
             max_ticks=max_ticks,
             empty_block_interval=v["empty_block_interval"],
-            timeout_ticks=v["timeout_ticks"],
-            gossip_interval=v["gossip_interval"],
+            timeout_ticks=v["timeout_ticks"] or 10 * hi,
+            gossip_interval=v["gossip_interval"] or 2 * hi,
             raw=raw,
         )
 
@@ -127,30 +120,26 @@ class SimScenario:
 
     # -- key material and genesis -------------------------------------------
 
-    def validator_keys(self) -> list[tuple[bytes, bytes]]:
-        return list(_keypairs(validator_seed, self.seed, self.n_validators))
+    @kept
+    def validator_keys(self) -> tuple[tuple[bytes, bytes], ...]:
+        return _keypairs(b"validator", self.seed, self.n_validators)
 
-    def account_keys(self) -> list[tuple[bytes, bytes]]:
-        return list(_keypairs(account_seed, self.seed, len(self.account_balances)))
+    @kept
+    def account_keys(self) -> tuple[tuple[bytes, bytes], ...]:
+        return _keypairs(b"account", self.seed, len(self.account_balances))
 
+    @kept
     def genesis(self) -> GenesisConfig:
         return GenesisConfig(
             chain_id=self.digest(),
-            validator_pubkeys=[pk for _, pk in self.validator_keys()],
+            validator_pubkeys=[pk for _, pk in self.validator_keys],
             accounts=[
                 (pk, bal)
-                for (_, pk), bal in zip(self.account_keys(), self.account_balances)
+                for (_, pk), bal in zip(self.account_keys, self.account_balances)
             ],
             empty_block_interval=self.empty_block_interval,
-            timeout_ticks=self.effective_timeout(),
+            timeout_ticks=self.timeout_ticks,
         )
-
-    # 0 or None: derived from the latency bound
-    def effective_timeout(self) -> int:
-        return self.timeout_ticks or 10 * self.latency[1]
-
-    def effective_gossip(self) -> int:
-        return self.gossip_interval or 2 * self.latency[1]
 
     # -- workload resolution -------------------------------------------------
 
@@ -161,7 +150,7 @@ class SimScenario:
         and {"ref": k} fields resolve to the id created by workload entry k
         (contract, case, execution or feedback id).
         """
-        keys = self.account_keys()
+        keys = self.account_keys
         addrs = [address_from_pubkey(pk) for _, pk in keys]
         nonces = [0] * len(keys)
         created: dict[int, bytes] = {}
@@ -271,9 +260,9 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
     draw_latency = latency_sampler(rng, *scenario.latency)
     random_draw = rng.random
     drop = scenario.drop_probability
-    genesis = scenario.genesis()  # carries the consensus timing
-    gossip = scenario.effective_gossip()
-    nodes = [Node(i, sk, genesis, gossip) for i, (sk, _) in enumerate(scenario.validator_keys())]
+    genesis = scenario.genesis  # carries the consensus timing
+    nodes = [Node(i, sk, genesis, scenario.gossip_interval)
+             for i, (sk, _) in enumerate(scenario.validator_keys)]
     n = len(nodes)
     workload = scenario.build_workload()
     by_tick: dict[int, list[tuple[int, Transaction]]] = {}

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from testingplus.chain import GenesisConfig, ValidatorSet, proposer_for
-from testingplus.codec import InputError
+from testingplus.codec import InputError, enc_u64, hash256
 from testingplus.consensus import Commit, Node, Propose, Status, TxGossip, Vote
+from testingplus.keys import generate_keypair
 from testingplus.sim import SimScenario, run_simulation
 from testingplus.tx import DeployCustomerAgreement, Transaction
 
@@ -702,14 +703,31 @@ def test_bad_timeout_or_gossip_interval_is_rejected(key, value):
         SimScenario.from_dict(scenario_dict(**{key: value}))
 
 
+def test_a_scenario_derives_its_keys_and_genesis_once():
+    """Two runs of one scenario object give one trace and share one genesis,
+    and the i-th key pair of a role comes from the seed by one rule."""
+    scenario = SimScenario.from_dict(scenario_dict(max_ticks=120))
+    first = run_simulation(scenario)
+    genesis = scenario.genesis
+    assert run_simulation(scenario).to_text() == first.to_text()
+    assert scenario.genesis is genesis
+    for role, pairs, count in (("validator", scenario.validator_keys, 4),
+                               ("account", scenario.account_keys, 2)):
+        assert pairs == tuple(
+            generate_keypair(hash256(f"testingplus/{role}/".encode() + enc_u64(7) + enc_u64(i)))
+            for i in range(count))
+    assert genesis.validator_pubkeys == [pk for _, pk in scenario.validator_keys]
+    assert genesis.accounts == [(pk, 1000) for _, pk in scenario.account_keys]
+
+
 def test_zero_or_null_timeout_and_gossip_keep_the_derived_default():
     derived = SimScenario.from_dict(scenario_dict())
     for value in (0, None):
         s = SimScenario.from_dict(scenario_dict(timeout_ticks=value, gossip_interval=value))
-        assert (s.effective_timeout(), s.effective_gossip()) == (20, 4)
-        assert (derived.effective_timeout(), derived.effective_gossip()) == (20, 4)
+        assert (s.timeout_ticks, s.gossip_interval) == (20, 4)
+        assert (derived.timeout_ticks, derived.gossip_interval) == (20, 4)
     s = SimScenario.from_dict(scenario_dict(timeout_ticks=30, gossip_interval=7))
-    assert (s.effective_timeout(), s.effective_gossip()) == (30, 7)
+    assert (s.timeout_ticks, s.gossip_interval) == (30, 7)
 
 
 @pytest.mark.parametrize("key,value", [("timeout_ticks", "abc"), ("gossip_interval", [1]),

@@ -80,8 +80,7 @@ def test_every_file_the_cli_leaves_is_replaced_whole_and_fsynced(
     run("bench", put("sweep.json", sweep), "--out", str(out / "sweep.csv"))
     monkeypatch.undo()
 
-    # the store's lock file is only ever locked, never written
-    left = sorted(p for p in out.rglob("*") if p.is_file() and p != store / "lock")
+    left = sorted(p for p in out.rglob("*") if p.is_file())
     names = {p.relative_to(out).as_posix() for p in left}
     assert {"validator.key", "other.key", "queue.json", "trace.jsonl", "sweep.csv",
             "store/genesis.json", "store/validator_key.json", "store/chain.bin",

@@ -9,7 +9,6 @@ from collections import Counter
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from testingplus import keys
-from testingplus import sim as sim_mod
 from testingplus.sim import SimScenario, run_simulation
 from testingplus.tx import DeployCustomerAgreement, Transaction, sign_transaction
 
@@ -69,14 +68,13 @@ def test_simulation_loads_each_secret_once(monkeypatch):
             return Ed25519PrivateKey.from_private_bytes(secret)
 
     keys._private_key.cache_clear()
-    sim_mod._keypairs.cache_clear()
     monkeypatch.setattr(keys, "Ed25519PrivateKey", CountingKey)
     try:
         scenario = SimScenario.from_dict(scenario_dict(max_ticks=120))
         trace = run_simulation(scenario)
     finally:
         keys._private_key.cache_clear()
-    secrets = {sk for sk, _ in scenario.validator_keys() + scenario.account_keys()}
+    secrets = {sk for sk, _ in scenario.validator_keys + scenario.account_keys}
     assert len(secrets) == 4 + 2
     assert loaded == Counter({secret: 1 for secret in secrets})
     # blocks were voted on and transactions signed, all with the cached keys

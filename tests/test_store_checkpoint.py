@@ -461,7 +461,7 @@ def test_concurrent_submits_all_commit(env):
     store = ChainStore(Path(env["store"]))
     payload = env["tmp"] / "deploy.json"
     payload.write_text(json.dumps({"op": "deploy_customer_agreement"}))
-    with locked(store.root / "lock"):
+    with locked(store.root):
         procs = [_cli("submit", str(payload), "--store", env["store"], "--key", env["keys"][who])
                  for who in ("customer", "developer", "tester")]
         time.sleep(1.0)
