@@ -20,7 +20,6 @@ from .chain import (
     CorruptChainError,
     GenesisConfig,
     ValidatorSet,
-    proposer_for,
     verify_chain,
 )
 from .codec import hash256
@@ -84,6 +83,7 @@ _LAZY = {
     "SimScenario": "sim",
     "SimTrace": "sim",
     "run_simulation": "sim",
+    "proposer_for": "consensus",
     "consensus": "consensus",
     "metrics": "metrics",
     "sim": "sim",

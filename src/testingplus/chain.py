@@ -27,10 +27,6 @@ class ValidatorSet:
     def _pubkeys(self) -> dict[bytes, bytes]:
         return dict(self.members)
 
-    @kept
-    def _indexes(self) -> dict[bytes, int]:
-        return {a: i for i, (a, _) in enumerate(self.members)}
-
     @classmethod
     def from_pubkeys(cls, pubkeys) -> "ValidatorSet":
         members = tuple((address_from_pubkey(pk), pk) for pk in pubkeys)
@@ -50,12 +46,6 @@ class ValidatorSet:
     def pubkey_of(self, address: bytes) -> bytes | None:
         return self._pubkeys.get(address)
 
-    def index_of(self, address: bytes) -> int:
-        index = self._indexes.get(address)
-        if index is None:
-            raise KeyError(address.hex())
-        return index
-
 
 def check_issuance(balances) -> None:
     """The genesis balances (JSON path `accounts`) must add up to a u64, so
@@ -63,10 +53,6 @@ def check_issuance(balances) -> None:
     total = sum(balances)
     if total > U64_MAX:
         raise InputError("accounts", f"balances that add up to at most {U64_MAX}", total)
-
-
-def proposer_for(height: int, round_: int, vs: ValidatorSet) -> bytes:
-    return vs.members[(height + round_) % vs.n][0]
 
 
 @record("chain_id", "validator_pubkeys", "accounts", "empty_block_interval", "timeout_ticks")
@@ -237,7 +223,6 @@ class Chain:
         self.pubkeys = genesis.pubkeys
         self.state = genesis.genesis_state()
         self.blocks: list[Block] = [genesis.genesis_block]
-        self.committed_txs: set[bytes] = set()
         # header hash -> (post-state, receipts) of a block executed on top of
         # the head, so that stage, validate_block and append run it once;
         # emptied whenever the head moves
@@ -245,10 +230,9 @@ class Chain:
 
     def copy(self) -> "Chain":
         """A snapshot: it shares the genesis, the blocks and the state (see
-        `WorldState.copy`), with its own block list and `committed_txs`, nothing executed."""
+        `WorldState.copy`), with its own block list and nothing executed."""
         twin = object.__new__(type(self))
-        vars(twin).update(vars(self), state=self.state.copy(), blocks=list(self.blocks),
-                          committed_txs=set(self.committed_txs), _executed={})
+        vars(twin).update(vars(self), state=self.state.copy(), blocks=list(self.blocks), _executed={})
         return twin
 
     @property
@@ -317,7 +301,6 @@ class Chain:
         self.state, receipts = self._execute_block(block)
         self._executed.clear()
         self.blocks.append(block)
-        self.committed_txs.update(block.tx_hashes)
         return list(receipts)
 
     @classmethod
@@ -334,7 +317,6 @@ class Chain:
         if base is not None:
             chain.state = base
             chain.blocks = blocks[:base.height + 1]
-            chain.committed_txs.update(h for b in chain.blocks for h in b.tx_hashes)
         for block in blocks[len(chain.blocks):]:
             chain.append(block)
         return chain
@@ -346,13 +328,12 @@ class Checkpoint:
     and the length and SHA-256 of the stored chain up to that block."""
 
 
-def checkpoint_state(genesis: GenesisConfig, data: bytes, blocks: list[Block],
-                     record: bytes) -> WorldState:
-    """The state a checkpoint record holds, if the stored chain `data`
-    (read as `blocks` by `scan_chain`) vouches for it; else
-    `CorruptChainError` with the reason. The record must decode
-    strictly and name a block h after genesis; the chain's first
-    `chain_len` bytes must be exactly blocks 0..h and hash to
+def checkpoint_state(genesis: GenesisConfig, blocks: list[Block], record: bytes) -> WorldState:
+    """The state a checkpoint record holds, if the stored chain, read as
+    `blocks` by `scan_chain`, vouches for it; else `CorruptChainError`
+    with the reason. The record must decode strictly and name a block h
+    after genesis; blocks 0..h, stored again by `encode_chain` from the
+    frames they were read from, must be `chain_len` bytes long and hash to
     `chain_digest`, so that no byte below h is unchecked, votes included;
     blocks 1..h must pass `check_hashes`, which reads only headers and
     transaction hashes; block h must carry a quorum of validator votes,
@@ -368,9 +349,8 @@ def checkpoint_state(genesis: GenesisConfig, data: bytes, blocks: list[Block],
     h = cp.height
     if not 0 < h < len(blocks):
         raise CorruptChainError(h, "no-such-block")
-    # each block is stored as a 4-byte length prefix and its encoding
-    if (cp.chain_len != sum(4 + len(b.encoded) for b in blocks[:h + 1])
-            or hash256(memoryview(data)[:cp.chain_len]) != cp.chain_digest):
+    prefix = encode_chain(blocks[:h + 1])
+    if cp.chain_len != len(prefix) or hash256(prefix) != cp.chain_digest:
         raise CorruptChainError(h, "chain-digest-mismatch")
     for parent, block in zip(blocks, blocks[1:h + 1]):
         check_hashes(parent.header, block)
@@ -525,7 +505,7 @@ class ChainStore:
             blocks = scan_chain(data)
             if record is not None:
                 try:
-                    base = checkpoint_state(genesis, data, blocks, record)
+                    base = checkpoint_state(genesis, blocks, record)
                 except CorruptChainError as exc:
                     note = f"{exc.reason} at height {exc.height}"
             for block in blocks[base.height + 1 if base else 0:]:

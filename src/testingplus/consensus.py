@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .block import Block
-from .chain import Chain, CorruptChainError, GenesisConfig, proposer_for
+from .chain import Chain, CorruptChainError, GenesisConfig, ValidatorSet
 from .codec import record
 from .keys import sign, verify
 from .tx import Transaction
@@ -58,6 +58,10 @@ MAX_BLOCK_TXS = 100
 SYNC_BATCH = 20
 
 
+def proposer_for(height: int, round_: int, vs: ValidatorSet) -> bytes:
+    return vs.members[(height + round_) % vs.n][0]
+
+
 @record("start", "round", "entry", "proposer", "proposed", "voted", "proposals", "tallies")
 class Height:
     """What a node holds at its next height, which began at tick `start`:
@@ -76,9 +80,12 @@ class Node:
     gossip interval is the node's own. All it holds at its next height,
     `len(self.chain.blocks)`, is the `Height` in `at`, replaced whole; a
     commit is tried only after `at` gains a proposal or a vote. The mempool
-    holds each transaction as the `TxGossip` that carries it, built once.
+    holds each transaction as the `TxGossip` that carries it, built once;
+    `committed_txs` holds the hash of every transaction in the chain, added
+    as its block is appended, so that none is admitted again.
     `copy.copy(node)`, a snapshot, shares `at` and has its own chain
-    (`Chain.copy`), mempool and held commits: its steps leave this node alone."""
+    (`Chain.copy`), mempool, `committed_txs` and held commits: its steps
+    leave this node alone."""
 
     def __init__(self, index: int, secret: bytes, genesis: GenesisConfig, gossip_interval: int):
         self.index = index
@@ -91,6 +98,7 @@ class Node:
         self.empty_block_interval = genesis.empty_block_interval
         self.address = self.validators.members[index][0]
         self.mempool: dict[bytes, TxGossip] = {}  # tx hash -> its gossip message
+        self.committed_txs: set[bytes] = set()
         self.last_gossip = -(10**9)
         self.future_commits: dict[int, Block] = {}
         self.invalid_dropped = 0
@@ -99,6 +107,7 @@ class Node:
     def __copy__(self) -> "Node":
         twin = object.__new__(type(self))
         vars(twin).update(vars(self), chain=self.chain.copy(), mempool=dict(self.mempool),
+                          committed_txs=set(self.committed_txs),
                           future_commits=dict(self.future_commits))
         return twin
 
@@ -116,7 +125,7 @@ class Node:
     def _admit(self, gossip: TxGossip) -> bool:
         """Hold a gossiped transaction unless it is committed or held."""
         h = gossip.tx.hash()
-        if h in self.chain.committed_txs or h in self.mempool:
+        if h in self.committed_txs or h in self.mempool:
             return False
         self.mempool[h] = gossip
         return True
@@ -126,13 +135,15 @@ class Node:
         self.at = Height(start=tick, round=0, entry=tick, proposer=proposer)
         for h in self.chain.head.tx_hashes:
             self.mempool.pop(h, None)
+            self.committed_txs.add(h)
 
     def _try_commit(self, tick: int) -> list[Outbound]:
         for header_hash, block in self.at.proposals:
-            votes = [(signer, sig) for h, signer, sig in self.at.tallies if h == header_hash]
-            if len(votes) >= self.quorum:
-                votes.sort(key=lambda vote: self.validators.index_of(vote[0]))
-                sealed = block.with_votes(tuple(votes))
+            signed = {signer: sig for h, signer, sig in self.at.tallies if h == header_hash}
+            if len(signed) >= self.quorum:
+                # in validator order, whatever order the tallies hold them in
+                sealed = block.with_votes((a, signed[a]) for a, _ in self.validators.members
+                                          if a in signed)
                 return [(None, Commit(sealed))] if self._commit(sealed, tick) else []
         return []
 

@@ -375,7 +375,7 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
     last = scenario.max_ticks
     submitted = {tx.hash() for _, tx in workload}
     all_live_committed = all(
-        submitted <= node.chain.committed_txs
+        submitted <= node.committed_txs
         for i, node in enumerate(nodes)
         if last < crash_at[i]
     )

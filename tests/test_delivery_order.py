@@ -18,8 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from testingplus.chain import proposer_for
-from testingplus.consensus import Node, TxGossip
+from testingplus.consensus import Node, TxGossip, proposer_for
 from testingplus.consensus import Height
 from testingplus.sim import SimScenario, run_simulation
 
@@ -34,6 +33,7 @@ def check_kept_values(node: Node) -> None:
     assert node.empty_block_interval == genesis.empty_block_interval
     assert node.address == genesis.validators.members[node.index][0]
     assert node.next_height == chain.height + 1
+    assert node.committed_txs == {h for block in chain.blocks for h in block.tx_hashes}
     assert node.at.proposer == proposer_for(chain.height + 1, node.at.round, genesis.validators)
     # the per-height record: a proposal only from the round's proposer, one
     # tally entry per (header hash, signer), and only proposals it can commit
@@ -54,7 +54,7 @@ def check_kept_values(node: Node) -> None:
         assert block.header.height == node.next_height and block.header.hash() == header_hash
     for h, gossip in node.mempool.items():
         assert type(gossip) is TxGossip and gossip.tx.hash() == h
-        assert h not in chain.committed_txs
+        assert h not in node.committed_txs
 
 
 @contextmanager
