@@ -98,23 +98,24 @@ def scan_chain(data: bytes) -> list[Block]:
     return blocks
 
 
+def _levels(leaves: list[bytes]) -> list[list[bytes]]:
+    """The Merkle tree's levels, from a copy of `leaves` up to the root's:
+    each odd level is padded with its last node, which is paired with
+    itself, so that a proof finds the padding as a sibling. So [a, b, c] and
+    [a, b, c, c] share a root, and `chain.check_hashes` refuses a repeat."""
+    levels = [list(leaves)]
+    while len(level := levels[-1]) > 1:
+        if len(level) % 2 == 1:
+            level.append(level[-1])
+        levels.append([hash256(level[i] + level[i + 1]) for i in range(0, len(level), 2)])
+    return levels
+
+
 def merkle_root(tx_hashes: list[bytes]) -> bytes:
-    """Pairwise SHA-256 tree; empty list commits to 32 zero bytes, an odd
-    node at any level is paired with itself."""
+    """Pairwise SHA-256 tree (`_levels`); empty list commits to 32 zero bytes."""
     if not tx_hashes:
         return ZERO_HASH
-    level = list(tx_hashes)
-    while len(level) > 1:
-        level = _parent_level(level)
-    return level[0]
-
-
-def _parent_level(level: list[bytes]) -> list[bytes]:
-    """The level above `level`. An odd last node is paired with itself: it
-    is appended to `level`, where a proof then finds it as a sibling."""
-    if len(level) % 2 == 1:
-        level.append(level[-1])
-    return [hash256(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
+    return _levels(tx_hashes)[-1][0]
 
 
 @record("leaf_index", "siblings")
@@ -124,17 +125,14 @@ class MerkleProof:
 
 
 def merkle_proof(block: Block, tx_index: int) -> MerkleProof:
+    """At level i of the tree over `block.tx_hashes`, the sibling of node
+    `tx_index >> i`. The one index bound is on `block.transactions`, so that
+    a block whose transactions do not decode raises `DecodeError` at any index."""
     if not 0 <= tx_index < len(block.transactions):
         raise IndexError(f"tx index {tx_index} out of range")
-    level = [tx.hash() for tx in block.transactions]
-    idx = tx_index
-    siblings = []
-    while len(level) > 1:
-        parent = _parent_level(level)
-        siblings.append((level[idx ^ 1], idx % 2 == 0))  # (sibling, sibling_on_right)
-        level = parent
-        idx //= 2
-    return MerkleProof(tx_index, tuple(siblings))
+    return MerkleProof(tx_index, tuple(
+        (level[(tx_index >> i) ^ 1], (tx_index >> i) % 2 == 0)  # (sibling, sibling_on_right)
+        for i, level in enumerate(_levels(block.tx_hashes)[:-1])))
 
 
 def verify_merkle_proof(leaf: bytes, proof: MerkleProof, root: bytes) -> bool:

@@ -150,9 +150,10 @@ class CorruptChainError(Exception):
 
 
 def check_hashes(parent: BlockHeader, block: Block) -> None:
-    """The hash-only checks of a block: its height and link to `parent` and
-    its Merkle root. Raises `CorruptChainError` at the block's height on the
-    first failure."""
+    """The hash-only checks of a block: its height and link to `parent`, its
+    Merkle root, and no repeated transaction hash, as a repeated last one
+    keeps the root (Bitcoin's CVE-2012-2459). Raises `CorruptChainError` at
+    the block's height on the first failure."""
     h = parent.height + 1
     header = block.header
     if header.height != h:
@@ -161,6 +162,8 @@ def check_hashes(parent: BlockHeader, block: Block) -> None:
         raise CorruptChainError(h, "link-mismatch")
     if header.merkle_root != merkle_root(block.tx_hashes):
         raise CorruptChainError(h, "merkle-mismatch")
+    if len(set(block.tx_hashes)) != len(block.tx_hashes):
+        raise CorruptChainError(h, "duplicate-tx")
 
 
 def check_block(parent: BlockHeader, block: Block, pubkeys: dict[bytes, bytes]) -> None:
@@ -440,36 +443,21 @@ def locked(directory: Path):
 
 
 class ChainStore:
-    """Directory layout: genesis.json, chain.bin, checkpoint.bin (the state
-    at the head when it was saved), validator_key.json (local sealer),
-    artifacts/ (content-addressed), each written by `replace_file`. chain.bin,
-    which `init` writes last, is the commit point. A writer holds `locked(root)`."""
+    """A store directory, one path attribute per file, each written by
+    `replace_file`. chain.bin, which `init` writes last, is the commit
+    point. A writer holds `locked(root)`."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
+        self.genesis_path = self.root / "genesis.json"
+        self.chain_path = self.root / "chain.bin"
+        self.checkpoint_path = self.root / "checkpoint.bin"  # the state at the head when it was saved
+        self.key_path = self.root / "validator_key.json"  # the local sealer's key
+        self.artifacts_dir = self.root / "artifacts"  # content-addressed
+        # the store no longer writes or reads chain.json; bench/tracing.py still sizes one if present
+        self.mirror_path = self.root / "chain.json"
         # why the last load did not use checkpoint.bin, if it exists
         self.checkpoint_note: str | None = None
-
-    @property
-    def genesis_path(self) -> Path:
-        return self.root / "genesis.json"
-
-    @property
-    def chain_path(self) -> Path:
-        return self.root / "chain.bin"
-
-    @property
-    def checkpoint_path(self) -> Path:
-        return self.root / "checkpoint.bin"
-
-    @property
-    def mirror_path(self) -> Path:
-        # the store no longer writes or reads chain.json; bench/tracing.py still sizes one if present
-        return self.root / "chain.json"
-
-    @property
-    def artifacts_dir(self) -> Path:
-        return self.root / "artifacts"
 
     def exists(self) -> bool:
         return self.genesis_path.exists() and self.chain_path.exists()

@@ -109,7 +109,7 @@ def cmd_init(args) -> int:
         raise UsageError(f"the store's one validator key cannot reach the genesis quorum of "
                          f"{validators.quorum} votes; a store needs a genesis with one validator")
     store.root.mkdir(parents=True, exist_ok=True)
-    replace_file(store.root / "validator_key.json", sealer_bytes, 0o600)
+    replace_file(store.key_path, sealer_bytes, 0o600)
     store.init(genesis)  # writes chain.bin last
     _log(f"initialized store {store.root}")
     print(json.dumps({"store": str(store.root), "chain_id": genesis.chain_id.hex()}))
@@ -167,7 +167,7 @@ def cmd_submit(args) -> int:
         tx = sign_transaction(tx, key["secret_key"], key["public_key"])
         created = created_id(payload, sender, acct.nonce)
 
-        sealer = _load_key(store.root / "validator_key.json")
+        sealer = _load_key(store.key_path)
         tick = chain.head.header.timestamp + 1
         parent_root = chain.head.header.state_root
         block, root, receipts = chain.stage([tx], sealer["address"], tick)
@@ -302,9 +302,10 @@ def cmd_query(args) -> int:
         else:
             _print_json(record_json(stmt))
     else:  # proof
-        if args.index >= len(block.transactions):
-            raise UsageError(f"tx index {args.index} out of range")
-        proof = merkle_proof(block, args.index)
+        try:
+            proof = merkle_proof(block, args.index)
+        except IndexError as exc:
+            raise UsageError(str(exc)) from exc
         _print_json({
             "block_height": args.height,
             "leaf": block.transactions[args.index].hash().hex(),

@@ -243,6 +243,15 @@ class TestSubmit:
         assert rc == 2
         assert "no chain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kept", ["genesis.json", "chain.bin"])
+    def test_a_store_with_one_of_its_two_files_has_no_chain(self, env, capsys, kept):
+        only = env["tmp"] / "only"
+        only.mkdir()
+        (only / kept).write_bytes((Path(env["store"]) / kept).read_bytes())
+        capsys.readouterr()
+        rc = main(["query", "--store", str(only), "state"])
+        assert (rc, capsys.readouterr()) == (2, ("", "error: no chain\n"))
+
     def test_queue_mode_appends_workload_entries(self, env, capsys):
         q = env["tmp"] / "workload.json"
         p = env["tmp"] / "p.json"
@@ -416,6 +425,15 @@ class TestQuery:
         tester_addr = json.loads(open(populated["keys"]["tester"]).read())["address"]
         rc = main(["query", "--store", populated["store"], *csv,
                    *[a.format(tester=tester_addr) for a in args]])
+        assert (rc, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
+
+    @pytest.mark.parametrize("args,message", [
+        (("proof", "3", "5"), "tx index 5 out of range"),
+        (("proof", "3", "1"), "tx index 1 out of range"),
+        (("block", "99"), "no block at height 99"),
+    ], ids=["proof-index", "proof-index-one-past", "block-height"])
+    def test_a_query_past_the_chain_names_its_error(self, populated, capsys, args, message):
+        rc = main(["query", "--store", populated["store"], *args])
         assert (rc, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
 
     def test_proof_verifies_against_block_root(self, populated, capsys):

@@ -152,6 +152,23 @@ class TestVoting:
         assert not only(out, "vote")
         assert nodes[0].invalid_dropped == before + 1
 
+    def test_a_proposal_that_repeats_its_last_transaction_is_dropped(self):
+        """[a, b, c, c] keeps the Merkle root, the header and the state root
+        of [a, b, c]: the node drops it as invalid and votes for neither."""
+        from testingplus.block import Block
+
+        nodes = make_cluster()
+        for nonce in range(3):
+            nodes[1].submit(client_tx(nonce))
+        prop = only(nodes[1].on_tick(0), "propose")[0]
+        block = prop.block
+        assert len(block.transactions) == 3
+        twin = Block(block.header, block.transactions + block.transactions[-1:], ())
+        before = nodes[0].invalid_dropped
+        assert not only(nodes[0].on_message(Propose(twin, prop.round), 1, 1), "vote")
+        assert nodes[0].invalid_dropped == before + 1
+        assert only(nodes[0].on_message(prop, 1, 1), "vote")
+
     def test_wrong_round_proposer_rejected(self):
         nodes = make_cluster()
         prop, _ = self._proposal(nodes)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from testingplus.chain import replace_file
 from testingplus.cli import main
 from testingplus.workflow import ArtifactStore
 
@@ -260,6 +261,22 @@ def test_init_keeps_the_temporary_file_of_a_running_process(tmp_path, capsys, va
     finally:
         sleeper.kill()
         sleeper.wait()
+
+
+def test_a_temporary_name_of_no_file_is_kept(tmp_path):
+    """`.<pid>.tmp` has three dot-parts and names no file, so it is not a
+    temporary file of `replace_file`: the sweep that removes one of a dead
+    process keeps it."""
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait()  # reaped, so its pid names no process
+    stale = tmp_path / f".data.{dead.pid}.tmp"
+    foreign = tmp_path / f".{dead.pid}.tmp"
+    stale.write_text("a partly written file")
+    foreign.write_text("not a partly written file")
+    replace_file(tmp_path / "data", b"new")
+    assert not stale.exists()
+    assert foreign.read_text() == "not a partly written file"
+    assert (tmp_path / "data").read_bytes() == b"new"
 
 
 def test_a_directory_is_swept_once_per_process(tmp_path, monkeypatch):

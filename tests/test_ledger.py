@@ -174,6 +174,41 @@ def test_empty_chain_invalid(chain):
     assert _failed_check([], chain) == (0, "empty chain")
 
 
+@pytest.mark.parametrize("height,prev_hash", [(0, b"\x01" * 32), (1, ZERO_HASH)],
+                         ids=["with-a-parent", "at-height-1"])
+def test_a_genesis_off_height_0_or_with_a_parent_is_refused(height, prev_hash):
+    chain = _fixture_chain(3)
+    genesis = chain.blocks[0]
+    bad = Block(replace(genesis.header, height=height, prev_hash=prev_hash), (), ())
+    assert _failed_check([bad, *chain.blocks[1:]], chain) == (0, "bad genesis header")
+
+
+def test_a_block_that_repeats_its_last_transaction_is_refused():
+    """[a, b, c] and [a, b, c, c] share a Merkle root, as an odd level is
+    padded with its last node, and the repeat reverts with a bad nonce,
+    changing no state: the header, its votes and the state root are those
+    of the sealed block (Bitcoin's CVE-2012-2459). Every path onto a chain
+    refuses the repeat."""
+    validator, customer = Actor(b"\x11" * 32), Actor(b"\x22" * 32)
+    chain = _fixture_chain(3)
+    nonce = chain.state.account(customer.address).nonce
+    txs = [customer.sign(Transaction(customer.address, nonce + i, SetTestingFee(b"\x00" * 32, i), 0))
+           for i in range(3)]
+    block, _, _ = chain.stage(txs, validator.address, 9)
+    block = chain.seal(block, [(validator.address, validator.secret)])
+    twin = Block(block.header, block.transactions + block.transactions[-1:], block.votes)
+    assert merkle_root(twin.tx_hashes) == block.header.merkle_root
+
+    fresh = Chain.from_blocks(chain.genesis, chain.blocks)  # nothing staged: it executes the twin
+    for check in (fresh.validate_block, fresh.append, chain.validate_block, chain.append):
+        with pytest.raises(CorruptChainError) as err:
+            check(twin)
+        assert (err.value.height, err.value.reason) == (3, "duplicate-tx")
+    assert _failed_check([*chain.blocks, twin], chain) == (3, "duplicate-tx")
+    chain.append(block)
+    assert chain.height == 3
+
+
 @pytest.mark.parametrize("trials", [250])
 def test_tamper_evidence_random_mutations(trials):
     """Seeded single-byte mutations anywhere in a block are flagged at or

@@ -75,6 +75,25 @@ def test_index_out_of_range():
     block = _block_with(2)
     with pytest.raises(IndexError):
         merkle_proof(block, 2)
+    # an odd count pads its last level, where index n would find a sibling
+    for n in range(1, 9):
+        block = _block_with(n)
+        for index in (n, -1):
+            with pytest.raises(IndexError, match=f"tx index {index} out of range"):
+                merkle_proof(block, index)
+
+
+@pytest.mark.parametrize("n_txs", [3, 5])
+def test_a_tree_walk_leaves_its_leaves_alone(n_txs):
+    """An odd level is padded in the walk's own copy, never in the list of
+    leaves a caller passed or in the block's `tx_hashes`."""
+    block = _block_with(n_txs)
+    hashes = list(block.tx_hashes)
+    for i in range(n_txs):
+        merkle_proof(block, i)
+    assert block.tx_hashes == hashes
+    assert merkle_root(hashes) == block.header.merkle_root
+    assert len(hashes) == n_txs
 
 
 @pytest.mark.parametrize("n_txs", [1, 2, 3, 4, 5, 7, 8])

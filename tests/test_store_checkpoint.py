@@ -221,6 +221,45 @@ def test_checkpoint_with_changed_state_is_ignored(tmp_path):
     assert store.checkpoint_note == "state-root-mismatch at height 10"
 
 
+@pytest.mark.parametrize("height", [0, 11], ids=["genesis", "past-the-head"])
+def test_a_checkpoint_of_no_block_after_genesis_is_ignored(tmp_path, height):
+    """A record at height 0, or one past the head, is ignored as
+    `no-such-block`, though its length and digest match the prefix it
+    names: the genesis block, or the whole chain."""
+    store, eng = built_store(tmp_path)
+    prefix = encode_chain(eng.chain.blocks[:height + 1])
+    cp = Checkpoint.decode(Reader(store.checkpoint_path.read_bytes()))
+    store.checkpoint_path.write_bytes(
+        replace(cp, height=height, chain_len=len(prefix), chain_digest=hash256(prefix)).encode())
+    assert outcome(store.load) == outcome(lambda: eng.chain)
+    assert store.checkpoint_note == f"no-such-block at height {height}"
+
+
+def test_a_stored_block_that_repeats_its_last_transaction_is_corrupt(tmp_path, capsys):
+    """Block 2's three transactions with the last one repeated keep its
+    Merkle root, its header and its votes: with a checkpoint resealed over
+    the changed chain.bin, and with none, the store is corrupt at height 2."""
+    eng = Engagement()
+    eng.append(eng.next_txs())
+    store = ChainStore(tmp_path / "store")
+    store.init(eng.chain.genesis)
+    store.save(eng.chain)
+    block = eng.chain.blocks[2]
+    twin = Block(block.header, block.transactions + block.transactions[-1:], block.votes)
+    data = encode_chain([*eng.chain.blocks[:2], twin])
+    store.chain_path.write_bytes(data)
+    cp = Checkpoint.decode(Reader(store.checkpoint_path.read_bytes()))
+    store.checkpoint_path.write_bytes(
+        replace(cp, chain_len=len(data), chain_digest=hash256(data)).encode())
+    query = ["query", "--store", str(store.root), "state"]
+    corrupt = "store corruption: chain invalid at height 2: duplicate-tx\n"
+    assert main(query) == 3
+    assert capsys.readouterr() == ("", "note: checkpoint ignored: duplicate-tx at height 2\n" + corrupt)
+    store.checkpoint_path.unlink()
+    assert main(query) == 3
+    assert capsys.readouterr() == ("", corrupt)
+
+
 def test_head_resealed_by_an_outsider_is_ignored(tmp_path):
     """A forger without the validator key commits a richer state by
     re-sealing the head with their own key: the checkpoint is ignored and
