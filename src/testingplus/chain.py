@@ -55,16 +55,13 @@ def check_issuance(balances) -> None:
         raise InputError("accounts", f"balances that add up to at most {U64_MAX}", total)
 
 
-@record("chain_id", "validator_pubkeys", "accounts", "empty_block_interval", "timeout_ticks")
+@record("chain_id", "validator_pubkeys", "accounts")
 class GenesisConfig:
     """A chain's fixed parameters, the one source of its authorities, who
     may vote (`validators`) and who may sign (`pubkeys`), and of its block 0
     (`genesis_block`): each derived once and shared by every `Chain` of this
-    genesis. `accounts` holds (pubkey, balance) pairs."""
-
-    # consensus timing in ticks, read by every consensus.Node
-    empty_block_interval = 50
-    timeout_ticks = 50
+    genesis. `accounts` holds (pubkey, balance) pairs. No consensus timing:
+    `from_dict` ignores the keys that older genesis files carry for it."""
 
     def to_json(self) -> str:
         return json.dumps(
@@ -74,8 +71,6 @@ class GenesisConfig:
                 "accounts": [
                     {"pubkey": pk.hex(), "balance": bal} for pk, bal in self.accounts
                 ],
-                "empty_block_interval": self.empty_block_interval,
-                "timeout_ticks": self.timeout_ticks,
             },
             indent=2,
             sort_keys=True,
@@ -88,8 +83,6 @@ class GenesisConfig:
             chain_id=v["chain_id"],
             validator_pubkeys=v["validators"],
             accounts=[(a["pubkey"], a["balance"]) for a in v["accounts"]],
-            empty_block_interval=v["empty_block_interval"],
-            timeout_ticks=v["timeout_ticks"],
         )
         cfg.validators  # raises unless distinct and non-empty
         check_issuance(b for _, b in cfg.accounts)
@@ -135,8 +128,6 @@ _GENESIS = obj(
     chain_id=HASH_HEX,
     validators=list_of(HASH_HEX),
     accounts=list_of(obj(pubkey=HASH_HEX, balance=uint)),
-    empty_block_interval=(uint, GenesisConfig.empty_block_interval),
-    timeout_ticks=(uint, GenesisConfig.timeout_ticks),
 )
 
 

@@ -98,8 +98,6 @@ def cmd_keygen(args) -> int:
 
 def cmd_init(args) -> int:
     store = ChainStore(Path(args.store))
-    if store.chain_path.exists():  # the store's commit point: what a crashed init left is redone
-        raise UsageError(f"store {args.store} exists")
     genesis = _read_json(args.genesis, "bad genesis file", GenesisConfig.from_dict)
     sealer, sealer_bytes = _load_key(args.validator_key, with_bytes=True)
     validators = genesis.validators
@@ -109,8 +107,11 @@ def cmd_init(args) -> int:
         raise UsageError(f"the store's one validator key cannot reach the genesis quorum of "
                          f"{validators.quorum} votes; a store needs a genesis with one validator")
     store.root.mkdir(parents=True, exist_ok=True)
-    replace_file(store.key_path, sealer_bytes, 0o600)
-    store.init(genesis)  # writes chain.bin last
+    with locked(store.root):  # so that of two concurrent inits one finds the other's store
+        if store.chain_path.exists():  # the commit point: what a crashed init left is redone
+            raise UsageError(f"store {args.store} exists")
+        replace_file(store.key_path, sealer_bytes, 0o600)
+        store.init(genesis)  # writes chain.bin last
     _log(f"initialized store {store.root}")
     print(json.dumps({"store": str(store.root), "chain_id": genesis.chain_id.hex()}))
     return EXIT_OK

@@ -75,27 +75,27 @@ class Height:
 
 
 class Node:
-    """A validator. What the genesis fixes (validator set, quorum, timing:
-    `empty_block_interval`, `timeout_ticks`) is read from it once; only the
-    gossip interval is the node's own. All it holds at its next height,
-    `len(self.chain.blocks)`, is the `Height` in `at`, replaced whole; a
-    commit is tried only after `at` gains a proposal or a vote. The mempool
-    holds each transaction as the `TxGossip` that carries it, built once;
-    `committed_txs` holds the hash of every transaction in the chain, added
-    as its block is appended, so that none is admitted again.
-    `copy.copy(node)`, a snapshot, shares `at` and has its own chain
-    (`Chain.copy`), mempool, `committed_txs` and held commits: its steps
-    leave this node alone."""
+    """A validator. What the genesis fixes (validator set, quorum) is read
+    from it once; its three timers, in ticks, come from its caller. All it
+    holds at its next height, `len(self.chain.blocks)`, is the `Height` in
+    `at`, replaced whole; a commit is tried only after `at` gains a proposal
+    or a vote. The mempool holds each transaction as the `TxGossip` that
+    carries it, built once; `committed_txs` holds the hash of every
+    transaction in the chain, added as its block is appended, so that none
+    is admitted again. `copy.copy(node)`, a snapshot, shares `at` and has
+    its own chain (`Chain.copy`), mempool, `committed_txs` and held commits:
+    its steps leave this node alone."""
 
-    def __init__(self, index: int, secret: bytes, genesis: GenesisConfig, gossip_interval: int):
+    def __init__(self, index: int, secret: bytes, genesis: GenesisConfig, gossip_interval: int,
+                 timeout_ticks: int, empty_block_interval: int):
         self.index = index
         self.secret = secret
         self.gossip_interval = gossip_interval
+        self.timeout_ticks = timeout_ticks
+        self.empty_block_interval = empty_block_interval
         self.chain = Chain(genesis)
         self.validators = genesis.validators
         self.quorum = self.validators.quorum
-        self.timeout_ticks = genesis.timeout_ticks
-        self.empty_block_interval = genesis.empty_block_interval
         self.address = self.validators.members[index][0]
         self.mempool: dict[bytes, TxGossip] = {}  # tx hash -> its gossip message
         self.committed_txs: set[bytes] = set()

@@ -52,7 +52,7 @@ _SCENARIO = obj(
     accounts=(list_of(uint), []),
     workload=(list_of(WORKLOAD_ENTRY), []),
     max_ticks=positive,
-    empty_block_interval=(uint, GenesisConfig.empty_block_interval),
+    empty_block_interval=(uint, 50),
     # 0 or null: from_dict derives them from the latency bound
     timeout_ticks=(uint, None),
     gossip_interval=(uint, None),
@@ -61,12 +61,13 @@ _SCENARIO = obj(
 
 @record("seed", "n_validators", "latency", "drop_probability", "partitions", "crash_faults",
         "account_balances", "workload", "max_ticks", "empty_block_interval", "timeout_ticks",
-        "gossip_interval", "raw")
+        "gossip_interval", "chain_id")
 class SimScenario:
     """`latency`: (low, high); `partitions`: dicts of from_tick, to_tick and sides;
-    `crash_faults`: node -> crash tick; `raw`: the scenario, whose digest is the chain id.
-    `from_dict` resolves `timeout_ticks` and `gossip_interval`. The key pairs and the
-    frozen genesis are `kept`: derived once and shared by every run of the scenario."""
+    `crash_faults`: node -> crash tick; `chain_id`: the SHA-256 of the scenario's
+    sorted JSON. `from_dict` resolves `timeout_ticks` and `gossip_interval`; the
+    three timers go to every `Node` of a run. The key pairs and the frozen
+    genesis are `kept`: derived once and shared by every run of the scenario."""
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimScenario":
@@ -76,6 +77,9 @@ class SimScenario:
         if hi < lo:
             raise InputError("latency[1]", f"at least latency[0] ({lo})", hi)
         for i, p in enumerate(v["partitions"]):
+            if p["to_tick"] < p["from_tick"]:
+                raise InputError(f"partitions[{i}].to_tick",
+                                 f"at least from_tick ({p['from_tick']})", p["to_tick"])
             if sorted(node for side in p["sides"] for node in side) != list(range(n)):
                 raise InputError(f"partitions[{i}].sides",
                                  f"a split of nodes 0..{n - 1}, each on one side", p["sides"])
@@ -112,11 +116,8 @@ class SimScenario:
             empty_block_interval=v["empty_block_interval"],
             timeout_ticks=v["timeout_ticks"] or 10 * hi,
             gossip_interval=v["gossip_interval"] or 2 * hi,
-            raw=raw,
+            chain_id=hash256(json.dumps(raw, sort_keys=True).encode()),
         )
-
-    def digest(self) -> bytes:
-        return hash256(json.dumps(self.raw, sort_keys=True).encode())
 
     # -- key material and genesis -------------------------------------------
 
@@ -131,14 +132,12 @@ class SimScenario:
     @kept
     def genesis(self) -> GenesisConfig:
         return GenesisConfig(
-            chain_id=self.digest(),
+            chain_id=self.chain_id,
             validator_pubkeys=[pk for _, pk in self.validator_keys],
             accounts=[
                 (pk, bal)
                 for (_, pk), bal in zip(self.account_keys, self.account_balances)
             ],
-            empty_block_interval=self.empty_block_interval,
-            timeout_ticks=self.timeout_ticks,
         )
 
     # -- workload resolution -------------------------------------------------
@@ -260,8 +259,8 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
     draw_latency = latency_sampler(rng, *scenario.latency)
     random_draw = rng.random
     drop = scenario.drop_probability
-    genesis = scenario.genesis  # carries the consensus timing
-    nodes = [Node(i, sk, genesis, scenario.gossip_interval)
+    nodes = [Node(i, sk, scenario.genesis, scenario.gossip_interval, scenario.timeout_ticks,
+                  scenario.empty_block_interval)
              for i, (sk, _) in enumerate(scenario.validator_keys)]
     n = len(nodes)
     workload = scenario.build_workload()
@@ -291,7 +290,7 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
     events: list[dict] = [
         {
             "type": "scenario",
-            "digest": genesis.chain_id.hex(),
+            "digest": scenario.chain_id.hex(),
             "seed": scenario.seed,
             "n_validators": n,
             "max_ticks": scenario.max_ticks,

@@ -99,6 +99,63 @@ class TestInit:
         assert capsys.readouterr().err == f"error: store {env['store']} exists\n"
         assert {name: (store / name).read_bytes() for name in names} == before
 
+    def test_of_two_concurrent_inits_one_wins_and_the_other_is_refused(
+            self, tmp_path, env, monkeypatch, capsys):
+        """The first init pauses inside ChainStore.init while a second, of
+        another genesis, runs on the same new directory: the second must
+        find the first's store, which then loads with the first's genesis."""
+        import threading
+        from contextlib import contextmanager
+
+        import testingplus.cli as cli
+
+        raw = json.loads((tmp_path / "genesis.json").read_text())
+        raw["chain_id"] = "02" * 32
+        other = tmp_path / "other_genesis.json"
+        other.write_text(json.dumps(raw))
+        store = tmp_path / "race"
+        inside, reached, release = threading.Event(), threading.Event(), threading.Event()
+        real_init, real_locked = ChainStore.init, cli.locked
+
+        def paused_init(self, genesis):
+            if not inside.is_set():  # the first init only
+                inside.set()
+                assert release.wait(30)
+            return real_init(self, genesis)
+
+        @contextmanager
+        def announced_locked(directory):
+            if threading.current_thread() is second:
+                reached.set()  # the second init is at the lock; the first still holds it
+            with real_locked(directory):
+                yield
+
+        monkeypatch.setattr(ChainStore, "init", paused_init)
+        monkeypatch.setattr(cli, "locked", announced_locked)
+        codes = {}
+
+        def init(name, genesis):
+            try:
+                codes[name] = main(["init", "--store", str(store), "--genesis", str(genesis),
+                                    "--validator-key", env["keys"]["validator"]])
+            finally:
+                reached.set()  # an init that takes no lock ends while the first is paused
+
+        first = threading.Thread(target=init, args=("first", env["genesis"]))
+        second = threading.Thread(target=init, args=("second", other))
+        capsys.readouterr()
+        first.start()
+        assert inside.wait(30)
+        second.start()
+        assert reached.wait(30)
+        release.set()
+        first.join(30)
+        second.join(30)
+        assert not first.is_alive() and not second.is_alive()
+        assert codes == {"first": 0, "second": 2}
+        assert f"error: store {store} exists\n" in capsys.readouterr().err
+        assert ChainStore(store).load().genesis.chain_id == b"\x01" * 32
+
     def test_store_validator_key_is_readable_by_its_owner_only(self, env):
         assert (Path(env["store"]) / "validator_key.json").stat().st_mode & 0o077 == 0
 
@@ -757,15 +814,13 @@ def test_a_cli_command_imports_neither_dataclasses_nor_inspect(env):
     lambda g: g["validators"].append(g["validators"][0]),
     lambda g: g["accounts"][0].update(balance=-5),
     lambda g: g["accounts"][0].update(balance=2.9),
-    lambda g: g.update(timeout_ticks=-1),
-    lambda g: g.update(empty_block_interval="soon"),
     lambda g: g.update(accounts=[5]),
     lambda g: [a.update(balance=2**63) for a in g["accounts"]],
     lambda g: g.update(chain_id=""),
     lambda g: g["accounts"][0].update(pubkey="ab"),
     lambda g: g["validators"].append("cd" * 20),
-], ids=["duplicate-validator", "negative-balance", "fractional-balance", "negative-timeout",
-        "text-interval", "account-not-an-object", "issuance-beyond-u64", "empty-chain-id",
+], ids=["duplicate-validator", "negative-balance", "fractional-balance",
+        "account-not-an-object", "issuance-beyond-u64", "empty-chain-id",
         "one-byte-account-key", "short-validator-key"])
 def test_bad_genesis_is_usage_error_and_writes_no_store(tmp_path, env, capsys, edit):
     raw = json.loads((tmp_path / "genesis.json").read_text())
@@ -783,9 +838,7 @@ def test_bad_genesis_is_usage_error_and_writes_no_store(tmp_path, env, capsys, e
 @pytest.mark.parametrize("edit,message", [
     (lambda g: g["accounts"][0].update(balance="1000"),
      "accounts[0].balance: must be a non-negative integer below 2**64, not '1000'"),
-    (lambda g: g.update(timeout_ticks="40"),
-     "timeout_ticks: must be a non-negative integer below 2**64, not '40'"),
-], ids=["balance", "timeout"])
+], ids=["balance"])
 def test_genesis_balances_and_intervals_refuse_decimal_strings(tmp_path, env, capsys, edit, message):
     """In JSON a u64 is a JSON integer, never a string; `init` writes integers."""
     raw = json.loads((tmp_path / "genesis.json").read_text())
@@ -798,6 +851,41 @@ def test_genesis_balances_and_intervals_refuse_decimal_strings(tmp_path, env, ca
                  "--validator-key", env["keys"]["validator"]]) == 2
     assert capsys.readouterr().err == f"error: bad genesis file: {message}\n"
     assert not store.exists()
+
+
+@pytest.mark.parametrize("timing", [
+    {"empty_block_interval": 50, "timeout_ticks": 50},
+    {"empty_block_interval": "soon", "timeout_ticks": -1},
+    {"timeout_ticks": "40"},
+], ids=["as-walkthroughs-wrote-it", "text-interval-negative-timeout", "decimal-string-timeout"])
+def test_genesis_timing_keys_are_ignored_and_not_stored(tmp_path, env, timing):
+    """Consensus timing is no genesis input: the keys older genesis files
+    carry, valid or not, change nothing, and the store's genesis.json,
+    byte for byte the one init writes without them, holds neither."""
+    raw = json.loads((tmp_path / "genesis.json").read_text())
+    old = tmp_path / "old_genesis.json"
+    old.write_text(json.dumps({**raw, **timing}))
+    store = tmp_path / "s5"
+    assert main(["init", "--store", str(store), "--genesis", str(old),
+                 "--validator-key", env["keys"]["validator"]]) == 0
+    stored = (store / "genesis.json").read_bytes()
+    assert stored == (Path(env["store"]) / "genesis.json").read_bytes()
+    assert b"empty_block_interval" not in stored and b"timeout_ticks" not in stored
+
+
+def test_a_store_genesis_with_timing_keys_loads_unchanged(env, capsys):
+    """A store written before genesis.json lost its timing keys still
+    loads, and reads as it would without them."""
+    submit(env, "customer", {"op": "deploy_customer_agreement"}, capsys)
+    capsys.readouterr()
+    assert main(["query", "--store", env["store"], "state"]) == 0
+    without = capsys.readouterr().out
+    genesis = Path(env["store"]) / "genesis.json"
+    raw = json.loads(genesis.read_text())
+    genesis.write_text(json.dumps({**raw, "empty_block_interval": 50, "timeout_ticks": 50},
+                                  indent=2, sort_keys=True))
+    assert main(["query", "--store", env["store"], "state"]) == 0
+    assert capsys.readouterr() == (without, "")
 
 
 @pytest.mark.parametrize("edit", [

@@ -21,15 +21,15 @@ ACTORS = VALIDATORS[:4]
 CUSTOMER = Actor(b"\x22" * 32)
 
 
-def make_cluster(n=4, gossip_interval=10, **timing):
+def make_cluster(n=4, gossip_interval=10, timeout_ticks=50, empty_block_interval=50):
     actors = VALIDATORS[:n]
     genesis = GenesisConfig(
         chain_id=b"\x01" * 32,
         validator_pubkeys=[a.pubkey for a in actors],
         accounts=[(CUSTOMER.pubkey, 1000)],
-        **timing,  # empty_block_interval, timeout_ticks
     )
-    return [Node(i, actors[i].secret, genesis, gossip_interval) for i in range(n)]
+    return [Node(i, actors[i].secret, genesis, gossip_interval, timeout_ticks, empty_block_interval)
+            for i in range(n)]
 
 
 def client_tx(nonce=0):
@@ -886,6 +886,9 @@ BAD_SCENARIO_NUMBERS = [
      "crash_faults[0].node: must be a non-negative integer below 2**64, not True"),
     ({"crash_faults": [{"node": 1, "tick": -20}]}, "crash fault tick must be a non-negative integer",
      "crash_faults[0].tick: must be a non-negative integer below 2**64, not -20"),
+    ({"partitions": [{"from_tick": 200, "to_tick": 100, "sides": [[0, 1], [2, 3]]}]},
+     "partition window must not end before it starts",
+     "partitions[0].to_tick: must be at least from_tick (200), not 100"),
 ]
 BAD_SCENARIO_NUMBER_IDS = [f"overrides{i}-{rule}"
                            for i, (_, rule, _) in enumerate(BAD_SCENARIO_NUMBERS)]

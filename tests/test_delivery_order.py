@@ -25,12 +25,12 @@ from testingplus.sim import SimScenario, run_simulation
 from test_golden_runs import PINNED_SCENARIOS
 
 
-def check_kept_values(node: Node) -> None:
+def check_kept_values(node: Node, scenario: SimScenario) -> None:
     chain, genesis = node.chain, node.chain.genesis
     assert node.validators is genesis.validators
     assert node.quorum == genesis.validators.quorum
-    assert node.timeout_ticks == genesis.timeout_ticks
-    assert node.empty_block_interval == genesis.empty_block_interval
+    assert node.timeout_ticks == scenario.timeout_ticks
+    assert node.empty_block_interval == scenario.empty_block_interval
     assert node.address == genesis.validators.members[node.index][0]
     assert node.next_height == chain.height + 1
     assert node.committed_txs == {h for block in chain.blocks for h in block.tx_hashes}
@@ -58,29 +58,30 @@ def check_kept_values(node: Node) -> None:
 
 
 @contextmanager
-def observed_nodes():
+def observed_nodes(scenario: SimScenario):
     """Yield the list of (tick, destination, source, kind) deliveries, in the
-    order `on_message` sees them, while every node event is checked."""
+    order `on_message` sees them, while every node event of a run of
+    `scenario` is checked."""
     deliveries = []
     on_message, on_tick, submit = Node.on_message, Node.on_tick, Node.submit
 
     def observed_on_message(self, msg, src, tick):
         deliveries.append((tick, self.index, src, msg.kind))
         out = on_message(self, msg, src, tick)
-        check_kept_values(self)
+        check_kept_values(self, scenario)
         return out
 
     def observed_on_tick(self, tick):
         height = self.next_height
         out = on_tick(self, tick)
-        check_kept_values(self)
+        check_kept_values(self, scenario)
         # the simulator looks for commits only after a tick that sends something
         assert out or self.next_height == height
         return out
 
     def observed_submit(self, tx):
         out = submit(self, tx)
-        check_kept_values(self)
+        check_kept_values(self, scenario)
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -100,7 +101,7 @@ def expected_deliveries(events, max_ticks):
 
 def check_delivery_order(raw):
     scenario = SimScenario.from_dict(raw)
-    with observed_nodes() as deliveries:
+    with observed_nodes(scenario) as deliveries:
         trace = run_simulation(scenario)
     assert deliveries == expected_deliveries(trace.events, scenario.max_ticks)
     return deliveries
