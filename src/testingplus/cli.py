@@ -9,7 +9,6 @@ or input error, 3 chain store corruption.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from pathlib import Path
@@ -60,7 +59,7 @@ def _read_json(path, what: str, read, with_bytes: bool = False):
     refuses, is a usage error led by `what`."""
     try:
         data = Path(path).read_bytes()
-        value = read(json.loads(io.TextIOWrapper(io.BytesIO(data)).read()))  # as read_text decodes
+        value = read(json.loads(data.decode()))  # JSON is UTF-8 (RFC 8259), whatever the locale
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, InputError) as exc:
         raise UsageError(f"{what}: {exc}") from exc
     return (value, data) if with_bytes else value

@@ -7,6 +7,7 @@ signature. The detached signature covers exactly the bytes before it.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Union
 
 from . import codec
@@ -100,10 +101,6 @@ for _cls in PAYLOAD_TYPES:
 del _cls
 
 
-def encode_payload(payload: Payload) -> bytes:
-    return payload.encoded
-
-
 def decode_payload(r: Reader) -> Payload:
     tag = r.peek_u8()
     cls = _BY_TAG.get(tag)
@@ -146,7 +143,7 @@ def payload_from_json(entry, digest, ident=codec.HASH_HEX,
     return cls(*values)
 
 
-@schema(None, sender=codec.BYTES, nonce=codec.U64, payload=(encode_payload, decode_payload),
+@schema(None, sender=codec.BYTES, nonce=codec.U64, payload=(attrgetter("encoded"), decode_payload),
         value=codec.U64, signature=codec.BYTES)
 class Transaction:
     signature = b""  # the default: unsigned

@@ -1,9 +1,13 @@
 """Deterministic state-transition machine for the three agreement contracts
 and the testing-workflow payloads.
 
-Every handler validates all of its requirements before touching state, so a
-revert needs no rollback: a Reverted receipt leaves the world unchanged
-except for the sender's nonce increment. Revert reasons are byte-exact.
+Each payload type is one row of `_RULES`: its handler, and the salt of the
+id of the record it creates. Every handler validates all of its requirements
+before touching state, so a revert needs no rollback: a Reverted receipt
+leaves the world unchanged except for the sender's nonce increment. Revert
+reasons are byte-exact. The four handlers that change a contract find it and
+check its owner with one helper, `_contract`; a payload whose `.encoded`
+bytes exceed MAX_PAYLOAD_BYTES reverts before any handler runs.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .tx import (
     SetReward,
     SetTestingFee,
     Transaction,
-    encode_payload,
 )
 
 REASON_ONLY_CUSTOMER_FEE = b"Only customer can set the fee"
@@ -77,23 +80,10 @@ def _tag(payload: Payload) -> bytes:
     return bytes([payload.TAG])
 
 
-# The bytes hashed after sender ‖ u64(nonce) to give the id of the record a
-# payload creates: one rule for every created record, as Ethereum derives
-# the address of what a transaction creates from (sender, nonce).
-_ID_SALT = {
-    DeployCustomerAgreement: _tag,
-    DeployDeveloperAgreement: _tag,
-    DeployAcceptanceTest: _tag,
-    RegisterTestCase: lambda p: p.expected_output_digest,
-    RecordExecution: lambda p: p.actual_output_digest + _tag(p),
-    PostFeedback: lambda p: p.subject + _tag(p),
-}
-
-
 def created_id(payload: Payload, sender: bytes, nonce: int) -> bytes | None:
     """Id of the contract, test case, execution or feedback that `payload`
     creates when `sender` submits it at `nonce`; None for the other payloads."""
-    salt = _ID_SALT.get(type(payload))
+    _, salt = _RULES.get(type(payload), (None, None))
     return None if salt is None else hash256(sender + enc_u64(nonce) + salt(payload))
 
 
@@ -106,31 +96,32 @@ def _put_history(state: WorldState, tx: Transaction, height: int, tick: int, rec
     state.next_seq += 1
 
 
-def _deploy_customer_agreement(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
-    cid = created_id(tx.payload, tx.sender, tx.nonce)
-    state.put(CustomerAgreementState(cid, tx.sender, 0))
+def _contract(section, tx: Transaction, owner: str, reason: bytes):
+    """The contract in `section` that `tx`'s payload names, if `tx`'s sender
+    is the contract's `owner` field; else a revert, `unknown contract` first."""
+    c = section.get(tx.payload.contract_id)
+    if c is None:
+        raise _Revert(REASON_UNKNOWN_CONTRACT)
+    if tx.sender != getattr(c, owner):
+        raise _Revert(reason)
+    return c
+
+
+def _deploy(record_type):
+    """The handler of an agreement deploy: a `record_type` with the created
+    id, the sender as its owner and a zero amount."""
+    def deploy(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
+        state.put(record_type(created_id(tx.payload, tx.sender, tx.nonce), tx.sender, 0))
+    return deploy
 
 
 def _set_testing_fee(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
-    c = state.customer_agreements.get(tx.payload.contract_id)
-    if c is None:
-        raise _Revert(REASON_UNKNOWN_CONTRACT)
-    if tx.sender != c.customer:
-        raise _Revert(REASON_ONLY_CUSTOMER_FEE)
+    c = _contract(state.customer_agreements, tx, "customer", REASON_ONLY_CUSTOMER_FEE)
     state.put(c.replace(testing_fee=tx.payload.fee))
 
 
-def _deploy_developer_agreement(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
-    cid = created_id(tx.payload, tx.sender, tx.nonce)
-    state.put(DeveloperAgreementState(cid, tx.sender, 0))
-
-
 def _set_reward(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
-    d = state.developer_agreements.get(tx.payload.contract_id)
-    if d is None:
-        raise _Revert(REASON_UNKNOWN_CONTRACT)
-    if tx.sender != d.developer:
-        raise _Revert(REASON_ONLY_DEVELOPER_REWARD)
+    d = _contract(state.developer_agreements, tx, "developer", REASON_ONLY_DEVELOPER_REWARD)
     state.put(d.replace(reward=tx.payload.amount))
 
 
@@ -143,11 +134,7 @@ def _deploy_acceptance_test(state: WorldState, tx: Transaction, height: int, tic
 
 
 def _initiate_test(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
-    t = state.acceptance_tests.get(tx.payload.contract_id)
-    if t is None:
-        raise _Revert(REASON_UNKNOWN_CONTRACT)
-    if tx.sender != t.customer:
-        raise _Revert(REASON_ONLY_CUSTOMER_INITIATE)
+    t = _contract(state.acceptance_tests, tx, "customer", REASON_ONLY_CUSTOMER_INITIATE)
     if tx.value != t.testing_fee:
         raise _Revert(REASON_FEE_NOT_PAID)
     if t.is_test_completed:
@@ -162,11 +149,7 @@ def _initiate_test(state: WorldState, tx: Transaction, height: int, tick: int) -
 
 
 def _complete_test(state: WorldState, tx: Transaction, height: int, tick: int) -> None:
-    t = state.acceptance_tests.get(tx.payload.contract_id)
-    if t is None:
-        raise _Revert(REASON_UNKNOWN_CONTRACT)
-    if tx.sender != t.developer:
-        raise _Revert(REASON_ONLY_DEVELOPER_COMPLETE)
+    t = _contract(state.acceptance_tests, tx, "developer", REASON_ONLY_DEVELOPER_COMPLETE)
     if t.escrow != t.testing_fee or (t.testing_fee == 0 and t.is_test_completed):
         raise _Revert(REASON_NOT_FUNDED)
     passed = state.passed
@@ -213,17 +196,21 @@ def _post_feedback(state: WorldState, tx: Transaction, height: int, tick: int) -
     _put_history(state, tx, height, tick, Feedback, p.subject, tx.sender, p.body_text)
 
 
-_HANDLERS = {
-    DeployCustomerAgreement: _deploy_customer_agreement,
-    SetTestingFee: _set_testing_fee,
-    DeployDeveloperAgreement: _deploy_developer_agreement,
-    SetReward: _set_reward,
-    DeployAcceptanceTest: _deploy_acceptance_test,
-    InitiateTest: _initiate_test,
-    CompleteTest: _complete_test,
-    RegisterTestCase: _register_test_case,
-    RecordExecution: _record_execution,
-    PostFeedback: _post_feedback,
+# Each payload type's handler, and its salt: the bytes hashed after sender ‖
+# u64(nonce) to give the id of the record it creates (None: it creates none),
+# one rule for every created record, as Ethereum derives the address of what a
+# transaction creates from (sender, nonce).
+_RULES = {
+    DeployCustomerAgreement: (_deploy(CustomerAgreementState), _tag),
+    SetTestingFee: (_set_testing_fee, None),
+    DeployDeveloperAgreement: (_deploy(DeveloperAgreementState), _tag),
+    SetReward: (_set_reward, None),
+    DeployAcceptanceTest: (_deploy_acceptance_test, _tag),
+    InitiateTest: (_initiate_test, None),
+    CompleteTest: (_complete_test, None),
+    RegisterTestCase: (_register_test_case, lambda p: p.expected_output_digest),
+    RecordExecution: (_record_execution, lambda p: p.actual_output_digest + _tag(p)),
+    PostFeedback: (_post_feedback, lambda p: p.subject + _tag(p)),
 }
 
 
@@ -247,10 +234,10 @@ def apply_transaction(state: WorldState, tx: Transaction, height: int = 0, tick:
         return receipt(REASON_BAD_NONCE)
     state.bump_nonce(tx.sender)
 
-    handler = _HANDLERS.get(type(tx.payload))
+    handler, _ = _RULES.get(type(tx.payload), (None, None))
     if handler is None:
         return receipt(REASON_UNKNOWN_PAYLOAD)
-    if len(encode_payload(tx.payload)) > MAX_PAYLOAD_BYTES:
+    if len(tx.payload.encoded) > MAX_PAYLOAD_BYTES:
         return receipt(REASON_PAYLOAD_TOO_LARGE)
     if tx.value != 0 and not isinstance(tx.payload, InitiateTest):
         return receipt(REASON_VALUE_NOT_ACCEPTED)

@@ -810,6 +810,34 @@ def test_a_cli_command_imports_neither_dataclasses_nor_inspect(env):
     assert proc.stderr.splitlines()[-1] == "0 []"
 
 
+def test_a_json_input_is_read_as_utf8_whatever_the_locale(env):
+    """JSON is UTF-8 (RFC 8259), so a submit under the C locale, with
+    Python's UTF-8 mode off, reads non-ASCII text as a UTF-8 locale does."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    op = env["tmp"] / "note.json"
+    op.write_bytes('{"op": "deploy_customer_agreement", "note": "é"}'.encode())
+    proc = subprocess.run(
+        [sys.executable, "-m", "testingplus.cli", "submit", str(op), "--store", env["store"],
+         "--key", env["keys"]["customer"]],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path, LC_ALL="C", PYTHONUTF8="0"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["status"] == "Success"
+
+
+def test_a_json_input_with_a_byte_order_mark_is_refused(env, capsys):
+    op = env["tmp"] / "bom.json"
+    op.write_bytes(b"\xef\xbb\xbf" + b'{"op": "deploy_customer_agreement"}')
+    rc = main(["submit", str(op), "--store", env["store"], "--key", env["keys"]["customer"]])
+    assert rc == 2
+    assert "Unexpected UTF-8 BOM" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit", [
     lambda g: g["validators"].append(g["validators"][0]),
     lambda g: g["accounts"][0].update(balance=-5),

@@ -21,7 +21,6 @@ from testingplus.tx import (
     SetReward,
     SetTestingFee,
     decode_payload,
-    encode_payload,
     payload_from_json,
 )
 from testingplus.vm import created_id
@@ -65,7 +64,7 @@ def test_created_id_matches_the_oracle_for_every_payload_type(payload, sender, n
 
 @given(PAYLOADS)
 def test_encode_decode_roundtrip_every_payload_type(payload):
-    encoded = encode_payload(payload)
+    encoded = payload.encoded
     assert encoded == reference_encoding(payload)
     r = Reader(encoded)
     assert decode_payload(r) == payload
@@ -101,7 +100,7 @@ PINNED = [
 
 @pytest.mark.parametrize("payload,hex_", PINNED, ids=[type(p).__name__ for p, _ in PINNED])
 def test_pinned_encoding(payload, hex_):
-    assert encode_payload(payload).hex() == hex_
+    assert payload.encoded.hex() == hex_
 
 
 # the JSON op entry of each pinned payload, as the CLI and scenarios spell it

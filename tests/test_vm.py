@@ -12,6 +12,7 @@ from testingplus.tx import (
     DeployCustomerAgreement,
     DeployDeveloperAgreement,
     InitiateTest,
+    PostFeedback,
     RecordExecution,
     RegisterTestCase,
     SetReward,
@@ -232,6 +233,97 @@ class TestApplyTransaction:
             customer, RegisterTestCase(cid, big, b"\x01" * 32, b"\x02" * 32)
         )
         assert receipt.reason == b"payload too large"
+
+
+def _fee_with_id_of(length):
+    """A SetTestingFee whose contract id is `length` bytes: its encoding is
+    the tag, the id's length prefix and the id, then the u64 fee."""
+    return SetTestingFee(b"\x0f" * length, 5)
+
+
+class TestRevertRules:
+    """Each limit at its edge and each pair of checks in its order, so that a
+    refactor of the VM keeps every receipt's reason."""
+
+    def test_value_of_one_on_a_non_initiate_payload_rejected(self, local, customer):
+        receipt, _ = local.submit(customer, DeployCustomerAgreement(), value=1)
+        assert receipt.reason == b"value not accepted"
+
+    def test_description_of_exactly_max_text_bytes_accepted(self, local, customer, developer):
+        cid = deploy_acceptance(local, customer, developer, 10)
+        text = b"x" * vm.MAX_TEXT_BYTES
+        receipt, _ = local.submit(customer, RegisterTestCase(cid, text, b"\x01" * 32, b"\x02" * 32))
+        assert receipt.ok
+
+    def test_feedback_body_of_exactly_max_text_bytes_accepted(self, local, customer, developer):
+        cid = deploy_acceptance(local, customer, developer, 10)
+        _, reg = local.submit(customer, RegisterTestCase(cid, b"case", b"\x01" * 32, b"\x02" * 32))
+        case_id = created_id(reg.payload, reg.sender, reg.nonce)
+        receipt, _ = local.submit(developer, PostFeedback(case_id, b"x" * vm.MAX_TEXT_BYTES))
+        assert receipt.ok
+
+    def test_payload_of_exactly_max_payload_bytes_is_executed(self, customer):
+        state = _fresh_state([customer], [500])
+        at_limit, over = _fee_with_id_of(65523), _fee_with_id_of(65524)
+        assert len(at_limit.encoded) == vm.MAX_PAYLOAD_BYTES
+        receipt = apply_transaction(state, Transaction(customer.address, 0, at_limit, 0, b"s"))
+        assert receipt.reason == b"unknown contract"
+        receipt = apply_transaction(state, Transaction(customer.address, 1, over, 0, b"s"))
+        assert receipt.reason == b"payload too large"
+
+    def test_unknown_customer_rejected(self, local, customer, developer):
+        receipt, _ = local.submit(
+            customer, DeployAcceptanceTest(b"\x42" * 20, developer.address, 10)
+        )
+        assert receipt.reason == b"unknown account"
+
+    def test_zero_fee_test_completes_once(self, local, customer, developer):
+        cid = deploy_acceptance(local, customer, developer, 0)
+        receipt, _ = local.submit(developer, CompleteTest(cid))
+        assert receipt.ok
+        first = local.chain.state.acceptance_tests[cid]
+        receipt, _ = local.submit(developer, CompleteTest(cid))
+        assert receipt.reason == b"test not funded"
+        again = local.chain.state.acceptance_tests[cid]
+        assert again.is_test_completed
+        assert (again.completed_tick, again.completed_height, again.completed_tx_hash) == (
+            first.completed_tick, first.completed_height, first.completed_tx_hash)
+
+    def test_unknown_contract_comes_before_an_oversize_description(self, local, customer):
+        big = b"x" * (vm.MAX_TEXT_BYTES + 1)
+        receipt, _ = local.submit(
+            customer, RegisterTestCase(b"\x0e" * 32, big, b"\x01" * 32, b"\x02" * 32)
+        )
+        assert receipt.reason == b"unknown contract"
+
+    def test_an_oversize_body_comes_before_an_unknown_subject(self, local, customer):
+        big = b"x" * (vm.MAX_TEXT_BYTES + 1)
+        receipt, _ = local.submit(customer, PostFeedback(b"\x0e" * 32, big))
+        assert receipt.reason == b"payload too large"
+
+    def test_an_oversize_payload_comes_before_its_value(self, customer):
+        state = _fresh_state([customer], [500])
+        tx = Transaction(customer.address, 0, _fee_with_id_of(65524), 1, b"s")
+        assert apply_transaction(state, tx).reason == b"payload too large"
+
+    def test_a_sender_without_an_account_changes_nothing(self, customer):
+        # a chain never gets here, as check_block refuses an unknown sender
+        state = _fresh_state([customer], [500])
+        pre = state.root()
+        stranger = Actor(b"\x55" * 32)
+        tx = Transaction(stranger.address, 0, DeployCustomerAgreement(), 0, b"s")
+        receipt = apply_transaction(state, tx)
+        assert (receipt.status, receipt.reason) == ("Reverted", b"unknown account")
+        assert state.root() == pre
+
+    def test_a_payload_without_a_rule_reverts_after_the_nonce_bump(self, customer):
+        from testingplus.state import AccountState
+
+        state = _fresh_state([customer], [500])
+        payload = AccountState(customer.address, 10**6, 0)
+        receipt = apply_transaction(state, Transaction(customer.address, 0, payload, 0, b"s"))
+        assert receipt.reason == b"unknown payload"
+        assert state.accounts[customer.address] == AccountState(customer.address, 500, 1)
 
 
 def _random_workload(rng, actors, n_ops=40):
