@@ -209,24 +209,36 @@ def verify_chain(blocks: list[Block], validators: ValidatorSet, pubkeys: dict[by
 
 
 class Chain:
-    """A committed chain plus its executed world state."""
+    """A committed chain plus its executed world state.
 
-    def __init__(self, genesis: GenesisConfig):
+    Each block is executed at most once on its way through `stage`,
+    `validate_block` and `append`: its post-state and receipts are kept in
+    a memo under its header hash, which commits to the parent, so an entry
+    holds for every chain whose head is that parent. A failed state-root
+    check stores nothing. A chain keeps a private memo, which `append`
+    empties, unless it is given `executed`, a memo shared with other chains
+    of the same genesis, whose owner drops the entries it no longer needs
+    (`run_simulation` shares one among the nodes of a run). Chains that
+    take a block from a shared memo share its post-state object, which
+    none of them writes: execution writes a copy."""
+
+    def __init__(self, genesis: GenesisConfig,
+                 executed: dict[bytes, tuple[WorldState, tuple[Receipt, ...]]] | None = None):
         self.genesis = genesis
         self.validators = genesis.validators
         self.pubkeys = genesis.pubkeys
         self.state = genesis.genesis_state()
         self.blocks: list[Block] = [genesis.genesis_block]
-        # header hash -> (post-state, receipts) of a block executed on top of
-        # the head, so that stage, validate_block and append run it once;
-        # emptied whenever the head moves
-        self._executed: dict[bytes, tuple[WorldState, tuple[Receipt, ...]]] = {}
+        self._private = executed is None
+        # header hash -> (post-state, receipts) of an executed block
+        self._executed = {} if executed is None else executed
 
     def copy(self) -> "Chain":
         """A snapshot: it shares the genesis, the blocks and the state (see
-        `WorldState.copy`), with its own block list and nothing executed."""
+        `WorldState.copy`), with its own block list and a private, empty memo."""
         twin = object.__new__(type(self))
-        vars(twin).update(vars(self), state=self.state.copy(), blocks=list(self.blocks), _executed={})
+        vars(twin).update(vars(self), state=self.state.copy(), blocks=list(self.blocks),
+                          _private=True, _executed={})
         return twin
 
     @property
@@ -272,8 +284,9 @@ class Chain:
         self._execute_block(block)
 
     def _execute_block(self, block: Block) -> tuple[WorldState, tuple[Receipt, ...]]:
-        """Post-state and receipts of a block whose parent is the head,
-        executed at most once; raises if its state root does not match."""
+        """Post-state and receipts of a block whose parent is the head, from
+        the memo if it holds them, else executed and stored; raises, and
+        stores nothing, if its state root does not match."""
         key = block.header.hash()
         hit = self._executed.get(key)
         if hit is None:
@@ -289,11 +302,13 @@ class Chain:
     def append(self, block: Block) -> list[Receipt]:
         """The one way onto the chain: `check_block` against the head, then
         the votes, then execution (reused if the block was staged or
-        validated before); the block becomes the head."""
+        validated before, by this chain or one sharing its memo); the block
+        becomes the head."""
         check_block(self.head.header, block, self.pubkeys)
         self.check_votes(block)
         self.state, receipts = self._execute_block(block)
-        self._executed.clear()
+        if self._private:
+            self._executed.clear()
         self.blocks.append(block)
         return list(receipts)
 

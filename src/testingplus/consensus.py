@@ -84,16 +84,17 @@ class Node:
     transaction in the chain, added as its block is appended, so that none
     is admitted again. `copy.copy(node)`, a snapshot, shares `at` and has
     its own chain (`Chain.copy`), mempool, `committed_txs` and held commits:
-    its steps leave this node alone."""
+    its steps leave this node alone. `executed`, if given, is the memo of
+    executed blocks its chain shares with other nodes (see `Chain`)."""
 
     def __init__(self, index: int, secret: bytes, genesis: GenesisConfig, gossip_interval: int,
-                 timeout_ticks: int, empty_block_interval: int):
+                 timeout_ticks: int, empty_block_interval: int, executed: dict | None = None):
         self.index = index
         self.secret = secret
         self.gossip_interval = gossip_interval
         self.timeout_ticks = timeout_ticks
         self.empty_block_interval = empty_block_interval
-        self.chain = Chain(genesis)
+        self.chain = Chain(genesis, executed)
         self.validators = genesis.validators
         self.quorum = self.validators.quorum
         self.address = self.validators.members[index][0]

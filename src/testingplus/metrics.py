@@ -54,8 +54,13 @@ def analyze(trace: SimTrace) -> MetricsReport:
     per_node_msgs: dict[int, int] = {}
     per_node_commits: dict[int, int] = {}
     msgs_of = per_node_msgs.get
-    # event types by how often they occur: most events are messages
-    for e in trace.events:
+    # event types by how often they occur: most events are messages, as
+    # rows in a run's own trace and as dicts in one read back from a file
+    for e in trace.rows:
+        if type(e) is tuple:
+            src = e[1]
+            per_node_msgs[src] = msgs_of(src, 0) + 1
+            continue
         kind = e.get("type")
         if kind == "msg":
             src = e["src"]

@@ -187,18 +187,57 @@ class SimScenario:
         return out
 
 
-class SimTrace:
-    """Newline-delimited JSON event log plus a final per-node summary."""
+# a msg row as json.dumps(sort_keys=True) writes its dict, which holds no
+# "at" when blocked; a kind is a plain lowercase word, written unescaped
+_MSG_LINE = '{"at": %d, "dst": %d, "kind": "%s", "out": "%s", "src": %d, "t": %d, "type": "msg"}\n'
+_BLOCKED_LINE = '{"dst": %d, "kind": "%s", "out": "blocked", "src": %d, "t": %d, "type": "msg"}\n'
 
-    def __init__(self, events: list[dict]):
-        self.events = events
+
+def _msg_event(row: tuple) -> dict:
+    """The dict of a msg row (t, src, dst, kind, out, at), `at` None when
+    `out` is "blocked"."""
+    t, src, dst, kind, out, at = row
+    event = {"type": "msg", "t": t, "src": src, "dst": dst, "kind": kind, "out": out}
+    if at is not None:
+        event["at"] = at
+    return event
+
+
+class SimTrace:
+    """Newline-delimited JSON event log plus a final per-node summary.
+
+    `rows` holds the events in order: a run records each msg event as a
+    row (see `_msg_event`), and every other event as a dict. `events` is
+    the log as dicts alone; its first read turns the rows into dicts in
+    place. `to_text` writes a row through a fixed template, as
+    `json.dumps(sort_keys=True)` writes its dict."""
+
+    def __init__(self, rows: list):
+        self.rows = rows
+
+    @property
+    def events(self) -> list[dict]:
+        rows = self.rows
+        for i, row in enumerate(rows):
+            if type(row) is tuple:
+                rows[i] = _msg_event(row)
+        return rows
 
     def write(self, path) -> None:
         replace_file(Path(path), self.to_text().encode())
 
     def to_text(self) -> str:
         encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
-        return "".join(encode(e) + "\n" for e in self.events)
+        lines = []
+        line = lines.append
+        for e in self.rows:
+            if type(e) is not tuple:
+                line(encode(e) + "\n")
+            elif e[5] is None:
+                line(_BLOCKED_LINE % (e[2], e[3], e[1], e[0]))
+            else:
+                line(_MSG_LINE % (e[5], e[2], e[3], e[4], e[1], e[0]))
+        return "".join(lines)
 
     @classmethod
     def read(cls, path) -> "SimTrace":
@@ -214,8 +253,8 @@ class SimTrace:
 
     @property
     def summary(self) -> dict:
-        for e in reversed(self.events):
-            if e["type"] == "summary":
+        for e in reversed(self.rows):
+            if type(e) is not tuple and e["type"] == "summary":
                 return e
         raise InputError("trace", "an event log with a summary event")
 
@@ -255,12 +294,19 @@ def latency_sampler(rng: random.Random, lo: int, hi: int):
 
 
 def run_simulation(scenario: SimScenario) -> SimTrace:
+    """Run `scenario` from tick 0 through `max_ticks` and return its trace.
+
+    The nodes' chains share one memo of executed blocks, made for this run
+    alone (see `Chain`): the first node that stages or validates a block
+    executes it, and every other node adopts its post-state. At the end of
+    each tick the entries at heights every live node has passed are dropped."""
     rng = random.Random(scenario.seed)
     draw_latency = latency_sampler(rng, *scenario.latency)
     random_draw = rng.random
     drop = scenario.drop_probability
+    executed: dict = {}  # header hash -> (post-state, receipts), shared by every node
     nodes = [Node(i, sk, scenario.genesis, scenario.gossip_interval, scenario.timeout_ticks,
-                  scenario.empty_block_interval)
+                  scenario.empty_block_interval, executed)
              for i, (sk, _) in enumerate(scenario.validator_keys)]
     n = len(nodes)
     workload = scenario.build_workload()
@@ -268,6 +314,7 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
     for idx, (tick, tx) in enumerate(workload):
         by_tick.setdefault(tick, []).append((idx, tx))
     recorded = [1] * n  # per node, how many of its blocks have commit lines (genesis counts)
+    passed = 0  # every live node's chain holds the blocks up to this height
 
     # fault tables: a node is down from its crash tick on; a partition is
     # consulted only on the ticks its window covers
@@ -287,7 +334,7 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
             ]
         return cut_tables[active]
 
-    events: list[dict] = [
+    events: list = [
         {
             "type": "scenario",
             "digest": scenario.chain_id.hex(),
@@ -305,11 +352,9 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
 
     def send(src: int, out: list[Outbound], tick: int) -> None:
         # per message, per destination: a blocked one draws nothing, any
-        # other draws its latency and then one random() for the drop
-        row = None if cut is None else cut[src]
-        # each msg event is a copy of this one with dst, out and at set:
-        # copying a dict is cheaper than building one from seven keys
-        sent = {"type": "msg", "t": tick, "src": src, "dst": 0, "kind": "", "out": "", "at": 0}
+        # other draws its latency and then one random() for the drop; each
+        # is recorded as a msg row (see _msg_event)
+        cut_off = None if cut is None else cut[src]
         for dest, msg in out:
             if dest is None:
                 dests = others[src]
@@ -317,11 +362,10 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
                 dests = (dest,)
             else:
                 continue
-            kind = sent["kind"] = msg.kind
+            kind = msg.kind
             for d in dests:
-                if row is not None and row[d]:
-                    emit({"type": "msg", "t": tick, "src": src, "dst": d,
-                          "kind": kind, "out": "blocked"})
+                if cut_off is not None and cut_off[d]:
+                    emit((tick, src, d, kind, "blocked", None))
                     continue
                 deliver = tick + draw_latency()
                 dropped = random_draw() < drop
@@ -332,11 +376,7 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
                 else:
                     outcome = "ok"
                     mailbox[deliver][d].append((src, msg))
-                e = sent.copy()
-                e["dst"] = d
-                e["out"] = outcome
-                e["at"] = deliver
-                emit(e)
+                emit((tick, src, d, kind, outcome, deliver))
 
     for tick in range(scenario.max_ticks + 1):
         if windows:
@@ -370,6 +410,13 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
                     send(i, out, tick)
                     if len(node.chain.blocks) != recorded[i]:
                         _record_commits(node, recorded, events, tick)
+        # drop the executed blocks no live node will take again
+        if executed:
+            floor = min((recorded[i] for i in range(n) if tick < crash_at[i]), default=NEVER) - 1
+            if floor > passed:
+                passed = floor
+                for key in [k for k, (state, _) in executed.items() if state.height <= floor]:
+                    del executed[key]
 
     last = scenario.max_ticks
     submitted = {tx.hash() for _, tx in workload}
