@@ -44,28 +44,23 @@ class MetricsReport:
 
 
 def analyze(trace: SimTrace) -> MetricsReport:
-    """Pure function of a trace. Uncommitted submissions are reported as
-    losses, never silently dropped."""
+    """Pure function of a trace's rows, one form however the trace was made.
+    Uncommitted submissions are reported as losses, never silently dropped."""
     scenario = None
-    summary = None
     submits: dict[str, int] = {}
     first_commit: dict[str, int] = {}
     height_first_commit: dict[int, int] = {}
     per_node_msgs: dict[int, int] = {}
     per_node_commits: dict[int, int] = {}
     msgs_of = per_node_msgs.get
-    # event types by how often they occur: most events are messages, as
-    # rows in a run's own trace and as dicts in one read back from a file
+    # event types by how often they occur: most events are msg rows
     for e in trace.rows:
         if type(e) is tuple:
             src = e[1]
             per_node_msgs[src] = msgs_of(src, 0) + 1
             continue
         kind = e.get("type")
-        if kind == "msg":
-            src = e["src"]
-            per_node_msgs[src] = msgs_of(src, 0) + 1
-        elif kind == "commit":
+        if kind == "commit":
             per_node_commits[e["node"]] = per_node_commits.get(e["node"], 0) + 1
             h = e["h"]
             if h not in height_first_commit or e["t"] < height_first_commit[h]:
@@ -77,10 +72,9 @@ def analyze(trace: SimTrace) -> MetricsReport:
             submits[e["tx"]] = e["t"]
         elif kind == "scenario":
             scenario = e
-        elif kind == "summary":
-            summary = e
-    if scenario is None or summary is None:
-        raise InputError("trace", "an event log with a scenario and a summary event")
+    summary = trace.summary
+    if scenario is None:
+        raise InputError("trace", "an event log with a scenario event")
 
     committed_submitted = [tx for tx in submits if tx in first_commit]
     latencies = [first_commit[tx] - submits[tx] for tx in committed_submitted]

@@ -194,8 +194,7 @@ _BLOCKED_LINE = '{"dst": %d, "kind": "%s", "out": "blocked", "src": %d, "t": %d,
 
 
 def _msg_event(row: tuple) -> dict:
-    """The dict of a msg row (t, src, dst, kind, out, at), `at` None when
-    `out` is "blocked"."""
+    """The dict of a msg row (t, src, dst, kind, out, at)."""
     t, src, dst, kind, out, at = row
     event = {"type": "msg", "t": t, "src": src, "dst": dst, "kind": kind, "out": out}
     if at is not None:
@@ -206,22 +205,20 @@ def _msg_event(row: tuple) -> dict:
 class SimTrace:
     """Newline-delimited JSON event log plus a final per-node summary.
 
-    `rows` holds the events in order: a run records each msg event as a
-    row (see `_msg_event`), and every other event as a dict. `events` is
-    the log as dicts alone; its first read turns the rows into dicts in
-    place. `to_text` writes a row through a fixed template, as
-    `json.dumps(sort_keys=True)` writes its dict."""
+    `rows` holds the events in order, in one form however the trace was
+    made: a msg event as a row (t, src, dst, kind, out, at), `at` None when
+    `out` is "blocked", and every other event as a dict. A run makes these
+    rows and `read` gives them back. `to_text` writes a row through a fixed
+    template, as `json.dumps(sort_keys=True)` writes its dict. `events` is a
+    view of the log as dicts, built anew on each read; it never rewrites
+    `rows`, and shares their non-msg dicts."""
 
     def __init__(self, rows: list):
         self.rows = rows
 
     @property
     def events(self) -> list[dict]:
-        rows = self.rows
-        for i, row in enumerate(rows):
-            if type(row) is tuple:
-                rows[i] = _msg_event(row)
-        return rows
+        return [_msg_event(e) if type(e) is tuple else e for e in self.rows]
 
     def write(self, path) -> None:
         replace_file(Path(path), self.to_text().encode())
@@ -233,7 +230,7 @@ class SimTrace:
         for e in self.rows:
             if type(e) is not tuple:
                 line(encode(e) + "\n")
-            elif e[5] is None:
+            elif e[4] == "blocked":
                 line(_BLOCKED_LINE % (e[2], e[3], e[1], e[0]))
             else:
                 line(_MSG_LINE % (e[5], e[2], e[3], e[4], e[1], e[0]))
@@ -241,29 +238,37 @@ class SimTrace:
 
     @classmethod
     def read(cls, path) -> "SimTrace":
-        events = []
+        """The trace a file holds, as its run made it. A line no run writes
+        is an InputError naming it: one that is blank or not a JSON object,
+        or a msg line its row would not write back (a field missing or
+        extra, or `at` on a blocked message or missing from another)."""
+        rows = []
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
             try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise InputError(f"line {lineno}", "a JSON value", line) from exc
-        return cls(events)
+                e = json.loads(line)
+            except json.JSONDecodeError:
+                e = None
+            if type(e) is not dict:
+                raise InputError(f"line {lineno}", "a JSON object", line)
+            if e.get("type") == "msg":
+                row = tuple(map(e.get, ("t", "src", "dst", "kind", "out", "at")))
+                try:
+                    written = cls([row]).to_text()
+                except (TypeError, ValueError, OverflowError):  # a value no template takes
+                    written = None
+                if written != json.dumps(e, sort_keys=True) + "\n":
+                    raise InputError(f"line {lineno}", "a msg event with t, src, dst, kind, "
+                                     "out and, unless blocked, at", line)
+                e = row
+            rows.append(e)
+        return cls(rows)
 
     @property
     def summary(self) -> dict:
         for e in reversed(self.rows):
-            if type(e) is not tuple and e["type"] == "summary":
+            if type(e) is dict and e.get("type") == "summary":
                 return e
         raise InputError("trace", "an event log with a summary event")
-
-
-def chain_digest(node: Node) -> bytes:
-    acc = hashlib.sha256()
-    for block in node.chain.blocks:
-        acc.update(block.header.hash())
-    return acc.digest()
 
 
 # crash tick of a node that never crashes: later than any delivery
@@ -435,7 +440,8 @@ def run_simulation(scenario: SimScenario) -> SimTrace:
                     "node": i,
                     "height": node.chain.height,
                     "head": node.chain.head.header.hash().hex(),
-                    "chain_digest": chain_digest(node).hex(),
+                    "chain_digest": hashlib.sha256(
+                        b"".join(block.header.hash() for block in node.chain.blocks)).hexdigest(),
                     "state_bytes": len(node.chain.state.serialize()),
                     "state_root": node.chain.state.root().hex(),
                     "mempool": len(node.mempool),

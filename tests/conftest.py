@@ -34,33 +34,37 @@ def masked(value):
     return value
 
 
-def masked_digest(events) -> bytes:
-    """SHA-256 of a trace's events, masked, in the form SimTrace.to_text writes."""
-    text = "".join(json.dumps(masked(e), sort_keys=True) + "\n" for e in events)
-    return hashlib.sha256(text.encode()).digest()
-
-
 # each of ROOT_KEYS as json.dumps writes it as a key; a quote inside a string
 # value is escaped, so only a key can match
 _ROOT_KEY_TEXT = re.compile("|".join(f'"{k}": ' for k in ROOT_KEYS))
 
 
 class TraceDigests:
-    """Running SHA-256 over many traces, in the form SimTrace.to_text writes
-    them: `full` of the events, `masked` of the events with `masked` over
-    them, as `masked_digest` reads one trace. A line holding no key of
-    ROOT_KEYS is its own masked form, so only the rest are masked anew."""
+    """Running SHA-256 over the `to_text()` of many traces: `full` of the
+    text, `masked` of it with `masked` over each line. Line i of the text is
+    row i of `trace.rows`, and only a dict row's line can hold a key of
+    ROOT_KEYS: only the lines that do are written anew, from their masked
+    rows, as json.dumps(sort_keys=True) writes them."""
 
     def __init__(self):
         self.full, self.masked = hashlib.sha256(), hashlib.sha256()
 
-    def update(self, events) -> None:
-        encode = json.JSONEncoder(sort_keys=True).encode  # as json.dumps(e, sort_keys=True)
+    def update(self, trace) -> None:
+        text = trace.to_text()
+        self.full.update(text.encode())
+        lines = text.splitlines(keepends=True)
         has_root = _ROOT_KEY_TEXT.search
-        full = [encode(e) for e in events]
-        plain = [encode(masked(e)) if has_root(line) else line for e, line in zip(events, full)]
-        self.full.update(("\n".join(full) + "\n").encode())
-        self.masked.update(("\n".join(plain) + "\n").encode())
+        for i, row in enumerate(trace.rows):
+            if type(row) is dict and has_root(lines[i]):
+                lines[i] = json.dumps(masked(row), sort_keys=True) + "\n"
+        self.masked.update("".join(lines).encode())
+
+
+def masked_digest(trace) -> bytes:
+    """SHA-256 of a trace's `to_text()` with `masked` over each line."""
+    digests = TraceDigests()
+    digests.update(trace)
+    return digests.masked.digest()
 
 
 class Actor:

@@ -278,10 +278,10 @@ def test_criterion_5_consensus_safety_liveness(capfd):
         for seed in range(200):
             scenario = SimScenario.from_dict(_random_fault_scenario(seed))
             trace = run_simulation(scenario)
-            digests.update(trace.events)
+            digests.update(trace)
             by_height = {}
-            for e in trace.events:
-                if e["type"] == "commit":
+            for e in trace.rows:
+                if type(e) is dict and e["type"] == "commit":
                     prev = by_height.setdefault(e["h"], e["hash"])
                     assert prev == e["hash"], (
                         f"scenario {seed}: conflicting commits at height {e['h']}"

@@ -42,11 +42,14 @@ ACTORS = [Actor(bytes([0x50 + i]) * 32) for i in range(4)]
 
 def _ledger_ops(rng, n_ops):
     """Random engagement traffic; about a third of it reverts, for eight
-    different reasons (bad nonces among them)."""
+    different reasons (bad nonces among them). No transaction is signed
+    twice, as a block may not hold one twice: an op that would repeat an
+    earlier one (a bad-nonce op takes the nonce a later op of its actor
+    signs with, and may take its payload too) is drawn again."""
     nonces = {a.address: 0 for a in ACTORS}
     contracts, cases, execs = [], [], []
-    ops = []
-    for _ in range(n_ops):
+    ops, signed = [], set()
+    while len(ops) < n_ops:
         actor, other = rng.choice(ACTORS), rng.choice(ACTORS)
         nonce = nonces[actor.address]
         kind = rng.choice(["deploy", "initiate", "complete", "register", "execute",
@@ -74,12 +77,22 @@ def _ledger_ops(rng, n_ops):
             payload = PostFeedback(rng.choice(pool), b"looks good")
         else:
             payload = rng.choice([SetTestingFee(b"\x00" * 32, 1), DeployCustomerAgreement()])
-        if rng.random() < 0.05:
-            nonce += 1  # bad nonce: reverts without touching state
-        else:
+        bad = rng.random() < 0.05  # bad nonce: reverts without touching state
+        tx = actor.sign(Transaction(actor.address, nonce + 1 if bad else nonce, payload, value))
+        if tx.hash() in signed:
+            continue
+        signed.add(tx.hash())
+        if not bad:
             nonces[actor.address] += 1
-        ops.append(actor.sign(Transaction(actor.address, nonce, payload, value)))
+        ops.append(tx)
     return ops
+
+
+def test_the_ledger_stream_signs_no_transaction_twice():
+    # streams in which a bad-nonce op once signed what a later op signed
+    for seed in (6, 95, 145, 169, 510509):
+        ops = _ledger_ops(random.Random(seed), 48)
+        assert len({tx.hash() for tx in ops}) == len(ops) == 48
 
 
 def ledger_run_digest(n_ops=150, seed=2024, roots=True):
@@ -157,7 +170,7 @@ def test_fixed_simulation_trace_is_byte_identical():
     trace = run_simulation(SimScenario.from_dict(SIM_SCENARIO))
     digest = hashlib.sha256(trace.to_text().encode()).digest()
     assert digest == fixture_hex("sim_trace_digest.hex")
-    assert masked_digest(trace.events) == fixture_hex("sim_trace_digest_masked.hex")
+    assert masked_digest(trace) == fixture_hex("sim_trace_digest_masked.hex")
 
 
 def _pinned(**overrides):
@@ -276,4 +289,4 @@ def test_pinned_simulation_trace_is_byte_identical(name):
     trace = run_simulation(SimScenario.from_dict(PINNED_SCENARIOS[name]))
     digest = hashlib.sha256(trace.to_text().encode()).digest()
     assert digest == fixture_hex(f"sim_trace_{name}.hex")
-    assert masked_digest(trace.events) == fixture_hex(f"sim_trace_{name}_masked.hex")
+    assert masked_digest(trace) == fixture_hex(f"sim_trace_{name}_masked.hex")

@@ -100,8 +100,9 @@ class TestAnalyze:
         assert r.throughput_per_1000_ticks == 0.0
         assert r.latency == LatencyStats()
 
-    def test_pure_function_of_trace(self, trace):
-        reread = SimTrace([json.loads(line) for line in trace.to_text().splitlines()])
+    def test_pure_function_of_trace(self, trace, tmp_path):
+        trace.write(tmp_path / "trace.jsonl")
+        reread = SimTrace.read(tmp_path / "trace.jsonl")
         assert analyze(reread).to_dict() == analyze(trace).to_dict()
 
     def test_json_round_trips(self, trace):
@@ -112,6 +113,8 @@ class TestAnalyze:
     def test_headerless_trace_rejected(self):
         with pytest.raises(InputError):
             analyze(SimTrace([{"type": "summary", "truncated": False, "max_ticks": 1, "nodes": []}]))
+        with pytest.raises(InputError, match="summary"):
+            analyze(SimTrace([{"type": "scenario", "digest": "00" * 32}]))
 
 
 class TestSweep:
